@@ -168,13 +168,13 @@ def tensor(family, point, what, a):
                                    % (family, spec.dim, len(p)))
     try:
         if what == "metric":
-            T = C._tensor_values(geo.metric_jets(spec, p, order=0)).real
+            T = geo.metric_jets(spec, p, order=0).val.real
         elif what == "ricci":
             T = C.ricci(spec, p)
         elif what == "weyl":
             T = C.weyl(spec, p)
         else:
-            T = C._tensor_values(C.christoffel(spec, p, order=0)).real
+            T = C.christoffel(spec, p, order=0).val.real
     except Exception as exc:
         raise click.ClickException("%s: %s" % (type(exc).__name__, exc))
     T = np.asarray(T)

@@ -65,7 +65,7 @@ def clifford_mul(v, frame, phi: SpinorValue) -> SpinorValue:
     if frame != phi.frame:
         raise FrameMismatchError("vector frame %r vs spinor frame %r" % (frame, phi.frame))
     v = np.asarray(v)
-    w = np.einsum("iab,...i,...b->...a", GAMMA, v, phi.w)
+    w = np.einsum("iab,...i,...b->...a", GAMMA, v, phi.w, optimize=True)
     return SpinorValue(w, phi.frame)
 
 
@@ -83,7 +83,8 @@ def spinor_square_components(phi: SpinorValue):
     vanish (the pairing with a vector insertion is real)."""
     g0 = GAMMA[0]
     w = phi.w
-    p = np.einsum("...a,iab,...b->...i", np.einsum("ab,...b->...a", g0, w).conj(), GAMMA, w)
+    p = np.einsum("...a,iab,...b->...i", np.einsum("ab,...b->...a", g0, w).conj(),
+                  GAMMA, w, optimize=True)
     if np.max(np.abs(p.imag)) > 1e-10 * (1.0 + np.max(np.abs(p.real))):
         raise NonRealPairingError("max imag %g" % np.max(np.abs(p.imag)))
     return p.real
@@ -114,7 +115,7 @@ def lambda_of(S, tol=1e-10):
     S = np.asarray(S, dtype=complex)
     Sinv = np.linalg.inv(S)
     # M_j = S gamma_j S^-1; coefficients via tr(gamma_i^dagger M_j)/4
-    M = np.einsum("...ab,jbc,...cd->...jad", S, GAMMA, Sinv)
+    M = np.einsum("...ab,jbc,...cd->...jad", S, GAMMA, Sinv, optimize=True)
     gdag = np.conj(np.swapaxes(GAMMA, -1, -2))
     lam = np.einsum("iba,...jab->...ij", gdag, M) / 4.0
     recon = np.einsum("...ij,iab->...jab", lam, GAMMA)

@@ -1,10 +1,11 @@
 """Orthonormal frames for the metric family and the transitions between them.
 
-Frames come back as (5, 5) object arrays of jets in column convention:
+Frames come back as (5, 5) tensor jets in column convention:
 ``vectors[mu, i]`` is Cartesian component mu of the i-th frame vector, so a
-right matrix action "frame . M" is ``jets.jmat_mul(vectors, M)``.
+right matrix action "frame . M" is ``jets.jeinsum("mi,ij->mj", vectors, M)``.
 
-Vector-frame transitions (G, Q, kappa, E01) are matrices of jets; the spinor
+Vector-frame transitions (G, Q, kappa) are (5, 5) tensor jets and E01 a
+constant matrix; the spinor
 lifts (Gtilde, Qtilde, kappatilde) are plain complex value arrays, batched as
 (..., 4, 4).
 
@@ -37,14 +38,15 @@ E01.setflags(write=False)
 @dataclass
 class FrameValue:
     id: str
-    vectors: np.ndarray          # (5, 5) object array of jets, columns = vectors
+    vectors: J.Jet               # (5, 5) tensor jet, columns = vectors
     metric_spec: geo.MetricSpec
 
 
 @dataclass
 class TransformValue:
     id: str
-    matrix: np.ndarray           # jets (vector transforms) or complex values (lifts)
+    matrix: object               # tensor jet (vector transforms) or complex
+                                 # values (lifts)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -58,8 +60,7 @@ def _seed(x, order):
 
 def _side(x):
     """'L' if every point has r <= |x0| (cone included), 'B' if all r > |x0|."""
-    r = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
-    d = r - np.abs(x[..., 0])
+    d = geo.cone_gap(x)
     if np.all(d <= 0.0):
         return "L"
     if np.all(d > 0.0):
@@ -85,8 +86,7 @@ def _ro_jet(x, xj):
 
 
 def _require_exterior(x, who):
-    r = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
-    if np.any(r - np.abs(x[..., 0]) <= 0.0):
+    if np.any(geo.cone_gap(x) <= 0.0):
         raise DomainError(f"{who} is only defined off the cone, on r > |x0|")
 
 
@@ -132,15 +132,8 @@ def _g_matrix(x, xj):
         [(-1.0) * s3, s4, s1, (-1.0) * s2],
         [(-1.0) * s4, (-1.0) * s3, s2, s1],
     ]
-    m = np.empty((5, 5), dtype=object)
-    m[0, 0] = _one(xj)
-    for j in range(1, 5):
-        m[0, j] = _zero(xj)
-        m[j, 0] = _zero(xj)
-    for i in range(4):
-        for j in range(4):
-            m[i + 1, j + 1] = rows[i][j] * ir
-    return m
+    return J.stack([[1.0, 0.0, 0.0, 0.0, 0.0]]
+                   + [[0.0] + [v * ir for v in row] for row in rows])
 
 
 def _gtilde_matrix(x):
@@ -160,14 +153,16 @@ def _gtilde_matrix(x):
 def _q_matrix(x, a, order):
     x, xj = _seed(x, order)
     k, q, _ = k_q_rho(x, a, order=order)
-    m = np.empty((5, 5), dtype=object)
-    zero, one = _zero(xj), _one(xj)
-    for i in range(5):
-        for j in range(5):
-            m[i, j] = one if i == j and i >= 2 else zero
-    m[0, 0] = m[1, 1] = k
-    m[0, 1] = m[1, 0] = q
-    return m
+    return _boost(k, q)
+
+
+def _boost(ch, sh):
+    """The (5, 5) jet matrix acting by [[ch, sh], [sh, ch]] on the (0, 1)
+    plane and trivially on the rest."""
+    rows = [[float(i == j) for j in range(5)] for i in range(5)]
+    rows[0][0] = rows[1][1] = ch
+    rows[0][1] = rows[1][0] = sh
+    return J.stack(rows)
 
 
 def _qtilde_matrix(x, a):
@@ -192,14 +187,7 @@ def _kappa_matrix(x, order):
     idet = d.reciprocal()
     ch = (r * r + xj[0] * xj[0]) * idet
     sh = 2.0 * xj[0] * r * idet
-    m = np.empty((5, 5), dtype=object)
-    zero, one = _zero(xj), _one(xj)
-    for i in range(5):
-        for j in range(5):
-            m[i, j] = one if i == j and i >= 2 else zero
-    m[0, 0] = m[1, 1] = ch
-    m[0, 1] = m[1, 0] = (-1.0) * sh
-    return m
+    return _boost(ch, (-1.0) * sh)
 
 
 def _kappatilde_matrix(x):
@@ -242,12 +230,18 @@ def transform_eval(id, x, a=1.0, order=3):
 # ---------------------------------------------------------------- frames
 
 def _frame_u(xj):
-    vec = np.empty((5, 5), dtype=object)
-    zero, one = _zero(xj), _one(xj)
-    for mu in range(5):
-        for i in range(5):
-            vec[mu, i] = one if mu == i else zero
-    return vec
+    return J.constant(np.broadcast_to(np.eye(5), np.shape(xj[0].val) + (5, 5)),
+                      dim=5, order=xj[0].order)
+
+
+def _columns(cols):
+    """Frame jet from a list of columns, each a list of 5 components."""
+    return J.stack([[col[mu] for col in cols] for mu in range(5)])
+
+
+def _sphere_columns(kvs, scales):
+    """Columns along the sphere directions: no x0 part, scale * K^m."""
+    return [[0.0] + [sc * kv[m] for m in range(4)] for kv, sc in zip(kvs, scales)]
 
 
 def _frame_e(x, xj, a):
@@ -262,20 +256,12 @@ def _frame_e(x, xj, a):
     x0 = xj[0]
     w = r * r + x0 * x0
     k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
-    vec = np.empty((5, 5), dtype=object)
-    vec[0, 0] = 4.0 * x0 * x0 * c + 1.0
-    for m in range(1, 5):
-        vec[m, 0] = 2.0 * x0 * w * c * xj[m] * ir2
-    vec[0, 1] = (-2.0) * x0 * w * c * ir
+    e0 = [4.0 * x0 * x0 * c + 1.0] + [2.0 * x0 * w * c * xj[m] * ir2
+                                      for m in range(1, 5)]
     e1c = (1.0 + (-1.0) * w * w * c * ir2) * ir
-    for m in range(1, 5):
-        vec[m, 1] = e1c * xj[m]
+    e1 = [(-2.0) * x0 * w * c * ir] + [e1c * xj[m] for m in range(1, 5)]
     ib = beta.reciprocal()
-    for col, kv, sc in ((2, k1, ir), (3, k2, ir), (4, k3, ir * ib)):
-        vec[0, col] = _zero(xj)
-        for m in range(1, 5):
-            vec[m, col] = sc * kv[m - 1]
-    return vec
+    return [e0, e1] + _sphere_columns((k1, k2, k3), (ir, ir, ir * ib))
 
 
 def _frame_f(x, xj, a):
@@ -286,20 +272,11 @@ def _frame_f(x, xj, a):
     x0 = xj[0]
     w = r * r + x0 * x0
     k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
-    vec = np.empty((5, 5), dtype=object)
-    vec[0, 0] = w.copy()
-    for m in range(1, 5):
-        vec[m, 0] = 2.0 * x0 * xj[m]
-    vec[0, 1] = 2.0 * r * x0 * beta
+    f0 = [w] + [2.0 * x0 * xj[m] for m in range(1, 5)]
     fc = w * beta * r.reciprocal()
-    for m in range(1, 5):
-        vec[m, 1] = fc * xj[m]
+    f1 = [2.0 * r * x0 * beta] + [fc * xj[m] for m in range(1, 5)]
     ib = beta.reciprocal()
-    for col, kv, sc in ((2, k1, ro), (3, k2, ro), (4, k3, ro * ib)):
-        vec[0, col] = _zero(xj)
-        for m in range(1, 5):
-            vec[m, col] = sc * kv[m - 1]
-    return vec
+    return [f0, f1] + _sphere_columns((k1, k2, k3), (ro, ro, ro * ib))
 
 
 def _frame_etilde(x, xj, a):
@@ -312,21 +289,14 @@ def _frame_etilde(x, xj, a):
     d = r * r + (-1.0) * x0 * x0
     idet = d.reciprocal()
     k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
-    vec = np.empty((5, 5), dtype=object)
-    vec[0, 0] = (w * w + (-4.0) * x0 * x0 * r * r * beta) * idet
     c0 = 2.0 * x0 * w * (1.0 + (-1.0) * beta) * idet
-    for m in range(1, 5):
-        vec[m, 0] = c0 * xj[m]
-    vec[0, 1] = 2.0 * x0 * r * w * (beta + (-1.0)) * idet
+    e0 = [(w * w + (-4.0) * x0 * x0 * r * r * beta) * idet] + [
+        c0 * xj[m] for m in range(1, 5)]
     c1 = (w * w * beta + (-4.0) * x0 * x0 * r * r) * idet * r.reciprocal()
-    for m in range(1, 5):
-        vec[m, 1] = c1 * xj[m]
+    e1 = [2.0 * x0 * r * w * (beta + (-1.0)) * idet] + [
+        c1 * xj[m] for m in range(1, 5)]
     ib = beta.reciprocal()
-    for col, kv, sc in ((2, k1, ro), (3, k2, ro), (4, k3, ro * ib)):
-        vec[0, col] = _zero(xj)
-        for m in range(1, 5):
-            vec[m, col] = sc * kv[m - 1]
-    return vec
+    return [e0, e1] + _sphere_columns((k1, k2, k3), (ro, ro, ro * ib))
 
 
 def frame_htilde(x, a=1.0, order=3):
@@ -356,20 +326,19 @@ def frame_htilde(x, a=1.0, order=3):
     ir2 = ir * ir
     x0 = xj[0]
     w = r * r + x0 * x0
-    e = _frame_e(x, xj, a)
-    vec = np.empty((5, 5), dtype=object)
-    for m in range(5):
-        vec[m, 0] = k * e[m, 0] + q * e[m, 1]
+    e0, e1 = _frame_e(x, xj, a)[:2]
+    cols = [[k * e0[m] + q * e1[m] for m in range(5)]]
     tcoef = (q * (1.0 + 4.0 * x0 * x0 * c) + (-2.0) * k * x0 * w * c * ir) * ir
     wm1 = 2.0 * q * x0 * w * c * ir + k * (1.0 + (-1.0) * w * w * c * ir2) + (-1.0)
     bm1 = beta.reciprocal() + (-1.0)
     _, _, k3 = geo.sigma_dual_vectors(xj[1:])
     for j in range(1, 5):
-        vec[0, j] = tcoef * xj[j]
+        col = [tcoef * xj[j]]
         for m in range(1, 5):
             t = wm1 * xj[m] * xj[j] * ir2 + bm1 * k3[m - 1] * k3[j - 1] * ir2
-            vec[m, j] = (t + 1.0) if m == j else t
-    return FrameValue("htilde", vec, spec)
+            col.append((t + 1.0) if m == j else t)
+        cols.append(col)
+    return FrameValue("htilde", _columns(cols), spec)
 
 
 def frame_eval(id, x, a=1.0, order=3):
@@ -380,11 +349,13 @@ def frame_eval(id, x, a=1.0, order=3):
     if id == "u":
         return FrameValue("u", _frame_u(xj), geo.MetricSpec("g0"))
     if id == "e":
-        return FrameValue("e", _frame_e(x, xj, a), geo.MetricSpec("ga", a))
+        return FrameValue("e", _columns(_frame_e(x, xj, a)),
+                          geo.MetricSpec("ga", a))
     if id == "f":
-        return FrameValue("f", _frame_f(x, xj, a), geo.MetricSpec("gatilde", a))
+        return FrameValue("f", _columns(_frame_f(x, xj, a)),
+                          geo.MetricSpec("gatilde", a))
     if id == "etilde":
-        return FrameValue("etilde", _frame_etilde(x, xj, a),
+        return FrameValue("etilde", _columns(_frame_etilde(x, xj, a)),
                           geo.MetricSpec("gatilde", a))
     raise ValueError(f"unknown frame id {id!r}")
 
@@ -404,18 +375,13 @@ def eh_frame(y, a=1.0, order=3):
     ir = rad2.sqrt().reciprocal()
     k1, k2, k3 = geo.sigma_dual_vectors(yj)
     ib = beta.reciprocal()
-    vec = np.empty((4, 4), dtype=object)
-    for m in range(4):
-        vec[m, 0] = (-1.0) * beta * yj[m] * ir
-        vec[m, 1] = k1[m] * ir
-        vec[m, 2] = k2[m] * ir
-        vec[m, 3] = k3[m] * ir * ib
+    vec = J.stack([[(-1.0) * beta * yj[m] * ir, k1[m] * ir, k2[m] * ir,
+                    k3[m] * ir * ib] for m in range(4)])
     return FrameValue("f_eh", vec, geo.MetricSpec("eh", a))
 
 
 def gram_matrix(fv: FrameValue, x):
     """Pointwise Gram matrix of the frame under its own metric, (..., 5, 5)."""
-    g = geo.metric_jets(fv.metric_spec, x, order=0)
-    gv = J.jmat_values(g)
-    vv = J.jmat_values(fv.vectors)
-    return np.einsum("...mi,...mn,...nj->...ij", vv, gv, vv)
+    gv = geo.metric_jets(fv.metric_spec, x, order=0).val
+    vv = fv.vectors.val
+    return np.einsum("...mi,...mn,...nj->...ij", vv, gv, vv, optimize=True)

@@ -83,8 +83,11 @@ def classify(p, a):
     return Region("OutsideClosure")
 
 
-def _vals(xj):
-    return [np.asarray(j.val) for j in xj]
+def cone_gap(x):
+    """r - |x0| for points (..., 5): positive off the closed cone L, zero on
+    its boundary, negative inside.  The one cone-side test of the package."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1)) - np.abs(x[..., 0])
 
 
 def radial_r(xj):
@@ -95,9 +98,7 @@ def radial_r(xj):
 
 def _branch(xj):
     """+1 exterior (r > |x0|), -1 inside L, raises on the cone itself."""
-    v = _vals(xj)
-    r = np.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2 + v[4] ** 2)
-    d = r - np.abs(v[0])
+    d = cone_gap(np.stack([np.asarray(j.val) for j in xj], axis=-1))
     if np.any(d == 0.0):
         raise AmbiguousError("point(s) on the cone boundary r = |x0|")
     if np.all(d > 0):
@@ -156,29 +157,34 @@ def beta_jet(xj, a):
     return ((-1.0) * u + 1.0).sqrt()
 
 
-def _eta_jets(dim, order, shape, values=None):
-    g = np.empty((dim, dim), dtype=object)
-    vals = values if values is not None else (ETA if dim == 5 else np.eye(4))
-    for i in range(dim):
-        for j in range(dim):
-            g[i, j] = J.constant(vals[i, j], dim=dim, order=order, shape=shape)
-    return g
+def _const_matrix(values, order, shape):
+    """A constant (n, n) tensor jet over the batch shape."""
+    values = np.asarray(values, dtype=float)
+    return J.constant(np.broadcast_to(values, tuple(shape) + values.shape),
+                      dim=len(values), order=order)
 
 
-def _sigma3_block(spatial, coeff, offset, g):
-    """g[offset+i, offset+j] += coeff * sigma3_i sigma3_j."""
-    _, _, sig3 = sigma_forms(spatial)
-    for i in range(4):
-        for j in range(i, 4):
-            term = coeff * sig3[i] * sig3[j]
-            g[offset + i, offset + j] = g[offset + i, offset + j] + term
-            if i != j:
-                g[offset + j, offset + i] = g[offset + j, offset + i] + term
-    return g
+def _quadratic_form(base, terms):
+    """The jet matrix base + sum of c v v^T over the (c, v) terms, in order.
+
+    ``base`` is a constant (n, n) array; each v lists n scalar jets, None
+    where the covector has no component."""
+    n = len(base)
+    rows = [[float(base[i][j]) for j in range(n)] for i in range(n)]
+    for c, v in terms:
+        for i in range(n):
+            for j in range(i, n):
+                if v[i] is None or v[j] is None:
+                    continue
+                term = c * v[i] * v[j]
+                rows[i][j] = rows[i][j] + term
+                if i != j:
+                    rows[j][i] = rows[j][i] + term
+    return J.stack(rows)
 
 
 def metric_jets(spec: MetricSpec, x, order=3):
-    """Metric components as a (dim x dim) object array of jets.
+    """Metric components as a (dim, dim) tensor jet.
 
     For family 'ga'/'gatilde' the batch must lie entirely on one side of the
     cone (AmbiguousError otherwise); the L side returns the exact flat branch.
@@ -191,17 +197,14 @@ def metric_jets(spec: MetricSpec, x, order=3):
     shape = x.shape[:-1]
 
     if spec.family == "g0":
-        return _eta_jets(5, order, shape)
+        return _const_matrix(ETA, order, shape)
 
     if spec.family in ("ga", "gatilde"):
         g = _metric_ga(spec, xj, order, shape)
         if spec.family == "gatilde":
             d = radial_r(xj)
             d = d * d - xj[0] * xj[0]
-            conf = (d * d).reciprocal()
-            for i in range(5):
-                for j in range(5):
-                    g[i, j] = g[i, j] * conf
+            g = J.jeinsum(",ij->ij", (d * d).reciprocal(), g)
         return g
 
     # 4d families
@@ -217,21 +220,15 @@ def metric_jets(spec: MetricSpec, x, order=3):
         if np.any(rv <= a):
             raise DomainError("eh needs R > a")
         u = (a ** 4) * rad2.pow_int(-2)
-    g = _eta_jets(4, order, shape)
     irad2 = rad2.reciprocal()
     w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-    for i in range(4):
-        for j in range(i, 4):
-            term = w * xj[i] * xj[j]
-            g[i, j] = g[i, j] + term
-            if i != j:
-                g[j, i] = g[j, i] + term
-    return _sigma3_block(xj, (-1.0) * u * rad2, 0, g)
+    _, _, sig3 = sigma_forms(xj)
+    return _quadratic_form(np.eye(4), [(w, xj), ((-1.0) * u * rad2, sig3)])
 
 
 def _metric_ga(spec, xj, order, shape):
     if _branch(xj) < 0:
-        return _eta_jets(5, order, shape)
+        return _const_matrix(ETA, order, shape)
     a = spec.a
     r2 = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
     r = r2.sqrt()
@@ -241,34 +238,21 @@ def _metric_ga(spec, xj, order, shape):
     bsq = (-1.0) * u + 1.0            # beta^2; DomainError outside the shell
     if np.any(bsq.val <= 0.0):
         raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
-    g = _eta_jets(5, order, shape)
-    g = _sigma3_block(xj[1:], (-1.0) * u * r2, 1, g)
-    alpha = alpha_form(xj)
+    _, _, sig3 = sigma_forms(xj[1:])
     c = (a ** 4) * ro2 * (r2 * bsq).reciprocal()
-    for i in range(5):
-        for j in range(i, 5):
-            term = c * alpha[i] * alpha[j]
-            g[i, j] = g[i, j] + term
-            if i != j:
-                g[j, i] = g[j, i] + term
-    return g
+    return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
+                                 (c, alpha_form(xj))])
 
 
 def decompose_ga(x, a, order=3):
-    """ga = g0 - omega + rho as three (5,5) jet matrices (exterior side)."""
+    """ga = g0 - omega + rho as three (5, 5) tensor jets (exterior side)."""
     x = np.asarray(x, dtype=float)
     xj = J.seed(x, order=order)
     shape = x.shape[:-1]
-    g0 = _eta_jets(5, order, shape)
-    zero = lambda: J.constant(0.0, dim=5, order=order, shape=shape)
-    omega = np.empty((5, 5), dtype=object)
-    rho = np.empty((5, 5), dtype=object)
-    for i in range(5):
-        for j in range(5):
-            omega[i, j] = zero()
-            rho[i, j] = zero()
+    g0 = _const_matrix(ETA, order, shape)
     if _branch(xj) < 0:
-        return g0, omega, rho
+        zero = _const_matrix(np.zeros((5, 5)), order, shape)
+        return g0, zero, zero
     r2 = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
     r = r2.sqrt()
     ro = (r2 - xj[0] * xj[0]) / r
@@ -277,15 +261,10 @@ def decompose_ga(x, a, order=3):
     bsq = (-1.0) * u + 1.0
     if np.any(bsq.val <= 0.0):
         raise DomainError("point(s) outside the closure of B_a")
-    _sigma3_block(xj[1:], u * r2, 1, omega)
-    alpha = alpha_form(xj)
+    _, _, sig3 = sigma_forms(xj[1:])
+    omega = _quadratic_form(np.zeros((5, 5)), [(u * r2, [None] + sig3)])
     c = (a ** 4) * ro2 * (r2 * bsq).reciprocal()
-    for i in range(5):
-        for j in range(i, 5):
-            term = c * alpha[i] * alpha[j]
-            rho[i, j] = rho[i, j] + term
-            if i != j:
-                rho[j, i] = term + rho[j, i]
+    rho = _quadratic_form(np.zeros((5, 5)), [(c, alpha_form(xj))])
     return g0, omega, rho
 
 

@@ -1,12 +1,17 @@
 """Truncated Taylor jets (order <= 3) with batched numpy storage.
 
 A Jet carries the value and the plain (non-factorial) partial derivatives of a
-scalar field up to a truncation order, at a batch of points.  Arrays:
+field up to a truncation order, at a batch of points.  A tensor field keeps
+its tensor axes T after the batch axes, and the derivative axes come last:
 
-    val   (...,)          field value
-    grad  (..., n)        first partials
-    hess  (..., n, n)     second partials, symmetric
-    third (..., n, n, n)  third partials, symmetric
+    val   (..., *T)           field value
+    grad  (..., *T, n)        first partials
+    hess  (..., *T, n, n)     second partials, symmetric
+    third (..., *T, n, n, n)  third partials, symmetric
+
+A scalar field has no tensor axes.  ``jet[i, j]`` picks tensor entries,
+``stack`` builds a tensor jet from scalar jets and ``jeinsum`` contracts
+tensor axes.
 
 Arithmetic propagates derivatives by the Leibniz rule; unary functions go
 through the chain rule (Faa di Bruno through order 3).  The ``order``
@@ -25,8 +30,8 @@ __all__ = [
     "seed",
     "constant",
     "extract",
-    "jmat_mul",
-    "jmat_vec",
+    "stack",
+    "jeinsum",
     "jmat_inv",
     "central_diff",
 ]
@@ -34,6 +39,8 @@ __all__ = [
 
 class Jet:
     __slots__ = ("val", "grad", "hess", "third", "order", "dim")
+    __array_ufunc__ = None      # numpy operands defer to the jet's own ops
+    __iter__ = None             # index tensor axes explicitly, see __getitem__
 
     def __init__(self, val, grad=None, hess=None, third=None, order=None, dim=None):
         self.val = np.asarray(val)
@@ -240,15 +247,33 @@ class Jet:
 
         return self.compose(np.power(v, p), term(1), term(2), term(3))
 
-    # -- differentiation ---------------------------------------------------
+    # -- tensor axes and differentiation -----------------------------------
+
+    def __getitem__(self, idx):
+        """Index the trailing tensor axes; a full index gives a scalar jet."""
+        idx = (Ellipsis,) + (idx if isinstance(idx, tuple) else (idx,))
+        arrs = [self.val[idx]]
+        for k, a in enumerate((self.grad, self.hess, self.third)[:self.order], 1):
+            arrs.append(a[idx + (slice(None),) * k])
+        return Jet(*arrs, order=self.order, dim=self.dim)
+
+    def d(self):
+        """All first partials as a new trailing tensor axis, one order lower."""
+        if self.order < 1:
+            raise OrderError("cannot differentiate an order-0 jet")
+        return Jet(self.grad, *(self.hess, self.third)[:self.order - 1],
+                   order=self.order - 1, dim=self.dim)
+
+    def truncate(self, order):
+        """The same jet carried only through the given derivative order."""
+        if self.order <= order:
+            return self
+        return Jet(self.val, *(self.grad, self.hess, self.third)[:order],
+                   order=order, dim=self.dim)
 
     def partial(self, i):
         """The i-th partial derivative as a jet one order lower."""
-        if self.order < 1:
-            raise OrderError("cannot differentiate an order-0 jet")
-        g = None if self.order < 2 else self.hess[..., i, :]
-        h = None if self.order < 3 else self.third[..., i, :, :]
-        return Jet(self.grad[..., i], g, h, None, order=self.order - 1, dim=self.dim)
+        return self.d()[i]
 
 
 def _nadd(a, b):
@@ -264,13 +289,17 @@ def _pad(scal, k):
     return np.asarray(scal)[(...,) + (None,) * k]
 
 
+def _sym3(p):
+    """p_ijk + p_jik + p_kij over the trailing axes: with p = g_i h_jk (h
+    symmetric) this is the symmetrized g_i h_jk + g_j h_ik + g_k h_ij."""
+    n = p.ndim
+    return (p + np.swapaxes(p, n - 3, n - 2)
+            + p.transpose(tuple(range(n - 3)) + (n - 2, n - 1, n - 3)))
+
+
 def _sym_gh(g, h):
     """Symmetrized g_i h_jk + g_j h_ik + g_k h_ij."""
-    return (
-        g[..., :, None, None] * h[..., None, :, :]
-        + g[..., None, :, None] * h[..., :, None, :]
-        + g[..., None, None, :] * h[..., :, :, None]
-    )
+    return _sym3(g[..., :, None, None] * h[..., None, :, :])
 
 
 def seed(points, order=3):
@@ -324,89 +353,123 @@ def extract(jet, alpha):
     return jet.third[..., idx[0], idx[1], idx[2]]
 
 
-# -- jet-valued matrices (object arrays) -------------------------------------
+# -- tensor jets -------------------------------------------------------------
 
 
-def jmat_values(A):
-    """Stack the value arrays of a jet matrix into (..., n, m)."""
-    n, m = A.shape
-    vals = [[np.asarray(A[i, j].val) for j in range(m)] for i in range(n)]
-    base = np.broadcast_shapes(*[v.shape for row in vals for v in row])
-    dt = complex if any(v.dtype.kind == "c" for row in vals for v in row) else float
-    out = np.empty(base + (n, m), dtype=dt)
-    for i in range(n):
-        for j in range(m):
-            out[..., i, j] = vals[i][j]
-    return out
+def _nest(nested):
+    """(tensor shape, flat leaf list) of a nested list; leaves are non-lists."""
+    if not isinstance(nested, (list, tuple)):
+        return (), [nested]
+    parts = [_nest(item) for item in nested]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) != 1:
+        raise ValueError("ragged nesting: entries of shapes %s" % sorted(shapes))
+    return (len(parts),) + shapes.pop(), [leaf for _, ls in parts for leaf in ls]
 
 
-def jmat_mul(A, B):
-    n, m = A.shape
-    m2, k = B.shape
-    out = np.empty((n, k), dtype=object)
-    for i in range(n):
-        for j in range(k):
-            s = A[i, 0] * B[0, j]
-            for l in range(1, m):
-                s = s + A[i, l] * B[l, j]
-            out[i, j] = s
-    return out
+def stack(nested):
+    """One tensor jet from a nested list of scalar jets.
+
+    The nesting becomes the tensor axes, placed after the broadcast batch
+    axes.  Plain numbers or arrays may stand in for constant entries; the
+    result carries the lowest order among the jet entries.
+    """
+    shape, leaves = _nest(nested)
+    jets = [leaf for leaf in leaves if isinstance(leaf, Jet)]
+    if not jets:
+        raise ValueError("stack needs at least one Jet entry")
+    order = min(j.order for j in jets)
+    dim = max(j.dim for j in jets)
+    base = np.broadcast_shapes(*[np.shape(leaf.val if isinstance(leaf, Jet) else leaf)
+                                 for leaf in leaves])
+
+    def level(k):
+        parts = []
+        for leaf in leaves:
+            if isinstance(leaf, Jet):
+                arr = (leaf.val, leaf.grad, leaf.hess, leaf.third)[k]
+            else:
+                arr = leaf if k == 0 else 0.0
+            parts.append(np.broadcast_to(arr, base + (dim,) * k))
+        return np.stack(parts, axis=len(base)).reshape(base + shape + (dim,) * k)
+
+    return Jet(level(0), *[level(k) if k <= order else None for k in (1, 2, 3)],
+               order=order, dim=dim)
 
 
-def jmat_vec(A, v):
-    n, m = A.shape
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        s = A[i, 0] * v[0]
-        for l in range(1, m):
-            s = s + A[i, l] * v[l]
-        out[i] = s
-    return out
+def jeinsum(spec, A, B=None):
+    """Einsum over the tensor axes of jets, derivatives by the Leibniz rule.
+
+    ``spec`` names tensor axes only (e.g. "kl,lij->kij"); batch axes lead and
+    broadcast, derivative axes trail and are handled here.  A plain ndarray
+    operand is a constant.  The result carries min(A.order, B.order); with a
+    single operand the spec permutes or traces tensor axes.
+    """
+    x, y, z = [c for c in "xyzXYZ" if c not in spec][:3]
+    if B is None:
+        ins, out = spec.split("->")
+        arrs = (A.val, A.grad, A.hess, A.third)
+        return Jet(*[np.einsum("...%s%s->...%s%s" % (ins, d, out, d), arrs[k])
+                     for k, d in enumerate(("", x, x + y, x + y + z)[:A.order + 1])],
+                   order=A.order, dim=A.dim)
+    sa, rest = spec.split(",")
+    sb, out = rest.split("->")
+    jets = [j for j in (A, B) if isinstance(j, Jet)]
+    order = min(j.order for j in jets)
+    dim = max(j.dim for j in jets)
+    a = _levels(A)
+    b = _levels(B)
+
+    def term(ka, kb, da, db, dout=None):
+        if a[ka] is None or b[kb] is None:
+            return None
+        dout = da + db if dout is None else dout
+        return np.einsum("...%s%s,...%s%s->...%s%s" % (sa, da, sb, db, out, dout),
+                         a[ka], b[kb])
+
+    val = term(0, 0, "", "")
+    grad = hess = third = None
+    if order >= 1:
+        grad = _nadd(term(1, 0, x, ""), term(0, 1, "", x))
+    if order >= 2:
+        cross = term(1, 1, x, y)
+        hess = _nadd(_nadd(term(2, 0, x + y, ""), term(0, 2, "", x + y)),
+                     None if cross is None else cross + np.swapaxes(cross, -1, -2))
+    if order >= 3:
+        t12 = term(1, 2, x, y + z)
+        t21 = term(2, 1, y + z, x, x + y + z)
+        third = _nadd(_nadd(_nadd(term(3, 0, x + y + z, ""), term(0, 3, "", x + y + z)),
+                            None if t12 is None else _sym3(t12)),
+                      None if t21 is None else _sym3(t21))
+    return Jet(val, grad, hess, third, order=order, dim=dim)
+
+
+def _levels(j):
+    if isinstance(j, Jet):
+        return (j.val, j.grad, j.hess, j.third)
+    return (np.asarray(j), None, None, None)
 
 
 def jmat_inv(A):
-    """Inverse of a jet matrix via a Neumann series around the pointwise value.
+    """Inverse of a square tensor jet via a Neumann series at the point value.
 
     With A = A0 + N (A0 the plain value, N vanishing at the points), the
-    inverse through third order is sum_k (-A0^-1 N)^k A0^-1, k <= 3.
+    inverse through third order is sum_k (-A0^-1 N)^k A0^-1, k <= order.
     """
-    n = A.shape[0]
-    order = min(A[i, j].order for i in range(n) for j in range(n))
-    dim = max(A[i, j].dim for i in range(n) for j in range(n))
-    vals = [[np.asarray(A[i, j].val) for j in range(n)] for i in range(n)]
-    base = np.broadcast_shapes(*[v.shape for row in vals for v in row])
-    dt = complex if any(v.dtype.kind == "c" for row in vals for v in row) else float
-    val = np.empty(base + (n, n), dtype=dt)
-    for i in range(n):
-        for j in range(n):
-            val[..., i, j] = vals[i][j]
     try:
-        inv0 = np.linalg.inv(val)
+        inv0 = np.linalg.inv(A.val)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(str(exc)) from None
     if not np.all(np.isfinite(inv0)):
         raise SingularMetricError("metric value matrix is singular")
-    A0i = np.empty((n, n), dtype=object)
-    N = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            A0i[i, j] = constant(inv0[..., i, j], dim, order=order)
-            a = A[i, j]
-            N[i, j] = Jet(np.zeros_like(a.val), a.grad, a.hess, a.third,
-                          order=a.order, dim=a.dim)
-    M = jmat_mul(A0i, N)   # A0^-1 N, vanishing value: series terminates exactly
-    out = A0i.copy()
-    term = A0i
-    sign = -1
-    for _ in range(min(order, 3)):
-        term = jmat_mul(M, term)
-        for i in range(n):
-            for j in range(n):
-                if sign > 0:
-                    out[i, j] = out[i, j] + term[i, j]
-                else:
-                    out[i, j] = out[i, j] - term[i, j]
-        sign = -sign
+    if A.order == 0:
+        return Jet(inv0, order=0, dim=A.dim)
+    N = Jet(np.zeros_like(A.val), A.grad, A.hess, A.third, order=A.order, dim=A.dim)
+    M = jeinsum("ij,jk->ik", -inv0, N)   # vanishing value: the series terminates
+    out = term = inv0
+    for _ in range(A.order):
+        term = jeinsum("ij,jk->ik", M, term)
+        out = term + out
     return out
 
 

@@ -98,8 +98,7 @@ class CrossingCurve:
 
 
 def _side(p):
-    r = np.sqrt(np.sum(p[1:] ** 2))
-    d = r - abs(p[0])
+    d = geo.cone_gap(p)
     return 0 if d == 0.0 else (1 if d > 0 else -1)
 
 

@@ -48,16 +48,11 @@ class SpinorField:
     """Closed-form spinor component functions w.r.t. one frame's spin lift."""
 
     frame_id: str
-    components: object     # callable (x, order) -> (4,) object array of jets
+    components: object     # callable (x, order) -> (4,) tensor jet
     label: str
 
     def values(self, x):
-        comp = self.components(x, order=0)
-        base = np.broadcast_shapes(*[np.shape(c.val) for c in comp])
-        w = np.empty(base + (4,), dtype=complex)
-        for a in range(4):
-            w[..., a] = comp[a].val
-        return w
+        return np.asarray(self.components(x, order=0).val, dtype=complex)
 
 
 @dataclass
@@ -81,7 +76,9 @@ def _seed5(x, order):
 
 
 def _const(value, xj):
-    return J.constant(np.broadcast_to(np.asarray(value), np.shape(xj[0].val)),
+    """A constant jet (scalar or tensor) over the batch shape of xj."""
+    value = np.asarray(value)
+    return J.constant(np.broadcast_to(value, np.shape(xj[0].val) + value.shape),
                       dim=5, order=xj[0].order)
 
 
@@ -95,22 +92,16 @@ def psi_bc(b, c, frame="e"):
         def comps(x, order=3):
             x, xj = _seed5(x, order)
             r = geo.radial_r(xj)
-            out = np.empty(4, dtype=object)
-            out[0] = (-b) * xj[0]
-            out[1] = c * xj[0]
-            out[2] = b * r
-            out[3] = c * r
-            return out
+            return J.stack([(-b) * xj[0], c * xj[0], b * r, c * r])
         return SpinorField("e", comps, "psi_bc(%g,%g)" % (b.real, c.real))
     if frame == "u":
         def comps(x, order=3):
             x, xj = _seed5(x, order)
-            out = np.empty(4, dtype=object)
-            out[0] = (-b) * xj[0]
-            out[1] = c * xj[0]
-            out[2] = b * xj[1] + (-1j * b) * xj[2] + (-c) * xj[3] + (-1j * c) * xj[4]
-            out[3] = b * xj[3] + (-1j * b) * xj[4] + c * xj[1] + (1j * c) * xj[2]
-            return out
+            return J.stack([
+                (-b) * xj[0],
+                c * xj[0],
+                b * xj[1] + (-1j * b) * xj[2] + (-c) * xj[3] + (-1j * c) * xj[4],
+                b * xj[3] + (-1j * b) * xj[4] + c * xj[1] + (1j * c) * xj[2]])
         return SpinorField("u", comps, "psi_bc(%g,%g)" % (b.real, c.real))
     raise ValueError("psi_bc components are pinned for frames 'e' and 'u' only")
 
@@ -121,12 +112,7 @@ def nu_bc(b, c):
 
     def comps(x, order=3):
         x, xj = _seed5(x, order)
-        out = np.empty(4, dtype=object)
-        out[0] = _const(0j, xj)
-        out[1] = _const(0j, xj)
-        out[2] = _const(b, xj)
-        out[3] = _const(c, xj)
-        return out
+        return _const([0j, 0j, b, c], xj)
     return SpinorField("f", comps, "nu_bc(%g,%g)" % (b.real, c.real))
 
 
@@ -138,14 +124,7 @@ def psi_w0(w0):
 
     def comps(x, order=3):
         x, xj = _seed5(x, order)
-        out = np.empty(4, dtype=object)
-        for a in range(4):
-            s = _const(0j, xj)
-            for i in range(N):
-                if coef[i, a] != 0:
-                    s = s + complex(coef[i, a]) * xj[i]
-            out[a] = s
-        return out
+        return J.jeinsum("ia,i->a", coef, J.stack(xj))
     return SpinorField("u", comps, "psi_w0")
 
 
@@ -154,16 +133,13 @@ def constant_spinor(w, frame="u"):
 
     def comps(x, order=3):
         x, xj = _seed5(x, order)
-        out = np.empty(4, dtype=object)
-        for a in range(4):
-            out[a] = _const(w[a], xj)
-        return out
+        return _const(w, xj)
     return SpinorField(frame, comps, "constant")
 
 
 # --------------------------------------------------------- spin connection
 
-def _frame_value(frame, spec, x, order=3):
+def _frame_value(frame, spec, x, order=1):
     if isinstance(frame, F.FrameValue):
         return frame
     return F.frame_eval(frame, x, a=spec.a, order=order)
@@ -173,7 +149,8 @@ def _spin_matrices(forms):
     """Per-direction matrices Sigma_k from lowered connection forms."""
     ee = np.outer(forms.eps, forms.eps).astype(float)
     np.fill_diagonal(ee, 0.0)
-    return 0.25 * np.einsum('ij,...ijk,ijab->...kab', ee, forms.omega_frame, _GG)
+    return 0.25 * np.einsum('ij,...ijk,ijab->...kab', ee, forms.omega_frame, _GG,
+                            optimize=True)
 
 
 def spin_connection(frame, spec, x, tol=1e-8):
@@ -194,13 +171,8 @@ def _cov_all(phi, spec, x, tol=1e-8, forms=None):
     if forms is None:
         forms = C.connection_forms(fr, spec, x, tol=tol)
     comp = phi.components(x, order=1)
-    Fv = C._tensor_values(fr.vectors).real
-    base = Fv.shape[:-2]
-    w = np.empty(base + (4,), dtype=complex)
-    dw = np.empty(base + (4, N), dtype=complex)
-    for a in range(4):
-        w[..., a] = np.broadcast_to(comp[a].val, base)
-        dw[..., a, :] = np.broadcast_to(comp[a].grad, base + (N,))
+    Fv = fr.vectors.val.real
+    w, dw = comp.val, comp.grad
     sig = _spin_matrices(forms)
     cov = (np.einsum('...mk,...am->...ka', Fv, dw)
            + np.einsum('...kab,...b->...ka', sig, w))
@@ -216,14 +188,14 @@ def spinor_cov_deriv(phi, direction, spec, x):
 def dirac(phi, spec, x):
     """D phi = sum_k eps_k f_k . nabla_k phi."""
     cov, _, eps, _ = _cov_all(phi, spec, x)
-    dw = np.einsum('k,kab,...kb->...a', eps, GAMMA, cov)
+    dw = np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
     return SpinorValue(dw, phi.frame_id)
 
 
 def twistor_residual(phi, spec, x, forms=None):
     """All five residuals P_k = nabla_k phi + (1/5) f_k . D phi."""
     cov, _, eps, _ = _cov_all(phi, spec, x, forms=forms)
-    dw = np.einsum('k,kab,...kb->...a', eps, GAMMA, cov)
+    dw = np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
     P = cov + np.einsum('kab,...b->...ka', GAMMA, dw) / float(N)
     dirs = [SpinorValue(P[..., k, :], phi.frame_id) for k in range(N)]
     return TwistorResidual(directions=dirs,
@@ -278,8 +250,8 @@ def conformal_rescale_spinor(phi, sigma, from_spec, to_spec, x, to_frame=None):
     times e^{sigma/2}, where g_to = e^{2 sigma} g_from at x (verified)."""
     x = np.asarray(x, dtype=float)
     sv = np.asarray(sigma(x) if callable(sigma) else sigma, dtype=float)
-    gf = C._tensor_values(geo.metric_jets(from_spec, x, order=0)).real
-    gt = C._tensor_values(geo.metric_jets(to_spec, x, order=0)).real
+    gf = geo.metric_jets(from_spec, x, order=0).val.real
+    gt = geo.metric_jets(to_spec, x, order=0).val.real
     resid = gt - np.exp(2.0 * sv)[..., None, None] * gf
     if np.max(np.abs(resid)) > 1e-10 * max(1.0, float(np.max(np.abs(gt)))):
         raise ScaleMismatchError("metrics are not e^{2 sigma}-related at the "
@@ -307,32 +279,16 @@ def conformal_flat_twistor_residual(w0, coeffs, x):
         q = q + coeffs[i + 1] * xj[i]
     if np.any(q.val <= 0.0):
         raise DomainError("conformal factor must stay positive on the batch")
-    q2 = q * q
-    iq = q.reciprocal()
-    zero = _const(0.0, xj)
-    g = np.empty((N, N), dtype=object)
-    Fj = np.empty((N, N), dtype=object)
-    for i in range(N):
-        for j in range(N):
-            g[i, j] = zero
-            Fj[i, j] = zero
-        g[i, i] = q2 if i else (-1.0) * q2
-        Fj[i, i] = iq
+    g = J.jeinsum(",ij->ij", q * q, geo.ETA)
+    Fj = J.jeinsum(",ij->ij", q.reciprocal(), np.eye(N))
     forms = C.forms_from_jets("u_rescaled", Fj, g)
-    sq = q.sqrt()
-    base = np.shape(xj[0].val)
-    comp0 = psi_w0(w0).components(x, order=1)
-    w = np.empty(base + (4,), dtype=complex)
-    dw = np.empty(base + (4, N), dtype=complex)
-    for a in range(4):
-        ca = sq * comp0[a]
-        w[..., a] = np.broadcast_to(ca.val, base)
-        dw[..., a, :] = np.broadcast_to(ca.grad, base + (N,))
-    Fv = C._tensor_values(Fj).real
+    comp = J.jeinsum(",a->a", q.sqrt(), psi_w0(w0).components(x, order=1))
+    w, dw = comp.val, comp.grad
+    Fv = Fj.val.real
     sig = _spin_matrices(forms)
     cov = (np.einsum('...mk,...am->...ka', Fv, dw)
            + np.einsum('...kab,...b->...ka', sig, w))
-    dwv = np.einsum('k,kab,...kb->...a', forms.eps, GAMMA, cov)
+    dwv = np.einsum('k,kab,...kb->...a', forms.eps, GAMMA, cov, optimize=True)
     P = cov + np.einsum('kab,...b->...ka', GAMMA, dwv) / float(N)
     return float(np.max(np.abs(P)))
 
@@ -353,7 +309,7 @@ def spinor_square(phi, spec, x):
     fr = _frame_value(frame_id, spec, x, order=0)
     p = CL.spinor_square_components(SpinorValue(w, frame_id))
     vf = CL.EPS * p
-    Fv = C._tensor_values(fr.vectors).real
+    Fv = fr.vectors.val.real
     return np.einsum('...mi,...i->...m', Fv, vf)
 
 
@@ -391,15 +347,9 @@ def _div_grad_of_square(b, c, spec, x):
     """(5/2) grad(div V_psi) under spec, Cartesian components."""
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
     gam = C.christoffel(spec, x, order=1)
-    gv = C._tensor_values(gam)
     V = C.vector_field_jets("V", x, order=2)
-    div = None
-    for i in range(N):
-        t = V[i].partial(i)
-        for m in range(N):
-            t = t + gam[i, i, m] * V[m]
-        div = t if div is None else div + t
-    gi = np.linalg.inv(C._tensor_values(geo.metric_jets(spec, x, order=0)).real)
+    div = J.jeinsum("ii->", V.d()) + J.jeinsum("iim,m->", gam, V)
+    gi = np.linalg.inv(geo.metric_jets(spec, x, order=0).val.real)
     return 2.5 * s * np.einsum('...ij,...j->...i', gi, div.grad)
 
 
@@ -436,8 +386,7 @@ def psi_components_htilde(b, c, x, a=1.0):
     On the flat side this is the polynomial display; on the exterior side
     the pinned frame-e components pushed through the boost-rotation lift."""
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
-    inside = r <= np.abs(x[..., 0])
+    inside = geo.cone_gap(x) <= 0.0
     if bool(np.all(inside)):
         return psi_bc(b, c, frame="u").values(x)
     if bool(np.any(inside)):
@@ -473,8 +422,8 @@ def c1_extension_check(b, c, a=1.0, n_curves=10, t0=0.02, seed=0):
         pts = foot[None, :] + ts[:, None] * ray[None, :]
         wb = psi_components_htilde(b, c, pts, a=a)
         comp = psi_bc(b, c, frame="u").components(foot, order=1)
-        w0 = np.array([cc.val for cc in comp])
-        dw0 = np.array([cc.grad @ ray for cc in comp])
+        w0 = comp.val
+        dw0 = comp.grad @ ray
         # nodes (t, 2t, 4t) -> value at 0 with O(t^3) error
         lim = (8.0 * wb[-1] - 6.0 * wb[-2] + wb[-3]) / 3.0
         jump = max(jump, float(np.max(np.abs(lim - w0))))

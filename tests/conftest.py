@@ -57,7 +57,7 @@ def sample_l(n, seed=0, r_min=0.05, margin=0.1, box=1.6):
 def jet_close(A, B, rtol=1e-9):
     """Max relative difference over all derivative arrays of two jet matrices."""
     worst = 0.0
-    n, m = A.shape
+    n, m = A.val.shape[-2:]
     for i in range(n):
         for j in range(m):
             a, b = A[i, j], B[i, j]

@@ -106,8 +106,8 @@ def test_spinor_square_identities_and_causal_type():
     assert np.max(res) < 1e-9
     for i, region in enumerate(("B_a", "L")):
         x = V.sample(region, 1.0, 300, seed=61 + i, exclusion=0.02)
-        gv = C._tensor_values(geo.metric_jets(GA, x, order=0)).real
-        Vt = C._tensor_values(C.vector_field_jets("V", x, order=0)).real
+        gv = geo.metric_jets(GA, x, order=0).val.real
+        Vt = C.vector_field_jets("V", x, order=0).val.real
         q = np.einsum('...ij,...i,...j->...', gv, Vt, Vt)
         d = np.sum(x[:, 1:] ** 2, axis=1) - x[:, 0] ** 2
         assert np.max(V._norm_res(q, -d ** 2)) < 1e-10, region
@@ -158,7 +158,7 @@ def test_weyl_decay_witness_and_stated_scaling():
 
     def sq_norm(W, spec):
         gi = np.linalg.inv(
-            C._tensor_values(geo.metric_jets(spec, xb, order=0)).real)
+            geo.metric_jets(spec, xb, order=0).val.real)
         return np.einsum('nabcd,nefgh,nae,nbf,ncg,ndh->n',
                          W, W, gi, gi, gi, gi, optimize=True)
 

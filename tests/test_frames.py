@@ -43,7 +43,7 @@ def test_e_dot_g_is_standard_frame_on_l():
     x = sample_l(100, seed=9)
     e = F.frame_eval("e", x, a=1.0, order=0)
     G = F.transform_eval("G", x, order=0).matrix
-    prod = J.jmat_values(J.jmat_mul(e.vectors, G))
+    prod = J.jeinsum("ij,jk->ik", e.vectors, G).val
     assert np.abs(prod - np.eye(5)).max() < 1e-12
 
 
@@ -62,13 +62,10 @@ def test_etilde_is_conformal_stretch_of_e():
     e = F.frame_eval("e", x, a=1.0, order=1).vectors
     et = F.frame_eval("etilde", x, a=1.0, order=1).vectors
     d = np.sum(x[:, 1:] ** 2, axis=-1) - x[:, 0] ** 2
-    scaled = np.empty((5, 5), dtype=object)
     xj = J.seed(x, order=1)
     djet = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] \
         - xj[0] * xj[0]
-    for m in range(5):
-        for i in range(5):
-            scaled[m, i] = djet * e[m, i]
+    scaled = J.stack([[djet * e[m, i] for i in range(5)] for m in range(5)])
     assert jet_close(scaled, et) < 1e-10
     assert d.min() > 0  # sanity: B_a is on the exterior side
 
@@ -78,15 +75,15 @@ def test_etilde_equals_f_kappa():
     f = F.frame_eval("f", x, a=1.0, order=0).vectors
     kap = F.transform_eval("kappa", x, order=0).matrix
     et = F.frame_eval("etilde", x, a=1.0, order=0).vectors
-    prod = J.jmat_values(J.jmat_mul(f, kap))
-    assert np.abs(prod - J.jmat_values(et)).max() < 1e-10
+    prod = J.jeinsum("ij,jk->ik", f, kap).val
+    assert np.abs(prod - et.val).max() < 1e-10
 
 
 def test_kappa_is_boost_exponential():
     x = sample_ba(150, seed=46)
     s, R = geo.s_R_values(x)
     t = np.log((R - s) / (R + s))
-    kap = J.jmat_values(F.transform_eval("kappa", x, order=0).matrix)
+    kap = F.transform_eval("kappa", x, order=0).matrix.val
     expected = np.zeros_like(kap)
     expected[..., 2, 2] = expected[..., 3, 3] = expected[..., 4, 4] = 1.0
     expected[..., 0, 0] = expected[..., 1, 1] = np.cosh(t)
@@ -97,7 +94,7 @@ def test_kappa_is_boost_exponential():
 def test_kappatilde_covers_kappa():
     x = sample_ba(100, seed=47)
     kt = F.transform_eval("kappatilde", x).matrix
-    kap = J.jmat_values(F.transform_eval("kappa", x, order=0).matrix)
+    kap = F.transform_eval("kappa", x, order=0).matrix.val
     assert np.abs(cl.lambda_of(kt) - kap).max() < 1e-9
 
 
@@ -112,7 +109,7 @@ def test_q_entries_hyperbolic(a):
 
 def test_q_identity_on_l():
     x = sample_l(60, seed=49)
-    Q = J.jmat_values(F.transform_eval("Q", x, order=0).matrix)
+    Q = F.transform_eval("Q", x, order=0).matrix.val
     assert np.array_equal(Q, np.broadcast_to(np.eye(5), Q.shape))
 
 
@@ -126,7 +123,7 @@ def test_q_outside_ca_raises():
 def test_qtilde_covers_q():
     x = sample_ca(100, seed=50)
     Qt = F.transform_eval("Qtilde", x, a=1.0).matrix
-    Q = J.jmat_values(F.transform_eval("Q", x, a=1.0, order=0).matrix)
+    Q = F.transform_eval("Q", x, a=1.0, order=0).matrix.val
     assert np.abs(cl.lambda_of(Qt) - Q).max() < 1e-9
 
 
@@ -151,7 +148,7 @@ def test_qtilde_identity_plus_ro_squared():
 def test_gtilde_covers_g_and_is_special_unitary():
     x = sample_ba(100, seed=51)
     Gt = F.transform_eval("Gtilde", x).matrix
-    G = J.jmat_values(F.transform_eval("G", x, order=0).matrix)
+    G = F.transform_eval("G", x, order=0).matrix.val
     assert np.abs(cl.lambda_of(Gt) - G).max() < 1e-9
     ident = np.einsum("...ij,...kj->...ik", Gt, Gt.conj())
     assert np.abs(ident - np.eye(4)).max() < 1e-12
@@ -164,7 +161,7 @@ def test_htilde_matches_product_off_axis():
     e = F.frame_eval("e", x, a=1.0, order=1)
     Q = F.transform_eval("Q", x, a=1.0, order=1).matrix
     G = F.transform_eval("G", x, a=1.0, order=1).matrix
-    naive = J.jmat_mul(e.vectors, J.jmat_mul(Q, G))
+    naive = J.jeinsum("ij,jk->ik", e.vectors, J.jeinsum("ij,jk->ik", Q, G))
     assert jet_close(ht.vectors, naive) < 1e-10
 
 
@@ -186,7 +183,7 @@ def test_htilde_orthonormal_and_standard_on_l():
     xl = sample_l(50, seed=55)
     xl = np.vstack([xl, [[0.5, 0, 0, 0, 0]], [[0, 0, 0, 0, 0]]])  # axis, origin
     htl = F.frame_htilde(xl, a=1.0, order=2)
-    assert np.abs(J.jmat_values(htl.vectors) - np.eye(5)).max() == 0.0
+    assert np.abs(htl.vectors.val - np.eye(5)).max() == 0.0
 
 
 def test_htilde_continuous_across_cone_and_origin():
@@ -198,7 +195,7 @@ def test_htilde_continuous_across_cone_and_origin():
     prev = None
     for t in (1e-2, 1e-4, 1e-6):
         pt = pc + t * out
-        v = J.jmat_values(F.frame_htilde(pt[None], a, order=0).vectors)[0]
+        v = F.frame_htilde(pt[None], a, order=0).vectors.val[0]
         gap = np.abs(v - np.eye(5)).max()
         if prev is not None:
             assert gap < prev * 1e-1
@@ -206,7 +203,7 @@ def test_htilde_continuous_across_cone_and_origin():
     assert prev < 1e-10
     for t in (1e-2, 1e-3):
         pt = np.array([0.5 * t, t, 0, 0, 0])
-        v = J.jmat_values(F.frame_htilde(pt[None], a, order=0).vectors)[0]
+        v = F.frame_htilde(pt[None], a, order=0).vectors.val[0]
         assert np.abs(v - np.eye(5)).max() < 1e-3 * t
 
 
@@ -214,7 +211,7 @@ def test_frame_u_constant():
     x = sample_ba(10, seed=56)
     fv = F.frame_eval("u", x, order=2)
     assert fv.metric_spec.family == "g0"
-    assert np.abs(J.jmat_values(fv.vectors) - np.eye(5)).max() == 0.0
+    assert np.abs(fv.vectors.val - np.eye(5)).max() == 0.0
     for m in range(5):
         for i in range(5):
             assert np.all(fv.vectors[m, i].grad == 0.0)

@@ -218,12 +218,10 @@ def test_jet_matrix_inverse_roundtrip():
     x = rng.uniform(0.2, 0.9, size=(6, 5))
     xs = jets.seed(x)
     n = 3
-    A = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            A[i, j] = xs[i] * xs[j] * 0.3 + (1.0 if i == j else 0.0)
+    A = jets.stack([[xs[i] * xs[j] * 0.3 + (1.0 if i == j else 0.0)
+                     for j in range(n)] for i in range(n)])
     Ainv = jets.jmat_inv(A)
-    I = jets.jmat_mul(A, Ainv)
+    I = jets.jeinsum("ij,jk->ik", A, Ainv)
     for i in range(n):
         for j in range(n):
             tgt = 1.0 if i == j else 0.0
@@ -235,10 +233,68 @@ def test_jet_matrix_inverse_roundtrip():
 
 def test_jmat_inv_singular_raises():
     xs = jets.seed(np.zeros((1, 5)))
-    A = np.empty((2, 2), dtype=object)
-    A[0, 0] = xs[0] * 0 + 1.0
-    A[0, 1] = xs[0] * 0 + 1.0
-    A[1, 0] = xs[0] * 0 + 1.0
-    A[1, 1] = xs[0] * 0 + 1.0
+    A = jets.stack([[xs[0] * 0 + 1.0, xs[0] * 0 + 1.0],
+                    [xs[0] * 0 + 1.0, xs[0] * 0 + 1.0]])
     with pytest.raises(SingularMetricError):
         jets.jmat_inv(A)
+
+
+# ------------------------------------------------------------ tensor jets
+
+def _random_tensor_jet(rng, xs, shape):
+    """Tensor jet whose entries are random rational functions of the
+    coordinates, built entry by entry with the scalar engine."""
+    def entry():
+        i, j, k = (int(v) for v in rng.integers(0, 5, 3))
+        c = rng.normal(size=3)
+        return (c[0] * xs[i] * xs[j] + c[1]) * (c[2] * xs[k] + 3.0).reciprocal()
+
+    def nest(shape):
+        if not shape:
+            return entry()
+        return [nest(shape[1:]) for _ in range(shape[0])]
+    return jets.stack(nest(shape))
+
+
+def _assert_jets_close(got, want, order):
+    for name in ("val", "grad", "hess", "third")[:order + 1]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(_rel(a, b)) < 1e-13, name
+
+
+def test_jeinsum_matches_scalar_products():
+    rng = np.random.default_rng(RNG_SEED + 1)
+    xs = jets.seed(rng.uniform(-0.5, 0.5, size=(6, 5)), order=3)
+    A = _random_tensor_jet(rng, xs, (3, 4, 2))
+    B = _random_tensor_jet(rng, xs, (4, 3))
+    got = jets.jeinsum("ijk,jl->lik", A, B)
+    assert got.order == 3 and got.val.shape == (6, 3, 3, 2)
+    for l in range(3):
+        for i in range(3):
+            for k in range(2):
+                want = A[i, 0, k] * B[0, l]
+                for j in range(1, 4):
+                    want = want + A[i, j, k] * B[j, l]
+                _assert_jets_close(got[l, i, k], want, 3)
+
+
+def test_jeinsum_orders_constants_and_traces():
+    rng = np.random.default_rng(RNG_SEED + 2)
+    xs = jets.seed(rng.uniform(-0.5, 0.5, size=(5, 5)), order=3)
+    A = _random_tensor_jet(rng, xs, (3, 3))
+    B = _random_tensor_jet(rng, xs, (3,)).truncate(2)
+    got = jets.jeinsum("ij,j->i", A, B)
+    assert got.order == 2 and got.third is None
+    M = rng.normal(size=(3, 3))
+    scaled = jets.jeinsum("ij,jk->ik", A, M)     # a plain array is a constant
+    tr = jets.jeinsum("ii->", A)
+    for i in range(3):
+        want = A[i, 0] * B[0] + A[i, 1] * B[1] + A[i, 2] * B[2]
+        _assert_jets_close(got[i], want, 2)
+        for k in range(3):
+            want = A[i, 0] * M[0, k] + A[i, 1] * M[1, k] + A[i, 2] * M[2, k]
+            _assert_jets_close(scaled[i, k], want, 3)
+    _assert_jets_close(tr, A[0, 0] + A[1, 1] + A[2, 2], 3)
+    d = A.d()
+    assert d.order == 2 and d.val.shape == (5, 3, 3, 5)
+    _assert_jets_close(d[1, 2, 4], A[1, 2].partial(4), 2)

@@ -132,6 +132,20 @@ def test_thread_count_does_not_change_the_report(baseline, monkeypatch):
     assert V.emit_report(V.run_suite(FAST)) == V.emit_report(baseline)
 
 
+def test_verify_threads_must_be_a_positive_integer(monkeypatch):
+    monkeypatch.setenv("VERIFY_THREADS", "abc")
+    with pytest.raises(ValueError, match="VERIFY_THREADS.*positive integer"):
+        V.run_suite(FAST, only=["clifford-relations"])
+
+
+def test_cli_run_rejects_bad_verify_threads(monkeypatch):
+    monkeypatch.setenv("VERIFY_THREADS", "abc")
+    r = CliRunner().invoke(cli.main, ["run", "--only", "clifford-relations"])
+    assert r.exit_code != 0
+    assert "VERIFY_THREADS" in r.output and "positive integer" in r.output
+    assert "invalid literal" not in r.output
+
+
 def test_json_shape(baseline):
     doc = json.loads(V.emit_report(baseline))
     assert doc["overall"] == "pass"
