@@ -1,6 +1,7 @@
 """Command line front end: run the check suite, probe smoothness classes,
 or print curvature tensors at a point."""
 
+import dataclasses
 import json
 import sys
 
@@ -19,16 +20,23 @@ def main():
     """Numerical checks for the cone-deformed metric family."""
 
 
+# config-file keys that are run options, not SuiteConfig fields
+_RUN_KEYS = ("report", "format", "skip", "only")
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise click.ClickException("config file is not valid JSON: %s"
+                                       % exc)
     if not isinstance(doc, dict):
         raise click.ClickException("config file must hold a JSON object")
-    known = {"a", "samples", "seed", "b", "c", "tol", "exclusion",
-             "report", "format", "skip", "only"}
-    bad = set(doc) - known
+    known = {f.name for f in dataclasses.fields(V.SuiteConfig)}
+    bad = set(doc) - known - set(_RUN_KEYS)
     if bad:
         raise click.ClickException("unknown config keys: %s" % sorted(bad))
     return doc
@@ -73,19 +81,24 @@ def run(a, samples, seed, b, c, tol_override, exclude, skip, only,
         report_path, fmt, config_path):
     """Run the whole check suite and report pass/fail per identity."""
     filecfg = _load_config(config_path)
-    tol = dict(filecfg.get("tol", {}))
-    tol.update(_parse_tol(tol_override))
-    kv = {"a": a, "samples": samples, "seed": seed, "b": b, "c": c,
-          "exclusion": exclude}
-    merged = {k: filecfg.get(k) for k in kv}
-    merged.update({k: v for k, v in kv.items() if v is not None})
-    merged = {k: v for k, v in merged.items() if v is not None}
+    flags = {"a": a, "samples": samples, "seed": seed, "b": b, "c": c,
+             "exclusion": exclude}
+    merged = {k: v for k, v in filecfg.items()
+              if k not in _RUN_KEYS and v is not None}
+    merged.update({k: v for k, v in flags.items() if v is not None})
+    try:
+        tol = dict(merged.pop("tol", {}))
+        tol.update(_parse_tol(tol_override))
+        if "regions" in merged:
+            merged["regions"] = tuple(merged["regions"])
+        cfg = V.SuiteConfig(tol=tol, **merged)
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException("bad config value: %s" % exc)
     skip = tuple(skip) or tuple(filecfg.get("skip", ()))
     only = tuple(only) or tuple(filecfg.get("only", ())) or None
     report_path = report_path or filecfg.get("report")
     fmt = fmt or filecfg.get("format", "json")
     try:
-        cfg = V.SuiteConfig(tol=tol, **merged)
         rep = V.run_suite(cfg, skip=skip, only=only)
     except ValueError as exc:
         raise click.ClickException(str(exc))

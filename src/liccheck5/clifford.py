@@ -125,9 +125,3 @@ def lambda_of(S, tol=1e-10):
     if np.max(np.abs(lam.imag)) > tol:
         raise NotInSpinGroupError("non-real vector representation")
     return lam.real
-
-
-def lambda_check(S, expected, tol=1e-10):
-    """Assert lambda_of(S) equals the expected vector transform; returns residual."""
-    lam = lambda_of(S, tol=tol)
-    return float(np.max(np.abs(lam - np.asarray(expected))))

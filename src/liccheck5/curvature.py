@@ -28,19 +28,9 @@ import numpy as np
 from . import geometry as geo
 from . import jets as J
 from .errors import (DimensionError, DomainError, FrameMismatchError,
-                     NonTransversalError, OrderError, SingularError)
+                     OrderError, SingularError)
 
 # ------------------------------------------------------------------ types
-
-
-@dataclass
-class CurvatureBundle:
-    spec: geo.MetricSpec
-    christoffel: J.Jet           # (n, n, n) tensor jet, [k, i, j]
-    riemann: J.Jet               # (n, n, n, n) tensor jet, [l, k, i, j]
-    ricci: np.ndarray            # (..., n, n) values
-    scalar: np.ndarray           # (...) values
-    weyl: np.ndarray             # (..., n, n, n, n) values, indices lowered
 
 
 @dataclass
@@ -90,13 +80,13 @@ def riemann_from_christoffel(gam, order=1):
     return half - J.jeinsum("lkij->lkji", half)
 
 
-def _curvature_pieces(g, order=0, gam=None):
-    """Everything derivable from one metric jet, values where possible;
-    ``gam`` reuses Christoffel jets already built from the same metric."""
+def _curvature_pieces(g, gam=None):
+    """Curvature values derivable from one metric jet; ``gam`` reuses
+    Christoffel jets already built from the same metric."""
     n = g.val.shape[-1]
     if gam is None:
         gam = christoffel_from_jets(g)
-    R = riemann_from_christoffel(gam, order=order)
+    R = riemann_from_christoffel(gam, order=0)
     gv = g.val.real
     V = R.val
     ginv = np.linalg.inv(gv)
@@ -108,8 +98,8 @@ def _curvature_pieces(g, order=0, gam=None):
           + np.einsum('...jl,...ik->...ijkl', P, gv)
           - np.einsum('...il,...jk->...ijkl', P, gv)
           - np.einsum('...jk,...il->...ijkl', P, gv))
-    return {"gam": gam, "R": R, "gv": gv, "ginv": ginv, "ric": ric,
-            "scalar": sc, "lowered": low, "weyl": low + kn}
+    return {"gv": gv, "ric": ric, "scalar": sc, "lowered": low,
+            "weyl": low + kn}
 
 
 # ------------------------------------------------------------ public ops
@@ -136,11 +126,6 @@ def ricci(spec, x):
     return _curvature_pieces(g)["ric"]
 
 
-def scalar(spec, x):
-    g = geo.metric_jets(spec, x, order=2)
-    return _curvature_pieces(g)["scalar"]
-
-
 def riemann_lowered(spec, x):
     g = geo.metric_jets(spec, x, order=2)
     return _curvature_pieces(g)["lowered"]
@@ -150,13 +135,6 @@ def weyl(spec, x):
     """Weyl tensor values with all indices lowered, layout [i, j, k, l]."""
     g = geo.metric_jets(spec, x, order=2)
     return _curvature_pieces(g)["weyl"]
-
-
-def bundle(spec, x, order=1):
-    g = geo.metric_jets(spec, x, order=min(order + 2, 3))
-    p = _curvature_pieces(g, order=order)
-    return CurvatureBundle(spec=spec, christoffel=p["gam"], riemann=p["R"],
-                           ricci=p["ric"], scalar=p["scalar"], weyl=p["weyl"])
 
 
 def bianchi_residual(spec, x):
@@ -342,19 +320,12 @@ def divergence(field, spec, x):
 # --------------------------------------------------- scalars and traces
 
 
-def hessian_scalar(u, spec, x, gam=None):
+def hessian_scalar(u, spec, x):
     """Covariant Hessian values of a scalar jet: d_i d_j u - Gamma^k_ij d_k u."""
     if u.order < 2:
         raise OrderError("hessian needs a scalar jet of order >= 2")
-    if gam is None:
-        gam = christoffel(spec, x, order=1)
+    gam = christoffel(spec, x, order=1)
     return u.hess - np.einsum('...kij,...k->...ij', gam.val, u.grad)
-
-
-def laplacian_scalar(u, spec, x):
-    H = hessian_scalar(u, spec, x)
-    gv = geo.metric_jets(spec, x, order=0).val.real
-    return np.einsum('...ij,...ij->...', np.linalg.inv(gv), H)
 
 
 def trace_free(T, spec, x):
@@ -401,59 +372,3 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
     dmu2 = mu.grad[..., :, None] * mu.grad[..., None, :]
     rhs = -3.0 * (H - dmu2) - (lap + 3.0 * grad2)[..., None, None] * gtv
     return lhs - rhs
-
-
-def product_block_residual(x, a=1.0):
-    """(sup, scale) of rescaled-metric curvature fed the d/ds direction.
-
-    The unit timelike coordinate field of the product chart is contracted
-    into every slot of the lowered Riemann tensor; on the exterior region
-    all such components must vanish."""
-    low = riemann_lowered(geo.MetricSpec("gatilde", a), x)
-    Vv = vector_field_jets("V", x, order=0).val.real
-    res = max(float(np.max(np.abs(np.einsum('...ijkl,...i->...jkl', low, Vv)))),
-              float(np.max(np.abs(np.einsum('...ijkl,...k->...ijl', low, Vv)))))
-    return res, float(np.max(np.abs(low)))
-
-
-def weyl_extension_probe(p, a=1.0, direction=None, n_dist=10, t0=0.05,
-                         ratio=0.6, fit_tol=0.15):
-    """Deformed-metric Weyl size along a transversal approach to the cone.
-
-    Returns (|W| sup per distance, fitted log-log decay exponent) over
-    n_dist >= 8 geometrically spaced distances; the two smallest distances
-    are dropped from the fit (finite-precision floor).  Asserts the fitted
-    exponent stays above the continuous-extension threshold 2 - fit_tol.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (5,):
-        raise DimensionError("probe wants a single 5d point")
-    if n_dist < 8:
-        raise ValueError("need at least 8 distances for the decay fit")
-    r = float(np.sqrt(np.sum(p[1:] ** 2)))
-    if direction is None:
-        if r == 0.0:
-            raise DomainError("no radial direction on the axis r = 0")
-        direction = np.concatenate(([0.0], p[1:] / r))
-    direction = np.asarray(direction, dtype=float)
-    nrm = float(np.sqrt(np.sum(direction ** 2)))
-    if nrm == 0.0:
-        raise NonTransversalError("zero direction")
-    direction = direction / nrm
-    grad_cone = np.concatenate(([-np.sign(p[0])], p[1:] / max(r, 1e-300)))
-    if abs(float(grad_cone @ direction)) < 1e-8:
-        raise NonTransversalError("direction is tangent to the cone")
-    t = t0 * ratio ** np.arange(n_dist)
-    pts = p[None, :] + t[:, None] * direction[None, :]
-    for q in pts:
-        reg = geo.classify(q, a)
-        if reg.tag == "L_boundary":
-            raise SingularError("probe point landed on the cone")
-        if reg.tag != "B_a":
-            raise DomainError("probe left the exterior region (%s)" % reg.tag)
-    W = weyl(geo.MetricSpec("ga", a), pts)
-    wv = np.max(np.abs(W.reshape(n_dist, -1)), axis=1)
-    slope = float(np.polyfit(np.log(t[:-2]), np.log(wv[:-2]), 1)[0])
-    assert slope >= 2.0 - fit_tol, (
-        "Weyl decay exponent %.3f below the extension threshold" % slope)
-    return wv, slope

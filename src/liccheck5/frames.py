@@ -27,9 +27,6 @@ from . import geometry as geo
 from . import jets as J
 from .errors import AmbiguousError, CaViolationError, DimensionError, DomainError
 
-FRAME_IDS = ("e", "f", "etilde", "u", "htilde")
-TRANSFORM_IDS = ("G", "Gtilde", "Q", "Qtilde", "kappa", "kappatilde", "E01")
-
 E01 = np.zeros((5, 5))
 E01[0, 1] = E01[1, 0] = -1.0
 E01.setflags(write=False)

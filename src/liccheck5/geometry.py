@@ -244,30 +244,6 @@ def _metric_ga(spec, xj, order, shape):
                                  (c, alpha_form(xj))])
 
 
-def decompose_ga(x, a, order=3):
-    """ga = g0 - omega + rho as three (5, 5) tensor jets (exterior side)."""
-    x = np.asarray(x, dtype=float)
-    xj = J.seed(x, order=order)
-    shape = x.shape[:-1]
-    g0 = _const_matrix(ETA, order, shape)
-    if _branch(xj) < 0:
-        zero = _const_matrix(np.zeros((5, 5)), order, shape)
-        return g0, zero, zero
-    r2 = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
-    r = r2.sqrt()
-    ro = (r2 - xj[0] * xj[0]) / r
-    ro2 = ro * ro
-    u = (a ** 4) * ro2 * ro2
-    bsq = (-1.0) * u + 1.0
-    if np.any(bsq.val <= 0.0):
-        raise DomainError("point(s) outside the closure of B_a")
-    _, _, sig3 = sigma_forms(xj[1:])
-    omega = _quadratic_form(np.zeros((5, 5)), [(u * r2, [None] + sig3)])
-    c = (a ** 4) * ro2 * (r2 * bsq).reciprocal()
-    rho = _quadratic_form(np.zeros((5, 5)), [(c, alpha_form(xj))])
-    return g0, omega, rho
-
-
 # ---------------------------------------------------------------- psi map
 
 def _dfield(xj):

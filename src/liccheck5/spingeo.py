@@ -179,12 +179,6 @@ def _cov_all(phi, spec, x, tol=1e-8, forms=None):
     return cov, Fv, forms.eps, w
 
 
-def spinor_cov_deriv(phi, direction, spec, x):
-    """nabla phi along one frame direction (0..4) as a SpinorValue."""
-    cov = _cov_all(phi, spec, x)[0]
-    return SpinorValue(cov[..., direction, :], phi.frame_id)
-
-
 def dirac(phi, spec, x):
     """D phi = sum_k eps_k f_k . nabla_k phi."""
     cov, _, eps, _ = _cov_all(phi, spec, x)

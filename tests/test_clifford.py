@@ -99,7 +99,10 @@ def test_lambda_of_rejects_non_spin():
         cl.lambda_of(np.diag([1.0, 2.0, 3.0, 4.0]))
 
 
-def test_lambda_check_residual():
-    S = cl.spin_exp(0.51, 3, 4)
-    lam = cl.lambda_of(S)
-    assert cl.lambda_check(S, lam) < 1e-12
+def test_lambda_of_rotation():
+    t = 0.51
+    S = cl.spin_exp(t, 3, 4)
+    lam = np.eye(5)
+    lam[3, 3] = lam[4, 4] = np.cos(t)
+    lam[3, 4], lam[4, 3] = -np.sin(t), np.sin(t)
+    assert np.max(np.abs(cl.lambda_of(S) - lam)) < 1e-12

@@ -6,8 +6,7 @@ from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import jets as J
 from liccheck5.errors import (DimensionError, DomainError, FrameMismatchError,
-                              NonTransversalError, OrderError, SingularError,
-                              SingularMetricError)
+                              OrderError, SingularError, SingularMetricError)
 
 from conftest import sample_ba, sample_l
 
@@ -148,11 +147,11 @@ def test_first_bianchi(spec, sampler):
 
 def test_bundle_symmetries_and_traces():
     x = sample_ba(30, lo=0.15, hi=0.9, seed=31)
-    b = C.bundle(GA, x)
-    R = b.riemann.val
+    R = C.riemann(GA, x, order=0).val
     # antisymmetry in the 2-form slots (last two indices of R^l_kij)
     assert np.max(np.abs(R + np.einsum('...lkij->...lkji', R))) < 1e-9
-    assert np.max(np.abs(b.ricci - np.einsum('...kj->...jk', b.ricci))) < 1e-9
+    ric = C.ricci(GA, x)
+    assert np.max(np.abs(ric - np.einsum('...kj->...jk', ric))) < 1e-9
     low = C.riemann_lowered(GA, x)
     s = np.max(np.abs(low))
     assert np.max(np.abs(low + np.einsum('...ijkl->...jikl', low))) < 1e-9 * s
@@ -367,7 +366,6 @@ def test_hessian_of_x0_squared_flat():
     target = np.zeros((10, 5, 5))
     target[:, 0, 0] = 2.0
     assert np.max(np.abs(H - target)) == 0.0
-    assert np.max(np.abs(C.laplacian_scalar(u * u, G0, x) + 2.0)) < 1e-12
 
 
 def test_trace_free_kills_trace():
@@ -412,49 +410,10 @@ def test_conformal_ricci_singular_on_cone():
         C.conformal_ricci_check(np.array([[1.0, 1.0, 0.0, 0.0, 0.0]]), 1.0)
 
 
-def test_product_block_structure():
-    x = sample_ba(100, lo=0.2, hi=0.8, seed=27)
-    res, scale = C.product_block_residual(x, 1.0)
-    assert res < 1e-9 * scale
-
-
 # ------------------------------------------------------------ Weyl probe
-
-
-def cone_point(x0, spatial):
-    spatial = np.asarray(spatial, dtype=float)
-    spatial = spatial / np.sqrt(np.sum(spatial ** 2)) * abs(x0)
-    return np.concatenate(([x0], spatial))
-
-
-@pytest.mark.parametrize("anchor", [
-    cone_point(1.1, [1.0, 0.0, 0.0, 0.0]),
-    cone_point(-0.9, [0.6, 0.6, -0.4, 0.2]),
-    cone_point(0.7, [0.1, -0.8, 0.5, 0.3]),
-])
-def test_weyl_extension_probe_quadratic_decay(anchor):
-    wv, slope = C.weyl_extension_probe(anchor, 1.0)
-    assert 1.9 <= slope <= 2.1
-    assert np.all(np.diff(wv[:-2]) < 0)
 
 
 def test_weyl_probe_flat_trivial():
     pts = np.array([1.0, 1.0, 0, 0, 0]) + np.linspace(0.01, 0.2, 8)[:, None] * \
         np.array([0.0, 1, 0, 0, 0])
     assert np.max(np.abs(C.weyl(G0, pts))) == 0.0
-
-
-def test_weyl_probe_guards():
-    p = cone_point(1.1, [1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(NonTransversalError):
-        # direction tangent to the cone through p
-        C.weyl_extension_probe(p, 1.0, direction=np.array([1.0, 1.0, 0, 0, 0]))
-    with pytest.raises(DomainError):
-        C.weyl_extension_probe(p, 1.0, direction=np.array([0.0, -1.0, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        C.weyl_extension_probe(p, 1.0, n_dist=5)
-    with pytest.raises(SingularError):
-        # first probe point lands exactly on the cone
-        q = np.array([1.0, 1.0 - 0.0625, 0.0, 0.0, 0.0])
-        C.weyl_extension_probe(q, 1.0, t0=0.0625,
-                               direction=np.array([0.0, 1.0, 0, 0, 0]))

@@ -214,18 +214,6 @@ def test_metric_ga_domain_and_ambiguity_errors():
         G.metric_jets(spec, np.zeros((2, 4)))
 
 
-def test_decompose_ga_reassembles():
-    x = sample_ba(9, seed=33)
-    a = 0.8
-    g0, om, rho = G.decompose_ga(x, a)
-    ga = G.metric_jets(G.MetricSpec("ga", a), x)
-    recon = g0 - om + rho
-    assert jet_close(ga, recon) < 1e-12
-    # omega carries no dx0 components, rho is rank-one in alpha
-    for j in range(5):
-        assert np.all(om[0, j].val == 0.0)
-
-
 def test_gatilde_is_conformal_flat_inside_l():
     xl = sample_l(7, seed=41)
     gt = G.metric_jets(G.MetricSpec("gatilde", 1.0), xl)

@@ -110,7 +110,7 @@ def test_cov_deriv_guards():
     with pytest.raises(FrameMismatchError):
         S.twistor_residual(S.psi_bc(1, 0, frame="u"), GA, xb)
     with pytest.raises(DomainError):
-        S.spinor_cov_deriv(S.psi_bc(1, 0), 0, GA, np.array([[0.5, 0, 0, 0, 0.0]]))
+        S.dirac(S.psi_bc(1, 0), GA, np.array([[0.5, 0, 0, 0, 0.0]]))
     with pytest.raises(ValueError):
         S.psi_bc(1, 0, frame="f")
 

@@ -1,10 +1,11 @@
-"""Symbolic oracle for the jet engine.
+"""Symbolic oracle for the metric components and the jet engine.
 
 The deformed metric g_a and its rescaling g~_a are rebuilt in sympy straight
-from their closed forms (geometry module docstring), differentiated
-symbolically, and the Christoffel symbols are formed at rational exterior
-points in 30-digit arithmetic.  Nothing here goes through the jet code, so
-the comparison checks the engine's derivative propagation end to end.
+from their closed forms (geometry module docstring).  Their values, and the
+Christoffel symbols formed from symbolic derivatives, are evaluated at
+rational exterior points in 30-digit arithmetic.  Nothing here goes through
+the jet code, so the comparison checks the metric formula and the engine's
+derivative propagation end to end.
 """
 
 import numpy as np
@@ -69,6 +70,23 @@ def _symbolic_christoffel(X, g, point, digits=30):
     return out
 
 
+def _rel_res(got, want):
+    return np.max(np.abs(got - want)) / (
+        1.0 + np.max(np.abs(got)) + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("family", ["ga", "gatilde"])
+def test_metric_values_match_symbolic(family):
+    X, g = _symbolic_metric(family)
+    spec = geo.MetricSpec(family, float(A))
+    for point in POINTS:
+        x = np.array([[float(v) for v in point]])
+        gv = np.array(g.evalf(30, subs=dict(zip(X, point))), dtype=float)
+        got = geo.metric_jets(spec, x, order=0).val[0]
+        res = _rel_res(got, gv)
+        assert res < 1e-12, (family, point, res)
+
+
 @pytest.mark.parametrize("family", ["ga", "gatilde"])
 def test_christoffel_matches_symbolic_derivatives(family):
     X, g = _symbolic_metric(family)
@@ -80,6 +98,5 @@ def test_christoffel_matches_symbolic_derivatives(family):
         gam = C.christoffel(spec, x, order=1)
         got = np.array([[[gam[k, i, j].val[0] for j in range(5)]
                          for i in range(5)] for k in range(5)])
-        res = np.max(np.abs(got - want)) / (
-            1.0 + np.max(np.abs(got)) + np.max(np.abs(want)))
+        res = _rel_res(got, want)
         assert res < 1e-12, (family, point, res)
