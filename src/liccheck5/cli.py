@@ -20,8 +20,10 @@ def main():
     """Numerical checks for the cone-deformed metric family."""
 
 
+# the JSON types a config file may give a SuiteConfig field of each type
+_JSON_TYPES = {float: (int, float), int: int, dict: dict, tuple: list}
 # config-file keys that are run options, not SuiteConfig fields
-_RUN_KEYS = ("report", "format", "skip", "only")
+_RUN_KEYS = {"report": str, "format": str, "skip": list, "only": list}
 
 
 def _load_config(path):
@@ -35,10 +37,17 @@ def _load_config(path):
                                        % exc)
     if not isinstance(doc, dict):
         raise click.ClickException("config file must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(V.SuiteConfig)}
-    bad = set(doc) - known - set(_RUN_KEYS)
+    types = {f.name: _JSON_TYPES[f.type]
+             for f in dataclasses.fields(V.SuiteConfig)}
+    types.update(_RUN_KEYS)
+    bad = set(doc) - set(types)
     if bad:
         raise click.ClickException("unknown config keys: %s" % sorted(bad))
+    for k, v in doc.items():
+        if v is not None and (isinstance(v, bool)
+                              or not isinstance(v, types[k])):
+            raise click.ClickException("config key %r has the wrong JSON "
+                                       "type: %r" % (k, v))
     return doc
 
 
@@ -94,10 +103,10 @@ def run(a, samples, seed, b, c, tol_override, exclude, skip, only,
         cfg = V.SuiteConfig(tol=tol, **merged)
     except (TypeError, ValueError) as exc:
         raise click.ClickException("bad config value: %s" % exc)
-    skip = tuple(skip) or tuple(filecfg.get("skip", ()))
-    only = tuple(only) or tuple(filecfg.get("only", ())) or None
+    skip = tuple(skip) or tuple(filecfg.get("skip") or ())
+    only = tuple(only) or tuple(filecfg.get("only") or ()) or None
     report_path = report_path or filecfg.get("report")
-    fmt = fmt or filecfg.get("format", "json")
+    fmt = fmt or filecfg.get("format") or "json"
     try:
         rep = V.run_suite(cfg, skip=skip, only=only)
     except ValueError as exc:

@@ -98,15 +98,14 @@ class CrossingCurve:
 
 
 def _side(p):
-    """+1 off the closed cone, -1 inside it, 0 on its boundary, per point."""
-    return np.sign(geo.cone_gap(p))
+    d = geo.cone_gap(p)
+    return 0 if d == 0.0 else (1 if d > 0 else -1)
 
 
 def _monomial_jets(spec, x, order):
-    """r_o**m * f_l on a batch lying on one side of the cone."""
     x = np.asarray(x, dtype=float)
-    if np.all(_side(x) < 0):
-        return J.constant(0.0, dim=5, order=order, shape=x.shape[:-1])
+    if _side(x) < 0:
+        return J.constant(0.0, dim=5, order=order)
     xj = J.seed(x, order=order)
     out = geo.radial_ro(xj).pow_int(spec.m)
     if spec.l[0]:
@@ -130,11 +129,10 @@ def _field_jets(field_tag, x, order, a):
 
 
 def _partial_arrays(jet, max_order):
-    """Value and partials of a scalar jet over a point batch, orders 0 to
-    max_order, each as an (n_points, n_partials) array."""
-    n = len(jet.val)
-    return [np.asarray(t, dtype=float).reshape(n, -1)
-            for t in (jet.val, jet.grad, jet.hess, jet.third)[:max_order + 1]]
+    parts = [np.atleast_1d(np.asarray(jet.val, dtype=float))]
+    for t in (jet.grad, jet.hess, jet.third)[:max_order]:
+        parts.append(np.ravel(np.asarray(t, dtype=float)))
+    return parts
 
 
 def _classify(gaps, scale):
@@ -174,19 +172,24 @@ def smoothness_probe(field_tag, curve, max_order=3, a=1.0):
     if not 0 <= max_order <= 3:
         raise OrderError("partials are carried to order 3 at most")
     ts = curve.spacings()
-    plus = np.array([curve.point(t) for t in ts])
-    minus = np.array([curve.point(-t) for t in ts])
-    sp = set(_side(plus))
-    sm = set(_side(minus))
+    plus = [curve.point(t) for t in ts]
+    minus = [curve.point(-t) for t in ts]
+    sp = {_side(q) for q in plus}
+    sm = {_side(q) for q in minus}
     if len(sp) != 1 or len(sm) != 1 or 0 in (sp | sm) or sp == sm:
         raise NonTransversalError(
             "curve samples do not separate cleanly across the cone")
-    # each side is one batch: every point of it lies on the same branch
-    A = _partial_arrays(_field_jets(field_tag, plus, max_order, a), max_order)
-    B = _partial_arrays(_field_jets(field_tag, minus, max_order, a), max_order)
-    gaps = np.array([np.max(np.abs(u - v), axis=1) for u, v in zip(A, B)])
-    scales = np.array([max(np.max(np.abs(u)), np.max(np.abs(v)))
-                       for u, v in zip(A, B)])
+    gaps = np.zeros((max_order + 1, len(ts)))
+    scales = np.zeros(max_order + 1)
+    for j in range(len(ts)):
+        A = _partial_arrays(_field_jets(field_tag, plus[j], max_order, a),
+                            max_order)
+        B = _partial_arrays(_field_jets(field_tag, minus[j], max_order, a),
+                            max_order)
+        for p in range(max_order + 1):
+            gaps[p, j] = np.max(np.abs(A[p] - B[p]))
+            scales[p] = max(scales[p], np.max(np.abs(A[p])),
+                            np.max(np.abs(B[p])))
     verdicts = tuple(_classify(gaps[p], scales[p])
                      for p in range(max_order + 1))
     return ProbeReport(verdicts, gaps, ts, scales)
@@ -293,7 +296,7 @@ def weyl_decay_exponent(curve, a=1.0):
     ts = curve.spacings()
     sgn = 1.0 if _side(curve.point(ts[0])) > 0 else -1.0
     pts = np.array([curve.point(sgn * t) for t in ts])
-    if np.any(_side(pts) <= 0):
+    if any(_side(p) <= 0 for p in pts):
         raise NonTransversalError("curve has no clean exterior side")
     W = C.weyl(geo.MetricSpec("ga", a), pts)
     sup = np.max(np.abs(W), axis=(1, 2, 3, 4))

@@ -15,7 +15,6 @@ byte-identical across runs.
 """
 
 import json
-import math
 import os
 import time
 import zlib
@@ -23,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.stats import qmc
 
 from . import __version__
 from . import clifford as CL
@@ -91,40 +91,6 @@ class Report:
 
 # ------------------------------------------------------------------ sampling
 
-_HALTON_BASES = (2, 3, 5, 7, 11)
-
-
-def _halton(seed, size):
-    """Successive batches of ``size`` points of the scrambled 5d Halton
-    sequence, digit-permuted as in Owen (arXiv:1706.02808).
-
-    Bit for bit the draws of ``scipy.stats.qmc.Halton(d=5, scramble=True,
-    seed=seed)`` (a test holds it to that), without importing scipy.stats,
-    which costs about 70 MB of memory and a second at import."""
-    rng = np.random.default_rng(seed)
-    perms = []
-    for b in _HALTON_BASES:
-        # one permutation per base-b digit a double can resolve
-        p = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1,
-                      axis=0)
-        for row in p:
-            rng.shuffle(row)
-        perms.append(p)
-    start = 0
-    while True:
-        idx = np.arange(start, start + size)
-        start += size
-        cols = []
-        for b, p in zip(_HALTON_BASES, perms):
-            q, v, w = idx.copy(), np.zeros(size), 1.0 / b
-            for row in p:
-                v += row[q % b] * w
-                w /= b
-                q //= b
-            cols.append(v)
-        yield np.stack(cols, axis=1)
-
-
 def sample(region, a, n, seed, exclusion=1e-3, outer=0.95):
     """Deterministic low-discrepancy samples of a region.
 
@@ -135,10 +101,10 @@ def sample(region, a, n, seed, exclusion=1e-3, outer=0.95):
     if region not in ("B_a", "L"):
         raise ValueError("unknown region tag %r" % (region,))
     box = 1.6 / a if region == "B_a" else 1.6   # the interior never dilates
-    batches = _halton(int(seed), max(4 * n, 128))
+    eng = qmc.Halton(d=5, scramble=True, seed=int(seed))
     out = np.empty((0, 5))
     for _ in range(200):
-        x = (2.0 * next(batches) - 1.0) * box
+        x = (2.0 * eng.random(max(4 * n, 128)) - 1.0) * box
         r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
         dist = np.abs(r - np.abs(x[:, 0])) / np.sqrt(2.0)
         keep = (dist >= exclusion) & (r >= exclusion)

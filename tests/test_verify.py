@@ -40,15 +40,6 @@ def test_sample_outer_band_and_determinism():
     assert not np.array_equal(x[:, 0], V.sample("B_a", a, 150, seed=10)[:, 0])
 
 
-def test_halton_draws_match_scipy():
-    from scipy.stats import qmc
-    for seed in (0, 9, 2 ** 32 - 1, V._seed_for("twistor-equation", 3)):
-        eng = qmc.Halton(d=5, scramble=True, seed=seed)
-        batches = V._halton(seed, 300)
-        for _ in range(3):
-            assert np.array_equal(next(batches), eng.random(300)), seed
-
-
 def test_sample_guards():
     with pytest.raises(ValueError):
         V.sample("elsewhere", 1.0, 10, seed=0)
@@ -211,12 +202,15 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     bad.write_text('{"volume": 11}')
     r = CliRunner().invoke(cli.main, ["run", "--config", str(bad)])
     assert r.exit_code != 0 and "unknown config keys" in r.output
-    for text in ('{', '{"samples": "many"}', '{"tol": 5}'):
+    for text, key in (('{', None), ('{"samples": "many"}', "samples"),
+                      ('{"tol": 5}', "tol"), ('{"regions": "B_a"}', "regions"),
+                      ('{"skip": "weyl-decay"}', "skip")):
         bad.write_text(text)
         r = CliRunner().invoke(cli.main, ["run", "--config", str(bad)])
         assert r.exit_code == 1, (text, r.output)
         assert "Error:" in r.output and "Traceback" not in r.output, text
         assert not isinstance(r.exception, (TypeError, ValueError)), text
+        assert key is None or repr(key) in r.output, (text, r.output)
 
 
 def test_cli_config_takes_every_suite_field(tmp_path):
