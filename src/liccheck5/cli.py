@@ -15,6 +15,11 @@ from . import verify as V
 from .errors import LicError
 
 
+def _echo(line):
+    # an explicit file keeps click from caching every captured stdout for good
+    click.echo(line, file=sys.stdout)
+
+
 @click.group()
 def main():
     """Numerical checks for the cone-deformed metric family."""
@@ -112,13 +117,15 @@ def run(a, samples, seed, b, c, tol_override, exclude, skip, only,
     except ValueError as exc:
         raise click.ClickException(str(exc))
     for ch in rep.checks:
-        click.echo("[%s] %-22s max %.3e  tol %.0e  (%d samples) -- %s"
-                   % (ch.verdict, ch.name, ch.residual_max, ch.tol,
-                      ch.samples, ch.claim))
-    click.echo("overall: %s" % rep.overall)
+        _echo("[%s] %-22s max %.3e  tol %.0e  (%d samples) -- %s"
+              % (ch.verdict, ch.name, ch.residual_max, ch.tol,
+                 ch.samples, ch.claim))
+        if ch.error:
+            _echo("    " + ch.error)
+    _echo("overall: %s" % rep.overall)
     if report_path:
         V.emit_report(rep, fmt=fmt, path=report_path)
-        click.echo("report written to %s" % report_path)
+        _echo("report written to %s" % report_path)
     sys.exit(0 if rep.overall == "pass" else 1)
 
 
@@ -155,19 +162,19 @@ def probe_c1(field, curves, a, seed, max_order):
         raise click.ClickException(str(exc))
     for i, rep in enumerate(reports):
         cls = rep.smoothness_class
-        click.echo("curve %2d: %s  -> class %s"
-                   % (i, " ".join(rep.verdicts),
-                      "C%d" % cls if cls is not None else ">= C%d" % max_order))
-    click.echo("field %s: smoothness class %s across the cone"
-               % (field, "C%d" % overall if overall is not None
-                  else ">= C%d (no jump seen up to probed order)" % max_order))
+        _echo("curve %2d: %s  -> class %s"
+              % (i, " ".join(rep.verdicts),
+                 "C%d" % cls if cls is not None else ">= C%d" % max_order))
+    _echo("field %s: smoothness class %s across the cone"
+          % (field, "C%d" % overall if overall is not None
+             else ">= C%d (no jump seen up to probed order)" % max_order))
     if isinstance(tag, R.MonomialSpec):
         k = tag.predicted_class
         want = k - 1 if k <= max_order else None
     else:
         want = 1                       # the deformed metric extends C1, not C2
-    click.echo("predicted: class %s" % ("C%d" % want if want is not None
-                                        else ">= C%d" % max_order))
+    _echo("predicted: class %s" % ("C%d" % want if want is not None
+                                   else ">= C%d" % max_order))
     sys.exit(0 if overall == want else 1)
 
 
@@ -203,14 +210,14 @@ def tensor(family, point, what, a):
     scale = np.max(np.abs(T))
     idx = np.argwhere(np.abs(T) > 1e-9 * max(scale, 1.0))
     if not len(idx):
-        click.echo("%s(%s) at (%s): zero (every component below the print "
-                   "floor)" % (what, family, point))
+        _echo("%s(%s) at (%s): zero (every component below the print "
+              "floor)" % (what, family, point))
         return
-    click.echo("%s(%s) at (%s), %d nonzero of %d:"
-               % (what, family, point, len(idx), T.size))
+    _echo("%s(%s) at (%s), %d nonzero of %d:"
+          % (what, family, point, len(idx), T.size))
     for ix in idx:
-        click.echo("  [%s] = %.17g" % (",".join(str(i) for i in ix),
-                                       T[tuple(ix)]))
+        _echo("  [%s] = %.17g" % (",".join(str(i) for i in ix),
+                                  T[tuple(ix)]))
 
 
 if __name__ == "__main__":

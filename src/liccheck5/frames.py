@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import jets as J
-from .errors import AmbiguousError, CaViolationError, DimensionError, DomainError
+from .errors import CaViolationError, DimensionError, DomainError
 
 E01 = np.zeros((5, 5))
 E01[0, 1] = E01[1, 0] = -1.0
@@ -55,31 +55,12 @@ def _seed(x, order):
     return x, J.seed(x, order=order)
 
 
-def _side(x):
-    """'L' if every point has r <= |x0| (cone included), 'B' if all r > |x0|."""
-    d = geo.cone_gap(x)
-    if np.all(d <= 0.0):
-        return "L"
-    if np.all(d > 0.0):
-        return "B"
-    raise AmbiguousError("batch mixes the cone side with the exterior")
-
-
 def _zero(xj):
     return J.constant(0.0, dim=5, order=xj[0].order, shape=np.shape(xj[0].val))
 
 
 def _one(xj):
     return J.constant(1.0, dim=5, order=xj[0].order, shape=np.shape(xj[0].val))
-
-
-def _ro_jet(x, xj):
-    """r_o branchwise; unlike geometry.radial_ro this accepts cone points on
-    the L side (they carry the interior's zero jet)."""
-    if _side(x) == "L":
-        return _zero(xj)
-    r = geo.radial_r(xj)
-    return (r * r - xj[0] * xj[0]) / r
 
 
 def _require_exterior(x, who):
@@ -96,9 +77,9 @@ def k_q_rho(x, a=1.0, order=3):
     4 x_0^2 rho >= 1 (outside the C_a neighbourhood of the cone).
     """
     x, xj = _seed(x, order)
-    if _side(x) == "L":
+    if geo.cone_side(x) < 0:
         return _one(xj), _zero(xj), _zero(xj)
-    ro = _ro_jet(x, xj)
+    ro = geo.radial_ro(xj)
     beta = geo.beta_jet(xj, a)
     ib = beta.reciprocal()
     rho = (float(a) ** 4) * ro * ro * ib * ib
@@ -241,11 +222,11 @@ def _sphere_columns(kvs, scales):
     return [[0.0] + [sc * kv[m] for m in range(4)] for kv, sc in zip(kvs, scales)]
 
 
-def _frame_e(x, xj, a):
+def _frame_e(xj, a):
     r = geo.radial_r(xj)
     if np.any(r.val == 0.0):
         raise DomainError("frame e is singular on the axis r = 0")
-    ro = _ro_jet(x, xj)
+    ro = geo.radial_ro(xj)
     beta = geo.beta_jet(xj, a)
     c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
@@ -264,7 +245,7 @@ def _frame_e(x, xj, a):
 def _frame_f(x, xj, a):
     _require_exterior(x, "frame f")
     r = geo.radial_r(xj)
-    ro = _ro_jet(x, xj)
+    ro = geo.radial_ro(xj)
     beta = geo.beta_jet(xj, a)
     x0 = xj[0]
     w = r * r + x0 * x0
@@ -279,7 +260,7 @@ def _frame_f(x, xj, a):
 def _frame_etilde(x, xj, a):
     _require_exterior(x, "frame etilde")
     r = geo.radial_r(xj)
-    ro = _ro_jet(x, xj)
+    ro = geo.radial_ro(xj)
     beta = geo.beta_jet(xj, a)
     x0 = xj[0]
     w = r * r + x0 * x0
@@ -312,18 +293,18 @@ def frame_htilde(x, a=1.0, order=3):
     """
     x, xj = _seed(x, order)
     spec = geo.MetricSpec("ga", a)
-    if _side(x) == "L":
+    if geo.cone_side(x) < 0:
         return FrameValue("htilde", _frame_u(xj), spec)
     k, q, _ = k_q_rho(x, a, order=order)
     r = geo.radial_r(xj)
-    ro = _ro_jet(x, xj)
+    ro = geo.radial_ro(xj)
     beta = geo.beta_jet(xj, a)
     c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
     ir2 = ir * ir
     x0 = xj[0]
     w = r * r + x0 * x0
-    e0, e1 = _frame_e(x, xj, a)[:2]
+    e0, e1 = _frame_e(xj, a)[:2]
     cols = [[k * e0[m] + q * e1[m] for m in range(5)]]
     tcoef = (q * (1.0 + 4.0 * x0 * x0 * c) + (-2.0) * k * x0 * w * c * ir) * ir
     wm1 = 2.0 * q * x0 * w * c * ir + k * (1.0 + (-1.0) * w * w * c * ir2) + (-1.0)
@@ -346,7 +327,7 @@ def frame_eval(id, x, a=1.0, order=3):
     if id == "u":
         return FrameValue("u", _frame_u(xj), geo.MetricSpec("g0"))
     if id == "e":
-        return FrameValue("e", _columns(_frame_e(x, xj, a)),
+        return FrameValue("e", _columns(_frame_e(xj, a)),
                           geo.MetricSpec("ga", a))
     if id == "f":
         return FrameValue("f", _columns(_frame_f(x, xj, a)),

@@ -85,9 +85,21 @@ def classify(p, a):
 
 def cone_gap(x):
     """r - |x0| for points (..., 5): positive off the closed cone L, zero on
-    its boundary, negative inside.  The one cone-side test of the package."""
+    its boundary, negative inside."""
     x = np.asarray(x, dtype=float)
     return np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1)) - np.abs(x[..., 0])
+
+
+def cone_side(x):
+    """+1 if every point has r > |x0|, -1 if every point lies in the closed
+    cone L (boundary included); a batch mixing the two raises.  The one
+    place the package decides a batch's cone side."""
+    d = cone_gap(x)
+    if np.all(d > 0.0):
+        return 1
+    if np.all(d <= 0.0):
+        return -1
+    raise AmbiguousError("batch mixes the two sides of the cone")
 
 
 def radial_r(xj):
@@ -97,15 +109,12 @@ def radial_r(xj):
 
 
 def _branch(xj):
-    """+1 exterior (r > |x0|), -1 inside L, raises on the cone itself."""
-    d = cone_gap(np.stack([np.asarray(j.val) for j in xj], axis=-1))
-    if np.any(d == 0.0):
+    """cone_side of the jets' base points, raising on the cone itself, where
+    the jets of r_o and g_a are not defined."""
+    x = np.stack([np.asarray(j.val) for j in xj], axis=-1)
+    if np.any(cone_gap(x) == 0.0):
         raise AmbiguousError("point(s) on the cone boundary r = |x0|")
-    if np.all(d > 0):
-        return 1
-    if np.all(d < 0):
-        return -1
-    raise AmbiguousError("batch mixes the two sides of the cone")
+    return cone_side(x)
 
 
 def radial_ro(xj):

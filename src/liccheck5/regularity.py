@@ -97,14 +97,9 @@ class CrossingCurve:
         return self.base + abs(t) * leg
 
 
-def _side(p):
-    d = geo.cone_gap(p)
-    return 0 if d == 0.0 else (1 if d > 0 else -1)
-
-
 def _monomial_jets(spec, x, order):
     x = np.asarray(x, dtype=float)
-    if _side(x) < 0:
+    if geo.cone_gap(x) < 0:
         return J.constant(0.0, dim=5, order=order)
     xj = J.seed(x, order=order)
     out = geo.radial_ro(xj).pow_int(spec.m)
@@ -172,10 +167,10 @@ def smoothness_probe(field_tag, curve, max_order=3, a=1.0):
     if not 0 <= max_order <= 3:
         raise OrderError("partials are carried to order 3 at most")
     ts = curve.spacings()
-    plus = [curve.point(t) for t in ts]
-    minus = [curve.point(-t) for t in ts]
-    sp = {_side(q) for q in plus}
-    sm = {_side(q) for q in minus}
+    plus = np.array([curve.point(t) for t in ts])
+    minus = np.array([curve.point(-t) for t in ts])
+    sp = set(np.sign(geo.cone_gap(plus)))
+    sm = set(np.sign(geo.cone_gap(minus)))
     if len(sp) != 1 or len(sm) != 1 or 0 in (sp | sm) or sp == sm:
         raise NonTransversalError(
             "curve samples do not separate cleanly across the cone")
@@ -294,9 +289,9 @@ def weyl_decay_exponent(curve, a=1.0):
     """Fitted power of r_o with which the deformed metric's Weyl tensor
     vanishes toward the cone, along the exterior side of a crossing curve."""
     ts = curve.spacings()
-    sgn = 1.0 if _side(curve.point(ts[0])) > 0 else -1.0
+    sgn = 1.0 if geo.cone_gap(curve.point(ts[0])) > 0 else -1.0
     pts = np.array([curve.point(sgn * t) for t in ts])
-    if any(_side(p) <= 0 for p in pts):
+    if np.any(geo.cone_gap(pts) <= 0):
         raise NonTransversalError("curve has no clean exterior side")
     W = C.weyl(geo.MetricSpec("ga", a), pts)
     sup = np.max(np.abs(W), axis=(1, 2, 3, 4))

@@ -153,44 +153,46 @@ def _spin_matrices(forms):
                             optimize=True)
 
 
-def spin_connection(frame, spec, x, tol=1e-8):
-    """Matrices Sigma_k = 1/2 sum_{i<j} eps_i eps_j omega_ij(f_k) gamma_i
-    gamma_j acting on spinor components, shape (..., n, 4, 4)."""
-    fr = _frame_value(frame, spec, x)
-    forms = C.connection_forms(fr, spec, x, tol=tol)
-    return _spin_matrices(forms)
+def _cov(forms, Fv, comp):
+    """nabla_k phi along every frame direction, (..., n, 4), from the
+    connection forms, the frame values and an order-1 component jet."""
+    sig = _spin_matrices(forms)
+    return (np.einsum('...mk,...am->...ka', Fv, comp.grad)
+            + np.einsum('...kab,...b->...ka', sig, comp.val))
 
 
 def _cov_all(phi, spec, x, tol=1e-8, forms=None):
-    """Covariant derivative of phi along every frame direction.
-
-    Returns (cov (..., n, 4), Fv, eps, base shape).  ``forms`` overrides the
-    connection forms (for probing against a modified metric)."""
+    """Covariant derivative of phi along every frame direction and the frame
+    signature, (cov (..., n, 4), eps).  ``forms`` overrides the connection
+    forms (for probing against a modified metric)."""
     x = np.asarray(x, dtype=float)
     fr = _frame_value(phi.frame_id, spec, x)
     if forms is None:
         forms = C.connection_forms(fr, spec, x, tol=tol)
     comp = phi.components(x, order=1)
-    Fv = fr.vectors.val.real
-    w, dw = comp.val, comp.grad
-    sig = _spin_matrices(forms)
-    cov = (np.einsum('...mk,...am->...ka', Fv, dw)
-           + np.einsum('...kab,...b->...ka', sig, w))
-    return cov, Fv, forms.eps, w
+    return _cov(forms, fr.vectors.val.real, comp), forms.eps
+
+
+def _dirac_w(cov, eps):
+    """Components of D phi = sum_k eps_k f_k . nabla_k phi."""
+    return np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
+
+
+def _twistor_p(cov, eps):
+    """P_k = nabla_k phi + (1/5) f_k . D phi for every direction, (..., n, 4)."""
+    dw = _dirac_w(cov, eps)
+    return cov + np.einsum('kab,...b->...ka', GAMMA, dw) / float(N)
 
 
 def dirac(phi, spec, x):
     """D phi = sum_k eps_k f_k . nabla_k phi."""
-    cov, _, eps, _ = _cov_all(phi, spec, x)
-    dw = np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
-    return SpinorValue(dw, phi.frame_id)
+    return SpinorValue(_dirac_w(*_cov_all(phi, spec, x)), phi.frame_id)
 
 
 def twistor_residual(phi, spec, x, forms=None):
     """All five residuals P_k = nabla_k phi + (1/5) f_k . D phi."""
-    cov, _, eps, _ = _cov_all(phi, spec, x, forms=forms)
-    dw = np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
-    P = cov + np.einsum('kab,...b->...ka', GAMMA, dw) / float(N)
+    cov, eps = _cov_all(phi, spec, x, forms=forms)
+    P = _twistor_p(cov, eps)
     dirs = [SpinorValue(P[..., k, :], phi.frame_id) for k in range(N)]
     return TwistorResidual(directions=dirs,
                            norm=float(np.max(np.abs(P))),
@@ -277,14 +279,8 @@ def conformal_flat_twistor_residual(w0, coeffs, x):
     Fj = J.jeinsum(",ij->ij", q.reciprocal(), np.eye(N))
     forms = C.forms_from_jets("u_rescaled", Fj, g)
     comp = J.jeinsum(",a->a", q.sqrt(), psi_w0(w0).components(x, order=1))
-    w, dw = comp.val, comp.grad
-    Fv = Fj.val.real
-    sig = _spin_matrices(forms)
-    cov = (np.einsum('...mk,...am->...ka', Fv, dw)
-           + np.einsum('...kab,...b->...ka', sig, w))
-    dwv = np.einsum('k,kab,...kb->...a', forms.eps, GAMMA, cov, optimize=True)
-    P = cov + np.einsum('kab,...b->...ka', GAMMA, dwv) / float(N)
-    return float(np.max(np.abs(P)))
+    cov = _cov(forms, Fj.val.real, comp)
+    return float(np.max(np.abs(_twistor_p(cov, forms.eps))))
 
 
 # ------------------------------------------------------------ squares

@@ -17,6 +17,7 @@ byte-identical across runs.
 import json
 import os
 import time
+import traceback
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -76,6 +77,8 @@ class CheckResult:
     tol: float
     verdict: str
     seconds: float = field(default=0.0, compare=False)
+    # "Type: message (file:line)" of a check that raised; never serialized
+    error: str = field(default="", compare=False)
 
 
 @dataclass
@@ -106,27 +109,27 @@ def sample(region, a, n, seed, exclusion=1e-3, outer=0.95):
     for _ in range(200):
         x = (2.0 * eng.random(max(4 * n, 128)) - 1.0) * box
         r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
-        dist = np.abs(r - np.abs(x[:, 0])) / np.sqrt(2.0)
-        keep = (dist >= exclusion) & (r >= exclusion)
+        gap = geo.cone_gap(x)
+        keep = (np.abs(gap) / np.sqrt(2.0) >= exclusion) & (r >= exclusion)
         if region == "B_a":
             ro = np.where(r > 0, (r ** 2 - x[:, 0] ** 2) / np.where(r > 0, r, 1.0), -1.0)
-            keep &= (ro > 0) & (ro < outer / a)
+            keep &= (gap > 0) & (ro < outer / a)
         else:
-            keep &= r < np.abs(x[:, 0])
+            keep &= gap < 0
         out = np.vstack([out, x[keep]])
         if len(out) >= n:
             return out[:n]
     raise EmptyRegionError("region %s empty after exclusions" % region)
 
 
-def _margin(cfg, m):
-    # exterior margins ride the same dilation as the sampling box
-    return max(cfg.exclusion, m / cfg.a)
-
-
-def _ml(cfg, m):
-    # interior margins are absolute: that geometry never dilates
-    return max(cfg.exclusion, m)
+def _draw(cfg, region, seed, m, n=None, outer=0.95):
+    """cfg.samples points of a region (n if given) at cone margin m, never
+    below the configured exclusion.  Exterior margins ride the same 1/a
+    dilation as the sampling box; interior ones are absolute, as that
+    geometry never dilates."""
+    m = m / cfg.a if region == "B_a" else m
+    return sample(region, cfg.a, cfg.samples if n is None else n, seed,
+                  max(cfg.exclusion, m), outer)
 
 
 def _norm_res(A, B):
@@ -152,15 +155,14 @@ def _chk_clifford(cfg, seed):
 
 
 def _chk_frame_gram(cfg, seed):
-    x = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.01))
+    x = _draw(cfg, "B_a", seed, 0.01)
     fv = F.frame_eval("e", x, cfg.a, order=0)
     gram = F.gram_matrix(fv, x)
     return _norm_res(gram, ETA5), len(x)
 
 
 def _chk_product_structure(cfg, seed):
-    xb = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.15),
-                outer=0.85)
+    xb = _draw(cfg, "B_a", seed, 0.15, outer=0.85)
     low = C.riemann_lowered(geo.MetricSpec("gatilde", cfg.a), xb)
     Vv = C.vector_field_jets("V", xb, order=0).val.real
     mixed = np.maximum(
@@ -168,14 +170,13 @@ def _chk_product_structure(cfg, seed):
         np.max(np.abs(np.einsum('...ijkl,...k->...ijl', low, Vv)), axis=(1, 2, 3)))
     sc = np.max(np.abs(low), axis=(1, 2, 3, 4)) * np.max(np.abs(Vv), axis=1)
     block = mixed / (1.0 + sc)
-    xl = sample("L", cfg.a, max(cfg.samples // 3, 1), seed + 1,
-                _ml(cfg, 0.1))
+    xl = _draw(cfg, "L", seed + 1, 0.1, n=max(cfg.samples // 3, 1))
     flat = _norm_res(C.riemann_lowered(geo.MetricSpec("gatilde", cfg.a), xl), 0.0)
     return np.concatenate([block, flat]), len(xb) + len(xl)
 
 
 def _chk_product_ricci(cfg, seed):
-    x = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.1))
+    x = _draw(cfg, "B_a", seed, 0.1)
     ric = C.ricci(geo.MetricSpec("gatilde", cfg.a), x)
     return _norm_res(ric, 0.0), len(x)
 
@@ -250,7 +251,7 @@ def _chk_eh_asd(cfg, seed):
 
 def _chk_twistor(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
-    xb = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.02))
+    xb = _draw(cfg, "B_a", seed, 0.02)
     phi = S.psi_bc(cfg.b, cfg.c)
     forms = None
     if cfg.perturb:
@@ -259,8 +260,7 @@ def _chk_twistor(cfg, seed):
         forms = C.forms_from_jets("e", fr.vectors, g, label="perturbed",
                                   tol=1.0)
     rb = S.twistor_residual(phi, spec, xb, forms=forms)
-    xl = sample("L", cfg.a, max(cfg.samples // 3, 1), seed + 1,
-                _ml(cfg, 0.02))
+    xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
     rl = S.twistor_residual(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
     out = []
     for res in (rb, rl):
@@ -271,7 +271,7 @@ def _chk_twistor(cfg, seed):
 
 def _chk_parallel(cfg, seed):
     spec = geo.MetricSpec("gatilde", cfg.a)
-    x = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.05))
+    x = _draw(cfg, "B_a", seed, 0.05)
     nu = S.nu_bc(cfg.b, cfg.c)
     cov = S._cov_all(nu, spec, x)[0]
     scale = max(float(np.abs(nu.values(x)).max()), 1.0)
@@ -285,8 +285,7 @@ def _chk_conformal_killing(cfg, seed):
     for i, (region, m) in enumerate((("B_a", 0.02), ("L", 0.02))):
         if region not in cfg.regions:
             continue
-        marg = _margin(cfg, m) if region == "B_a" else _ml(cfg, m)
-        x = sample(region, cfg.a, cfg.samples, seed + i, marg)
+        x = _draw(cfg, region, seed + i, m)
         n += len(x)
         gv = geo.metric_jets(spec, x, order=0).val.real
         LV = C.lie_derivative_metric("V", spec, x)
@@ -298,9 +297,8 @@ def _chk_conformal_killing(cfg, seed):
 
 def _square_pieces(cfg, seed, m_b=0.02, m_l=0.02):
     spec = geo.MetricSpec("ga", cfg.a)
-    xb = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, m_b))
-    xl = sample("L", cfg.a, max(cfg.samples // 3, 1), seed + 1,
-                _ml(cfg, m_l))
+    xb = _draw(cfg, "B_a", seed, m_b)
+    xl = _draw(cfg, "L", seed + 1, m_l, n=max(cfg.samples // 3, 1))
     Vb = S.spinor_square(S.psi_bc(cfg.b, cfg.c), spec, xb)
     Vl = S.spinor_square(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
     return spec, (xb, Vb), (xl, Vl)
@@ -358,8 +356,7 @@ def _chk_length_square(cfg, seed):
     out = []
     n = 0
     for i, region in enumerate(("B_a", "L")):
-        marg = _margin(cfg, 0.02) if region == "B_a" else _ml(cfg, 0.02)
-        x = sample(region, cfg.a, cfg.samples, seed + i, marg)
+        x = _draw(cfg, region, seed + i, 0.02)
         n += len(x)
         u = S.length_square_u(cfg.b, cfg.c, x)
         d = np.sum(x[:, 1:] ** 2, axis=1) - x[:, 0] ** 2
@@ -372,8 +369,7 @@ def _chk_einstein_rescale(cfg, seed):
     out = []
     n = 0
     for i, region in enumerate(("B_a", "L")):
-        marg = _margin(cfg, 0.1) if region == "B_a" else _ml(cfg, 0.1)
-        x = sample(region, cfg.a, cfg.samples, seed + i, marg)
+        x = _draw(cfg, region, seed + i, 0.1)
         n += len(x)
         res = S.einstein_rescale_residual(cfg.b, cfg.c, x, a=cfg.a)
         ric0 = C.trace_free(C.ricci(spec, x), spec, x)
@@ -413,7 +409,7 @@ def _chk_weyl_decay(cfg, seed):
 
 
 def _chk_weyl_covariance(cfg, seed):
-    x = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.1))
+    x = _draw(cfg, "B_a", seed, 0.1)
     Wga = C.weyl(geo.MetricSpec("ga", cfg.a), x)
     Wgt = C.weyl(geo.MetricSpec("gatilde", cfg.a), x)
     d = np.sum(x[:, 1:] ** 2, axis=1) - x[:, 0] ** 2
@@ -421,11 +417,10 @@ def _chk_weyl_covariance(cfg, seed):
 
 
 def _chk_weyl_witness(cfg, seed):
-    xb = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.1))
+    xb = _draw(cfg, "B_a", seed, 0.1)
     wb = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xb)),
                 axis=(1, 2, 3, 4))
-    xl = sample("L", cfg.a, max(cfg.samples // 3, 1), seed + 1,
-                _ml(cfg, 0.02))
+    xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
     wl = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xl)),
                 axis=(1, 2, 3, 4))
     return np.concatenate([[max(0.0, 1e-3 - float(np.max(wb)))], wl]), \
@@ -433,7 +428,7 @@ def _chk_weyl_witness(cfg, seed):
 
 
 def _chk_conformal_ricci(cfg, seed):
-    x = sample("B_a", cfg.a, cfg.samples, seed, _margin(cfg, 0.1))
+    x = _draw(cfg, "B_a", seed, 0.1)
     res = C.conformal_ricci_check(x, a=cfg.a)
     ric = C.ricci(geo.MetricSpec("ga", cfg.a), x)
     return _norm_res(ric, ric - res), len(x)
@@ -570,6 +565,7 @@ def run_suite(cfg, skip=(), only=None):
     def one(check):
         t0 = time.perf_counter()
         tol = cfg.tol.get(check.name, check.tol)
+        error = ""
         try:
             res, nsamp = check.fn(cfg, _seed_for(check.name, cfg.seed))
             res = np.atleast_1d(np.asarray(res, dtype=float))
@@ -579,8 +575,11 @@ def run_suite(cfg, skip=(), only=None):
             rmax = rmed = -1.0
             nsamp = 0
             verdict = "error:%s" % type(exc).__name__
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            error = "%s: %s (%s:%d)" % (type(exc).__name__, exc,
+                                        where.filename, where.lineno)
         return CheckResult(check.name, check.claim, nsamp, rmax, rmed, tol,
-                           verdict, time.perf_counter() - t0)
+                           verdict, time.perf_counter() - t0, error)
 
     with ThreadPoolExecutor(max_workers=_threads()) as ex:
         checks = list(ex.map(one, selected))
@@ -646,13 +645,3 @@ def emit_report(report, fmt="json", path=None):
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def parse_report(text):
-    doc = json.loads(text)
-    checks = [CheckResult(d["name"], d["claim"], int(d["samples"]),
-                          float(d["residual_max"]), float(d["residual_median"]),
-                          float(d["tol"]), d["verdict"])
-              for d in doc["checks"]]
-    return Report(config=doc["config"], versions=doc["versions"],
-                  checks=checks)

@@ -1,8 +1,9 @@
-"""Every public function of the package is reached by the package itself.
+"""Every function of the package is reached by the package itself.
 
 A public function that only tests call is either a guarantee waiting to be
 registered as a check, or dead code.  The first kind is listed in TEST_ONLY;
 anything else unreferenced fails here, so an orphan cannot slip in unseen.
+A module-level private helper has no such excuse: it must have a caller.
 References are names and attributes in the package's own source (strings
 and comments do not count); bench/ and tests/ do not count either.
 """
@@ -37,8 +38,6 @@ TEST_ONLY = (
     "spingeo.conformal_flat_twistor_residual",
     "spingeo.conformal_rescale_spinor",
     "spingeo.constant_spinor",
-    "spingeo.spin_connection",
-    "verify.parse_report",
 )
 
 
@@ -70,6 +69,16 @@ def _public_functions():
     return out
 
 
+def _private_helpers():
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+                    and not top.name.startswith("__")):
+                out.append("%s.%s" % (path.stem, top.name))
+    return out
+
+
 def test_every_public_function_is_used_or_listed():
     refs = _referenced_names()
     public = _public_functions()
@@ -80,3 +89,9 @@ def test_every_public_function_is_used_or_listed():
     stale = [q for q in TEST_ONLY
              if q not in public or q.split(".")[1] in refs]
     assert not stale, "TEST_ONLY entries now used or gone: %s" % stale
+
+
+def test_every_private_helper_is_used():
+    refs = _referenced_names()
+    orphans = [q for q in _private_helpers() if q.split(".")[1] not in refs]
+    assert not orphans, "private helpers nothing calls: %s" % orphans

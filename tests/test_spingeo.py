@@ -25,13 +25,15 @@ W0 = np.array([0.3 - 0.2j, 1.1, -0.4j, 0.9 + 0.1j])
 
 def test_spin_connection_flat_zero():
     x = np.random.default_rng(0).uniform(-2, 2, size=(20, 5))
-    sig = S.spin_connection("u", G0, x)
+    forms = C.connection_forms(F.frame_eval("u", x, order=1), G0, x)
+    sig = S._spin_matrices(forms)
     assert np.max(np.abs(sig)) == 0.0
 
 
 def test_spin_connection_traceless():
     x = sample_ba(20, lo=0.15, hi=0.9, seed=1)
-    sig = S.spin_connection("e", GA, x)
+    forms = C.connection_forms(F.frame_eval("e", x, order=1), GA, x)
+    sig = S._spin_matrices(forms)
     assert np.max(np.abs(sig)) > 0.01
     assert np.max(np.abs(np.trace(sig, axis1=-2, axis2=-1))) < 1e-12
 

@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import json
+import weakref
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -118,15 +122,6 @@ def test_negative_control_hits_only_the_twistor_check(baseline):
 
 # ----------------------------------------------------------------- reports
 
-def test_report_roundtrip_and_byte_stability(baseline):
-    text = V.emit_report(baseline)
-    again = V.emit_report(V.run_suite(FAST))
-    assert text == again                       # bitwise reproducible
-    parsed = V.parse_report(text)
-    assert parsed == baseline
-    assert V.emit_report(parsed) == text
-
-
 def test_thread_count_does_not_change_the_report(baseline, monkeypatch):
     monkeypatch.setenv("VERIFY_THREADS", "1")
     assert V.emit_report(V.run_suite(FAST)) == V.emit_report(baseline)
@@ -164,6 +159,30 @@ def test_csv_layout(baseline):
     assert lines[1].startswith("clifford-relations,")
     with pytest.raises(ValueError):
         V.emit_report(baseline, fmt="xml")
+
+
+def test_a_raising_check_keeps_its_error(monkeypatch):
+    def boom(cfg, seed):
+        raise ValueError("boom")
+    monkeypatch.setattr(V, "REGISTRY", tuple(
+        dataclasses.replace(c, fn=boom) if c.name == "clifford-relations"
+        else c for c in V.REGISTRY))
+    rep = V.run_suite(FAST, only=["clifford-relations"])
+    ch = rep.checks[0]
+    assert ch.verdict == "error:ValueError"
+    assert ch.error == "ValueError: boom (%s:%d)" % (
+        boom.__code__.co_filename, boom.__code__.co_firstlineno + 1)
+    # the report keeps its keys and bytes: the error is not serialized
+    text = V.emit_report(rep)
+    assert "boom" not in text
+    assert set(json.loads(text)["checks"][0]) == {
+        "name", "claim", "samples", "residual_max", "residual_median", "tol",
+        "verdict"}
+    r = CliRunner().invoke(cli.main, ["run", "--only", "clifford-relations"])
+    assert r.exit_code == 1
+    lines = r.output.splitlines()
+    assert lines[0].startswith("[error:ValueError] clifford-relations")
+    assert lines[1] == "    " + ch.error
 
 
 def test_float_formatting_is_full_precision(baseline):
@@ -250,3 +269,22 @@ def test_cli_tensor():
                                       "--point", "0.2,0.9,0,0,0",
                                       "--what", "ricci", "--a", "1.0"])
     assert r.exit_code == 0 and "zero (every component" in r.output
+
+
+def test_cli_calls_keep_no_captured_stdout_alive():
+    # click.echo without a file caches a wrapper per stdout stream, weakly
+    # keyed by a stream the wrapper itself keeps alive
+    cells = click._compat._default_text_stdout.__closure__ or ()
+    caches = [c.cell_contents for c in cells
+              if isinstance(c.cell_contents, weakref.WeakKeyDictionary)]
+    if not caches:
+        pytest.skip("this click has no cache of stdout wrappers")
+    gc.collect()
+    before = len(caches[0])
+    for _ in range(5):
+        for args in (["run", "--only", "clifford-relations"],
+                     ["probe-c1", "--field", "ro2", "--curves", "1"],
+                     ["tensor", "--spec", "eh", "--point", "2,0,1,0"]):
+            assert CliRunner().invoke(cli.main, args).exit_code == 0
+    gc.collect()
+    assert len(caches[0]) == before
