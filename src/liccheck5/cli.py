@@ -191,6 +191,9 @@ def tensor(family, point, what, a):
         p = np.array([float(t) for t in point.split(",")])
     except ValueError:
         raise click.ClickException("point must be comma separated floats")
+    if not np.all(np.isfinite(p)):
+        raise click.ClickException("point coordinates must be finite, got %s"
+                                   % point)
     spec = geo.MetricSpec(family, a)
     if p.shape != (spec.dim,):
         raise click.ClickException("family %s lives in %dd, got a %dd point"

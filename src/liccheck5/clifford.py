@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameMismatchError, NonRealPairingError, NotInSpinGroupError
+from .geometry import ETA
 
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
-EPS = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
+EPS = ETA.diagonal()
 
 I = 1j
 
@@ -46,7 +46,6 @@ GAMMA[4, 2, 1] = I
 GAMMA[4, 3, 0] = -I
 
 GAMMA.setflags(write=False)
-ETA.setflags(write=False)
 
 
 @dataclass

@@ -287,8 +287,9 @@ def vector_field_jets(field, x, order=2):
     elif field == "T":
         if np.any(np.asarray(r2.val) == 0.0):
             raise DomainError("the radial field is singular on the axis r = 0")
-        wr = w * r2.sqrt().reciprocal()
-        comps = [(-2.0) * x0 * r2.sqrt()] + [(-1.0) * wr * xj[m] for m in range(1, 5)]
+        r = geo.radial_r(xj)
+        wr = w * r.reciprocal()
+        comps = [(-2.0) * x0 * r] + [(-1.0) * wr * xj[m] for m in range(1, 5)]
     else:
         raise ValueError("unknown vector field tag %r" % (field,))
     return J.stack(comps)
@@ -351,14 +352,13 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
     flat background instead (independent sanity case)."""
     x = np.asarray(x, dtype=float)
     xj = J.seed(x, order=2)
-    d = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] - xj[0] * xj[0]
+    d = geo.cone_d(xj)
     if np.any(d.val == 0.0):
         raise SingularError("identity breaks down on the cone r = |x0|")
-    mu = geo.mu_jet(xj)
+    mu = geo.mu_jet(d)
     if flat_variant:
         lhs = _curvature_pieces(J.jeinsum(",ij->ij", d * d, geo.ETA))["ric"]
-        gt = J.constant(np.broadcast_to(geo.ETA, x.shape[:-1] + (5, 5)), dim=5,
-                        order=1)
+        gt = J.constant(geo.ETA, 5, 1, x.shape[:-1])
     else:
         lhs = ricci(geo.MetricSpec("ga", a), x)
         gt = geo.metric_jets(geo.MetricSpec("gatilde", a), x, order=1)

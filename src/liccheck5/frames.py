@@ -55,14 +55,6 @@ def _seed(x, order):
     return x, J.seed(x, order=order)
 
 
-def _zero(xj):
-    return J.constant(0.0, dim=5, order=xj[0].order, shape=np.shape(xj[0].val))
-
-
-def _one(xj):
-    return J.constant(1.0, dim=5, order=xj[0].order, shape=np.shape(xj[0].val))
-
-
 def _require_exterior(x, who):
     if np.any(geo.cone_gap(x) <= 0.0):
         raise DomainError(f"{who} is only defined off the cone, on r > |x0|")
@@ -78,9 +70,14 @@ def k_q_rho(x, a=1.0, order=3):
     """
     x, xj = _seed(x, order)
     if geo.cone_side(x) < 0:
-        return _one(xj), _zero(xj), _zero(xj)
-    ro = geo.radial_ro(xj)
-    beta = geo.beta_jet(xj, a)
+        return tuple(J.constant(v, 5, order, x.shape[:-1])
+                     for v in (1.0, 0.0, 0.0))
+    return _k_q_rho(xj, geo.radial_jets(xj, a), a)
+
+
+def _k_q_rho(xj, rad, a):
+    """k_q_rho on the exterior side from the batch's radial jets."""
+    ro, beta, r = rad.ro, rad.beta, rad.r
     ib = beta.reciprocal()
     rho = (float(a) ** 4) * ro * ro * ib * ib
     gate = 4.0 * xj[0] * xj[0] * rho
@@ -88,7 +85,6 @@ def k_q_rho(x, a=1.0, order=3):
         raise CaViolationError("4 x0^2 rho >= 1: point(s) outside C_a")
     iS = (((-1.0) * gate + 1.0).sqrt()).reciprocal()
     ip1 = (beta + 1.0).reciprocal()
-    r = geo.radial_r(xj)
     w = r * r + xj[0] * xj[0]
     k = (1.0 + (-1.0) * gate * beta * ip1) * iS
     q = (-2.0) * xj[0] * w * beta * rho * r.reciprocal() * ip1 * iS
@@ -100,7 +96,7 @@ def k_q_rho(x, a=1.0, order=3):
 # ------------------------------------------------------------ transforms
 
 def _g_matrix(x, xj):
-    if np.any(np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1)) == 0.0):
+    if np.any(geo.radial_values(x)[0] == 0.0):
         raise DomainError("G is singular on the axis r = 0")
     ir = geo.radial_r(xj).reciprocal()
     s1, s2, s3, s4 = xj[1], xj[2], xj[3], xj[4]
@@ -115,7 +111,7 @@ def _g_matrix(x, xj):
 
 
 def _gtilde_matrix(x):
-    r = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
+    r = geo.radial_values(x)[0]
     if np.any(r == 0.0):
         raise DomainError("Gtilde is singular on the axis r = 0")
     s = x[..., 1:]
@@ -126,12 +122,6 @@ def _gtilde_matrix(x):
     m[..., 3, 2] = (-s[..., 2] + 1j * s[..., 3]) / r
     m[..., 3, 3] = (s[..., 0] - 1j * s[..., 1]) / r
     return m
-
-
-def _q_matrix(x, a, order):
-    x, xj = _seed(x, order)
-    k, q, _ = k_q_rho(x, a, order=order)
-    return _boost(k, q)
 
 
 def _boost(ch, sh):
@@ -161,8 +151,7 @@ def _kappa_matrix(x, order):
     x, xj = _seed(x, order)
     _require_exterior(x, "kappa")
     r = geo.radial_r(xj)
-    d = r * r + (-1.0) * xj[0] * xj[0]
-    idet = d.reciprocal()
+    idet = geo.cone_d(xj).reciprocal()
     ch = (r * r + xj[0] * xj[0]) * idet
     sh = 2.0 * xj[0] * r * idet
     return _boost(ch, (-1.0) * sh)
@@ -170,9 +159,9 @@ def _kappa_matrix(x, order):
 
 def _kappatilde_matrix(x):
     _require_exterior(x, "kappatilde")
-    r = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
+    r, d, _ = geo.radial_values(x)
     x0 = x[..., 0]
-    sd = np.sqrt(r * r - x0 * x0)
+    sd = np.sqrt(d)
     m = np.zeros(r.shape + (4, 4), dtype=complex)
     for i in range(4):
         m[..., i, i] = r / sd
@@ -193,7 +182,7 @@ def transform_eval(id, x, a=1.0, order=3):
     if id == "Gtilde":
         return TransformValue("Gtilde", _gtilde_matrix(x))
     if id == "Q":
-        return TransformValue("Q", _q_matrix(x, a, order))
+        return TransformValue("Q", _boost(*k_q_rho(x, a, order)[:2]))
     if id == "Qtilde":
         return TransformValue("Qtilde", _qtilde_matrix(x, a))
     if id == "kappa":
@@ -207,11 +196,6 @@ def transform_eval(id, x, a=1.0, order=3):
 
 # ---------------------------------------------------------------- frames
 
-def _frame_u(xj):
-    return J.constant(np.broadcast_to(np.eye(5), np.shape(xj[0].val) + (5, 5)),
-                      dim=5, order=xj[0].order)
-
-
 def _columns(cols):
     """Frame jet from a list of columns, each a list of 5 components."""
     return J.stack([[col[mu] for col in cols] for mu in range(5)])
@@ -222,12 +206,8 @@ def _sphere_columns(kvs, scales):
     return [[0.0] + [sc * kv[m] for m in range(4)] for kv, sc in zip(kvs, scales)]
 
 
-def _frame_e(xj, a):
-    r = geo.radial_r(xj)
-    if np.any(r.val == 0.0):
-        raise DomainError("frame e is singular on the axis r = 0")
-    ro = geo.radial_ro(xj)
-    beta = geo.beta_jet(xj, a)
+def _frame_e(xj, rad, a):
+    r, ro, beta = rad.r, rad.ro, rad.beta
     c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
     ir2 = ir * ir
@@ -242,11 +222,8 @@ def _frame_e(xj, a):
     return [e0, e1] + _sphere_columns((k1, k2, k3), (ir, ir, ir * ib))
 
 
-def _frame_f(x, xj, a):
-    _require_exterior(x, "frame f")
-    r = geo.radial_r(xj)
-    ro = geo.radial_ro(xj)
-    beta = geo.beta_jet(xj, a)
+def _frame_f(xj, rad):
+    r, ro, beta = rad.r, rad.ro, rad.beta
     x0 = xj[0]
     w = r * r + x0 * x0
     k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
@@ -257,15 +234,11 @@ def _frame_f(x, xj, a):
     return [f0, f1] + _sphere_columns((k1, k2, k3), (ro, ro, ro * ib))
 
 
-def _frame_etilde(x, xj, a):
-    _require_exterior(x, "frame etilde")
-    r = geo.radial_r(xj)
-    ro = geo.radial_ro(xj)
-    beta = geo.beta_jet(xj, a)
+def _frame_etilde(xj, rad):
+    r, ro, beta = rad.r, rad.ro, rad.beta
     x0 = xj[0]
     w = r * r + x0 * x0
-    d = r * r + (-1.0) * x0 * x0
-    idet = d.reciprocal()
+    idet = rad.d.reciprocal()
     k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
     c0 = 2.0 * x0 * w * (1.0 + (-1.0) * beta) * idet
     e0 = [(w * w + (-4.0) * x0 * x0 * r * r * beta) * idet] + [
@@ -294,17 +267,17 @@ def frame_htilde(x, a=1.0, order=3):
     x, xj = _seed(x, order)
     spec = geo.MetricSpec("ga", a)
     if geo.cone_side(x) < 0:
-        return FrameValue("htilde", _frame_u(xj), spec)
-    k, q, _ = k_q_rho(x, a, order=order)
-    r = geo.radial_r(xj)
-    ro = geo.radial_ro(xj)
-    beta = geo.beta_jet(xj, a)
+        return FrameValue("htilde", J.constant(np.eye(5), 5, order,
+                                               x.shape[:-1]), spec)
+    rad = geo.radial_jets(xj, a)
+    k, q, _ = _k_q_rho(xj, rad, a)
+    r, ro, beta = rad.r, rad.ro, rad.beta
     c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
     ir2 = ir * ir
     x0 = xj[0]
     w = r * r + x0 * x0
-    e0, e1 = _frame_e(xj, a)[:2]
+    e0, e1 = _frame_e(xj, rad, a)[:2]
     cols = [[k * e0[m] + q * e1[m] for m in range(5)]]
     tcoef = (q * (1.0 + 4.0 * x0 * x0 * c) + (-2.0) * k * x0 * w * c * ir) * ir
     wm1 = 2.0 * q * x0 * w * c * ir + k * (1.0 + (-1.0) * w * w * c * ir2) + (-1.0)
@@ -325,15 +298,16 @@ def frame_eval(id, x, a=1.0, order=3):
         return frame_htilde(x, a, order=order)
     x, xj = _seed(x, order)
     if id == "u":
-        return FrameValue("u", _frame_u(xj), geo.MetricSpec("g0"))
+        return FrameValue("u", J.constant(np.eye(5), 5, order, x.shape[:-1]),
+                          geo.MetricSpec("g0"))
     if id == "e":
-        return FrameValue("e", _columns(_frame_e(xj, a)),
+        rad = geo.radial_jets(xj, a)
+        return FrameValue("e", _columns(_frame_e(xj, rad, a)),
                           geo.MetricSpec("ga", a))
-    if id == "f":
-        return FrameValue("f", _columns(_frame_f(x, xj, a)),
-                          geo.MetricSpec("gatilde", a))
-    if id == "etilde":
-        return FrameValue("etilde", _columns(_frame_etilde(x, xj, a)),
+    if id in ("f", "etilde"):
+        _require_exterior(x, "frame " + id)
+        build = _frame_f if id == "f" else _frame_etilde
+        return FrameValue(id, _columns(build(xj, geo.radial_jets(xj, a))),
                           geo.MetricSpec("gatilde", a))
     raise ValueError(f"unknown frame id {id!r}")
 

@@ -25,6 +25,7 @@ from . import jets as J
 from .errors import AmbiguousError, DimensionError, DomainError, SingularError
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
+ETA.setflags(write=False)
 
 REGION_TAGS = ("L_interior", "L_boundary", "B_a", "OutsideClosure", "AxisRzero")
 
@@ -70,24 +71,34 @@ def classify(p, a):
     if p.shape != (5,):
         raise DimensionError("classify expects a single 5d point")
     x0 = p[0]
-    r = float(np.sqrt(np.sum(p[1:] ** 2)))
+    r, _, ro = map(float, radial_values(p))
     on_axis = r == 0.0
     origin = on_axis and x0 == 0.0
     if r < abs(x0):
         return Region("L_interior", on_axis_r0=on_axis)
     if r == abs(x0):
         return Region("L_boundary", on_axis_r0=on_axis, at_origin=origin)
-    ro = (r * r - x0 * x0) / r
     if ro < 1.0 / a:
         return Region("B_a")
     return Region("OutsideClosure")
+
+
+def radial_values(x):
+    """(r, d, r_o) as arrays for points (..., 5): r = |(x1..x4)|,
+    d = r^2 - x0^2, and r_o = d/r off the closed cone L, 0 on it."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.sum(x[..., 1:] ** 2, axis=-1)
+    r = np.sqrt(r2)
+    d = r2 - x[..., 0] ** 2
+    off = r > np.abs(x[..., 0])
+    return r, d, np.where(off, d / np.where(off, r, 1.0), 0.0)
 
 
 def cone_gap(x):
     """r - |x0| for points (..., 5): positive off the closed cone L, zero on
     its boundary, negative inside."""
     x = np.asarray(x, dtype=float)
-    return np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1)) - np.abs(x[..., 0])
+    return radial_values(x)[0] - np.abs(x[..., 0])
 
 
 def cone_side(x):
@@ -102,10 +113,19 @@ def cone_side(x):
     raise AmbiguousError("batch mixes the two sides of the cone")
 
 
+def _r2(xj):
+    return xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
+
+
 def radial_r(xj):
-    """r = |spatial part| as a jet; xj is the list of 5 coordinate jets."""
-    r2 = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
-    return r2.sqrt()
+    """r = |(x1..x4)| as a jet; xj is the list of 5 coordinate jets."""
+    return _r2(xj).sqrt()
+
+
+def cone_d(xj):
+    """d = r^2 - x0^2 as a jet: positive off the closed cone L, negative
+    inside."""
+    return _r2(xj) - xj[0] * xj[0]
 
 
 def _branch(xj):
@@ -117,14 +137,42 @@ def _branch(xj):
     return cone_side(x)
 
 
-def radial_ro(xj):
-    """Odd radial coordinate r_o as a jet: (r^2-x0^2)/r off L, 0 on L."""
+def radial_ro(xj, r, d):
+    """Odd radial coordinate r_o as a jet from the r and d jets of the same
+    batch: d/r off L, 0 on L."""
     if _branch(xj) < 0:
         return J.constant(0.0, dim=xj[0].dim, order=xj[0].order,
                           shape=np.shape(xj[0].val))
-    r = radial_r(xj)
-    d = r * r - xj[0] * xj[0]
     return d / r
+
+
+def beta_jet(ro, a):
+    """beta = sqrt(1 - (a r_o)^4) from the r_o jet; equals 1 identically on
+    L.  Raises DomainError outside the closure of B_a."""
+    bsq = (-1.0) * (float(a) ** 4) * ro.pow_int(4) + 1.0
+    if np.any(bsq.val <= 0.0):
+        raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
+    return bsq.sqrt()
+
+
+@dataclass(frozen=True)
+class RadialJets:
+    """The cone's radial coordinate functions over one batch of coordinate
+    jets, each built once: r, d = r^2 - x0^2, r_o and beta."""
+    r: J.Jet
+    d: J.Jet
+    ro: J.Jet
+    beta: J.Jet
+
+
+def radial_jets(xj, a):
+    """RadialJets of the coordinate jets xj for the family parameter a.  On
+    L, r_o = 0 and beta = 1; the cone itself and a batch mixing the two
+    sides raise AmbiguousError."""
+    r = radial_r(xj)
+    d = cone_d(xj)
+    ro = radial_ro(xj, r, d)
+    return RadialJets(r, d, ro, beta_jet(ro, a))
 
 
 def sigma_forms(spatial):
@@ -150,27 +198,13 @@ def sigma_dual_vectors(spatial):
     return k1, k2, k3
 
 
-def alpha_form(xj):
-    """alpha = (r^2+x0^2) dr - 2 x0 r dx0 as a 5-slot covector of jets."""
-    r = radial_r(xj)
+def alpha_form(xj, r):
+    """alpha = (r^2+x0^2) dr - 2 x0 r dx0 as a 5-slot covector of jets,
+    given the r jet of the same batch."""
     ir = r.reciprocal()
     w = (r * r + xj[0] * xj[0]) * ir
     a0 = (-2.0) * xj[0] * r
     return [a0, w * xj[1], w * xj[2], w * xj[3], w * xj[4]]
-
-
-def beta_jet(xj, a):
-    """beta = sqrt(1 - (a r_o)^4); equals 1 identically on L."""
-    ro = radial_ro(xj)
-    u = (float(a) ** 4) * ro.pow_int(4)
-    return ((-1.0) * u + 1.0).sqrt()
-
-
-def _const_matrix(values, order, shape):
-    """A constant (n, n) tensor jet over the batch shape."""
-    values = np.asarray(values, dtype=float)
-    return J.constant(np.broadcast_to(values, tuple(shape) + values.shape),
-                      dim=len(values), order=order)
 
 
 def _quadratic_form(base, terms):
@@ -206,13 +240,16 @@ def metric_jets(spec: MetricSpec, x, order=3):
     shape = x.shape[:-1]
 
     if spec.family == "g0":
-        return _const_matrix(ETA, order, shape)
+        return J.constant(ETA, 5, order, shape)
 
     if spec.family in ("ga", "gatilde"):
-        g = _metric_ga(spec, xj, order, shape)
+        if _branch(xj) < 0:
+            rad, g = None, J.constant(ETA, 5, order, shape)
+        else:
+            rad = radial_jets(xj, spec.a)
+            g = _metric_ga(xj, rad, spec.a)
         if spec.family == "gatilde":
-            d = radial_r(xj)
-            d = d * d - xj[0] * xj[0]
+            d = cone_d(xj) if rad is None else rad.d
             g = J.jeinsum(",ij->ij", (d * d).reciprocal(), g)
         return g
 
@@ -235,34 +272,25 @@ def metric_jets(spec: MetricSpec, x, order=3):
     return _quadratic_form(np.eye(4), [(w, xj), ((-1.0) * u * rad2, sig3)])
 
 
-def _metric_ga(spec, xj, order, shape):
-    if _branch(xj) < 0:
-        return _const_matrix(ETA, order, shape)
-    a = spec.a
-    r2 = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
-    r = r2.sqrt()
-    ro = (r2 - xj[0] * xj[0]) / r
-    ro2 = ro * ro
+def _metric_ga(xj, rad, a):
+    """g_a on the exterior side from the batch's radial jets.  r^2 and
+    beta^2 = 1 - (a r_o)^4 are formed before any square root: squaring the
+    bundle's r and beta instead moves the suite's residuals by up to 5x."""
+    r2 = _r2(xj)
+    ro2 = rad.ro * rad.ro
     u = (a ** 4) * ro2 * ro2          # (a r_o)^4
-    bsq = (-1.0) * u + 1.0            # beta^2; DomainError outside the shell
-    if np.any(bsq.val <= 0.0):
-        raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
     _, _, sig3 = sigma_forms(xj[1:])
-    c = (a ** 4) * ro2 * (r2 * bsq).reciprocal()
+    c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
     return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
-                                 (c, alpha_form(xj))])
+                                 (c, alpha_form(xj, rad.r))])
 
 
 # ---------------------------------------------------------------- psi map
 
-def _dfield(xj):
-    return xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] - xj[0] * xj[0]
-
-
 def psi_map(x):
     """Psi(x) = (-x0, x1..x4)/(r^2 - x0^2); involutive chart swap."""
     x = np.asarray(x, dtype=float)
-    d = np.sum(x[..., 1:] ** 2, axis=-1) - x[..., 0] ** 2
+    _, d, _ = radial_values(x)
     if np.any(d == 0.0):
         raise SingularError("psi is singular on the cone r = |x0|")
     out = x / d[..., None]
@@ -274,7 +302,7 @@ def psi_jets(x, order=3):
     """Component jets of the psi map."""
     x = np.asarray(x, dtype=float)
     xj = J.seed(x, order=order)
-    d = _dfield(xj)
+    d = cone_d(xj)
     if np.any(d.val == 0.0):
         raise SingularError("psi is singular on the cone r = |x0|")
     idet = d.reciprocal()
@@ -294,16 +322,14 @@ def psi_pushforward(x):
 def s_R_values(x):
     """The chart pair (s, R) = (-x0/(r^2-x0^2), r/(r^2-x0^2)) as plain arrays."""
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
-    d = r * r - x[..., 0] ** 2
+    r, d, _ = radial_values(x)
     if np.any(d == 0.0):
         raise SingularError("chart singular on the cone")
     return -x[..., 0] / d, r / d
 
 
-def mu_jet(xj):
-    """mu = ln|r^2 - x0^2| as a jet (single-signed batch)."""
-    d = _dfield(xj)
+def mu_jet(d):
+    """mu = ln|d| from the jet d = r^2 - x0^2 (single-signed batch)."""
     if np.all(d.val > 0):
         return d.ln()
     if np.all(d.val < 0):

@@ -77,37 +77,11 @@ class Jet:
             return other
         return Jet(np.asarray(other), order=0, dim=self.dim)
 
-    def copy(self):
-        g = None if self.grad is None else self.grad.copy()
-        h = None if self.hess is None else self.hess.copy()
-        t = None if self.third is None else self.third.copy()
-        return Jet(self.val.copy(), g, h, t, order=self.order, dim=self.dim)
-
-    def astype(self, dtype):
-        g = None if self.grad is None else self.grad.astype(dtype)
-        h = None if self.hess is None else self.hess.astype(dtype)
-        t = None if self.third is None else self.third.astype(dtype)
-        return Jet(self.val.astype(dtype), g, h, t, order=self.order, dim=self.dim)
-
     def conj(self):
         g = None if self.grad is None else self.grad.conj()
         h = None if self.hess is None else self.hess.conj()
         t = None if self.third is None else self.third.conj()
         return Jet(self.val.conj(), g, h, t, order=self.order, dim=self.dim)
-
-    @property
-    def real(self):
-        g = None if self.grad is None else self.grad.real
-        h = None if self.hess is None else self.hess.real
-        t = None if self.third is None else self.third.real
-        return Jet(self.val.real, g, h, t, order=self.order, dim=self.dim)
-
-    @property
-    def imag(self):
-        g = None if self.grad is None else self.grad.imag
-        h = None if self.hess is None else self.hess.imag
-        t = None if self.third is None else self.third.imag
-        return Jet(self.val.imag, g, h, t, order=self.order, dim=self.dim)
 
     # -- ring operations ------------------------------------------------
 
@@ -174,12 +148,6 @@ class Jet:
         if isinstance(other, Jet):
             return self * other.reciprocal()
         return self * (1.0 / np.asarray(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, p):
-        return self.pow_int(p)
 
     # -- chain rule ------------------------------------------------------
 
@@ -320,9 +288,11 @@ def seed(points, order=3):
 
 
 def constant(value, dim, order=3, shape=()):
-    """A jet with the given value and vanishing derivatives."""
+    """A jet with the given value at every point of the batch shape and
+    vanishing derivatives; the value's own axes become tensor axes after
+    the batch axes."""
     value = np.asarray(value)
-    base = np.broadcast_shapes(value.shape, shape)
+    base = tuple(shape) + value.shape
     val = np.broadcast_to(value, base).copy()
     dt = val.dtype if val.dtype.kind == "c" else float
     g = np.zeros(base + (dim,), dtype=dt) if order >= 1 else None

@@ -102,9 +102,10 @@ def _monomial_jets(spec, x, order):
     if geo.cone_gap(x) < 0:
         return J.constant(0.0, dim=5, order=order)
     xj = J.seed(x, order=order)
-    out = geo.radial_ro(xj).pow_int(spec.m)
+    r = geo.radial_r(xj)
+    out = geo.radial_ro(xj, r, geo.cone_d(xj)).pow_int(spec.m)
     if spec.l[0]:
-        out = out * geo.radial_r(xj).reciprocal().pow_int(spec.l[0])
+        out = out * r.reciprocal().pow_int(spec.l[0])
     for i, p in enumerate(spec.l[1:]):
         if p:
             out = out * xj[i].pow_int(p)
@@ -248,7 +249,7 @@ def sample_bat(n, t, a=1.0, seed=0):
         w = rng.normal(size=(2 * n, 4))
         w /= np.linalg.norm(w, axis=1)[:, None]
         x = np.column_stack([x0, r[:, None] * w])
-        ro = (r ** 2 - x0 ** 2) / r
+        ro = geo.radial_values(x)[2]
         out = np.vstack([out, x[(ro > 0) & (ro < 1.0 / a)]])
     return out[:n]
 
@@ -263,8 +264,7 @@ def boundedness_probe(l, t, a=1.0, n=4000, seed=0):
     if s_l < 0:
         raise ValueError("the t**s_l bound needs s_l >= 0")
     x = sample_bat(n, t, a=a, seed=seed)
-    r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
-    vals = r ** float(-l[0])
+    vals = geo.radial_values(x)[0] ** float(-l[0])
     for i in range(5):
         if l[i + 1]:
             vals = vals * x[:, i] ** l[i + 1]
@@ -280,9 +280,8 @@ def dro_gradient_sup(a=1.0, n=4000, seed=0):
     w = rng.normal(size=(n, 4))
     w /= np.linalg.norm(w, axis=1)[:, None]
     x = np.column_stack([x0, r[:, None] * w])
-    keep = (r ** 2 - x0 ** 2) / r < 1.0 / a
-    xj = J.seed(x[keep], order=1)
-    return float(np.max(np.abs(geo.radial_ro(xj).grad)))
+    x = x[geo.radial_values(x)[2] < 1.0 / a]
+    return float(np.max(np.abs(geo.radial_jets(J.seed(x, order=1), a).ro.grad)))
 
 
 def weyl_decay_exponent(curve, a=1.0):
@@ -295,6 +294,5 @@ def weyl_decay_exponent(curve, a=1.0):
         raise NonTransversalError("curve has no clean exterior side")
     W = C.weyl(geo.MetricSpec("ga", a), pts)
     sup = np.max(np.abs(W), axis=(1, 2, 3, 4))
-    r = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
-    ro = (r ** 2 - pts[:, 0] ** 2) / r
+    ro = geo.radial_values(pts)[2]
     return float(np.polyfit(np.log(ro), np.log(sup), 1)[0])

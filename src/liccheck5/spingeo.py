@@ -75,13 +75,6 @@ def _seed5(x, order):
     return x, J.seed(x, order=order)
 
 
-def _const(value, xj):
-    """A constant jet (scalar or tensor) over the batch shape of xj."""
-    value = np.asarray(value)
-    return J.constant(np.broadcast_to(value, np.shape(xj[0].val) + value.shape),
-                      dim=5, order=xj[0].order)
-
-
 # ------------------------------------------------------- the spinor fields
 
 def psi_bc(b, c, frame="e"):
@@ -111,8 +104,7 @@ def nu_bc(b, c):
     b, c = complex(b), complex(c)
 
     def comps(x, order=3):
-        x, xj = _seed5(x, order)
-        return _const([0j, 0j, b, c], xj)
+        return J.constant([0j, 0j, b, c], N, order, np.shape(x)[:-1])
     return SpinorField("f", comps, "nu_bc(%g,%g)" % (b.real, c.real))
 
 
@@ -132,8 +124,7 @@ def constant_spinor(w, frame="u"):
     w = np.asarray(w, dtype=complex).reshape(4)
 
     def comps(x, order=3):
-        x, xj = _seed5(x, order)
-        return _const(w, xj)
+        return J.constant(w, N, order, np.shape(x)[:-1])
     return SpinorField(frame, comps, "constant")
 
 
@@ -267,10 +258,9 @@ def conformal_flat_twistor_residual(w0, coeffs, x):
     (q > 0 required on the batch), the frame by 1/q, the spinor by sqrt(q);
     the residual of the rescaled spinor under the rescaled metric comes
     back as a plain sup norm."""
-    x = np.asarray(x, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float).reshape(6)
     x, xj = _seed5(x, 3)
-    q = _const(coeffs[0], xj)
+    q = J.constant(coeffs[0], N, 3, x.shape[:-1])
     for i in range(N):
         q = q + coeffs[i + 1] * xj[i]
     if np.any(q.val <= 0.0):
@@ -316,15 +306,13 @@ def length_square_u(b, c, x):
 def einstein_rescale_residual(b, c, x, a=1.0):
     """Residual of -u . Ric0 = 3 Hess(u)0 for the spinor length square u
     under the deformed metric (trace-free parts, single-side batches)."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x[..., 1:] ** 2, axis=-1)
-    if np.any(r2 == x[..., 0] ** 2):
+    x, xj = _seed5(x, 3)
+    d = geo.cone_d(xj)
+    if np.any(d.val == 0.0):
         raise SingularError("residual is not defined on the cone r = |x0|")
     spec = geo.MetricSpec("ga", a)
-    x, xj = _seed5(x, 3)
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
-    u = (xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
-         + (-1.0) * xj[0] * xj[0]) * s
+    u = d * s
     ric0 = C.trace_free(C.ricci(spec, x), spec, x)
     hess0 = C.trace_free(C.hessian_scalar(u, spec, x), spec, x)
     uv = np.asarray(u.val)
@@ -376,11 +364,8 @@ def psi_components_htilde(b, c, x, a=1.0):
     On the flat side this is the polynomial display; on the exterior side
     the pinned frame-e components pushed through the boost-rotation lift."""
     x = np.asarray(x, dtype=float)
-    inside = geo.cone_gap(x) <= 0.0
-    if bool(np.all(inside)):
+    if geo.cone_side(x) < 0:
         return psi_bc(b, c, frame="u").values(x)
-    if bool(np.any(inside)):
-        raise DomainError("mixed-side batches are not supported")
     w = psi_bc(b, c, frame="e").values(x)
     return change_spinor_frame(w, "e", "htilde", x, a=a).w
 

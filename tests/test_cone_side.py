@@ -64,7 +64,7 @@ def _kqr(x):
 LAYERS = {
     "metric_jets": (lambda x: geo.metric_jets(GA, x, order=1).val,
                     lambda x: np.broadcast_to(geo.ETA, x.shape[:1] + (5, 5))),
-    "radial_ro": (lambda x: geo.radial_ro(J.seed(x, order=1)).val,
+    "radial_ro": (lambda x: geo.radial_jets(J.seed(x, order=1), 1.0).ro.val,
                   lambda x: np.zeros(len(x))),
     "frame_e": (lambda x: F.frame_eval("e", x, 1.0, order=1).vectors.val,
                 _cylindrical_frame),
@@ -89,7 +89,7 @@ POLICY = {
     "frame_f": ("deformed", DomainError, DomainError, DomainError),
     "frame_htilde": ("deformed", "flat", "flat", AmbiguousError),
     "k_q_rho": ("deformed", "flat", "flat", AmbiguousError),
-    "psi_components_htilde": ("deformed", "flat", "flat", DomainError),
+    "psi_components_htilde": ("deformed", "flat", "flat", AmbiguousError),
     "smoothness_probe": (NonTransversalError, NonTransversalError,
                          NonTransversalError, "report"),
 }

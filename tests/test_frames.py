@@ -245,3 +245,32 @@ def test_e01_generator():
     expect = np.zeros((5, 5))
     expect[0, 1] = expect[1, 0] = -1.0
     assert np.array_equal(m, expect)
+
+
+def _count_radial_builds(monkeypatch):
+    """Wrap geometry's builders of r, r_o and beta; return their counters."""
+    counts = {}
+    for name in ("radial_r", "radial_ro", "beta_jet"):
+        def counted(*args, _fn=getattr(geo, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        counts[name] = 0
+        monkeypatch.setattr(geo, name, counted)
+    return counts
+
+
+RADIAL_CALLS = {
+    "frame_e": lambda x: F.frame_eval("e", x, 1.0),
+    "frame_f": lambda x: F.frame_eval("f", x, 1.0),
+    "frame_etilde": lambda x: F.frame_eval("etilde", x, 1.0),
+    "frame_htilde": lambda x: F.frame_eval("htilde", x, 1.0),
+    "k_q_rho": lambda x: F.k_q_rho(x, 1.0),
+    "metric_ga": lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RADIAL_CALLS))
+def test_one_call_builds_each_radial_jet_once(call, monkeypatch):
+    counts = _count_radial_builds(monkeypatch)
+    RADIAL_CALLS[call](np.array([[0.1, 0.5, 0.2, 0.1, 0.3]]))
+    assert counts == {"radial_r": 1, "radial_ro": 1, "beta_jet": 1}

@@ -72,11 +72,11 @@ def test_classify_rejects_wrong_dim():
 def test_radial_ro_exterior_values_and_zero_on_l():
     x = sample_ba(12, seed=3)
     xj = J.seed(x)
-    ro = G.radial_ro(xj)
+    ro = G.radial_jets(xj, 1.0).ro
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     assert np.allclose(ro.val, (r * r - x[:, 0] ** 2) / r, rtol=1e-13)
     xl = sample_l(9, seed=4)
-    rol = G.radial_ro(J.seed(xl))
+    rol = G.radial_jets(J.seed(xl), 1.0).ro
     assert np.all(rol.val == 0.0)
     assert np.all(rol.grad == 0.0)
     assert np.all(rol.third == 0.0)
@@ -85,10 +85,10 @@ def test_radial_ro_exterior_values_and_zero_on_l():
 def test_radial_ro_ambiguous_on_cone_and_mixed():
     cone = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(AmbiguousError):
-        G.radial_ro(J.seed(cone))
+        G.radial_jets(J.seed(cone), 1.0)
     mixed = np.vstack([sample_ba(2, seed=1), sample_l(2, seed=2)])
     with pytest.raises(AmbiguousError):
-        G.radial_ro(J.seed(mixed))
+        G.radial_jets(J.seed(mixed), 1.0)
 
 
 # ------------------------------------------------------------------- forms
@@ -136,7 +136,7 @@ def test_sigma_structure_equations():
 def test_alpha_annihilates_cone_vector_and_sphere_directions():
     x = sample_ba(10, seed=5)
     xj = J.seed(x)
-    al = G.alpha_form(xj)
+    al = G.alpha_form(xj, G.radial_r(xj))
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     x0 = x[:, 0]
     V = np.concatenate([(-(r * r + x0 * x0))[:, None], -2 * x0[:, None] * x[:, 1:]], axis=1)
@@ -150,7 +150,7 @@ def test_alpha_annihilates_cone_vector_and_sphere_directions():
 
 def test_beta_is_one_on_l():
     xl = sample_l(6, seed=9)
-    b = G.beta_jet(J.seed(xl), 1.7)
+    b = G.radial_jets(J.seed(xl), 1.7).beta
     assert np.all(b.val == 1.0)
     assert np.all(b.grad == 0.0)
 
@@ -168,7 +168,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
     ro = (r2 - xj[0] * xj[0]) / r
     beta2 = (-1.0) * ro.pow_int(4) * a ** 4 + 1.0
     s1, s2, s3 = G.sigma_forms(xj[1:])
-    alpha = G.alpha_form(xj)
+    alpha = G.alpha_form(xj, r)
     dr = [None] + [xj[i] / r for i in range(1, 5)]
     alt = [[None] * 5 for _ in range(5)]
     zero = J.constant(0.0, dim=5, shape=x.shape[:-1])
@@ -307,12 +307,12 @@ def test_s_r_chart_identities():
 
 def test_mu_jet_branches():
     xb = sample_ba(6, seed=70)
-    mu = G.mu_jet(J.seed(xb))
+    mu = G.mu_jet(G.cone_d(J.seed(xb)))
     d = np.sum(xb[:, 1:] ** 2, axis=1) - xb[:, 0] ** 2
     assert np.allclose(mu.val, np.log(d), rtol=1e-13)
     xl = sample_l(6, seed=71)
-    mul = G.mu_jet(J.seed(xl))
+    mul = G.mu_jet(G.cone_d(J.seed(xl)))
     dl = np.sum(xl[:, 1:] ** 2, axis=1) - xl[:, 0] ** 2
     assert np.allclose(mul.val, np.log(-dl), rtol=1e-13)
     with pytest.raises(AmbiguousError):
-        G.mu_jet(J.seed(np.vstack([xb, xl])))
+        G.mu_jet(G.cone_d(J.seed(np.vstack([xb, xl]))))

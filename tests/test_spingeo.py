@@ -7,7 +7,7 @@ from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import spingeo as S
 from liccheck5.clifford import GAMMA, SpinorValue
-from liccheck5.errors import (DomainError, FrameMismatchError,
+from liccheck5.errors import (AmbiguousError, DomainError, FrameMismatchError,
                               ScaleMismatchError, SingularError,
                               UnknownTransitionError)
 
@@ -328,7 +328,7 @@ def test_zero_structure():
             if msk.any():
                 w = S.psi_components_htilde(1.0, 0.0, pts[msk])
                 assert np.min(np.linalg.norm(w, axis=1)) >= 0.99 * rad
-    with pytest.raises(DomainError):
+    with pytest.raises(AmbiguousError):
         S.psi_components_htilde(1, 0, np.array([[1.0, 0.5, 0, 0, 0],
                                                 [0.2, 1.0, 0, 0, 0]]))
 

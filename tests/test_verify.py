@@ -109,6 +109,22 @@ def test_tol_override_flips_verdict():
     assert rep.overall == "fail"
 
 
+def test_tol_override_must_name_a_check(tmp_path):
+    with pytest.raises(ValueError, match="twistor-equatoin"):
+        V.run_suite(V.SuiteConfig(samples=8, tol={"twistor-equatoin": 1e-7}),
+                    only=["clifford-relations"])
+    r = CliRunner().invoke(cli.main, [
+        "run", "--only", "clifford-relations",
+        "--tol-override", "twistor-equatoin=1e-7"])
+    assert r.exit_code == 1 and "Error:" in r.output, r.output
+    assert "'twistor-equatoin'" in r.output and "Traceback" not in r.output
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"only": ["clifford-relations"],
+                                "tol": {"no-such-check": 1e-3}}))
+    r = CliRunner().invoke(cli.main, ["run", "--config", str(cfgf)])
+    assert r.exit_code == 1 and "'no-such-check'" in r.output, r.output
+
+
 def test_negative_control_hits_only_the_twistor_check(baseline):
     rep = V.run_suite(V.SuiteConfig(samples=60, perturb=1e-3))
     verdicts = {c.name: c.verdict for c in rep.checks}
@@ -269,6 +285,19 @@ def test_cli_tensor():
                                       "--point", "0.2,0.9,0,0,0",
                                       "--what", "ricci", "--a", "1.0"])
     assert r.exit_code == 0 and "zero (every component" in r.output
+
+
+@pytest.mark.parametrize("family,point", [
+    ("ga", "nan,0.5,0.2,0.1,0.3"),
+    ("ga", "inf,0.5,0.2,0.1,0.3"),
+    ("g0", "nan,0.5,0.2,0.1,0.3"),
+    ("eh", "2,0,-inf,0"),
+])
+def test_cli_tensor_rejects_non_finite_points(family, point):
+    r = CliRunner().invoke(cli.main, ["tensor", "--spec", family,
+                                      "--point", point])
+    assert r.exit_code == 1, r.output
+    assert "Error: point coordinates must be finite" in r.output, r.output
 
 
 def test_cli_calls_keep_no_captured_stdout_alive():
