@@ -26,7 +26,7 @@ def main():
 
 
 # the JSON types a config file may give a SuiteConfig field of each type
-_JSON_TYPES = {float: (int, float), int: int, dict: dict, tuple: list}
+_JSON_TYPES = {float: (int, float), int: int, dict: dict}
 # config-file keys that are run options, not SuiteConfig fields
 _RUN_KEYS = {"report": str, "format": str, "skip": list, "only": list}
 
@@ -103,8 +103,6 @@ def run(a, samples, seed, b, c, tol_override, exclude, skip, only,
     try:
         tol = dict(merged.pop("tol", {}))
         tol.update(_parse_tol(tol_override))
-        if "regions" in merged:
-            merged["regions"] = tuple(merged["regions"])
         cfg = V.SuiteConfig(tol=tol, **merged)
     except (TypeError, ValueError) as exc:
         raise click.ClickException("bad config value: %s" % exc)
@@ -148,7 +146,8 @@ def _field_tag(field):
 @main.command("probe-c1")
 @click.option("--field", default="ga",
               help="ga, ro2, or monomial:m,l_r,l0,l1,l2,l3,l4")
-@click.option("--curves", type=int, default=10, help="random crossing curves")
+@click.option("--curves", type=click.IntRange(min=1), default=10,
+              help="random crossing curves")
 @click.option("--a", "a", type=float, default=1.0, help="family parameter")
 @click.option("--seed", type=int, default=0)
 @click.option("--max-order", type=int, default=3)
@@ -168,11 +167,9 @@ def probe_c1(field, curves, a, seed, max_order):
     _echo("field %s: smoothness class %s across the cone"
           % (field, "C%d" % overall if overall is not None
              else ">= C%d (no jump seen up to probed order)" % max_order))
-    if isinstance(tag, R.MonomialSpec):
-        k = tag.predicted_class
-        want = k - 1 if k <= max_order else None
-    else:
-        want = 1                       # the deformed metric extends C1, not C2
+    # the deformed metric extends C1, not C2: k = 2, as for r_o^2
+    k = tag.predicted_class if isinstance(tag, R.MonomialSpec) else 2
+    want = k - 1 if k <= max_order else None
     _echo("predicted: class %s" % ("C%d" % want if want is not None
                                    else ">= C%d" % max_order))
     sys.exit(0 if overall == want else 1)
@@ -194,7 +191,10 @@ def tensor(family, point, what, a):
     if not np.all(np.isfinite(p)):
         raise click.ClickException("point coordinates must be finite, got %s"
                                    % point)
-    spec = geo.MetricSpec(family, a)
+    try:
+        spec = geo.MetricSpec(family, a)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     if p.shape != (spec.dim,):
         raise click.ClickException("family %s lives in %dd, got a %dd point"
                                    % (family, spec.dim, len(p)))

@@ -1,4 +1,5 @@
-"""Gamma matrices on C^4 for signature (-,+,+,+,+), Clifford action and spin lifts.
+"""Gamma matrices on C^4 for signature (-,+,+,+,+), spinor pairings and the
+vector representation of spin matrices.
 
 Conventions: gamma_0^2 = +Id, gamma_i^2 = -Id (i = 1..4), pairwise
 anticommuting, so X.X = -g(X,X) Id for the flat metric diag(-1,1,1,1,1).
@@ -59,15 +60,6 @@ class SpinorValue:
         self.w = np.asarray(self.w, dtype=complex)
 
 
-def clifford_mul(v, frame, phi: SpinorValue) -> SpinorValue:
-    """Clifford action X.phi for a vector with components v in the given frame."""
-    if frame != phi.frame:
-        raise FrameMismatchError("vector frame %r vs spinor frame %r" % (frame, phi.frame))
-    v = np.asarray(v)
-    w = np.einsum("iab,...i,...b->...a", GAMMA, v, phi.w, optimize=True)
-    return SpinorValue(w, phi.frame)
-
-
 def spinor_inner(phi: SpinorValue, psi: SpinorValue):
     """Indefinite pairing <phi,psi> = (gamma_0 w_phi, w_psi), conjugate-linear
     in the first slot."""
@@ -87,21 +79,6 @@ def spinor_square_components(phi: SpinorValue):
     if np.max(np.abs(p.imag)) > 1e-10 * (1.0 + np.max(np.abs(p.real))):
         raise NonRealPairingError("max imag %g" % np.max(np.abs(p.imag)))
     return p.real
-
-
-def spin_exp(t, i, j):
-    """exp(t/2 * gamma_i gamma_j) in closed form; t may be batched."""
-    t = np.asarray(t, dtype=float)
-    B = GAMMA[i] @ GAMMA[j]
-    B2 = B @ B
-    c = B2[0, 0].real
-    if not (np.allclose(B2, c * np.eye(4)) and abs(abs(c) - 1.0) < 1e-14):
-        raise NotInSpinGroupError("gamma_%d gamma_%d does not square to ±Id" % (i, j))
-    half = t[..., None, None] / 2.0
-    eye = np.eye(4, dtype=complex)
-    if c > 0:
-        return np.cosh(half) * eye + np.sinh(half) * B
-    return np.cos(half) * eye + np.sin(half) * B
 
 
 def lambda_of(S, tol=1e-10):

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import geometry as geo
 from . import jets as J
-from .errors import (DimensionError, DomainError, FrameMismatchError,
-                     OrderError, SingularError)
+from .errors import (DimensionError, FrameMismatchError, OrderError,
+                     SingularError)
 
 # ------------------------------------------------------------------ types
 
@@ -42,20 +42,6 @@ class ConnectionForms:
     omega_frame: np.ndarray      # (..., n, n, n) values, [i,j,k] = omega_ij(f_k)
     curvature_frame: np.ndarray  # (..., n, n, n, n) values,
                                  # [i,j,k,l] = Omega_ij(f_k, f_l)
-
-
-@dataclass
-class ASDBasis:
-    lminus: np.ndarray           # (3, 4, 4) frame components of the basis
-
-
-def asd_basis():
-    """Basis of the anti-self-dual 2-forms in an oriented orthonormal 4-frame."""
-    lam = np.zeros((3, 4, 4))
-    for n, (i, j, k, l) in enumerate(((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))):
-        lam[n, i, j], lam[n, j, i] = 1.0, -1.0
-        lam[n, k, l], lam[n, l, k] = -1.0, 1.0
-    return ASDBasis(lminus=lam)
 
 
 # ------------------------------------------------------------- raw pieces
@@ -269,8 +255,8 @@ def asd_split(frame, spec, x, tol=1e-8):
 
 
 def vector_field_jets(field, x, order=2):
-    """Components of a named vector field ("V", "T") or a custom one, as an
-    (n,) tensor jet.
+    """Components of the named vector field "V" or a custom one, as an (n,)
+    tensor jet.
 
     A custom field is a callable mapping the point array to an (n,) tensor
     jet or a list of n scalar jets (or such a value directly)."""
@@ -278,21 +264,12 @@ def vector_field_jets(field, x, order=2):
         if callable(field):
             field = field(x)
         return field if isinstance(field, J.Jet) else J.stack(field)
+    if field != "V":
+        raise ValueError("unknown vector field tag %r" % (field,))
     xj = J.seed(np.asarray(x, dtype=float), order=order)
     x0 = xj[0]
-    r2 = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
-    w = r2 + x0 * x0
-    if field == "V":
-        comps = [(-1.0) * w] + [(-2.0) * x0 * xj[m] for m in range(1, 5)]
-    elif field == "T":
-        if np.any(np.asarray(r2.val) == 0.0):
-            raise DomainError("the radial field is singular on the axis r = 0")
-        r = geo.radial_r(xj)
-        wr = w * r.reciprocal()
-        comps = [(-2.0) * x0 * r] + [(-1.0) * wr * xj[m] for m in range(1, 5)]
-    else:
-        raise ValueError("unknown vector field tag %r" % (field,))
-    return J.stack(comps)
+    w = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] + x0 * x0
+    return J.stack([(-1.0) * w] + [(-2.0) * x0 * xj[m] for m in range(1, 5)])
 
 
 def lie_derivative_metric(field, spec, x):

@@ -45,10 +45,6 @@ class DimensionError(LicError):
     """Operation requires a different dimension (e.g. duality split needs 4d)."""
 
 
-class ScaleMismatchError(LicError):
-    """Conformal factor inconsistent with the metric pair."""
-
-
 class NonRealPairingError(LicError):
     """Spinor pairing expected to be real has a non-negligible imaginary part."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets as J
-from .errors import AmbiguousError, DimensionError, DomainError, SingularError
+from .errors import AmbiguousError, DimensionError, DomainError
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
@@ -30,13 +30,6 @@ ETA.setflags(write=False)
 REGION_TAGS = ("L_interior", "L_boundary", "B_a", "OutsideClosure", "AxisRzero")
 
 _FAMILIES = ("g0", "ga", "gatilde", "ha", "eh")
-_ALIASES = {
-    "minkowski_g0": "g0",
-    "ga": "ga",
-    "gatilde": "gatilde",
-    "ha": "ha",
-    "eguchihanson": "eh",
-}
 
 
 @dataclass(frozen=True)
@@ -52,13 +45,10 @@ class MetricSpec:
     a: float = 1.0
 
     def __post_init__(self):
-        fam = self.family.lower()
-        fam = _ALIASES.get(fam, fam)
-        if fam not in _FAMILIES:
+        if self.family not in _FAMILIES:
             raise ValueError("unknown metric family %r" % (self.family,))
-        object.__setattr__(self, "family", fam)
-        if fam != "g0" and not self.a > 0:
-            raise ValueError("family %r needs a > 0" % fam)
+        if self.family != "g0" and not self.a > 0:
+            raise ValueError("family %r needs a > 0" % self.family)
 
     @property
     def dim(self):
@@ -158,7 +148,8 @@ def beta_jet(ro, a):
 @dataclass(frozen=True)
 class RadialJets:
     """The cone's radial coordinate functions over one batch of coordinate
-    jets, each built once: r, d = r^2 - x0^2, r_o and beta."""
+    jets, each built once: r^2, r, d = r^2 - x0^2, r_o and beta."""
+    r2: J.Jet
     r: J.Jet
     d: J.Jet
     ro: J.Jet
@@ -169,10 +160,11 @@ def radial_jets(xj, a):
     """RadialJets of the coordinate jets xj for the family parameter a.  On
     L, r_o = 0 and beta = 1; the cone itself and a batch mixing the two
     sides raise AmbiguousError."""
-    r = radial_r(xj)
-    d = cone_d(xj)
+    r2 = _r2(xj)
+    r = r2.sqrt()
+    d = r2 - xj[0] * xj[0]
     ro = radial_ro(xj, r, d)
-    return RadialJets(r, d, ro, beta_jet(ro, a))
+    return RadialJets(r2, r, d, ro, beta_jet(ro, a))
 
 
 def sigma_forms(spatial):
@@ -276,56 +268,13 @@ def _metric_ga(xj, rad, a):
     """g_a on the exterior side from the batch's radial jets.  r^2 and
     beta^2 = 1 - (a r_o)^4 are formed before any square root: squaring the
     bundle's r and beta instead moves the suite's residuals by up to 5x."""
-    r2 = _r2(xj)
+    r2 = rad.r2
     ro2 = rad.ro * rad.ro
     u = (a ** 4) * ro2 * ro2          # (a r_o)^4
     _, _, sig3 = sigma_forms(xj[1:])
     c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
     return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
                                  (c, alpha_form(xj, rad.r))])
-
-
-# ---------------------------------------------------------------- psi map
-
-def psi_map(x):
-    """Psi(x) = (-x0, x1..x4)/(r^2 - x0^2); involutive chart swap."""
-    x = np.asarray(x, dtype=float)
-    _, d, _ = radial_values(x)
-    if np.any(d == 0.0):
-        raise SingularError("psi is singular on the cone r = |x0|")
-    out = x / d[..., None]
-    out[..., 0] = -out[..., 0]
-    return out
-
-
-def psi_jets(x, order=3):
-    """Component jets of the psi map."""
-    x = np.asarray(x, dtype=float)
-    xj = J.seed(x, order=order)
-    d = cone_d(xj)
-    if np.any(d.val == 0.0):
-        raise SingularError("psi is singular on the cone r = |x0|")
-    idet = d.reciprocal()
-    comps = [(-1.0) * xj[0] * idet]
-    comps += [xj[i] * idet for i in range(1, 5)]
-    return comps
-
-
-def psi_pushforward(x):
-    """Jacobian of psi as a (..., 5, 5) array, J[i, j] = d psi_i / d x_j."""
-    comps = psi_jets(x, order=1)
-    return np.stack([c.grad for c in comps], axis=-2)
-
-
-# ------------------------------------------------------------ scalar helpers
-
-def s_R_values(x):
-    """The chart pair (s, R) = (-x0/(r^2-x0^2), r/(r^2-x0^2)) as plain arrays."""
-    x = np.asarray(x, dtype=float)
-    r, d, _ = radial_values(x)
-    if np.any(d == 0.0):
-        raise SingularError("chart singular on the cone")
-    return -x[..., 0] / d, r / d
 
 
 def mu_jet(d):

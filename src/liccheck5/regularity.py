@@ -35,8 +35,6 @@ from . import geometry as geo
 from . import jets as J
 from .errors import NonTransversalError, OrderError
 
-VERDICTS = ("continuous", "jump", "divergent")
-
 
 @dataclass(frozen=True)
 class MonomialSpec:
@@ -199,7 +197,7 @@ def _unit_no_small(rng, k, floor=0.25):
     return w / np.linalg.norm(w)
 
 
-def random_crossing_curve(rng, t0=0.1, n=12):
+def random_crossing_curve(rng):
     """Affine curve through a generic cone point away from the vertex."""
     u = rng.uniform(0.4, 1.0)
     s = rng.choice([-1.0, 1.0])
@@ -207,26 +205,24 @@ def random_crossing_curve(rng, t0=0.1, n=12):
     base = np.concatenate([[s * u], u * w])
     xi = rng.uniform(-0.3, 0.3, 4)
     direction = np.concatenate([[-s], w + xi])
-    return CrossingCurve(base, direction, t0=t0, n=n)
+    return CrossingCurve(base, direction)
 
 
-def vertex_curve(rng, t0=0.1, n=12):
+def vertex_curve(rng):
     """Two-ray curve through the vertex: exterior for t > 0, timelike
     axis (where the extension is zero) for t < 0."""
     d = np.concatenate([[rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.6)],
                         _unit_no_small(rng, 4)])
-    return CrossingCurve(np.zeros(5), d, t0=t0, n=n)
+    return CrossingCurve(np.zeros(5), d)
 
 
-def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3,
-                 t0=0.1, n=12, include_vertex=True):
+def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3):
     """Probe a field along a family of random transversal curves plus one
     vertex curve; the field's class is the min over curves (None = every
     probed order continuous on every curve)."""
     rng = np.random.default_rng(seed)
-    curves = [random_crossing_curve(rng, t0=t0, n=n) for _ in range(n_curves)]
-    if include_vertex:
-        curves.append(vertex_curve(rng, t0=t0, n=n))
+    curves = [random_crossing_curve(rng) for _ in range(n_curves)]
+    curves.append(vertex_curve(rng))
     reports = [smoothness_probe(field_tag, c, max_order=max_order, a=a)
                for c in curves]
     classes = [r.smoothness_class for r in reports]
@@ -237,52 +233,7 @@ def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3,
     return reports, overall
 
 
-# --------------------------------------------------------- bounds and decay
-
-def sample_bat(n, t, a=1.0, seed=0):
-    """Samples of the exterior region with r <= t (and r_o below 1/a)."""
-    rng = np.random.default_rng(seed)
-    out = np.empty((0, 5))
-    while len(out) < n:
-        r = t * rng.uniform(0.0, 1.0, 2 * n) ** 0.25
-        x0 = r * rng.uniform(-1.0, 1.0, 2 * n)
-        w = rng.normal(size=(2 * n, 4))
-        w /= np.linalg.norm(w, axis=1)[:, None]
-        x = np.column_stack([x0, r[:, None] * w])
-        ro = geo.radial_values(x)[2]
-        out = np.vstack([out, x[(ro > 0) & (ro < 1.0 / a)]])
-    return out[:n]
-
-
-def boundedness_probe(l, t, a=1.0, n=4000, seed=0):
-    """Sampled sup of |f_l| over the truncated exterior region; for
-    s_l >= 0 this is bounded by t**s_l."""
-    if isinstance(l, MonomialSpec):
-        l = l.l
-    l = tuple(int(v) for v in l)
-    s_l = -l[0] + sum(l[1:])
-    if s_l < 0:
-        raise ValueError("the t**s_l bound needs s_l >= 0")
-    x = sample_bat(n, t, a=a, seed=seed)
-    vals = geo.radial_values(x)[0] ** float(-l[0])
-    for i in range(5):
-        if l[i + 1]:
-            vals = vals * x[:, i] ** l[i + 1]
-    return float(np.max(np.abs(vals)))
-
-
-def dro_gradient_sup(a=1.0, n=4000, seed=0):
-    """Sampled sup of the coefficients of dr_o over the exterior region
-    (radii spread over several decades; the true bound is 2)."""
-    rng = np.random.default_rng(seed)
-    r = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    x0 = r * rng.uniform(-1.0, 1.0, n)
-    w = rng.normal(size=(n, 4))
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    x = np.column_stack([x0, r[:, None] * w])
-    x = x[geo.radial_values(x)[2] < 1.0 / a]
-    return float(np.max(np.abs(geo.radial_jets(J.seed(x, order=1), a).ro.grad)))
-
+# ------------------------------------------------------------------ decay
 
 def weyl_decay_exponent(curve, a=1.0):
     """Fitted power of r_o with which the deformed metric's Weyl tensor

@@ -33,8 +33,7 @@ from . import frames as F
 from . import geometry as geo
 from . import jets as J
 from .clifford import GAMMA, SpinorValue
-from .errors import (DomainError, ScaleMismatchError, SingularError,
-                     UnknownTransitionError)
+from .errors import SingularError, UnknownTransitionError
 
 N = 5
 ESSENTIAL_SIGN = -1.0
@@ -108,33 +107,7 @@ def nu_bc(b, c):
     return SpinorField("f", comps, "nu_bc(%g,%g)" % (b.real, c.real))
 
 
-def psi_w0(w0):
-    """Flat twistor spinor with a zero at the origin: the position vector
-    Clifford-multiplied into the constant spinor w0, components in frame u."""
-    w0 = np.asarray(w0, dtype=complex).reshape(4)
-    coef = np.einsum('iab,b->ia', GAMMA, w0)
-
-    def comps(x, order=3):
-        x, xj = _seed5(x, order)
-        return J.jeinsum("ia,i->a", coef, J.stack(xj))
-    return SpinorField("u", comps, "psi_w0")
-
-
-def constant_spinor(w, frame="u"):
-    w = np.asarray(w, dtype=complex).reshape(4)
-
-    def comps(x, order=3):
-        return J.constant(w, N, order, np.shape(x)[:-1])
-    return SpinorField(frame, comps, "constant")
-
-
 # --------------------------------------------------------- spin connection
-
-def _frame_value(frame, spec, x, order=1):
-    if isinstance(frame, F.FrameValue):
-        return frame
-    return F.frame_eval(frame, x, a=spec.a, order=order)
-
 
 def _spin_matrices(forms):
     """Per-direction matrices Sigma_k from lowered connection forms."""
@@ -144,35 +117,24 @@ def _spin_matrices(forms):
                             optimize=True)
 
 
-def _cov(forms, Fv, comp):
-    """nabla_k phi along every frame direction, (..., n, 4), from the
-    connection forms, the frame values and an order-1 component jet."""
-    sig = _spin_matrices(forms)
-    return (np.einsum('...mk,...am->...ka', Fv, comp.grad)
-            + np.einsum('...kab,...b->...ka', sig, comp.val))
-
-
-def _cov_all(phi, spec, x, tol=1e-8, forms=None):
+def _cov_all(phi, spec, x, forms=None):
     """Covariant derivative of phi along every frame direction and the frame
     signature, (cov (..., n, 4), eps).  ``forms`` overrides the connection
     forms (for probing against a modified metric)."""
     x = np.asarray(x, dtype=float)
-    fr = _frame_value(phi.frame_id, spec, x)
+    fr = F.frame_eval(phi.frame_id, x, a=spec.a, order=1)
     if forms is None:
-        forms = C.connection_forms(fr, spec, x, tol=tol)
+        forms = C.connection_forms(fr, spec, x)
     comp = phi.components(x, order=1)
-    return _cov(forms, fr.vectors.val.real, comp), forms.eps
+    sig = _spin_matrices(forms)
+    cov = (np.einsum('...mk,...am->...ka', fr.vectors.val.real, comp.grad)
+           + np.einsum('...kab,...b->...ka', sig, comp.val))
+    return cov, forms.eps
 
 
 def _dirac_w(cov, eps):
     """Components of D phi = sum_k eps_k f_k . nabla_k phi."""
     return np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
-
-
-def _twistor_p(cov, eps):
-    """P_k = nabla_k phi + (1/5) f_k . D phi for every direction, (..., n, 4)."""
-    dw = _dirac_w(cov, eps)
-    return cov + np.einsum('kab,...b->...ka', GAMMA, dw) / float(N)
 
 
 def dirac(phi, spec, x):
@@ -183,7 +145,8 @@ def dirac(phi, spec, x):
 def twistor_residual(phi, spec, x, forms=None):
     """All five residuals P_k = nabla_k phi + (1/5) f_k . D phi."""
     cov, eps = _cov_all(phi, spec, x, forms=forms)
-    P = _twistor_p(cov, eps)
+    dw = _dirac_w(cov, eps)
+    P = cov + np.einsum('kab,...b->...ka', GAMMA, dw) / float(N)
     dirs = [SpinorValue(P[..., k, :], phi.frame_id) for k in range(N)]
     return TwistorResidual(directions=dirs,
                            norm=float(np.max(np.abs(P))),
@@ -232,47 +195,6 @@ def change_spinor_frame(phi, from_frame, to_frame, x, a=1.0):
     return SpinorValue(np.einsum('...ab,...b->...a', m, w), to_frame)
 
 
-def conformal_rescale_spinor(phi, sigma, from_spec, to_spec, x, to_frame=None):
-    """Map a twistor spinor to the conformally rescaled metric: components
-    times e^{sigma/2}, where g_to = e^{2 sigma} g_from at x (verified)."""
-    x = np.asarray(x, dtype=float)
-    sv = np.asarray(sigma(x) if callable(sigma) else sigma, dtype=float)
-    gf = geo.metric_jets(from_spec, x, order=0).val.real
-    gt = geo.metric_jets(to_spec, x, order=0).val.real
-    resid = gt - np.exp(2.0 * sv)[..., None, None] * gf
-    if np.max(np.abs(resid)) > 1e-10 * max(1.0, float(np.max(np.abs(gt)))):
-        raise ScaleMismatchError("metrics are not e^{2 sigma}-related at the "
-                                 "given points")
-    w = phi.w if isinstance(phi, SpinorValue) else np.asarray(phi, dtype=complex)
-    frame = phi.frame if isinstance(phi, SpinorValue) else None
-    retag = {"e": "etilde", "etilde": "e"}
-    if to_frame is None:
-        to_frame = retag.get(frame, frame)
-    return SpinorValue(np.exp(0.5 * sv)[..., None] * w, to_frame)
-
-
-def conformal_flat_twistor_residual(w0, coeffs, x):
-    """Sup twistor residual of the rescaled flat twistor spinor.
-
-    The flat metric is rescaled by the square of q(x) = c0 + sum c_i x_i
-    (q > 0 required on the batch), the frame by 1/q, the spinor by sqrt(q);
-    the residual of the rescaled spinor under the rescaled metric comes
-    back as a plain sup norm."""
-    coeffs = np.asarray(coeffs, dtype=float).reshape(6)
-    x, xj = _seed5(x, 3)
-    q = J.constant(coeffs[0], N, 3, x.shape[:-1])
-    for i in range(N):
-        q = q + coeffs[i + 1] * xj[i]
-    if np.any(q.val <= 0.0):
-        raise DomainError("conformal factor must stay positive on the batch")
-    g = J.jeinsum(",ij->ij", q * q, geo.ETA)
-    Fj = J.jeinsum(",ij->ij", q.reciprocal(), np.eye(N))
-    forms = C.forms_from_jets("u_rescaled", Fj, g)
-    comp = J.jeinsum(",a->a", q.sqrt(), psi_w0(w0).components(x, order=1))
-    cov = _cov(forms, Fj.val.real, comp)
-    return float(np.max(np.abs(_twistor_p(cov, forms.eps))))
-
-
 # ------------------------------------------------------------ squares
 
 def spinor_square(phi, spec, x):
@@ -286,7 +208,7 @@ def spinor_square(phi, spec, x):
         frame_id, w = phi.frame, phi.w
     else:
         frame_id, w = phi.frame_id, phi.values(x)
-    fr = _frame_value(frame_id, spec, x, order=0)
+    fr = F.frame_eval(frame_id, x, a=spec.a, order=0)
     p = CL.spinor_square_components(SpinorValue(w, frame_id))
     vf = CL.EPS * p
     Fv = fr.vectors.val.real

@@ -48,7 +48,6 @@ class SuiteConfig:
     c: float = 0.0
     tol: dict = field(default_factory=dict)
     exclusion: float = 1e-3
-    regions: tuple = ("B_a", "L")
     perturb: float = 0.0          # metric perturbation for the negative control
 
     def __post_init__(self):
@@ -61,9 +60,6 @@ class SuiteConfig:
         for k, v in self.tol.items():
             if v <= 0:
                 raise ValueError("tolerance override %r must be positive" % k)
-        bad = set(self.regions) - {"B_a", "L"}
-        if bad:
-            raise ValueError("unknown region tags %s" % sorted(bad))
 
 
 @dataclass
@@ -280,10 +276,8 @@ def _chk_conformal_killing(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
     out = []
     n = 0
-    for i, (region, m) in enumerate((("B_a", 0.02), ("L", 0.02))):
-        if region not in cfg.regions:
-            continue
-        x = _draw(cfg, region, seed + i, m)
+    for i, region in enumerate(("B_a", "L")):
+        x = _draw(cfg, region, seed + i, 0.02)
         n += len(x)
         gv = geo.metric_jets(spec, x, order=0).val.real
         LV = C.lie_derivative_metric("V", spec, x)
@@ -293,10 +287,10 @@ def _chk_conformal_killing(cfg, seed):
     return np.concatenate(out), n
 
 
-def _square_pieces(cfg, seed, m_b=0.02, m_l=0.02):
+def _square_pieces(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
-    xb = _draw(cfg, "B_a", seed, m_b)
-    xl = _draw(cfg, "L", seed + 1, m_l, n=max(cfg.samples // 3, 1))
+    xb = _draw(cfg, "B_a", seed, 0.02)
+    xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
     Vb = S.spinor_square(S.psi_bc(cfg.b, cfg.c), spec, xb)
     Vl = S.spinor_square(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
     return spec, (xb, Vb), (xl, Vl)
@@ -541,8 +535,7 @@ def _seed_for(name, seed):
 def _config_echo(cfg):
     return {"a": cfg.a, "samples": cfg.samples, "seed": cfg.seed,
             "b": cfg.b, "c": cfg.c, "tol": dict(cfg.tol),
-            "exclusion": cfg.exclusion, "regions": list(cfg.regions),
-            "perturb": cfg.perturb}
+            "exclusion": cfg.exclusion, "perturb": cfg.perturb}
 
 
 def _versions():

@@ -81,7 +81,9 @@ def test_etilde_equals_f_kappa():
 
 def test_kappa_is_boost_exponential():
     x = sample_ba(150, seed=46)
-    s, R = geo.s_R_values(x)
+    # the chart pair (s, R) = (-x0, r) / (r^2 - x0^2)
+    r, d, _ = geo.radial_values(x)
+    s, R = -x[:, 0] / d, r / d
     t = np.log((R - s) / (R + s))
     kap = F.transform_eval("kappa", x, order=0).matrix.val
     expected = np.zeros_like(kap)
@@ -248,9 +250,10 @@ def test_e01_generator():
 
 
 def _count_radial_builds(monkeypatch):
-    """Wrap geometry's builders of r, r_o and beta; return their counters."""
+    """Wrap geometry's builders of r^2, r_o and beta; return their counters.
+    Every r and d jet is derived from an r^2 jet."""
     counts = {}
-    for name in ("radial_r", "radial_ro", "beta_jet"):
+    for name in ("_r2", "radial_ro", "beta_jet"):
         def counted(*args, _fn=getattr(geo, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
@@ -273,4 +276,4 @@ RADIAL_CALLS = {
 def test_one_call_builds_each_radial_jet_once(call, monkeypatch):
     counts = _count_radial_builds(monkeypatch)
     RADIAL_CALLS[call](np.array([[0.1, 0.5, 0.2, 0.1, 0.3]]))
-    assert counts == {"radial_r": 1, "radial_ro": 1, "beta_jet": 1}
+    assert counts == {"_r2": 1, "radial_ro": 1, "beta_jet": 1}

@@ -5,11 +5,11 @@ from liccheck5 import clifford as CL
 from liccheck5 import curvature as C
 from liccheck5 import frames as F
 from liccheck5 import geometry as geo
+from liccheck5 import jets as J
 from liccheck5 import spingeo as S
 from liccheck5.clifford import GAMMA, SpinorValue
 from liccheck5.errors import (AmbiguousError, DomainError, FrameMismatchError,
-                              ScaleMismatchError, SingularError,
-                              UnknownTransitionError)
+                              SingularError, UnknownTransitionError)
 
 from conftest import sample_ba, sample_l
 
@@ -74,7 +74,10 @@ def test_psi_twistor_on_flat_side():
 
 def test_flat_twistor_with_zero():
     x = np.random.default_rng(6).uniform(-2, 2, size=(50, 5))
-    pw = S.psi_w0(W0)
+    # the position vector Clifford-multiplied into the constant spinor W0
+    coef = np.einsum('iab,b->ia', GAMMA, W0)
+    pw = S.SpinorField("u", lambda x, order: J.jeinsum(
+        "ia,i->a", coef, J.stack(J.seed(x, order=order))), "psi_w0")
     res = S.twistor_residual(pw, G0, x)
     assert res.norm < 1e-10
     dw = S.dirac(pw, G0, x)
@@ -86,7 +89,9 @@ def test_flat_twistor_with_zero():
 
 def test_constant_spinor_flat():
     x = np.random.default_rng(7).uniform(-1, 1, size=(10, 5))
-    cw = S.constant_spinor([1.0, 2.0, 0.5j, -1.0])
+    cw = S.SpinorField("u", lambda x, order: J.constant(
+        np.array([1.0, 2.0, 0.5j, -1.0]), 5, order, np.shape(x)[:-1]),
+        "constant")
     assert S.twistor_residual(cw, G0, x).norm == 0.0
     assert np.max(np.abs(S.dirac(cw, G0, x).w)) == 0.0
 
@@ -135,18 +140,18 @@ def test_square_of_psi_is_the_timelike_field(frame, sampler):
 def test_square_constant_brute_force():
     x = np.zeros((1, 5))
     w = np.array([0.4 + 0.3j, -1.0, 0.2j, 0.8])
-    V = S.spinor_square(S.constant_spinor(w), G0, x)[0]
+    V = S.spinor_square(SpinorValue(w, "u"), G0, x)[0]
     g0w = GAMMA[0] @ w
     expected = np.array([CL.EPS[i] * np.real(np.vdot(g0w, GAMMA[i] @ w))
                          for i in range(5)])
     assert np.max(np.abs(V - expected)) < 1e-12
-    V1 = S.spinor_square(S.constant_spinor([1, 0, 0, 0]), G0, x)[0]
+    V1 = S.spinor_square(SpinorValue([1, 0, 0, 0], "u"), G0, x)[0]
     assert np.max(np.abs(V1 - np.array([-1.0, 0, 0, 0, 0]))) < 1e-15
 
 
 def test_square_zero_spinor():
     x = np.zeros((3, 5))
-    V = S.spinor_square(S.constant_spinor(np.zeros(4)), G0, x)
+    V = S.spinor_square(SpinorValue(np.zeros((3, 4)), "u"), G0, x)
     assert np.max(np.abs(V)) == 0.0
 
 
@@ -260,41 +265,6 @@ def test_change_frame_unknown():
         S.change_spinor_frame(np.zeros(4), "u", "f", x)
     with pytest.raises(UnknownTransitionError):
         S.change_spinor_frame(SpinorValue(np.zeros(4), "f"), "e", "u", x)
-
-
-# ------------------------------------------------- conformal covariance
-
-
-def test_conformal_rescale_to_parallel():
-    x = sample_ba(40, lo=0.15, hi=0.9, seed=21)
-    d = np.sum(x[:, 1:] ** 2, 1) - x[:, 0] ** 2
-    we = S.psi_bc(0.7, 0.4).values(x)
-    wt = S.conformal_rescale_spinor(SpinorValue(we, "e"), -np.log(d), GA, GAT, x)
-    assert wt.frame == "etilde"
-    assert np.max(np.abs(wt.w - we * d[:, None] ** -0.5)) < 1e-12
-    nu = S.change_spinor_frame(wt, "etilde", "f", x)
-    target = np.zeros_like(we)
-    target[:, 2], target[:, 3] = 0.7, 0.4
-    assert np.max(np.abs(nu.w - target)) < 1e-12
-
-
-def test_conformal_rescale_identity_and_mismatch():
-    x = sample_ba(10, lo=0.2, hi=0.8, seed=22)
-    w = S.psi_bc(1.0, 0.0).values(x)
-    same = S.conformal_rescale_spinor(SpinorValue(w, "e"), np.zeros(10), GA, GA, x)
-    assert np.max(np.abs(same.w - w)) == 0.0
-    with pytest.raises(ScaleMismatchError):
-        S.conformal_rescale_spinor(SpinorValue(w, "e"), np.ones(10), GA, GAT, x)
-
-
-def test_conformal_rescale_flat_random():
-    rng = np.random.default_rng(23)
-    for seed in range(3):
-        coeffs = np.concatenate([[1.5], rng.uniform(-0.15, 0.15, 5)])
-        xs = rng.uniform(-1.5, 1.5, (30, 5))
-        assert S.conformal_flat_twistor_residual(W0, coeffs, xs) < 1e-10
-    with pytest.raises(DomainError):
-        S.conformal_flat_twistor_residual(W0, [0.1, 1, 0, 0, 0, 0], xs)
 
 
 def test_residual_covariance_round_trip():

@@ -62,8 +62,6 @@ def test_config_validation():
         V.SuiteConfig(a=2.0, exclusion=0.06)   # must stay below 1/(10a)
     with pytest.raises(ValueError):
         V.SuiteConfig(tol={"twistor-equation": -1e-8})
-    with pytest.raises(ValueError):
-        V.SuiteConfig(regions=("B_a", "moon"))
 
 
 # ---------------------------------------------------------------- the suite
@@ -251,12 +249,19 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
 def test_cli_config_takes_every_suite_field(tmp_path):
     cfgf = tmp_path / "cfg.json"
     out = tmp_path / "rep.json"
-    cfgf.write_text(json.dumps({"regions": ["B_a"],
-                                "only": ["conformal-killing"],
-                                "report": str(out)}))
+    fields = {"a": 1.0, "samples": 40, "seed": 3, "b": 1.0, "c": 0.5,
+              "tol": {"conformal-killing": 1e-8}, "exclusion": 2e-3,
+              "perturb": 0.0}
+    assert set(fields) == {f.name for f in dataclasses.fields(V.SuiteConfig)}
+    cfgf.write_text(json.dumps(dict(fields, only=["conformal-killing"],
+                                    report=str(out))))
     r = CliRunner().invoke(cli.main, ["run", "--config", str(cfgf)])
     assert r.exit_code == 0, r.output
-    assert json.loads(out.read_text())["config"]["regions"] == ["B_a"]
+    assert json.loads(out.read_text())["config"] == fields
+    cfgf.write_text(json.dumps({"regions": ["B_a"]}))
+    r = CliRunner().invoke(cli.main, ["run", "--config", str(cfgf)])
+    assert r.exit_code == 1
+    assert "Error: unknown config keys: ['regions']" in r.output, r.output
     cfgf.write_text(json.dumps({"perturb": 1e-3,
                                 "only": ["twistor-equation"]}))
     r = CliRunner().invoke(cli.main, ["run", "--config", str(cfgf)])
@@ -271,6 +276,20 @@ def test_cli_probe_c1():
     assert "class C1" in r.output
     r = CliRunner().invoke(cli.main, ["probe-c1", "--field", "monomial:9"])
     assert r.exit_code != 0
+    for n in ("0", "-3"):
+        r = CliRunner().invoke(cli.main, ["probe-c1", "--curves", n])
+        assert r.exit_code == 2 and "Invalid value for '--curves'" in r.output
+
+
+@pytest.mark.parametrize("max_order,want", [
+    (0, ">= C0"), (1, ">= C1"), (2, "C1"), (3, "C1")])
+def test_cli_probe_c1_ga_honours_max_order(max_order, want):
+    # ga is C1 but not C2, like r_o^2: orders below 2 see no jump
+    r = CliRunner().invoke(cli.main, ["probe-c1", "--field", "ga",
+                                      "--curves", "1",
+                                      "--max-order", str(max_order)])
+    assert r.exit_code == 0, r.output
+    assert "predicted: class %s\n" % want in r.output, r.output
 
 
 def test_cli_tensor():
@@ -298,6 +317,14 @@ def test_cli_tensor_rejects_non_finite_points(family, point):
                                       "--point", point])
     assert r.exit_code == 1, r.output
     assert "Error: point coordinates must be finite" in r.output, r.output
+
+
+@pytest.mark.parametrize("a", ["-1", "0", "nan"])
+def test_cli_tensor_rejects_bad_family_parameter(a):
+    r = CliRunner().invoke(cli.main, ["tensor", "--spec", "ga", "--point",
+                                      "0.1,0.5,0.2,0.1,0.3", "--a", a])
+    assert r.exit_code == 1, r.output
+    assert "Error: family 'ga' needs a > 0" in r.output, r.output
 
 
 def test_cli_calls_keep_no_captured_stdout_alive():
