@@ -35,7 +35,6 @@ from .errors import (DimensionError, FrameMismatchError, OrderError,
 
 @dataclass
 class ConnectionForms:
-    frame_id: str
     eps: np.ndarray              # frame signature, diag of the Gram matrix
     omega: J.Jet                 # (n, n, n) tensor jet, [i, j, mu]:
                                  # coordinate components of omega_ij (lowered)
@@ -145,10 +144,10 @@ def connection_forms(frame, spec, x, tol=1e-8):
         raise DimensionError("frame is %s but the metric is %dd"
                              % (F.val.shape[-2:], n))
     g = geo.metric_jets(spec, x, order=2)
-    return forms_from_jets(frame.id, F, g, label=spec.family, tol=tol)
+    return forms_from_jets(F, g, label=spec.family, tol=tol)
 
 
-def forms_from_jets(frame_id, F, g, label="custom", tol=1e-8):
+def forms_from_jets(F, g, label="custom", tol=1e-8):
     """connection_forms for an explicit (frame jets, metric jets) pair."""
     n = F.val.shape[-1]
     Fv = F.val.real
@@ -168,8 +167,8 @@ def forms_from_jets(frame_id, F, g, label="custom", tol=1e-8):
     pieces = _curvature_pieces(g, gam=gam)
     curv = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
                      pieces["lowered"], Fv, Fv, Fv, Fv, optimize=True)
-    return ConnectionForms(frame_id=frame_id, eps=eps, omega=omega,
-                           omega_frame=omega_frame, curvature_frame=curv)
+    return ConnectionForms(eps=eps, omega=omega, omega_frame=omega_frame,
+                           curvature_frame=curv)
 
 
 def structure_residuals(forms, frame, spec, x):

@@ -34,16 +34,8 @@ E01.setflags(write=False)
 
 @dataclass
 class FrameValue:
-    id: str
     vectors: J.Jet               # (5, 5) tensor jet, columns = vectors
     metric_spec: geo.MetricSpec
-
-
-@dataclass
-class TransformValue:
-    id: str
-    matrix: object               # tensor jet (vector transforms) or complex
-                                 # values (lifts)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -150,8 +142,8 @@ def _qtilde_matrix(x, a):
 def _kappa_matrix(x, order):
     x, xj = _seed(x, order)
     _require_exterior(x, "kappa")
-    r = geo.radial_r(xj)
-    idet = geo.cone_d(xj).reciprocal()
+    _, r, d = geo.r2_r_d(xj)
+    idet = d.reciprocal()
     ch = (r * r + xj[0] * xj[0]) * idet
     sh = 2.0 * xj[0] * r * idet
     return _boost(ch, (-1.0) * sh)
@@ -172,25 +164,26 @@ def _kappatilde_matrix(x):
 
 def transform_eval(id, x, a=1.0, order=3):
     """One of the transition matrices {G, Gtilde, Q, Qtilde, kappa,
-    kappatilde, E01} evaluated at x."""
+    kappatilde, E01} evaluated at x: a tensor jet for the vector transforms,
+    complex values for the lifts Gtilde, Qtilde and kappatilde."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 5:
         raise DimensionError("expected points with 5 components")
     if id == "G":
         _, xj = _seed(x, order)
-        return TransformValue("G", _g_matrix(x, xj))
+        return _g_matrix(x, xj)
     if id == "Gtilde":
-        return TransformValue("Gtilde", _gtilde_matrix(x))
+        return _gtilde_matrix(x)
     if id == "Q":
-        return TransformValue("Q", _boost(*k_q_rho(x, a, order)[:2]))
+        return _boost(*k_q_rho(x, a, order)[:2])
     if id == "Qtilde":
-        return TransformValue("Qtilde", _qtilde_matrix(x, a))
+        return _qtilde_matrix(x, a)
     if id == "kappa":
-        return TransformValue("kappa", _kappa_matrix(x, order))
+        return _kappa_matrix(x, order)
     if id == "kappatilde":
-        return TransformValue("kappatilde", _kappatilde_matrix(x))
+        return _kappatilde_matrix(x)
     if id == "E01":
-        return TransformValue("E01", E01)
+        return E01
     raise ValueError(f"unknown transform id {id!r}")
 
 
@@ -267,8 +260,7 @@ def frame_htilde(x, a=1.0, order=3):
     x, xj = _seed(x, order)
     spec = geo.MetricSpec("ga", a)
     if geo.cone_side(x) < 0:
-        return FrameValue("htilde", J.constant(np.eye(5), 5, order,
-                                               x.shape[:-1]), spec)
+        return FrameValue(J.constant(np.eye(5), 5, order, x.shape[:-1]), spec)
     rad = geo.radial_jets(xj, a)
     k, q, _ = _k_q_rho(xj, rad, a)
     r, ro, beta = rad.r, rad.ro, rad.beta
@@ -289,7 +281,7 @@ def frame_htilde(x, a=1.0, order=3):
             t = wm1 * xj[m] * xj[j] * ir2 + bm1 * k3[m - 1] * k3[j - 1] * ir2
             col.append((t + 1.0) if m == j else t)
         cols.append(col)
-    return FrameValue("htilde", _columns(cols), spec)
+    return FrameValue(_columns(cols), spec)
 
 
 def frame_eval(id, x, a=1.0, order=3):
@@ -298,16 +290,15 @@ def frame_eval(id, x, a=1.0, order=3):
         return frame_htilde(x, a, order=order)
     x, xj = _seed(x, order)
     if id == "u":
-        return FrameValue("u", J.constant(np.eye(5), 5, order, x.shape[:-1]),
+        return FrameValue(J.constant(np.eye(5), 5, order, x.shape[:-1]),
                           geo.MetricSpec("g0"))
     if id == "e":
         rad = geo.radial_jets(xj, a)
-        return FrameValue("e", _columns(_frame_e(xj, rad, a)),
-                          geo.MetricSpec("ga", a))
+        return FrameValue(_columns(_frame_e(xj, rad, a)), geo.MetricSpec("ga", a))
     if id in ("f", "etilde"):
         _require_exterior(x, "frame " + id)
         build = _frame_f if id == "f" else _frame_etilde
-        return FrameValue(id, _columns(build(xj, geo.radial_jets(xj, a))),
+        return FrameValue(_columns(build(xj, geo.radial_jets(xj, a))),
                           geo.MetricSpec("gatilde", a))
     raise ValueError(f"unknown frame id {id!r}")
 
@@ -329,7 +320,7 @@ def eh_frame(y, a=1.0, order=3):
     ib = beta.reciprocal()
     vec = J.stack([[(-1.0) * beta * yj[m] * ir, k1[m] * ir, k2[m] * ir,
                     k3[m] * ir * ib] for m in range(4)])
-    return FrameValue("f_eh", vec, geo.MetricSpec("eh", a))
+    return FrameValue(vec, geo.MetricSpec("eh", a))
 
 
 def gram_matrix(fv: FrameValue, x):

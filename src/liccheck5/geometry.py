@@ -27,7 +27,7 @@ from .errors import AmbiguousError, DimensionError, DomainError
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
 
-REGION_TAGS = ("L_interior", "L_boundary", "B_a", "OutsideClosure", "AxisRzero")
+REGION_TAGS = ("L_interior", "L_boundary", "B_a", "OutsideClosure")
 
 _FAMILIES = ("g0", "ga", "gatilde", "ha", "eh")
 
@@ -118,6 +118,13 @@ def cone_d(xj):
     return _r2(xj) - xj[0] * xj[0]
 
 
+def r2_r_d(xj):
+    """(r^2, r, d = r^2 - x0^2) as jets, all from one r^2; r must not
+    vanish."""
+    r2 = _r2(xj)
+    return r2, r2.sqrt(), r2 - xj[0] * xj[0]
+
+
 def _branch(xj):
     """cone_side of the jets' base points, raising on the cone itself, where
     the jets of r_o and g_a are not defined."""
@@ -160,9 +167,7 @@ def radial_jets(xj, a):
     """RadialJets of the coordinate jets xj for the family parameter a.  On
     L, r_o = 0 and beta = 1; the cone itself and a batch mixing the two
     sides raise AmbiguousError."""
-    r2 = _r2(xj)
-    r = r2.sqrt()
-    d = r2 - xj[0] * xj[0]
+    r2, r, d = r2_r_d(xj)
     ro = radial_ro(xj, r, d)
     return RadialJets(r2, r, d, ro, beta_jet(ro, a))
 

@@ -1,8 +1,9 @@
 """Truncated Taylor jets (order <= 3) with batched numpy storage.
 
-A Jet carries the value and the plain (non-factorial) partial derivatives of a
-field up to a truncation order, at a batch of points.  A tensor field keeps
-its tensor axes T after the batch axes, and the derivative axes come last:
+A Jet is the tuple ``levels`` of the value and the plain (non-factorial)
+partial derivatives of a field, at a batch of points, through its order
+``len(levels) - 1``.  A tensor field keeps its tensor axes T after the batch
+axes, and the derivative axes come last:
 
     val   (..., *T)           field value
     grad  (..., *T, n)        first partials
@@ -13,10 +14,12 @@ A scalar field has no tensor axes.  ``jet[i, j]`` picks tensor entries,
 ``stack`` builds a tensor jet from scalar jets and ``jeinsum`` contracts
 tensor axes.
 
-Arithmetic propagates derivatives by the Leibniz rule; unary functions go
-through the chain rule (Faa di Bruno through order 3).  The ``order``
-attribute tracks how many derivative levels are trustworthy; differentiating
-drops it by one.  Batch shapes broadcast like numpy arrays.
+The names ``val`` ... ``third`` read the levels and give None past the
+order.  Arithmetic propagates derivatives by the Leibniz rule and keeps the
+lower order of two jets; a plain number or array is a constant, added to
+the value or scaling every level.  Unary functions go through the chain rule (Faa di Bruno
+through order 3); differentiating drops the order by one.  Batch shapes
+broadcast like numpy arrays.
 """
 
 from __future__ import annotations
@@ -37,110 +40,66 @@ __all__ = [
 ]
 
 
+def _level(k):
+    """Read-only view of derivative level k; None past the jet's order."""
+    return property(lambda self: self.levels[k] if k < len(self.levels) else None)
+
+
 class Jet:
-    __slots__ = ("val", "grad", "hess", "third", "order", "dim")
+    __slots__ = ("levels",)
     __array_ufunc__ = None      # numpy operands defer to the jet's own ops
     __iter__ = None             # index tensor axes explicitly, see __getitem__
 
-    def __init__(self, val, grad=None, hess=None, third=None, order=None, dim=None):
-        self.val = np.asarray(val)
-        self.grad = None if grad is None else np.asarray(grad)
-        self.hess = None if hess is None else np.asarray(hess)
-        self.third = None if third is None else np.asarray(third)
-        if order is None:
-            order = 0
-            if self.grad is not None:
-                order = 1
-            if self.hess is not None:
-                order = 2
-            if self.third is not None:
-                order = 3
-        self.order = order
-        if dim is not None:
-            self.dim = dim
-        elif self.grad is not None:
-            self.dim = self.grad.shape[-1]
-        else:
-            self.dim = 0
-        if order >= 1 and self.grad is None:
-            raise OrderError("order %d jet is missing grad" % order)
-        if order >= 2 and self.hess is None:
-            raise OrderError("order %d jet is missing hess" % order)
-        if order >= 3 and self.third is None:
-            raise OrderError("order %d jet is missing third" % order)
+    def __init__(self, *levels):
+        self.levels = tuple(map(np.asarray, levels))
 
-    # -- helpers -------------------------------------------------------
+    val, grad, hess, third = map(_level, range(4))
 
-    def _coerce(self, other):
-        """Turn a scalar/ndarray operand into (val, None-derivs) pseudo-jet."""
-        if isinstance(other, Jet):
-            return other
-        return Jet(np.asarray(other), order=0, dim=self.dim)
+    @property
+    def order(self):
+        return len(self.levels) - 1
 
-    def conj(self):
-        g = None if self.grad is None else self.grad.conj()
-        h = None if self.hess is None else self.hess.conj()
-        t = None if self.third is None else self.third.conj()
-        return Jet(self.val.conj(), g, h, t, order=self.order, dim=self.dim)
+    @property
+    def dim(self):
+        """Number of coordinates the derivatives run over; 0 at order 0."""
+        return self.levels[1].shape[-1] if len(self.levels) > 1 else 0
 
     # -- ring operations ------------------------------------------------
+    # A plain number or array operand is a constant: a sum shifts the value,
+    # a product scales every level.
 
     def __add__(self, other):
-        b = self._coerce(other)
-        order = min(self.order, b.order) if isinstance(other, Jet) else self.order
-        out = Jet(self.val + b.val, order=0, dim=max(self.dim, b.dim))
-        if order >= 1:
-            out.grad = _nadd(self.grad, b.grad)
-        if order >= 2:
-            out.hess = _nadd(self.hess, b.hess)
-        if order >= 3:
-            out.third = _nadd(self.third, b.third)
-        out.order = order
-        return out
+        if isinstance(other, Jet):
+            return Jet(*[a + b for a, b in zip(self.levels, other.levels)])
+        return Jet(self.levels[0] + other, *self.levels[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        g = None if self.grad is None else -self.grad
-        h = None if self.hess is None else -self.hess
-        t = None if self.third is None else -self.third
-        return Jet(-self.val, g, h, t, order=self.order, dim=self.dim)
+        return Jet(*[-a for a in self.levels])
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return self + (-other)
-        return self + (-np.asarray(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        b = self._coerce(other)
-        order = min(self.order, b.order) if isinstance(other, Jet) else self.order
-        av, bv = self.val, b.val
-        out = Jet(av * bv, order=0, dim=max(self.dim, b.dim))
-        ag, bg = self.grad, b.grad
+        if not isinstance(other, Jet):
+            return Jet(*[a * _pad(other, k) for k, a in enumerate(self.levels)])
+        a, b = self.levels, other.levels
+        order = min(len(a), len(b)) - 1
+        out = [a[0] * b[0]]
         if order >= 1:
-            out.grad = _nadd(None if ag is None else ag * _pad(bv, 1),
-                             None if bg is None else bg * _pad(av, 1))
+            out.append(a[1] * _pad(b[0], 1) + b[1] * _pad(a[0], 1))
         if order >= 2:
-            cross = None
-            if ag is not None and bg is not None:
-                cross = ag[..., :, None] * bg[..., None, :]
-                cross = cross + np.swapaxes(cross, -1, -2)
-            out.hess = _nadd(_nadd(
-                None if self.hess is None else self.hess * _pad(bv, 2),
-                None if b.hess is None else b.hess * _pad(av, 2)), cross)
+            cross = a[1][..., :, None] * b[1][..., None, :]
+            out.append((a[2] * _pad(b[0], 2) + b[2] * _pad(a[0], 2))
+                       + (cross + np.swapaxes(cross, -1, -2)))
         if order >= 3:
-            t = _nadd(None if self.third is None else self.third * _pad(bv, 3),
-                      None if b.third is None else b.third * _pad(av, 3))
-            if self.hess is not None and bg is not None:
-                t = _nadd(t, _sym_gh(bg, self.hess))
-            if b.hess is not None and ag is not None:
-                t = _nadd(t, _sym_gh(ag, b.hess))
-            out.third = t
-        out.order = order
-        return out
+            out.append(a[3] * _pad(b[0], 3) + b[3] * _pad(a[0], 3)
+                       + _sym_gh(b[1], a[2]) + _sym_gh(a[1], b[2]))
+        return Jet(*out)
 
     __rmul__ = __mul__
 
@@ -153,23 +112,19 @@ class Jet:
 
     def compose(self, f0, f1=None, f2=None, f3=None):
         """Jet of f(self) given derivatives f', f'', f''' of f at self.val."""
-        out = Jet(f0, order=0, dim=self.dim)
-        order = self.order
-        g = self.grad
+        g, h, order = self.grad, self.hess, self.order
+        out = [f0]
         if order >= 1:
-            out.grad = f1[..., None] * g
+            out.append(f1[..., None] * g)
         if order >= 2:
             gg = g[..., :, None] * g[..., None, :]
-            out.hess = f1[..., None, None] * self.hess + f2[..., None, None] * gg
+            out.append(f1[..., None, None] * h + f2[..., None, None] * gg)
         if order >= 3:
             ggg = g[..., :, None, None] * g[..., None, :, None] * g[..., None, None, :]
-            out.third = (
-                f1[..., None, None, None] * self.third
-                + f2[..., None, None, None] * _sym_gh(g, self.hess)
-                + f3[..., None, None, None] * ggg
-            )
-        out.order = order
-        return out
+            out.append(f1[..., None, None, None] * self.third
+                       + f2[..., None, None, None] * _sym_gh(g, h)
+                       + f3[..., None, None, None] * ggg)
+        return Jet(*out)
 
     def sqrt(self):
         v = self.val
@@ -220,36 +175,17 @@ class Jet:
     def __getitem__(self, idx):
         """Index the trailing tensor axes; a full index gives a scalar jet."""
         idx = (Ellipsis,) + (idx if isinstance(idx, tuple) else (idx,))
-        arrs = [self.val[idx]]
-        for k, a in enumerate((self.grad, self.hess, self.third)[:self.order], 1):
-            arrs.append(a[idx + (slice(None),) * k])
-        return Jet(*arrs, order=self.order, dim=self.dim)
+        return Jet(*[a[idx + (slice(None),) * k] for k, a in enumerate(self.levels)])
 
     def d(self):
         """All first partials as a new trailing tensor axis, one order lower."""
         if self.order < 1:
             raise OrderError("cannot differentiate an order-0 jet")
-        return Jet(self.grad, *(self.hess, self.third)[:self.order - 1],
-                   order=self.order - 1, dim=self.dim)
+        return Jet(*self.levels[1:])
 
     def truncate(self, order):
         """The same jet carried only through the given derivative order."""
-        if self.order <= order:
-            return self
-        return Jet(self.val, *(self.grad, self.hess, self.third)[:order],
-                   order=order, dim=self.dim)
-
-    def partial(self, i):
-        """The i-th partial derivative as a jet one order lower."""
-        return self.d()[i]
-
-
-def _nadd(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
+        return Jet(*self.levels[:order + 1])
 
 
 def _pad(scal, k):
@@ -277,13 +213,10 @@ def seed(points, order=3):
     base = points.shape[:-1]
     out = []
     for i in range(n):
-        g = np.zeros(base + (n,))
-        g[..., i] = 1.0
-        j = Jet(points[..., i], g,
-                np.zeros(base + (n, n)) if order >= 2 else None,
-                np.zeros(base + (n, n, n)) if order >= 3 else None,
-                order=order, dim=n)
-        out.append(j)
+        levels = [np.zeros(base + (n,) * k) for k in range(1, order + 1)]
+        if levels:
+            levels[0][..., i] = 1.0
+        out.append(Jet(points[..., i], *levels))
     return out
 
 
@@ -295,10 +228,8 @@ def constant(value, dim, order=3, shape=()):
     base = tuple(shape) + value.shape
     val = np.broadcast_to(value, base).copy()
     dt = val.dtype if val.dtype.kind == "c" else float
-    g = np.zeros(base + (dim,), dtype=dt) if order >= 1 else None
-    h = np.zeros(base + (dim, dim), dtype=dt) if order >= 2 else None
-    t = np.zeros(base + (dim, dim, dim), dtype=dt) if order >= 3 else None
-    return Jet(val, g, h, t, order=order, dim=dim)
+    return Jet(val, *[np.zeros(base + (dim,) * k, dtype=dt)
+                      for k in range(1, order + 1)])
 
 
 def extract(jet, alpha):
@@ -311,16 +242,8 @@ def extract(jet, alpha):
     k = sum(alpha)
     if k > jet.order:
         raise OrderError("order %d partial requested from an order-%d jet" % (k, jet.order))
-    idx = []
-    for i, a in enumerate(alpha):
-        idx.extend([i] * a)
-    if k == 0:
-        return jet.val
-    if k == 1:
-        return jet.grad[..., idx[0]]
-    if k == 2:
-        return jet.hess[..., idx[0], idx[1]]
-    return jet.third[..., idx[0], idx[1], idx[2]]
+    idx = [i for i, a in enumerate(alpha) for _ in range(a)]
+    return jet.levels[k][(Ellipsis,) + tuple(idx)]
 
 
 # -- tensor jets -------------------------------------------------------------
@@ -357,14 +280,13 @@ def stack(nested):
         parts = []
         for leaf in leaves:
             if isinstance(leaf, Jet):
-                arr = (leaf.val, leaf.grad, leaf.hess, leaf.third)[k]
+                arr = leaf.levels[k]
             else:
                 arr = leaf if k == 0 else 0.0
             parts.append(np.broadcast_to(arr, base + (dim,) * k))
         return np.stack(parts, axis=len(base)).reshape(base + shape + (dim,) * k)
 
-    return Jet(level(0), *[level(k) if k <= order else None for k in (1, 2, 3)],
-               order=order, dim=dim)
+    return Jet(*[level(k) for k in range(order + 1)])
 
 
 def jeinsum(spec, A, B=None):
@@ -376,48 +298,37 @@ def jeinsum(spec, A, B=None):
     single operand the spec permutes or traces tensor axes.
     """
     x, y, z = [c for c in "xyzXYZ" if c not in spec][:3]
+    dax = ("", x, x + y, x + y + z)             # derivative axes of each level
     if B is None:
         ins, out = spec.split("->")
-        arrs = (A.val, A.grad, A.hess, A.third)
-        return Jet(*[np.einsum("...%s%s->...%s%s" % (ins, d, out, d), arrs[k])
-                     for k, d in enumerate(("", x, x + y, x + y + z)[:A.order + 1])],
-                   order=A.order, dim=A.dim)
+        return Jet(*[np.einsum("...%s%s->...%s%s" % (ins, d, out, d), a)
+                     for a, d in zip(A.levels, dax)])
     sa, rest = spec.split(",")
     sb, out = rest.split("->")
-    jets = [j for j in (A, B) if isinstance(j, Jet)]
-    order = min(j.order for j in jets)
-    dim = max(j.dim for j in jets)
-    a = _levels(A)
-    b = _levels(B)
 
-    def term(ka, kb, da, db, dout=None):
-        if a[ka] is None or b[kb] is None:
-            return None
+    def term(a, b, da, db, dout=None):
         dout = da + db if dout is None else dout
         return np.einsum("...%s%s,...%s%s->...%s%s" % (sa, da, sb, db, out, dout),
-                         a[ka], b[kb])
+                         a, b)
 
-    val = term(0, 0, "", "")
-    grad = hess = third = None
+    if not isinstance(B, Jet):
+        return Jet(*[term(a, B, d, "") for a, d in zip(A.levels, dax)])
+    if not isinstance(A, Jet):
+        return Jet(*[term(A, b, "", d) for b, d in zip(B.levels, dax)])
+    a, b = A.levels, B.levels
+    order = min(len(a), len(b)) - 1
+    levels = [term(a[0], b[0], "", "")]
     if order >= 1:
-        grad = _nadd(term(1, 0, x, ""), term(0, 1, "", x))
+        levels.append(term(a[1], b[0], x, "") + term(a[0], b[1], "", x))
     if order >= 2:
-        cross = term(1, 1, x, y)
-        hess = _nadd(_nadd(term(2, 0, x + y, ""), term(0, 2, "", x + y)),
-                     None if cross is None else cross + np.swapaxes(cross, -1, -2))
+        cross = term(a[1], b[1], x, y)
+        levels.append((term(a[2], b[0], dax[2], "") + term(a[0], b[2], "", dax[2]))
+                      + (cross + np.swapaxes(cross, -1, -2)))
     if order >= 3:
-        t12 = term(1, 2, x, y + z)
-        t21 = term(2, 1, y + z, x, x + y + z)
-        third = _nadd(_nadd(_nadd(term(3, 0, x + y + z, ""), term(0, 3, "", x + y + z)),
-                            None if t12 is None else _sym3(t12)),
-                      None if t21 is None else _sym3(t21))
-    return Jet(val, grad, hess, third, order=order, dim=dim)
-
-
-def _levels(j):
-    if isinstance(j, Jet):
-        return (j.val, j.grad, j.hess, j.third)
-    return (np.asarray(j), None, None, None)
+        levels.append(term(a[3], b[0], dax[3], "") + term(a[0], b[3], "", dax[3])
+                      + _sym3(term(a[1], b[2], x, y + z))
+                      + _sym3(term(a[2], b[1], y + z, x, dax[3])))
+    return Jet(*levels)
 
 
 def jmat_inv(A):
@@ -433,8 +344,8 @@ def jmat_inv(A):
     if not np.all(np.isfinite(inv0)):
         raise SingularMetricError("metric value matrix is singular")
     if A.order == 0:
-        return Jet(inv0, order=0, dim=A.dim)
-    N = Jet(np.zeros_like(A.val), A.grad, A.hess, A.third, order=A.order, dim=A.dim)
+        return Jet(inv0)
+    N = Jet(np.zeros_like(A.val), *A.levels[1:])
     M = jeinsum("ij,jk->ik", -inv0, N)   # vanishing value: the series terminates
     out = term = inv0
     for _ in range(A.order):

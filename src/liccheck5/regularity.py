@@ -100,8 +100,8 @@ def _monomial_jets(spec, x, order):
     if geo.cone_gap(x) < 0:
         return J.constant(0.0, dim=5, order=order)
     xj = J.seed(x, order=order)
-    r = geo.radial_r(xj)
-    out = geo.radial_ro(xj, r, geo.cone_d(xj)).pow_int(spec.m)
+    _, r, d = geo.r2_r_d(xj)
+    out = geo.radial_ro(xj, r, d).pow_int(spec.m)
     if spec.l[0]:
         out = out * r.reciprocal().pow_int(spec.l[0])
     for i, p in enumerate(spec.l[1:]):
@@ -123,10 +123,7 @@ def _field_jets(field_tag, x, order, a):
 
 
 def _partial_arrays(jet, max_order):
-    parts = [np.atleast_1d(np.asarray(jet.val, dtype=float))]
-    for t in (jet.grad, jet.hess, jet.third)[:max_order]:
-        parts.append(np.ravel(np.asarray(t, dtype=float)))
-    return parts
+    return [np.ravel(np.asarray(t, dtype=float)) for t in jet.levels[:max_order + 1]]
 
 
 def _classify(gaps, scale):

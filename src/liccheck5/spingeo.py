@@ -48,7 +48,6 @@ class SpinorField:
 
     frame_id: str
     components: object     # callable (x, order) -> (4,) tensor jet
-    label: str
 
     def values(self, x):
         return np.asarray(self.components(x, order=0).val, dtype=complex)
@@ -85,7 +84,7 @@ def psi_bc(b, c, frame="e"):
             x, xj = _seed5(x, order)
             r = geo.radial_r(xj)
             return J.stack([(-b) * xj[0], c * xj[0], b * r, c * r])
-        return SpinorField("e", comps, "psi_bc(%g,%g)" % (b.real, c.real))
+        return SpinorField("e", comps)
     if frame == "u":
         def comps(x, order=3):
             x, xj = _seed5(x, order)
@@ -94,7 +93,7 @@ def psi_bc(b, c, frame="e"):
                 c * xj[0],
                 b * xj[1] + (-1j * b) * xj[2] + (-c) * xj[3] + (-1j * c) * xj[4],
                 b * xj[3] + (-1j * b) * xj[4] + c * xj[1] + (1j * c) * xj[2]])
-        return SpinorField("u", comps, "psi_bc(%g,%g)" % (b.real, c.real))
+        return SpinorField("u", comps)
     raise ValueError("psi_bc components are pinned for frames 'e' and 'u' only")
 
 
@@ -104,7 +103,7 @@ def nu_bc(b, c):
 
     def comps(x, order=3):
         return J.constant([0j, 0j, b, c], N, order, np.shape(x)[:-1])
-    return SpinorField("f", comps, "nu_bc(%g,%g)" % (b.real, c.real))
+    return SpinorField("f", comps)
 
 
 # --------------------------------------------------------- spin connection
@@ -160,7 +159,7 @@ def _lift(ids, x, a):
     order."""
     m = None
     for tid, inv in ids:
-        v = F.transform_eval(tid, x, a=a).matrix
+        v = F.transform_eval(tid, x, a=a)
         v = np.linalg.inv(v) if inv else v
         m = v if m is None else np.einsum('...ab,...bc->...ac', v, m)
     return m

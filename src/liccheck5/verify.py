@@ -51,6 +51,10 @@ class SuiteConfig:
     perturb: float = 0.0          # metric perturbation for the negative control
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "perturb"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r"
+                                 % (name, getattr(self, name)))
         if self.a <= 0:
             raise ValueError("a must be positive")
         if self.samples < 1:
@@ -58,8 +62,9 @@ class SuiteConfig:
         if not 0 < self.exclusion < 1.0 / (10.0 * self.a):
             raise ValueError("exclusion must sit in (0, 1/(10a))")
         for k, v in self.tol.items():
-            if v <= 0:
-                raise ValueError("tolerance override %r must be positive" % k)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError("tolerance override %r must be positive and "
+                                 "finite, got %r" % (k, v))
 
 
 @dataclass
@@ -251,8 +256,7 @@ def _chk_twistor(cfg, seed):
     if cfg.perturb:
         fr = F.frame_eval("e", xb, cfg.a, order=1)
         g = geo.metric_jets(spec, xb, order=2) + cfg.perturb * _E12
-        forms = C.forms_from_jets("e", fr.vectors, g, label="perturbed",
-                                  tol=1.0)
+        forms = C.forms_from_jets(fr.vectors, g, label="perturbed", tol=1.0)
     rb = S.twistor_residual(phi, spec, xb, forms=forms)
     xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
     rl = S.twistor_residual(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)

@@ -4,7 +4,8 @@ A public function that only tests call is either an independent oracle the
 tests compare the package against, or a guarantee waiting to be registered
 as a check; the two kinds are listed in ORACLES and PENDING_CHECKS.
 Anything else unreferenced fails here, so an orphan cannot slip in unseen.
-A module-level private helper has no such excuse: it must have a caller.
+A module-level private helper has no such excuse: it must have a caller,
+and neither has a public method or property of the jet class.
 References are names and attributes in the package's own source (strings
 and comments do not count); bench/ and tests/ do not count either.
 """
@@ -15,6 +16,7 @@ import inspect
 import pathlib
 
 import liccheck5
+from liccheck5 import jets
 
 SRC = pathlib.Path(liccheck5.__file__).parent
 
@@ -94,3 +96,41 @@ def test_every_private_helper_is_used():
     refs = _referenced_names()
     orphans = [q for q in _private_helpers() if q.split(".")[1] not in refs]
     assert not orphans, "private helpers nothing calls: %s" % orphans
+
+
+def _reads_outside_jet_member():
+    """Names the package reads (names and attributes in load context),
+    except where a Jet method or property reads its own name, and except
+    numpy's own attributes (``np.sqrt`` is not a use of ``Jet.sqrt``).
+    Names are matched, not types: a member named like an array method the
+    package calls on arrays (``conj`` in clifford) still counts as read."""
+    reads = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Jet":
+                for member in cls.body:
+                    if isinstance(member, ast.FunctionDef):
+                        for node in ast.walk(member):
+                            owner[node] = member.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id == "np":
+                    continue
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            else:
+                continue
+            if isinstance(node.ctx, ast.Load) and owner.get(node) != name:
+                reads.add(name)
+    return reads
+
+
+def test_every_public_jet_member_is_used():
+    reads = _reads_outside_jet_member()
+    public = [name for name in vars(jets.Jet) if not name.startswith("_")]
+    assert {"levels", "order", "val", "third", "d"} <= set(public)
+    orphans = [name for name in public if name not in reads]
+    assert not orphans, "Jet members only tests read: %s" % orphans

@@ -5,6 +5,7 @@ from liccheck5 import clifford as cl
 from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import jets as J
+from liccheck5 import regularity as R
 from liccheck5.errors import AmbiguousError, CaViolationError, DomainError
 
 from conftest import jet_close, sample_ba, sample_ca, sample_l
@@ -42,7 +43,7 @@ def test_frame_e_cylindrical_on_l():
 def test_e_dot_g_is_standard_frame_on_l():
     x = sample_l(100, seed=9)
     e = F.frame_eval("e", x, a=1.0, order=0)
-    G = F.transform_eval("G", x, order=0).matrix
+    G = F.transform_eval("G", x, order=0)
     prod = J.jeinsum("ij,jk->ik", e.vectors, G).val
     assert np.abs(prod - np.eye(5)).max() < 1e-12
 
@@ -73,7 +74,7 @@ def test_etilde_is_conformal_stretch_of_e():
 def test_etilde_equals_f_kappa():
     x = sample_ba(200, seed=45)
     f = F.frame_eval("f", x, a=1.0, order=0).vectors
-    kap = F.transform_eval("kappa", x, order=0).matrix
+    kap = F.transform_eval("kappa", x, order=0)
     et = F.frame_eval("etilde", x, a=1.0, order=0).vectors
     prod = J.jeinsum("ij,jk->ik", f, kap).val
     assert np.abs(prod - et.val).max() < 1e-10
@@ -85,7 +86,7 @@ def test_kappa_is_boost_exponential():
     r, d, _ = geo.radial_values(x)
     s, R = -x[:, 0] / d, r / d
     t = np.log((R - s) / (R + s))
-    kap = F.transform_eval("kappa", x, order=0).matrix.val
+    kap = F.transform_eval("kappa", x, order=0).val
     expected = np.zeros_like(kap)
     expected[..., 2, 2] = expected[..., 3, 3] = expected[..., 4, 4] = 1.0
     expected[..., 0, 0] = expected[..., 1, 1] = np.cosh(t)
@@ -95,8 +96,8 @@ def test_kappa_is_boost_exponential():
 
 def test_kappatilde_covers_kappa():
     x = sample_ba(100, seed=47)
-    kt = F.transform_eval("kappatilde", x).matrix
-    kap = F.transform_eval("kappa", x, order=0).matrix.val
+    kt = F.transform_eval("kappatilde", x)
+    kap = F.transform_eval("kappa", x, order=0).val
     assert np.abs(cl.lambda_of(kt) - kap).max() < 1e-9
 
 
@@ -111,7 +112,7 @@ def test_q_entries_hyperbolic(a):
 
 def test_q_identity_on_l():
     x = sample_l(60, seed=49)
-    Q = F.transform_eval("Q", x, order=0).matrix.val
+    Q = F.transform_eval("Q", x, order=0).val
     assert np.array_equal(Q, np.broadcast_to(np.eye(5), Q.shape))
 
 
@@ -124,8 +125,8 @@ def test_q_outside_ca_raises():
 
 def test_qtilde_covers_q():
     x = sample_ca(100, seed=50)
-    Qt = F.transform_eval("Qtilde", x, a=1.0).matrix
-    Q = F.transform_eval("Q", x, a=1.0, order=0).matrix.val
+    Qt = F.transform_eval("Qtilde", x, a=1.0)
+    Q = F.transform_eval("Q", x, a=1.0, order=0).val
     assert np.abs(cl.lambda_of(Qt) - Q).max() < 1e-9
 
 
@@ -140,7 +141,7 @@ def test_qtilde_identity_plus_ro_squared():
         r_target = (t + np.sqrt(t * t + 4 * 0.6 ** 2)) / 2.0
         scale = np.sqrt(r_target ** 2 - rad ** 2)
         b[1] = scale
-        Qt = F.transform_eval("Qtilde", b[None], a=1.0).matrix[0]
+        Qt = F.transform_eval("Qtilde", b[None], a=1.0)[0]
         ratios.append(np.abs(Qt - np.eye(4)).max() / t ** 2)
     ratios = np.array(ratios)
     assert np.all(ratios < 10.0 * ratios[-1] + 1e-6)
@@ -149,8 +150,8 @@ def test_qtilde_identity_plus_ro_squared():
 
 def test_gtilde_covers_g_and_is_special_unitary():
     x = sample_ba(100, seed=51)
-    Gt = F.transform_eval("Gtilde", x).matrix
-    G = F.transform_eval("G", x, order=0).matrix.val
+    Gt = F.transform_eval("Gtilde", x)
+    G = F.transform_eval("G", x, order=0).val
     assert np.abs(cl.lambda_of(Gt) - G).max() < 1e-9
     ident = np.einsum("...ij,...kj->...ik", Gt, Gt.conj())
     assert np.abs(ident - np.eye(4)).max() < 1e-12
@@ -161,8 +162,8 @@ def test_htilde_matches_product_off_axis():
     x = sample_ca(80, seed=52)
     ht = F.frame_htilde(x, a=1.0, order=1)
     e = F.frame_eval("e", x, a=1.0, order=1)
-    Q = F.transform_eval("Q", x, a=1.0, order=1).matrix
-    G = F.transform_eval("G", x, a=1.0, order=1).matrix
+    Q = F.transform_eval("Q", x, a=1.0, order=1)
+    G = F.transform_eval("G", x, a=1.0, order=1)
     naive = J.jeinsum("ij,jk->ik", e.vectors, J.jeinsum("ij,jk->ik", Q, G))
     assert jet_close(ht.vectors, naive) < 1e-10
 
@@ -243,7 +244,7 @@ def test_frame_domain_errors():
 
 
 def test_e01_generator():
-    m = F.transform_eval("E01", np.zeros((1, 5))).matrix
+    m = F.transform_eval("E01", np.zeros((1, 5)))
     expect = np.zeros((5, 5))
     expect[0, 1] = expect[1, 0] = -1.0
     assert np.array_equal(m, expect)
@@ -262,18 +263,27 @@ def _count_radial_builds(monkeypatch):
     return counts
 
 
+ALL_RADIAL = {"_r2": 1, "radial_ro": 1, "beta_jet": 1}
+
+# each call with the builds it makes: the full bundle, or r and d alone
 RADIAL_CALLS = {
-    "frame_e": lambda x: F.frame_eval("e", x, 1.0),
-    "frame_f": lambda x: F.frame_eval("f", x, 1.0),
-    "frame_etilde": lambda x: F.frame_eval("etilde", x, 1.0),
-    "frame_htilde": lambda x: F.frame_eval("htilde", x, 1.0),
-    "k_q_rho": lambda x: F.k_q_rho(x, 1.0),
-    "metric_ga": lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x),
+    "frame_e": (lambda x: F.frame_eval("e", x, 1.0), ALL_RADIAL),
+    "frame_f": (lambda x: F.frame_eval("f", x, 1.0), ALL_RADIAL),
+    "frame_etilde": (lambda x: F.frame_eval("etilde", x, 1.0), ALL_RADIAL),
+    "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0), ALL_RADIAL),
+    "k_q_rho": (lambda x: F.k_q_rho(x, 1.0), ALL_RADIAL),
+    "metric_ga": (lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x),
+                  ALL_RADIAL),
+    "kappa": (lambda x: F.transform_eval("kappa", x),
+              {"_r2": 1, "radial_ro": 0, "beta_jet": 0}),
+    "monomial": (lambda x: R._monomial_jets(R.MonomialSpec(2, (0,) * 6), x, 3),
+                 {"_r2": 1, "radial_ro": 1, "beta_jet": 0}),
 }
 
 
 @pytest.mark.parametrize("call", sorted(RADIAL_CALLS))
 def test_one_call_builds_each_radial_jet_once(call, monkeypatch):
     counts = _count_radial_builds(monkeypatch)
-    RADIAL_CALLS[call](np.array([[0.1, 0.5, 0.2, 0.1, 0.3]]))
-    assert counts == {"_r2": 1, "radial_ro": 1, "beta_jet": 1}
+    fn, want = RADIAL_CALLS[call]
+    fn(np.array([[0.1, 0.5, 0.2, 0.1, 0.3]]))
+    assert counts == want

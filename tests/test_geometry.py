@@ -18,24 +18,30 @@ A_DEFAULT = 1.0
 
 # ------------------------------------------------------------------ regions
 
-@pytest.mark.parametrize(
-    "p,a,tag,axis,origin",
-    [
-        ((0.5, 0, 0, 0, 0), 1.0, "L_interior", True, False),
-        ((0, 0, 0, 0, 0), 1.0, "L_boundary", True, True),
-        ((-2.0, 1, 0, 0, 0), 1.0, "L_interior", False, False),
-        ((0.3, 0.4, 0, 0, 0), 1.0, "B_a", False, False),
-        ((1.0, 1.0, 0, 0, 0), 1.0, "L_boundary", False, False),
-        ((0, 3.0, 0, 0, 0), 1.0, "OutsideClosure", False, False),
-        ((0, 3.0, 0, 0, 0), 0.1, "B_a", False, False),
-        ((0, 0.5, 0, 0, 0), 2.0, "OutsideClosure", False, False),
-    ],
-)
+CLASSIFY_EXAMPLES = [
+    ((0.5, 0, 0, 0, 0), 1.0, "L_interior", True, False),
+    ((0, 0, 0, 0, 0), 1.0, "L_boundary", True, True),
+    ((-2.0, 1, 0, 0, 0), 1.0, "L_interior", False, False),
+    ((0.3, 0.4, 0, 0, 0), 1.0, "B_a", False, False),
+    ((1.0, 1.0, 0, 0, 0), 1.0, "L_boundary", False, False),
+    ((0, 3.0, 0, 0, 0), 1.0, "OutsideClosure", False, False),
+    ((0, 3.0, 0, 0, 0), 0.1, "B_a", False, False),
+    ((0, 0.5, 0, 0, 0), 2.0, "OutsideClosure", False, False),
+]
+
+
+@pytest.mark.parametrize("p,a,tag,axis,origin", CLASSIFY_EXAMPLES)
 def test_classify_examples(p, a, tag, axis, origin):
     reg = G.classify(p, a)
     assert reg.tag == tag
     assert reg.on_axis_r0 == axis
     assert reg.at_origin == origin
+
+
+def test_region_tags_are_the_tags_classify_returns():
+    tags = {G.classify(p, a).tag for p, a, *_ in CLASSIFY_EXAMPLES}
+    assert len(set(G.REGION_TAGS)) == len(G.REGION_TAGS)
+    assert set(G.REGION_TAGS) == tags
 
 
 @given(

@@ -77,7 +77,7 @@ def test_flat_twistor_with_zero():
     # the position vector Clifford-multiplied into the constant spinor W0
     coef = np.einsum('iab,b->ia', GAMMA, W0)
     pw = S.SpinorField("u", lambda x, order: J.jeinsum(
-        "ia,i->a", coef, J.stack(J.seed(x, order=order))), "psi_w0")
+        "ia,i->a", coef, J.stack(J.seed(x, order=order))))
     res = S.twistor_residual(pw, G0, x)
     assert res.norm < 1e-10
     dw = S.dirac(pw, G0, x)
@@ -90,8 +90,7 @@ def test_flat_twistor_with_zero():
 def test_constant_spinor_flat():
     x = np.random.default_rng(7).uniform(-1, 1, size=(10, 5))
     cw = S.SpinorField("u", lambda x, order: J.constant(
-        np.array([1.0, 2.0, 0.5j, -1.0]), 5, order, np.shape(x)[:-1]),
-        "constant")
+        np.array([1.0, 2.0, 0.5j, -1.0]), 5, order, np.shape(x)[:-1]))
     assert S.twistor_residual(cw, G0, x).norm == 0.0
     assert np.max(np.abs(S.dirac(cw, G0, x).w)) == 0.0
 

@@ -62,6 +62,15 @@ def test_config_validation():
         V.SuiteConfig(a=2.0, exclusion=0.06)   # must stay below 1/(10a)
     with pytest.raises(ValueError):
         V.SuiteConfig(tol={"twistor-equation": -1e-8})
+    # a non-finite value is refused with its field named
+    for kwargs, name in (({"a": float("nan")}, "a"), ({"b": float("nan")}, "b"),
+                         ({"c": float("inf")}, "c"),
+                         ({"perturb": float("nan")}, "perturb")):
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            V.SuiteConfig(**kwargs)
+    for v in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="'twistor-equation' must be"):
+            V.SuiteConfig(tol={"twistor-equation": v})
 
 
 # ---------------------------------------------------------------- the suite
@@ -304,6 +313,19 @@ def test_cli_tensor():
                                       "--point", "0.2,0.9,0,0,0",
                                       "--what", "ricci", "--a", "1.0"])
     assert r.exit_code == 0 and "zero (every component" in r.output
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--a", "nan"], "a must be finite"),
+    (["--b", "inf"], "b must be finite"),
+    (["--tol-override", "twistor-equation=nan"], "'twistor-equation'"),
+], ids=["a-nan", "b-inf", "tol-nan"])
+def test_cli_run_rejects_non_finite_config(args, field):
+    r = CliRunner().invoke(cli.main, ["run", "--only", "clifford-relations"]
+                           + args)
+    assert r.exit_code == 1, r.output
+    assert "Error: bad config value: " in r.output, r.output
+    assert field in r.output and "Traceback" not in r.output, r.output
 
 
 @pytest.mark.parametrize("family,point", [
