@@ -66,7 +66,7 @@ def spinor_inner(phi: SpinorValue, psi: SpinorValue):
     if phi.frame != psi.frame:
         raise FrameMismatchError("pairing needs a common frame")
     g0phi = np.einsum("ab,...b->...a", GAMMA[0], phi.w)
-    return np.einsum("...a,...a->...", g0phi.conj(), psi.w)
+    return np.einsum("...a,...a->...", np.conj(g0phi), psi.w)
 
 
 def spinor_square_components(phi: SpinorValue):
@@ -74,8 +74,8 @@ def spinor_square_components(phi: SpinorValue):
     vanish (the pairing with a vector insertion is real)."""
     g0 = GAMMA[0]
     w = phi.w
-    p = np.einsum("...a,iab,...b->...i", np.einsum("ab,...b->...a", g0, w).conj(),
-                  GAMMA, w, optimize=True)
+    g0w = np.conj(np.einsum("ab,...b->...a", g0, w))
+    p = np.einsum("...a,iab,...b->...i", g0w, GAMMA, w, optimize=True)
     if np.max(np.abs(p.imag)) > 1e-10 * (1.0 + np.max(np.abs(p.real))):
         raise NonRealPairingError("max imag %g" % np.max(np.abs(p.imag)))
     return p.real

@@ -318,10 +318,11 @@ def trace_free(T, spec, x):
 
 
 def conformal_ricci_check(x, a=1.0, flat_variant=False):
-    """Residual of the conformal Ricci identity at a single-side point batch.
+    """Both sides (Ric, rhs) of the conformal Ricci identity at a
+    single-side point batch.
 
     The deformed metric is exp(2 mu) times its Ricci-flat rescaling with
-    mu = ln|r^2 - x0^2|, so its Ricci tensor must equal
+    mu = ln|r^2 - x0^2|, so its Ricci tensor must equal the rhs
     -3 (Hess(mu) - dmu dmu) - (Lap(mu) + 3 |dmu|^2) gtilde, every piece on
     the right taken with respect to the rescaled metric.  With
     ``flat_variant`` the same identity is run for exp(2 mu) * eta against a
@@ -347,4 +348,4 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
                       optimize=True)
     dmu2 = mu.grad[..., :, None] * mu.grad[..., None, :]
     rhs = -3.0 * (H - dmu2) - (lap + 3.0 * grad2)[..., None, None] * gtv
-    return lhs - rhs
+    return lhs, rhs

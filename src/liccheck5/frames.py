@@ -4,8 +4,7 @@ Frames come back as (5, 5) tensor jets in column convention:
 ``vectors[mu, i]`` is Cartesian component mu of the i-th frame vector, so a
 right matrix action "frame . M" is ``jets.jeinsum("mi,ij->mj", vectors, M)``.
 
-Vector-frame transitions (G, Q, kappa) are (5, 5) tensor jets and E01 a
-constant matrix; the spinor
+Vector-frame transitions (G, Q, kappa) are (5, 5) tensor jets; the spinor
 lifts (Gtilde, Qtilde, kappatilde) are plain complex value arrays, batched as
 (..., 4, 4).
 
@@ -26,11 +25,6 @@ import numpy as np
 from . import geometry as geo
 from . import jets as J
 from .errors import CaViolationError, DimensionError, DomainError
-
-E01 = np.zeros((5, 5))
-E01[0, 1] = E01[1, 0] = -1.0
-E01.setflags(write=False)
-
 
 @dataclass
 class FrameValue:
@@ -164,7 +158,7 @@ def _kappatilde_matrix(x):
 
 def transform_eval(id, x, a=1.0, order=3):
     """One of the transition matrices {G, Gtilde, Q, Qtilde, kappa,
-    kappatilde, E01} evaluated at x: a tensor jet for the vector transforms,
+    kappatilde} evaluated at x: a tensor jet for the vector transforms,
     complex values for the lifts Gtilde, Qtilde and kappatilde."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 5:
@@ -182,8 +176,6 @@ def transform_eval(id, x, a=1.0, order=3):
         return _kappa_matrix(x, order)
     if id == "kappatilde":
         return _kappatilde_matrix(x)
-    if id == "E01":
-        return E01
     raise ValueError(f"unknown transform id {id!r}")
 
 

@@ -225,8 +225,9 @@ def length_square_u(b, c, x):
 
 
 def einstein_rescale_residual(b, c, x, a=1.0):
-    """Residual of -u . Ric0 = 3 Hess(u)0 for the spinor length square u
-    under the deformed metric (trace-free parts, single-side batches)."""
+    """Both sides (-u . Ric0, 3 Hess(u)0) of the rescaling identity for the
+    spinor length square u under the deformed metric (trace-free parts,
+    single-side batches)."""
     x, xj = _seed5(x, 3)
     d = geo.cone_d(xj)
     if np.any(d.val == 0.0):
@@ -237,7 +238,7 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     ric0 = C.trace_free(C.ricci(spec, x), spec, x)
     hess0 = C.trace_free(C.hessian_scalar(u, spec, x), spec, x)
     uv = np.asarray(u.val)
-    return -uv[..., None, None] * ric0 - 3.0 * hess0
+    return -uv[..., None, None] * ric0, 3.0 * hess0
 
 
 # ----------------------------------------------- essentiality at the zero

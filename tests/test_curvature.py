@@ -392,12 +392,14 @@ def test_hessian_order_guard():
 
 def test_conformal_ricci_identity_exterior():
     x = sample_ba(200, lo=0.15, hi=0.9, seed=19)
-    assert np.max(np.abs(C.conformal_ricci_check(x, 1.0))) < 1e-8
+    lhs, rhs = C.conformal_ricci_check(x, 1.0)
+    assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_conformal_ricci_identity_inside():
     x = sample_l(100, seed=20, margin=0.12)
-    assert np.max(np.abs(C.conformal_ricci_check(x, 1.0))) < 1e-8
+    lhs, rhs = C.conformal_ricci_check(x, 1.0)
+    assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 @pytest.mark.parametrize("sampler", [
@@ -405,8 +407,8 @@ def test_conformal_ricci_identity_inside():
     lambda: sample_l(50, seed=26, margin=0.12),
 ])
 def test_conformal_ricci_flat_variant(sampler):
-    x = sampler()
-    assert np.max(np.abs(C.conformal_ricci_check(x, 1.0, flat_variant=True))) < 1e-10
+    lhs, rhs = C.conformal_ricci_check(sampler(), 1.0, flat_variant=True)
+    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_conformal_ricci_singular_on_cone():

@@ -243,13 +243,6 @@ def test_frame_domain_errors():
         F.transform_eval("nope", axis)
 
 
-def test_e01_generator():
-    m = F.transform_eval("E01", np.zeros((1, 5)))
-    expect = np.zeros((5, 5))
-    expect[0, 1] = expect[1, 0] = -1.0
-    assert np.array_equal(m, expect)
-
-
 def _count_radial_builds(monkeypatch):
     """Wrap geometry's builders of r^2, r_o and beta; return their counters.
     Every r and d jet is derived from an r^2 jet."""

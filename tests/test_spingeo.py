@@ -188,8 +188,8 @@ def test_einstein_rescale_identity():
     xb = sample_ba(150, lo=0.1, hi=0.9, seed=14)
     xl = sample_l(150, seed=15, margin=0.1)
     for x in (xb, xl):
-        r = S.einstein_rescale_residual(1.0, 0.5, x)
-        assert np.max(np.abs(r)) < 1e-7
+        lhs, rhs = S.einstein_rescale_residual(1.0, 0.5, x)
+        assert np.max(np.abs(lhs - rhs)) < 1e-7
     # nontrivial: the two sides of the identity are individually large
     ric0 = C.trace_free(C.ricci(GA, xb), GA, xb)
     assert np.max(np.abs(ric0)) > 1.0

@@ -1,6 +1,9 @@
 import dataclasses
 import gc
 import json
+import pathlib
+import subprocess
+import sys
 import weakref
 
 import click
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import liccheck5
 from liccheck5 import cli
 from liccheck5 import geometry as geo
 from liccheck5 import verify as V
@@ -42,6 +46,18 @@ def test_sample_outer_band_and_determinism():
     assert np.max(ro) < 0.95 / a
     assert np.array_equal(x, V.sample("B_a", a, 150, seed=9, exclusion=1e-3))
     assert not np.array_equal(x[:, 0], V.sample("B_a", a, 150, seed=10)[:, 0])
+
+
+def test_import_loads_no_scipy():
+    """The sampler draws from numpy alone; a fresh import of the suite and
+    the CLI leaves no scipy module behind."""
+    src = str(pathlib.Path(liccheck5.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, %r); "
+            "import liccheck5.verify, liccheck5.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])" % src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sample_guards():
@@ -173,6 +189,7 @@ def test_json_shape(baseline):
     assert set(row) == {"name", "claim", "samples", "residual_max",
                         "residual_median", "tol", "verdict"}
     assert "seconds" not in json.dumps(doc)
+    assert set(doc["versions"]) == {"liccheck5", "numpy", "python"}
 
 
 def test_csv_layout(baseline):
