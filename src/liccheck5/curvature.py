@@ -132,7 +132,7 @@ def bianchi_residual(spec, x):
 # -------------------------------------------------------- connection forms
 
 
-def connection_forms(frame, spec, x, tol=1e-8):
+def connection_forms(frame, spec, x):
     """Frame connection forms omega_ij = g(nabla f_i, f_j) and the curvature
     2-forms Omega_ij(X, Y) = g(R(X, Y) f_i, f_j), both with lowered indices.
 
@@ -144,20 +144,24 @@ def connection_forms(frame, spec, x, tol=1e-8):
         raise DimensionError("frame is %s but the metric is %dd"
                              % (F.val.shape[-2:], n))
     g = geo.metric_jets(spec, x, order=2)
-    return forms_from_jets(F, g, label=spec.family, tol=tol)
+    return forms_from_jets(F, g, label=spec.family)
+
+
+def _frame_signature(Fv, gv, label, tol=1e-8):
+    """Signs eps of an orthonormal frame's Gram matrix diagonal; a frame
+    whose Gram matrix strays from diag(eps) by more than tol raises."""
+    n = Fv.shape[-1]
+    gram = np.einsum('...mn,...mi,...nj->...ij', gv, Fv, Fv, optimize=True)
+    eps = np.sign(np.mean(gram.reshape(-1, n, n), axis=0).diagonal())
+    if np.max(np.abs(gram - np.diag(eps))) > tol:
+        raise FrameMismatchError("frame fails the Gram check for %s" % (label,))
+    return eps
 
 
 def forms_from_jets(F, g, label="custom", tol=1e-8):
     """connection_forms for an explicit (frame jets, metric jets) pair."""
-    n = F.val.shape[-1]
     Fv = F.val.real
-    gv = g.val.real
-    gram = np.einsum('...mn,...mi,...nj->...ij', gv, Fv, Fv, optimize=True)
-    eps = np.sign(np.mean(gram.reshape(-1, n, n), axis=0).diagonal())
-    target = np.zeros((n, n))
-    np.fill_diagonal(target, eps)
-    if np.max(np.abs(gram - target)) > tol:
-        raise FrameMismatchError("frame fails the Gram check for %s" % (label,))
+    eps = _frame_signature(Fv, g.val.real, label, tol)
     gam = christoffel_from_jets(g)
     # cov[l, i, mu]: component l of nabla_mu f_i; low[m, i, mu] = g(nabla_mu f_i, d_m)
     cov = F.d() + J.jeinsum("lun,ni->liu", gam, F)
@@ -229,21 +233,16 @@ def asd_project(two_forms, orientation=1.0):
     return 0.5 * (two_forms + star), 0.5 * (two_forms - star)
 
 
-def asd_split(frame, spec, x, tol=1e-8):
+def asd_split(frame, spec, x):
     """(W+, W-) parts of the Weyl curvature 2-forms in an orthonormal 4-frame.
 
     Duality is taken against the standard coordinate orientation, so frames
     listed in an order of negative determinant get the sign-corrected star."""
     if spec.dim != 4:
         raise DimensionError("self-dual split is a 4d operation")
-    n = 4
     g = geo.metric_jets(spec, x, order=2)
     Fv = frame.vectors.val.real
-    gv = g.val.real
-    gram = np.einsum('...mn,...mi,...nj->...ij', gv, Fv, Fv, optimize=True)
-    if np.max(np.abs(gram - np.eye(n))) > tol:
-        raise FrameMismatchError("frame fails the Gram check for %s"
-                                 % (spec.family,))
+    _frame_signature(Fv, g.val.real, spec.family)
     W = _curvature_pieces(g)["weyl"]
     Wf = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl', W, Fv, Fv, Fv, Fv,
                    optimize=True)
@@ -253,32 +252,19 @@ def asd_split(frame, spec, x, tol=1e-8):
 # ------------------------------------------------- vector fields and Lie
 
 
-def vector_field_jets(field, x, order=2):
-    """Components of the named vector field "V" or a custom one, as an (n,)
-    tensor jet.
-
-    A custom field is a callable mapping the point array to an (n,) tensor
-    jet or a list of n scalar jets (or such a value directly)."""
-    if not isinstance(field, str):
-        if callable(field):
-            field = field(x)
-        return field if isinstance(field, J.Jet) else J.stack(field)
-    if field != "V":
-        raise ValueError("unknown vector field tag %r" % (field,))
+def vector_field_jets(x, order=2):
+    """Components of the distinguished vector field V, as a (5,) tensor
+    jet: V = -(r^2 + x0^2) d0 - 2 x0 x_m d_m."""
     xj = J.seed(np.asarray(x, dtype=float), order=order)
     x0 = xj[0]
     w = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] + x0 * x0
     return J.stack([(-1.0) * w] + [(-2.0) * x0 * xj[m] for m in range(1, 5)])
 
 
-def lie_derivative_metric(field, spec, x):
-    """(L_X g)_ij values: X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    n = spec.dim
-    g = geo.metric_jets(spec, x, order=1)
-    X = vector_field_jets(field, x, order=1)
-    if X.val.shape[-1:] != (n,):
-        raise DimensionError("field has %s components, metric is %dd"
-                             % (X.val.shape[-1:], n))
+def lie_derivative_metric(g, x):
+    """(L_V g)_ij values from a 5d metric jet g (order >= 1) at the points
+    x: V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
+    X = vector_field_jets(x, order=1)
     gv, dg = g.val.real, g.grad.real            # dg[i, j, k] = d_k g_ij
     Xv, dX = X.val.real, X.grad.real            # dX[k, i] = d_i X^k
     return (np.einsum('...k,...ijk->...ij', Xv, dg)
@@ -286,10 +272,10 @@ def lie_derivative_metric(field, spec, x):
             + np.einsum('...ik,...kj->...ij', gv, dX))
 
 
-def divergence(field, spec, x):
-    """div X = d_i X^i + Gamma^i_im X^m under the given metric, values."""
-    gam = christoffel(spec, x, order=1)
-    X = vector_field_jets(field, x, order=1)
+def divergence(gam, x):
+    """div V = d_i V^i + Gamma^i_im V^m values, from the Christoffel jets
+    gam of a 5d metric at the points x."""
+    X = vector_field_jets(x, order=1)
     return (np.einsum('...ii->...', X.grad.real)
             + np.einsum('...iim,...m->...', gam.val, X.val.real))
 
@@ -297,19 +283,20 @@ def divergence(field, spec, x):
 # --------------------------------------------------- scalars and traces
 
 
-def hessian_scalar(u, spec, x):
-    """Covariant Hessian values of a scalar jet: d_i d_j u - Gamma^k_ij d_k u."""
+def hessian_scalar(u, gam):
+    """Covariant Hessian values of a scalar jet, d_i d_j u - Gamma^k_ij d_k u,
+    from the Christoffel jets gam of the metric at the same points."""
     if u.order < 2:
         raise OrderError("hessian needs a scalar jet of order >= 2")
-    gam = christoffel(spec, x, order=1)
     return u.hess - np.einsum('...kij,...k->...ij', gam.val, u.grad)
 
 
-def trace_free(T, spec, x):
-    """Remove the metric trace: T - (tr_g T / n) g, for (..., n, n) values."""
-    n = spec.dim
+def trace_free(T, g):
+    """Remove the trace under the metric jet g: T - (tr_g T / n) g, for
+    (..., n, n) values."""
+    gv = g.val.real
+    n = gv.shape[-1]
     T = np.asarray(T)
-    gv = geo.metric_jets(spec, x, order=0).val.real
     tr = np.einsum('...ij,...ij->...', np.linalg.inv(gv), T)
     return T - tr[..., None, None] * gv / float(n)
 

@@ -295,7 +295,7 @@ def frame_eval(id, x, a=1.0, order=3):
     raise ValueError(f"unknown frame id {id!r}")
 
 
-def eh_frame(y, a=1.0, order=3):
+def eh_frame(y, a=1.0):
     """Orthonormal frame for the 4d gravitational instanton metric (R > a):
     the inward unit radial vector followed by the three sphere directions."""
     y = np.asarray(y, dtype=float)
@@ -304,7 +304,7 @@ def eh_frame(y, a=1.0, order=3):
     rv = np.sqrt(np.sum(y * y, axis=-1))
     if np.any(rv <= a):
         raise DomainError("instanton frame needs R > a")
-    yj = J.seed(y, order=order)
+    yj = J.seed(y, order=3)
     rad2 = yj[0] * yj[0] + yj[1] * yj[1] + yj[2] * yj[2] + yj[3] * yj[3]
     beta = ((-1.0) * (float(a) ** 4) * rad2.pow_int(-2) + 1.0).sqrt()
     ir = rad2.sqrt().reciprocal()

@@ -188,9 +188,9 @@ def smoothness_probe(field_tag, curve, max_order=3, a=1.0):
 
 # ------------------------------------------------------------ curve families
 
-def _unit_no_small(rng, k, floor=0.25):
+def _unit_no_small(rng, k):
     """Unit vector with every component bounded away from zero."""
-    w = rng.uniform(floor, 1.0, k) * rng.choice([-1.0, 1.0], k)
+    w = rng.uniform(0.25, 1.0, k) * rng.choice([-1.0, 1.0], k)
     return w / np.linalg.norm(w)
 
 

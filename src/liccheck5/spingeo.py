@@ -232,11 +232,12 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     d = geo.cone_d(xj)
     if np.any(d.val == 0.0):
         raise SingularError("residual is not defined on the cone r = |x0|")
-    spec = geo.MetricSpec("ga", a)
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
     u = d * s
-    ric0 = C.trace_free(C.ricci(spec, x), spec, x)
-    hess0 = C.trace_free(C.hessian_scalar(u, spec, x), spec, x)
+    g = geo.metric_jets(geo.MetricSpec("ga", a), x, order=2)
+    gam = C.christoffel_from_jets(g)
+    ric0 = C.trace_free(C._curvature_pieces(g, gam=gam)["ric"], g)
+    hess0 = C.trace_free(C.hessian_scalar(u, gam), g)
     uv = np.asarray(u.val)
     return -uv[..., None, None] * ric0, 3.0 * hess0
 
@@ -246,10 +247,11 @@ def einstein_rescale_residual(b, c, x, a=1.0):
 def _div_grad_of_square(b, c, spec, x):
     """(5/2) grad(div V_psi) under spec, Cartesian components."""
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
-    gam = C.christoffel(spec, x, order=1)
-    V = C.vector_field_jets("V", x, order=2)
-    div = J.jeinsum("ii->", V.d()) + J.jeinsum("iim,m->", gam, V)
-    gi = np.linalg.inv(geo.metric_jets(spec, x, order=0).val.real)
+    g = geo.metric_jets(spec, x, order=2)
+    V = C.vector_field_jets(x, order=2)
+    div = (J.jeinsum("ii->", V.d())
+           + J.jeinsum("iim,m->", C.christoffel_from_jets(g), V))
+    gi = np.linalg.inv(g.val.real)
     return 2.5 * s * np.einsum('...ij,...j->...i', gi, div.grad)
 
 

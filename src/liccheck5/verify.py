@@ -63,9 +63,10 @@ class SuiteConfig:
         if not 0 < self.exclusion < 1.0 / (10.0 * self.a):
             raise ValueError("exclusion must sit in (0, 1/(10a))")
         for k, v in self.tol.items():
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError("tolerance override %r must be positive and "
-                                 "finite, got %r" % (k, v))
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not (np.isfinite(v) and v > 0)):
+                raise ValueError("tolerance override %r must be a positive "
+                                 "finite number, got %r" % (k, v))
 
 
 @dataclass
@@ -165,7 +166,7 @@ def _chk_frame_gram(cfg, seed):
 def _chk_product_structure(cfg, seed):
     xb = _draw(cfg, "B_a", seed, 0.15, outer=0.85)
     low = C.riemann_lowered(geo.MetricSpec("gatilde", cfg.a), xb)
-    Vv = C.vector_field_jets("V", xb, order=0).val.real
+    Vv = C.vector_field_jets(xb, order=0).val.real
     mixed = np.maximum(
         np.max(np.abs(np.einsum('...ijkl,...i->...jkl', low, Vv)), axis=(1, 2, 3)),
         np.max(np.abs(np.einsum('...ijkl,...k->...ijl', low, Vv)), axis=(1, 2, 3)))
@@ -182,16 +183,18 @@ def _chk_product_ricci(cfg, seed):
     return _norm_res(ric, 0.0), len(x)
 
 
-def _eh_points(cfg, seed, n):
+def _eh_points(a, seed, n):
+    """n points of the instanton annulus 1.2 a < R < 3 a: normal directions,
+    uniform radii."""
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(n, 4))
-    y *= (cfg.a * rng.uniform(1.2, 3.0, n) / np.linalg.norm(y, axis=1))[:, None]
+    y *= (a * rng.uniform(1.2, 3.0, n) / np.linalg.norm(y, axis=1))[:, None]
     return y
 
 
 def _chk_eh_connection(cfg, seed):
     a = cfg.a
-    y = _eh_points(cfg, seed, max(cfg.samples // 3, 16))
+    y = _eh_points(a, seed, max(cfg.samples // 3, 16))
     fr = F.eh_frame(y, a)
     om = C.connection_forms(fr, geo.MetricSpec("eh", a), y).omega_frame
     rad = np.sqrt(np.sum(y ** 2, axis=-1))
@@ -244,7 +247,7 @@ def _chk_eh_curvature(cfg, seed):
 
 
 def _chk_eh_asd(cfg, seed):
-    y = _eh_points(cfg, seed, max(cfg.samples // 3, 16))
+    y = _eh_points(cfg.a, seed, max(cfg.samples // 3, 16))
     plus, minus = C.asd_split(F.eh_frame(y, cfg.a),
                               geo.MetricSpec("eh", cfg.a), y)
     return np.array([np.max(np.abs(plus)) / np.max(np.abs(minus))]), len(y)
@@ -285,10 +288,10 @@ def _chk_conformal_killing(cfg, seed):
     for i, region in enumerate(("B_a", "L")):
         x = _draw(cfg, region, seed + i, 0.02)
         n += len(x)
-        gv = geo.metric_jets(spec, x, order=0).val.real
-        LV = C.lie_derivative_metric("V", spec, x)
-        out.append(_norm_res(LV, -4.0 * x[:, 0, None, None] * gv))
-        div = C.divergence("V", spec, x)
+        g = geo.metric_jets(spec, x, order=2)
+        LV = C.lie_derivative_metric(g, x)
+        out.append(_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val.real))
+        div = C.divergence(C.christoffel_from_jets(g), x)
         out.append(_norm_res(div, -10.0 * x[:, 0]))
     return np.concatenate(out), n
 
@@ -307,7 +310,7 @@ def _chk_square_field(cfg, seed):
     s = cfg.b ** 2 + cfg.c ** 2
     out = []
     for x, V in ((xb, Vb), (xl, Vl)):
-        Vt = C.vector_field_jets("V", x, order=0).val.real
+        Vt = C.vector_field_jets(x, order=0).val.real
         out.append(_norm_res(V, s * Vt))
     return np.concatenate(out), len(xb) + len(xl)
 

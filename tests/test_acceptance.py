@@ -107,7 +107,7 @@ def test_spinor_square_identities_and_causal_type():
     for i, region in enumerate(("B_a", "L")):
         x = V.sample(region, 1.0, 300, seed=61 + i, exclusion=0.02)
         gv = geo.metric_jets(GA, x, order=0).val.real
-        Vt = C.vector_field_jets("V", x, order=0).val.real
+        Vt = C.vector_field_jets(x, order=0).val.real
         q = np.einsum('...ij,...i,...j->...', gv, Vt, Vt)
         d = np.sum(x[:, 1:] ** 2, axis=1) - x[:, 0] ** 2
         assert np.max(V._norm_res(q, -d ** 2)) < 1e-10, region

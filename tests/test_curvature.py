@@ -5,26 +5,15 @@ from liccheck5 import curvature as C
 from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import jets as J
+from liccheck5 import verify as V
 from liccheck5.errors import (DimensionError, FrameMismatchError, OrderError,
                               SingularError, SingularMetricError)
-
-from conftest import sample_ba, sample_l
 
 G0 = geo.MetricSpec("g0")
 GA = geo.MetricSpec("ga", 1.0)
 GAT = geo.MetricSpec("gatilde", 1.0)
 HA = geo.MetricSpec("ha", 1.0)
 EH = geo.MetricSpec("eh", 1.0)
-
-
-def sample_eh(n, a=1.0, seed=0, lo=1.15, hi=3.0):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        y = rng.uniform(-hi, hi, size=4)
-        if lo * a < np.sqrt(np.sum(y * y)) < hi * a:
-            out.append(y)
-    return np.array(out)
 
 
 def wedge(i, j):
@@ -76,7 +65,7 @@ def test_christoffel_ha_matches_finite_differences():
 
 
 def test_metric_compatibility_ga():
-    x = sample_ba(40, lo=0.15, hi=0.9, seed=3)
+    x = V.sample("B_a", 1.0, 40, 3, exclusion=0.15 / np.sqrt(2), outer=0.9)
     g = geo.metric_jets(GA, x, order=2)
     gam = C.christoffel_from_jets(g).val
     gv = g.val
@@ -122,23 +111,25 @@ def test_christoffel_order_cap():
 
 
 def test_ricci_flat_gatilde_exterior():
-    x = sample_ba(200, lo=0.1, hi=0.9, seed=11)
+    x = V.sample("B_a", 1.0, 200, 11, exclusion=0.1 / np.sqrt(2), outer=0.9)
     ric = C.ricci(GAT, x)
     scale = np.max(np.abs(C.riemann_lowered(GAT, x)))
     assert np.max(np.abs(ric)) < 1e-8 * scale
 
 
 def test_riemann_gatilde_zero_inside_cone():
-    x = sample_l(100, seed=12, margin=0.12)
+    x = V.sample("L", 1.0, 100, 12, exclusion=0.05)
     R = C.riemann(GAT, x, order=0).val
     assert np.max(np.abs(R)) < 1e-8
 
 
 @pytest.mark.parametrize("spec,sampler", [
-    (GA, lambda: sample_ba(25, lo=0.15, hi=0.9, seed=21)),
-    (GAT, lambda: sample_ba(25, lo=0.15, hi=0.9, seed=22)),
-    (HA, lambda: sample_eh(25, seed=23) / 4.0),
-    (EH, lambda: sample_eh(25, seed=24)),
+    (GA, lambda: V.sample("B_a", 1.0, 25, 21, exclusion=0.15 / np.sqrt(2),
+                          outer=0.9)),
+    (GAT, lambda: V.sample("B_a", 1.0, 25, 22, exclusion=0.15 / np.sqrt(2),
+                           outer=0.9)),
+    (HA, lambda: V._eh_points(1.0, 23, 25) / 4.0),
+    (EH, lambda: V._eh_points(1.0, 24, 25)),
 ])
 def test_first_bianchi(spec, sampler):
     res, scale = C.bianchi_residual(spec, sampler())
@@ -146,7 +137,7 @@ def test_first_bianchi(spec, sampler):
 
 
 def test_bundle_symmetries_and_traces():
-    x = sample_ba(30, lo=0.15, hi=0.9, seed=31)
+    x = V.sample("B_a", 1.0, 30, 31, exclusion=0.15 / np.sqrt(2), outer=0.9)
     R = C.riemann(GA, x, order=0).val
     # antisymmetry in the 2-form slots (last two indices of R^l_kij)
     assert np.max(np.abs(R + np.einsum('...lkij->...lkji', R))) < 1e-9
@@ -161,7 +152,7 @@ def test_bundle_symmetries_and_traces():
 
 @pytest.mark.parametrize("spec", [GA, GAT])
 def test_weyl_totally_trace_free(spec):
-    x = sample_ba(30, lo=0.15, hi=0.9, seed=33)
+    x = V.sample("B_a", 1.0, 30, 33, exclusion=0.15 / np.sqrt(2), outer=0.9)
     W = C.weyl(spec, x)
     gi = np.linalg.inv(geo.metric_jets(spec, x, order=0).val)
     scale = np.max(np.abs(W))
@@ -172,7 +163,7 @@ def test_weyl_totally_trace_free(spec):
 
 
 def test_weyl_conformal_covariance():
-    x = sample_ba(50, lo=0.15, hi=0.9, seed=13)
+    x = V.sample("B_a", 1.0, 50, 13, exclusion=0.15 / np.sqrt(2), outer=0.9)
     Wga = C.weyl(GA, x)
     Wgt = C.weyl(GAT, x)
     d = np.sum(x[:, 1:] ** 2, axis=1) - x[:, 0] ** 2
@@ -181,7 +172,7 @@ def test_weyl_conformal_covariance():
 
 
 def test_eh_riemann_equals_weyl():
-    y = sample_eh(60, seed=5)
+    y = V._eh_points(1.0, 5, 60)
     low = C.riemann_lowered(EH, y)
     W = C.weyl(EH, y)
     assert np.max(np.abs(W - low)) < 1e-8
@@ -199,7 +190,7 @@ def test_connection_forms_flat_standard_frame():
 
 
 def test_connection_forms_gram_mismatch():
-    x = sample_ba(10, lo=0.2, hi=0.8, seed=4)
+    x = V.sample("B_a", 1.0, 10, 4, exclusion=0.2 / np.sqrt(2), outer=0.8)
     fu = F.frame_eval("u", x, order=2)
     with pytest.raises(FrameMismatchError):
         C.connection_forms(fu, GA, x)
@@ -208,7 +199,7 @@ def test_connection_forms_gram_mismatch():
 def test_eh_connection_form_displays():
     # omega_12 = omega_34 = -beta sigma1, omega_13 = -omega_24 = -beta sigma2,
     # omega_14 = omega_23 = -gamma f^4 with gamma = beta/R + beta'.
-    y = sample_eh(40, seed=6)
+    y = V._eh_points(1.0, 6, 40)
     fr = F.eh_frame(y, 1.0)
     forms = C.connection_forms(fr, EH, y)
     om = forms.omega_frame
@@ -256,7 +247,7 @@ def test_eh_curvature_form_patterns():
 
 
 def test_omega_antisymmetric_lowered():
-    x = sample_ba(30, lo=0.15, hi=0.9, seed=8)
+    x = V.sample("B_a", 1.0, 30, 8, exclusion=0.15 / np.sqrt(2), outer=0.9)
     forms = C.connection_forms(F.frame_eval("e", x, 1.0, order=3), GA, x)
     ov = forms.omega.val
     scale = max(np.max(np.abs(ov)), 1.0)
@@ -264,7 +255,7 @@ def test_omega_antisymmetric_lowered():
 
 
 def test_structure_equations_eh():
-    y = sample_eh(100, seed=9)
+    y = V._eh_points(1.0, 9, 100)
     fr = F.eh_frame(y, 1.0)
     forms = C.connection_forms(fr, EH, y)
     r1, r2 = C.structure_residuals(forms, fr, EH, y)
@@ -273,7 +264,7 @@ def test_structure_equations_eh():
 
 
 def test_structure_equations_lorentzian_frame():
-    x = sample_ba(60, lo=0.15, hi=0.9, seed=8)
+    x = V.sample("B_a", 1.0, 60, 8, exclusion=0.15 / np.sqrt(2), outer=0.9)
     fr = F.frame_eval("e", x, 1.0, order=3)
     forms = C.connection_forms(fr, GA, x)
     assert list(forms.eps) == [-1.0, 1.0, 1.0, 1.0, 1.0]
@@ -299,7 +290,7 @@ def test_asd_basis_is_antiselfdual():
 
 
 def test_eh_weyl_antiselfdual():
-    y = sample_eh(100, seed=14)
+    y = V._eh_points(1.0, 14, 100)
     plus, minus = C.asd_split(F.eh_frame(y, 1.0), EH, y)
     assert np.max(np.abs(plus)) < 1e-9 * np.max(np.abs(minus))
 
@@ -307,7 +298,7 @@ def test_eh_weyl_antiselfdual():
 def test_asd_split_zero_and_dim_guard():
     zp, zm = C.asd_project(np.zeros((4, 4, 4, 4)))
     assert np.max(np.abs(zp)) == 0.0 and np.max(np.abs(zm)) == 0.0
-    x = sample_ba(3, lo=0.2, hi=0.8, seed=1)
+    x = V.sample("B_a", 1.0, 3, 1, exclusion=0.2 / np.sqrt(2), outer=0.8)
     with pytest.raises(DimensionError):
         C.asd_split(F.frame_eval("e", x, 1.0), GA, x)
 
@@ -317,47 +308,32 @@ def test_asd_split_zero_and_dim_guard():
 
 def test_lie_v_flat_metric():
     x = np.random.default_rng(3).uniform(-2, 2, size=(50, 5))
-    LV = C.lie_derivative_metric("V", G0, x)
+    LV = C.lie_derivative_metric(geo.metric_jets(G0, x, order=1), x)
     target = -4.0 * x[:, 0][:, None, None] * geo.ETA
     assert np.max(np.abs(LV - target)) < 1e-12
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda: sample_ba(200, lo=0.1, hi=0.9, seed=15),
-    lambda: sample_l(100, seed=16, margin=0.1),
+    lambda: V.sample("B_a", 1.0, 200, 15, exclusion=0.1 / np.sqrt(2),
+                     outer=0.9),
+    lambda: V.sample("L", 1.0, 100, 16, exclusion=0.05),
 ])
 def test_lie_v_ga_conformal(sampler):
     x = sampler()
-    LV = C.lie_derivative_metric("V", GA, x)
-    gv = geo.metric_jets(GA, x, order=0).val
-    assert np.max(np.abs(LV + 4.0 * x[:, 0][:, None, None] * gv)) < 1e-9
-
-
-def test_lie_translation_isometry():
-    x = np.random.default_rng(4).uniform(-2, 2, size=(30, 5))
-
-    def shift(x):
-        return J.stack([J.constant(np.full(x.shape[:-1], float(k == 2)), dim=5, order=1)
-                        for k in range(5)])
-
-    assert np.max(np.abs(C.lie_derivative_metric(shift, G0, x))) == 0.0
+    g = geo.metric_jets(GA, x, order=1)
+    LV = C.lie_derivative_metric(g, x)
+    assert np.max(np.abs(LV + 4.0 * x[:, 0][:, None, None] * g.val)) < 1e-9
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda: sample_ba(100, lo=0.1, hi=0.9, seed=17),
-    lambda: sample_l(60, seed=18, margin=0.1),
+    lambda: V.sample("B_a", 1.0, 100, 17, exclusion=0.1 / np.sqrt(2),
+                     outer=0.9),
+    lambda: V.sample("L", 1.0, 60, 18, exclusion=0.05),
 ])
 def test_divergence_v_ga(sampler):
     x = sampler()
-    div = C.divergence("V", GA, x)
+    div = C.divergence(C.christoffel(GA, x, order=1), x)
     assert np.max(np.abs(div + 10.0 * x[:, 0])) < 1e-9
-
-
-def test_unknown_vector_field_tag():
-    x = np.array([[0.5, 0.0, 0.0, 0.0, 0.0]])
-    for tag in ("T", "W"):
-        with pytest.raises(ValueError):
-            C.vector_field_jets(tag, x)
 
 
 # ------------------------------------------------- Hessians and traces
@@ -366,17 +342,18 @@ def test_unknown_vector_field_tag():
 def test_hessian_of_x0_squared_flat():
     x = np.random.default_rng(5).uniform(-1, 1, size=(10, 5))
     u = J.seed(x, order=2)[0]
-    H = C.hessian_scalar(u * u, G0, x)
+    H = C.hessian_scalar(u * u, C.christoffel(G0, x, order=1))
     target = np.zeros((10, 5, 5))
     target[:, 0, 0] = 2.0
     assert np.max(np.abs(H - target)) == 0.0
 
 
 def test_trace_free_kills_trace():
-    x = sample_ba(10, lo=0.2, hi=0.8, seed=6)
+    x = V.sample("B_a", 1.0, 10, 6, exclusion=0.2 / np.sqrt(2), outer=0.8)
     T = np.random.default_rng(8).normal(size=(10, 5, 5))
-    tf = C.trace_free(T, GA, x)
-    gi = np.linalg.inv(geo.metric_jets(GA, x, order=0).val)
+    g = geo.metric_jets(GA, x, order=0)
+    tf = C.trace_free(T, g)
+    gi = np.linalg.inv(g.val)
     assert np.max(np.abs(np.einsum('...ij,...ij->...', gi, tf))) < 1e-12
 
 
@@ -384,27 +361,28 @@ def test_hessian_order_guard():
     x = np.zeros((1, 5))
     u = J.seed(x, order=1)[0]
     with pytest.raises(OrderError):
-        C.hessian_scalar(u, G0, x)
+        C.hessian_scalar(u, C.christoffel(G0, x, order=1))
 
 
 # ------------------------------------------------- conformal identities
 
 
 def test_conformal_ricci_identity_exterior():
-    x = sample_ba(200, lo=0.15, hi=0.9, seed=19)
+    x = V.sample("B_a", 1.0, 200, 19, exclusion=0.15 / np.sqrt(2), outer=0.9)
     lhs, rhs = C.conformal_ricci_check(x, 1.0)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_conformal_ricci_identity_inside():
-    x = sample_l(100, seed=20, margin=0.12)
+    x = V.sample("L", 1.0, 100, 20, exclusion=0.05)
     lhs, rhs = C.conformal_ricci_check(x, 1.0)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda: sample_ba(50, lo=0.15, hi=0.9, seed=25),
-    lambda: sample_l(50, seed=26, margin=0.12),
+    lambda: V.sample("B_a", 1.0, 50, 25, exclusion=0.15 / np.sqrt(2),
+                     outer=0.9),
+    lambda: V.sample("L", 1.0, 50, 26, exclusion=0.05),
 ])
 def test_conformal_ricci_flat_variant(sampler):
     lhs, rhs = C.conformal_ricci_check(sampler(), 1.0, flat_variant=True)

@@ -6,23 +6,35 @@ from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import jets as J
 from liccheck5 import regularity as R
+from liccheck5 import verify as V
 from liccheck5.errors import AmbiguousError, CaViolationError, DomainError
 
-from conftest import jet_close, sample_ba, sample_ca, sample_l
+from conftest import jet_close
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 
 
+def in_ca(x, a, n):
+    """The first n points of a B_a draw that lie in the C_a neighbourhood
+    of the cone, 4 x0^2 rho < 0.95 with rho = a^4 r_o^2 / (1 - (a r_o)^4)."""
+    ro = geo.radial_values(x)[2]
+    rho = a ** 4 * ro ** 2 / (1.0 - (a * ro) ** 4)
+    x = x[4.0 * x[:, 0] ** 2 * rho < 0.95]
+    assert len(x) >= n
+    return x[:n]
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_frame_e_orthonormal_ba(a):
-    x = sample_ba(500, a=a, seed=41, box=1.6 / a)
+    x = V.sample("B_a", a, 500, 41, exclusion=0.05 / np.sqrt(2),
+                 outer=1 - 0.05 * a)
     fv = F.frame_eval("e", x, a, order=0)
     gram = F.gram_matrix(fv, x)
     assert np.abs(gram - ETA).max() < 1e-10
 
 
 def test_frame_e_orthonormal_on_l():
-    x = sample_l(200, seed=42)
+    x = V.sample("L", 1.0, 200, 42, exclusion=0.05)
     fv = F.frame_eval("e", x, a=1.0, order=0)
     gram = F.gram_matrix(fv, x)
     assert np.abs(gram - ETA).max() < 1e-12
@@ -30,7 +42,7 @@ def test_frame_e_orthonormal_on_l():
 
 def test_frame_e_cylindrical_on_l():
     # r_o = 0 kills the T-correction: e0 = d0 and e1 = dr exactly.
-    x = sample_l(50, seed=7)
+    x = V.sample("L", 1.0, 50, 7, exclusion=0.05)
     fv = F.frame_eval("e", x, a=1.0, order=1)
     r = np.linalg.norm(x[:, 1:], axis=-1)
     assert np.allclose(fv.vectors[0, 0].val, 1.0)
@@ -41,7 +53,7 @@ def test_frame_e_cylindrical_on_l():
 
 
 def test_e_dot_g_is_standard_frame_on_l():
-    x = sample_l(100, seed=9)
+    x = V.sample("L", 1.0, 100, 9, exclusion=0.05)
     e = F.frame_eval("e", x, a=1.0, order=0)
     G = F.transform_eval("G", x, order=0)
     prod = J.jeinsum("ij,jk->ik", e.vectors, G).val
@@ -50,7 +62,7 @@ def test_e_dot_g_is_standard_frame_on_l():
 
 @pytest.mark.parametrize("fid", ["f", "etilde"])
 def test_tilde_frames_orthonormal_for_gatilde(fid):
-    x = sample_ba(300, seed=43)
+    x = V.sample("B_a", 1.0, 300, 43, exclusion=0.05 / np.sqrt(2))
     fv = F.frame_eval(fid, x, a=1.0, order=0)
     assert fv.metric_spec.family == "gatilde"
     gram = F.gram_matrix(fv, x)
@@ -59,7 +71,7 @@ def test_tilde_frames_orthonormal_for_gatilde(fid):
 
 def test_etilde_is_conformal_stretch_of_e():
     # the pushforward identity Psi_*(e_i) = (R^2-s^2) etilde_i, pointwise form
-    x = sample_ba(100, seed=44)
+    x = V.sample("B_a", 1.0, 100, 44, exclusion=0.05 / np.sqrt(2))
     e = F.frame_eval("e", x, a=1.0, order=1).vectors
     et = F.frame_eval("etilde", x, a=1.0, order=1).vectors
     d = np.sum(x[:, 1:] ** 2, axis=-1) - x[:, 0] ** 2
@@ -72,7 +84,7 @@ def test_etilde_is_conformal_stretch_of_e():
 
 
 def test_etilde_equals_f_kappa():
-    x = sample_ba(200, seed=45)
+    x = V.sample("B_a", 1.0, 200, 45, exclusion=0.05 / np.sqrt(2))
     f = F.frame_eval("f", x, a=1.0, order=0).vectors
     kap = F.transform_eval("kappa", x, order=0)
     et = F.frame_eval("etilde", x, a=1.0, order=0).vectors
@@ -81,7 +93,7 @@ def test_etilde_equals_f_kappa():
 
 
 def test_kappa_is_boost_exponential():
-    x = sample_ba(150, seed=46)
+    x = V.sample("B_a", 1.0, 150, 46, exclusion=0.05 / np.sqrt(2))
     # the chart pair (s, R) = (-x0, r) / (r^2 - x0^2)
     r, d, _ = geo.radial_values(x)
     s, R = -x[:, 0] / d, r / d
@@ -95,7 +107,7 @@ def test_kappa_is_boost_exponential():
 
 
 def test_kappatilde_covers_kappa():
-    x = sample_ba(100, seed=47)
+    x = V.sample("B_a", 1.0, 100, 47, exclusion=0.05 / np.sqrt(2))
     kt = F.transform_eval("kappatilde", x)
     kap = F.transform_eval("kappa", x, order=0).val
     assert np.abs(cl.lambda_of(kt) - kap).max() < 1e-9
@@ -103,7 +115,8 @@ def test_kappatilde_covers_kappa():
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_q_entries_hyperbolic(a):
-    x = sample_ca(200, a=a, seed=48)
+    x = in_ca(V.sample("B_a", a, 10 * 200, 48, exclusion=0.05 / np.sqrt(2),
+                       outer=1 - 0.05 * a), a, 200)
     k, q, rho = F.k_q_rho(x, a, order=0)
     assert np.abs(k.val ** 2 - q.val ** 2 - 1.0).max() < 1e-12
     assert k.val.min() > 0
@@ -111,7 +124,7 @@ def test_q_entries_hyperbolic(a):
 
 
 def test_q_identity_on_l():
-    x = sample_l(60, seed=49)
+    x = V.sample("L", 1.0, 60, 49, exclusion=0.05)
     Q = F.transform_eval("Q", x, order=0).val
     assert np.array_equal(Q, np.broadcast_to(np.eye(5), Q.shape))
 
@@ -124,7 +137,8 @@ def test_q_outside_ca_raises():
 
 
 def test_qtilde_covers_q():
-    x = sample_ca(100, seed=50)
+    x = in_ca(V.sample("B_a", 1.0, 10 * 100, 50, exclusion=0.05 / np.sqrt(2)),
+              1.0, 100)
     Qt = F.transform_eval("Qtilde", x, a=1.0)
     Q = F.transform_eval("Q", x, a=1.0, order=0).val
     assert np.abs(cl.lambda_of(Qt) - Q).max() < 1e-9
@@ -149,7 +163,7 @@ def test_qtilde_identity_plus_ro_squared():
 
 
 def test_gtilde_covers_g_and_is_special_unitary():
-    x = sample_ba(100, seed=51)
+    x = V.sample("B_a", 1.0, 100, 51, exclusion=0.05 / np.sqrt(2))
     Gt = F.transform_eval("Gtilde", x)
     G = F.transform_eval("G", x, order=0).val
     assert np.abs(cl.lambda_of(Gt) - G).max() < 1e-9
@@ -159,7 +173,8 @@ def test_gtilde_covers_g_and_is_special_unitary():
 
 
 def test_htilde_matches_product_off_axis():
-    x = sample_ca(80, seed=52)
+    x = in_ca(V.sample("B_a", 1.0, 10 * 80, 52, exclusion=0.05 / np.sqrt(2)),
+              1.0, 80)
     ht = F.frame_htilde(x, a=1.0, order=1)
     e = F.frame_eval("e", x, a=1.0, order=1)
     Q = F.transform_eval("Q", x, a=1.0, order=1)
@@ -169,7 +184,8 @@ def test_htilde_matches_product_off_axis():
 
 
 def test_htilde_first_column_is_normalized_d0():
-    x = sample_ca(120, seed=53)
+    x = in_ca(V.sample("B_a", 1.0, 10 * 120, 53, exclusion=0.05 / np.sqrt(2)),
+              1.0, 120)
     ht = F.frame_htilde(x, a=1.0, order=0)
     _, _, rho = F.k_q_rho(x, a=1.0, order=0)
     expect = 1.0 / np.sqrt(1.0 - 4.0 * x[:, 0] ** 2 * rho.val)
@@ -179,11 +195,12 @@ def test_htilde_first_column_is_normalized_d0():
 
 
 def test_htilde_orthonormal_and_standard_on_l():
-    x = sample_ca(200, seed=54)
+    x = in_ca(V.sample("B_a", 1.0, 10 * 200, 54, exclusion=0.05 / np.sqrt(2)),
+              1.0, 200)
     ht = F.frame_htilde(x, a=1.0, order=0)
     gram = F.gram_matrix(ht, x)
     assert np.abs(gram - ETA).max() < 1e-9
-    xl = sample_l(50, seed=55)
+    xl = V.sample("L", 1.0, 50, 55, exclusion=0.05)
     xl = np.vstack([xl, [[0.5, 0, 0, 0, 0]], [[0, 0, 0, 0, 0]]])  # axis, origin
     htl = F.frame_htilde(xl, a=1.0, order=2)
     assert np.abs(htl.vectors.val - np.eye(5)).max() == 0.0
@@ -211,7 +228,7 @@ def test_htilde_continuous_across_cone_and_origin():
 
 
 def test_frame_u_constant():
-    x = sample_ba(10, seed=56)
+    x = V.sample("B_a", 1.0, 10, 56, exclusion=0.05 / np.sqrt(2))
     fv = F.frame_eval("u", x, order=2)
     assert fv.metric_spec.family == "g0"
     assert np.abs(fv.vectors.val - np.eye(5)).max() == 0.0

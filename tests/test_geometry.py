@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from liccheck5 import geometry as G
 from liccheck5 import jets as J
+from liccheck5 import verify as V
 from liccheck5.errors import (
     AmbiguousError,
     DimensionError,
     DomainError,
 )
 
-from conftest import jet_close, sample_ba, sample_l
+from conftest import jet_close
 
 A_DEFAULT = 1.0
 
@@ -75,12 +76,12 @@ def test_classify_rejects_wrong_dim():
 # ------------------------------------------------------- radial coordinates
 
 def test_radial_ro_exterior_values_and_zero_on_l():
-    x = sample_ba(12, seed=3)
+    x = V.sample("B_a", 1.0, 12, 3, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
     ro = G.radial_jets(xj, 1.0).ro
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     assert np.allclose(ro.val, (r * r - x[:, 0] ** 2) / r, rtol=1e-13)
-    xl = sample_l(9, seed=4)
+    xl = V.sample("L", 1.0, 9, 4, exclusion=0.05)
     rol = G.radial_jets(J.seed(xl), 1.0).ro
     assert np.all(rol.val == 0.0)
     assert np.all(rol.grad == 0.0)
@@ -91,7 +92,8 @@ def test_radial_ro_ambiguous_on_cone_and_mixed():
     cone = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(AmbiguousError):
         G.radial_jets(J.seed(cone), 1.0)
-    mixed = np.vstack([sample_ba(2, seed=1), sample_l(2, seed=2)])
+    mixed = np.vstack([V.sample("B_a", 1.0, 2, 1, exclusion=0.05 / np.sqrt(2)),
+                       V.sample("L", 1.0, 2, 2, exclusion=0.05)])
     with pytest.raises(AmbiguousError):
         G.radial_jets(J.seed(mixed), 1.0)
 
@@ -139,13 +141,14 @@ def test_sigma_structure_equations():
 
 
 def test_alpha_annihilates_cone_vector_and_sphere_directions():
-    x = sample_ba(10, seed=5)
+    x = V.sample("B_a", 1.0, 10, 5, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
     al = G.alpha_form(xj, G.radial_r(xj))
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     x0 = x[:, 0]
-    V = np.concatenate([(-(r * r + x0 * x0))[:, None], -2 * x0[:, None] * x[:, 1:]], axis=1)
-    aV = sum(al[i].val * V[:, i] for i in range(5))
+    Vv = np.concatenate([(-(r * r + x0 * x0))[:, None],
+                         -2 * x0[:, None] * x[:, 1:]], axis=1)
+    aV = sum(al[i].val * Vv[:, i] for i in range(5))
     assert np.max(np.abs(aV)) < 1e-12 * np.max(r ** 3)
     K = G.sigma_dual_vectors(xj[1:])
     for i in range(3):
@@ -154,7 +157,7 @@ def test_alpha_annihilates_cone_vector_and_sphere_directions():
 
 
 def test_beta_is_one_on_l():
-    xl = sample_l(6, seed=9)
+    xl = V.sample("L", 1.0, 6, 9, exclusion=0.05)
     b = G.radial_jets(J.seed(xl), 1.7).beta
     assert np.all(b.val == 1.0)
     assert np.all(b.grad == 0.0)
@@ -164,7 +167,7 @@ def test_beta_is_one_on_l():
 
 def test_metric_ga_equals_cylindrical_rewrite():
     a = 1.0
-    x = sample_ba(10, seed=17)
+    x = V.sample("B_a", 1.0, 10, 17, exclusion=0.05 / np.sqrt(2))
     ga = G.metric_jets(G.MetricSpec("ga", a), x)
 
     xj = J.seed(x)
@@ -191,7 +194,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
 
 
 def test_metric_ga_is_flat_branch_on_l():
-    xl = sample_l(8, seed=21)
+    xl = V.sample("L", 1.0, 8, 21, exclusion=0.05)
     g = G.metric_jets(G.MetricSpec("ga", 1.0), xl)
     for i in range(5):
         for j in range(5):
@@ -202,7 +205,8 @@ def test_metric_ga_is_flat_branch_on_l():
 
 def test_metric_ga_signature_lorentzian():
     for a in (0.5, 1.0, 2.0):
-        x = sample_ba(40, a=a, seed=int(10 * a))
+        x = V.sample("B_a", a, 40, int(10 * a), exclusion=0.05 / np.sqrt(2),
+                     outer=1 - 0.05 * a)
         gv = G.metric_jets(G.MetricSpec("ga", a), x).val
         ev = np.linalg.eigvalsh(gv)
         assert np.all(ev[:, 0] < 0)
@@ -220,7 +224,7 @@ def test_metric_ga_domain_and_ambiguity_errors():
 
 
 def test_gatilde_is_conformal_flat_inside_l():
-    xl = sample_l(7, seed=41)
+    xl = V.sample("L", 1.0, 7, 41, exclusion=0.05)
     gt = G.metric_jets(G.MetricSpec("gatilde", 1.0), xl)
     d = np.sum(xl[:, 1:] ** 2, axis=1) - xl[:, 0] ** 2
     gv = gt.val
@@ -279,11 +283,11 @@ def test_metric_spec_validation_and_aliases():
 
 
 def test_mu_jet_branches():
-    xb = sample_ba(6, seed=70)
+    xb = V.sample("B_a", 1.0, 6, 70, exclusion=0.05 / np.sqrt(2))
     mu = G.mu_jet(G.cone_d(J.seed(xb)))
     d = np.sum(xb[:, 1:] ** 2, axis=1) - xb[:, 0] ** 2
     assert np.allclose(mu.val, np.log(d), rtol=1e-13)
-    xl = sample_l(6, seed=71)
+    xl = V.sample("L", 1.0, 6, 71, exclusion=0.05)
     mul = G.mu_jet(G.cone_d(J.seed(xl)))
     dl = np.sum(xl[:, 1:] ** 2, axis=1) - xl[:, 0] ** 2
     assert np.allclose(mul.val, np.log(-dl), rtol=1e-13)

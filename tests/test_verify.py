@@ -48,6 +48,35 @@ def test_sample_outer_band_and_determinism():
     assert not np.array_equal(x[:, 0], V.sample("B_a", a, 150, seed=10)[:, 0])
 
 
+# the (exclusion, outer) pairs the unit tests draw B_a points with: an r_o
+# floor lo is exclusion lo/sqrt(2), since r_o >= r - |x0|; a ceiling hi at
+# a = 1 is outer hi
+TEST_MARGINS = [(0.05 / np.sqrt(2), 0.95), (0.1 / np.sqrt(2), 0.9),
+                (0.15 / np.sqrt(2), 0.9), (0.2 / np.sqrt(2), 0.8),
+                (0.05 / np.sqrt(2), 0.35)]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_sample_keeps_the_margins_the_tests_rely_on(a):
+    margins = TEST_MARGINS + [(0.05 / np.sqrt(2), 1 - 0.05 * a)]
+    draws = [("B_a", e, o) for e, o in margins] + [("L", 0.05, 0.95)]
+    for region, exclusion, outer in draws:
+        x = V.sample(region, a, 60, 11, exclusion, outer)
+        assert x.shape == (60, 5)
+        r, _, ro = geo.radial_values(x)
+        gap = geo.cone_gap(x)
+        assert np.all(np.abs(gap) / np.sqrt(2) >= exclusion)
+        assert np.all(r >= exclusion)
+        if region == "B_a":
+            assert np.all(gap > 0) and np.all(ro < outer / a)
+            assert np.all(ro >= np.sqrt(2) * exclusion)
+        else:
+            assert np.all(gap < 0)
+        assert np.array_equal(x, V.sample(region, a, 60, 11, exclusion, outer))
+        assert not np.array_equal(x, V.sample(region, a, 60, 12, exclusion,
+                                              outer))
+
+
 def test_import_loads_no_scipy():
     """The sampler draws from numpy alone; a fresh import of the suite and
     the CLI leaves no scipy module behind."""
@@ -122,6 +151,20 @@ def test_skip_and_unknown_names(baseline):
         V.run_suite(FAST, skip=("no-such-check",))
     with pytest.raises(ValueError):
         V.run_suite(FAST, only=["no-such-check"])
+
+
+@pytest.mark.parametrize("check", ["einstein-rescale", "conformal-killing"])
+def test_one_check_builds_each_region_metric_once(check, monkeypatch):
+    builds = []
+
+    def counted(spec, x, order=3, _fn=geo.metric_jets):
+        builds.append((spec.family, order))
+        return _fn(spec, x, order)
+
+    monkeypatch.setattr(geo, "metric_jets", counted)
+    fn = next(c.fn for c in V.REGISTRY if c.name == check)
+    fn(V.SuiteConfig(samples=20), 0)
+    assert builds == [("ga", 2), ("ga", 2)]       # one per region, B_a and L
 
 
 def test_tol_override_flips_verdict():
@@ -261,9 +304,13 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     bad.write_text('{"volume": 11}')
     r = CliRunner().invoke(cli.main, ["run", "--config", str(bad)])
     assert r.exit_code != 0 and "unknown config keys" in r.output
-    for text, key in (('{', None), ('{"samples": "many"}', "samples"),
-                      ('{"tol": 5}', "tol"), ('{"regions": "B_a"}', "regions"),
-                      ('{"skip": "weyl-decay"}', "skip")):
+    cases = [('{', None), ('{"samples": "many"}', "samples"),
+             ('{"tol": 5}', "tol"), ('{"regions": "B_a"}', "regions"),
+             ('{"skip": "weyl-decay"}', "skip")]
+    # a tolerance that is not a JSON number is refused, naming its check
+    cases += [('{"tol": {"twistor-equation": %s}}' % v, "twistor-equation")
+              for v in ("true", '"1e-8"', "null")]
+    for text, key in cases:
         bad.write_text(text)
         r = CliRunner().invoke(cli.main, ["run", "--config", str(bad)])
         assert r.exit_code == 1, (text, r.output)
