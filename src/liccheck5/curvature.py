@@ -257,27 +257,26 @@ def vector_field_jets(x, order=2):
     jet: V = -(r^2 + x0^2) d0 - 2 x0 x_m d_m."""
     xj = J.seed(np.asarray(x, dtype=float), order=order)
     x0 = xj[0]
-    w = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] + x0 * x0
+    w = geo.sum_squares(xj[1:]) + x0 * x0
     return J.stack([(-1.0) * w] + [(-2.0) * x0 * xj[m] for m in range(1, 5)])
 
 
-def lie_derivative_metric(g, x):
-    """(L_V g)_ij values from a 5d metric jet g (order >= 1) at the points
-    x: V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k."""
-    X = vector_field_jets(x, order=1)
+def lie_derivative_metric(g, V):
+    """(L_V g)_ij values from a 5d metric jet g and the vector field jet V
+    (both of order >= 1) at the same points: V^k d_k g_ij + g_kj d_i V^k
+    + g_ik d_j V^k."""
     gv, dg = g.val.real, g.grad.real            # dg[i, j, k] = d_k g_ij
-    Xv, dX = X.val.real, X.grad.real            # dX[k, i] = d_i X^k
-    return (np.einsum('...k,...ijk->...ij', Xv, dg)
-            + np.einsum('...kj,...ki->...ij', gv, dX)
-            + np.einsum('...ik,...kj->...ij', gv, dX))
+    Vv, dV = V.val.real, V.grad.real            # dV[k, i] = d_i V^k
+    return (np.einsum('...k,...ijk->...ij', Vv, dg)
+            + np.einsum('...kj,...ki->...ij', gv, dV)
+            + np.einsum('...ik,...kj->...ij', gv, dV))
 
 
-def divergence(gam, x):
-    """div V = d_i V^i + Gamma^i_im V^m values, from the Christoffel jets
-    gam of a 5d metric at the points x."""
-    X = vector_field_jets(x, order=1)
-    return (np.einsum('...ii->...', X.grad.real)
-            + np.einsum('...iim,...m->...', gam.val, X.val.real))
+def divergence(gam, V):
+    """div V = d_i V^i + Gamma^i_im V^m as a scalar jet, one order below
+    the vector field jet V, from the Christoffel jets gam of a 5d metric at
+    the same points."""
+    return J.jeinsum("ii->", V.d()) + J.jeinsum("iim,m->", gam, V)
 
 
 # --------------------------------------------------- scalars and traces
@@ -326,8 +325,7 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
     else:
         lhs = ricci(geo.MetricSpec("ga", a), x)
         gt = geo.metric_jets(geo.MetricSpec("gatilde", a), x, order=1)
-    H = mu.hess - np.einsum('...kij,...k->...ij', christoffel_from_jets(gt).val,
-                            mu.grad)
+    H = hessian_scalar(mu, christoffel_from_jets(gt))
     gtv = gt.val.real
     gti = np.linalg.inv(gtv)
     lap = np.einsum('...ij,...ij->...', gti, H)

@@ -26,7 +26,10 @@ class SingularMetricError(LicError):
 
 
 class FrameMismatchError(LicError):
-    """Spinor operands expressed in different frames."""
+    """Spinor operands expressed in different frames, or a frame whose Gram
+    matrix under the paired metric is not diag(+-1): the check shared by
+    curvature's connection forms and self-dual split, which a defect in the
+    metric or in the frame trips."""
 
 
 class UnknownTransitionError(LicError):

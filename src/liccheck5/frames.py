@@ -85,13 +85,7 @@ def _g_matrix(x, xj):
     if np.any(geo.radial_values(x)[0] == 0.0):
         raise DomainError("G is singular on the axis r = 0")
     ir = geo.radial_r(xj).reciprocal()
-    s1, s2, s3, s4 = xj[1], xj[2], xj[3], xj[4]
-    rows = [
-        [s1, s2, s3, s4],
-        [(-1.0) * s2, s1, (-1.0) * s4, s3],
-        [(-1.0) * s3, s4, s1, (-1.0) * s2],
-        [(-1.0) * s4, (-1.0) * s3, s2, s1],
-    ]
+    rows = [xj[1:], *geo.sigma_dual_vectors(xj[1:])]        # x, K1, K2, K3
     return J.stack([[1.0, 0.0, 0.0, 0.0, 0.0]]
                    + [[0.0] + [v * ir for v in row] for row in rows])
 
@@ -191,20 +185,27 @@ def _sphere_columns(kvs, scales):
     return [[0.0] + [sc * kv[m] for m in range(4)] for kv, sc in zip(kvs, scales)]
 
 
-def _frame_e(xj, rad, a):
+def _frame_e_parts(xj, rad, a):
+    """The columns e_0, e_1 of frame e, the K table and the scalars (c, 1/r,
+    1/r^2, w) they are built from, with c = a^4 r_o^2 / (1 + beta) and
+    w = r^2 + x0^2; frame htilde reuses all of them."""
     r, ro, beta = rad.r, rad.ro, rad.beta
     c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
     ir2 = ir * ir
     x0 = xj[0]
     w = r * r + x0 * x0
-    k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
     e0 = [4.0 * x0 * x0 * c + 1.0] + [2.0 * x0 * w * c * xj[m] * ir2
                                       for m in range(1, 5)]
     e1c = (1.0 + (-1.0) * w * w * c * ir2) * ir
     e1 = [(-2.0) * x0 * w * c * ir] + [e1c * xj[m] for m in range(1, 5)]
-    ib = beta.reciprocal()
-    return [e0, e1] + _sphere_columns((k1, k2, k3), (ir, ir, ir * ib))
+    return e0, e1, geo.sigma_dual_vectors(xj[1:]), (c, ir, ir2, w)
+
+
+def _frame_e(xj, rad, a):
+    e0, e1, ks, (_, ir, _, _) = _frame_e_parts(xj, rad, a)
+    ib = rad.beta.reciprocal()
+    return [e0, e1] + _sphere_columns(ks, (ir, ir, ir * ib))
 
 
 def _frame_f(xj, rad):
@@ -255,18 +256,12 @@ def frame_htilde(x, a=1.0, order=3):
         return FrameValue(J.constant(np.eye(5), 5, order, x.shape[:-1]), spec)
     rad = geo.radial_jets(xj, a)
     k, q, _ = _k_q_rho(xj, rad, a)
-    r, ro, beta = rad.r, rad.ro, rad.beta
-    c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
-    ir = r.reciprocal()
-    ir2 = ir * ir
+    e0, e1, (_, _, k3), (c, ir, ir2, w) = _frame_e_parts(xj, rad, a)
     x0 = xj[0]
-    w = r * r + x0 * x0
-    e0, e1 = _frame_e(xj, rad, a)[:2]
     cols = [[k * e0[m] + q * e1[m] for m in range(5)]]
     tcoef = (q * (1.0 + 4.0 * x0 * x0 * c) + (-2.0) * k * x0 * w * c * ir) * ir
     wm1 = 2.0 * q * x0 * w * c * ir + k * (1.0 + (-1.0) * w * w * c * ir2) + (-1.0)
-    bm1 = beta.reciprocal() + (-1.0)
-    _, _, k3 = geo.sigma_dual_vectors(xj[1:])
+    bm1 = rad.beta.reciprocal() + (-1.0)
     for j in range(1, 5):
         col = [tcoef * xj[j]]
         for m in range(1, 5):
@@ -305,7 +300,7 @@ def eh_frame(y, a=1.0):
     if np.any(rv <= a):
         raise DomainError("instanton frame needs R > a")
     yj = J.seed(y, order=3)
-    rad2 = yj[0] * yj[0] + yj[1] * yj[1] + yj[2] * yj[2] + yj[3] * yj[3]
+    rad2 = geo.sum_squares(yj)
     beta = ((-1.0) * (float(a) ** 4) * rad2.pow_int(-2) + 1.0).sqrt()
     ir = rad2.sqrt().reciprocal()
     k1, k2, k3 = geo.sigma_dual_vectors(yj)

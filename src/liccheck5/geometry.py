@@ -103,8 +103,17 @@ def cone_side(x):
     raise AmbiguousError("batch mixes the two sides of the cone")
 
 
+def sum_squares(js):
+    """js[0]^2 + js[1]^2 + ... as a jet, summed left to right: r^2 from the
+    spatial jets (x1..x4), R^2 from the four 4d coordinate jets."""
+    out = js[0] * js[0]
+    for j in js[1:]:
+        out = out + j * j
+    return out
+
+
 def _r2(xj):
-    return xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4]
+    return sum_squares(xj[1:])
 
 
 def radial_r(xj):
@@ -172,27 +181,21 @@ def radial_jets(xj, a):
     return RadialJets(r2, r, d, ro, beta_jet(ro, a))
 
 
-def sigma_forms(spatial):
-    """The three invariant coframes as covector component jets.
-
-    ``spatial`` is the list of 4 jets for (x1, x2, x3, x4); components refer to
-    the same four slots.  sigma_i = (1/r^2) * (linear coefficients).
-    """
-    s1, s2, s3, s4 = spatial
-    ir2 = (s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4).reciprocal()
-    sig1 = [(-1.0) * s2 * ir2, s1 * ir2, (-1.0) * s4 * ir2, s3 * ir2]
-    sig2 = [(-1.0) * s3 * ir2, s4 * ir2, s1 * ir2, (-1.0) * s2 * ir2]
-    sig3 = [(-1.0) * s4 * ir2, (-1.0) * s3 * ir2, s2 * ir2, s1 * ir2]
-    return sig1, sig2, sig3
-
-
 def sigma_dual_vectors(spatial):
-    """Vector fields dual to the sigma coframe (tangent to the 3-spheres)."""
+    """The left-invariant fields K1, K2, K3 of S^3 (tangent to the 3-spheres,
+    dual to the sigma coframe) as component jets; ``spatial`` is the list of
+    4 jets for (x1, x2, x3, x4), and components refer to the same slots."""
     s1, s2, s3, s4 = spatial
     k1 = [(-1.0) * s2, s1, (-1.0) * s4, s3]
     k2 = [(-1.0) * s3, s4, s1, (-1.0) * s2]
     k3 = [(-1.0) * s4, (-1.0) * s3, s2, s1]
     return k1, k2, k3
+
+
+def sigma_forms(spatial, ir2):
+    """The invariant coframes sigma_i = K_i / r^2 as covector component jets,
+    given the 1/r^2 jet of the same spatial jets."""
+    return tuple([k * ir2 for k in kv] for kv in sigma_dual_vectors(spatial))
 
 
 def alpha_form(xj, r):
@@ -252,7 +255,7 @@ def metric_jets(spec: MetricSpec, x, order=3):
 
     # 4d families
     n = x.shape[-1]
-    rad2 = xj[0] * xj[0] + xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3]
+    rad2 = sum_squares(xj)
     rv = np.sqrt(np.sum(x * x, axis=-1))
     a = spec.a
     if spec.family == "ha":
@@ -265,7 +268,7 @@ def metric_jets(spec: MetricSpec, x, order=3):
         u = (a ** 4) * rad2.pow_int(-2)
     irad2 = rad2.reciprocal()
     w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-    _, _, sig3 = sigma_forms(xj)
+    _, _, sig3 = sigma_forms(xj, irad2)
     return _quadratic_form(np.eye(4), [(w, xj), ((-1.0) * u * rad2, sig3)])
 
 
@@ -276,7 +279,7 @@ def _metric_ga(xj, rad, a):
     r2 = rad.r2
     ro2 = rad.ro * rad.ro
     u = (a ** 4) * ro2 * ro2          # (a r_o)^4
-    _, _, sig3 = sigma_forms(xj[1:])
+    _, _, sig3 = sigma_forms(xj[1:], r2.reciprocal())
     c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
     return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
                                  (c, alpha_form(xj, rad.r))])

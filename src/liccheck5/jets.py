@@ -361,20 +361,19 @@ def central_diff(f, x, alpha, h):
     """Central finite difference of a scalar callable for multi-index alpha.
 
     f maps an (..., n) point array to values; nested first differences with
-    step h are applied once per derivative.
+    step h are applied once per derivative.  The 2^k stencil points go
+    through f in one call, on sign axes ahead of the batch axes; axis 0
+    steps the last derivative and is differenced first, as in the nesting.
     """
     x = np.asarray(x, dtype=float)
-    idx = []
-    for i, a in enumerate(alpha):
-        idx.extend([i] * int(a))
-    if not idx:
-        return f(x)
-    i, rest = idx[0], idx[1:]
-    rest_alpha = [0] * len(alpha)
-    for j in rest:
-        rest_alpha[j] += 1
-    xp = x.copy()
-    xm = x.copy()
-    xp[..., i] += h
-    xm[..., i] -= h
-    return (central_diff(f, xp, rest_alpha, h) - central_diff(f, xm, rest_alpha, h)) / (2 * h)
+    idx = [i for i, a in enumerate(alpha) for _ in range(int(a))]
+    k = len(idx)
+    pts = np.broadcast_to(x, (2,) * k + x.shape).copy()
+    for j, i in enumerate(idx):
+        shape = [1] * (k + x.ndim - 1)
+        shape[k - 1 - j] = 2                    # the sign axis of derivative j
+        pts[..., i] += np.reshape([h, -h], shape)
+    out = f(pts)
+    for _ in idx:
+        out = (out[0] - out[1]) / (2 * h)
+    return out

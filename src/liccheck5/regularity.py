@@ -26,7 +26,7 @@ along sampled parameters only -- a verdict certifies the tested curves, not
 an open neighbourhood.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,18 +72,14 @@ class CrossingCurve:
     direction: object
     t0: float = 0.1
     n: int = 12
-    inward: object = None
+    inward: np.ndarray = field(init=False)      # leg for t < 0, derived
 
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float).reshape(5)
         self.direction = np.asarray(self.direction, dtype=float).reshape(5)
-        if self.inward is None:
-            if np.all(self.base == 0.0):
-                self.inward = np.array([1.0, 0, 0, 0, 0])
-            else:
-                self.inward = -self.direction
-        else:
-            self.inward = np.asarray(self.inward, dtype=float).reshape(5)
+        # the timelike axis at the vertex, the line continued elsewhere
+        self.inward = (np.array([1.0, 0, 0, 0, 0]) if np.all(self.base == 0.0)
+                       else -self.direction)
         if self.t0 <= 0 or self.n < 5:
             raise ValueError("need t0 > 0 and at least 5 spacings")
 

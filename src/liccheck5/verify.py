@@ -201,14 +201,9 @@ def _chk_eh_connection(cfg, seed):
     beta = np.sqrt(1.0 - (a / rad) ** 4)
     gamma = beta / rad + 2.0 * a ** 4 / (rad ** 5 * beta)
     yj = J.seed(y, order=0)
-    s1, s2, _ = geo.sigma_forms(yj)
-    Fv = fr.vectors.val
-    sig1 = np.einsum('...m,...mk->...k',
-                     np.stack([np.broadcast_to(s.val, rad.shape) for s in s1],
-                              -1), Fv)
-    sig2 = np.einsum('...m,...mk->...k',
-                     np.stack([np.broadcast_to(s.val, rad.shape) for s in s2],
-                              -1), Fv)
+    forms = geo.sigma_forms(yj, geo.sum_squares(yj).reciprocal())
+    sig1, sig2 = [np.einsum('...m,...mk->...k', np.stack([s.val for s in f], -1),
+                            fr.vectors.val) for f in forms[:2]]
     f4 = np.zeros(om.shape[:-3] + (4,))
     f4[..., 3] = 1.0
     pairs = [(om[..., 0, 1, :], -beta[..., None] * sig1),
@@ -281,19 +276,30 @@ def _chk_parallel(cfg, seed):
     return np.max(np.abs(cov), axis=(-2, -1)) / scale, len(x)
 
 
-def _chk_conformal_killing(cfg, seed):
-    spec = geo.MetricSpec("ga", cfg.a)
+def _per_region(cfg, seed, m, residuals):
+    """The residual arrays residuals(x) over cfg.samples draws from B_a
+    (seed) and L (seed + 1) at cone margin m, concatenated, with the number
+    of points drawn."""
     out = []
     n = 0
     for i, region in enumerate(("B_a", "L")):
-        x = _draw(cfg, region, seed + i, 0.02)
+        x = _draw(cfg, region, seed + i, m)
         n += len(x)
-        g = geo.metric_jets(spec, x, order=2)
-        LV = C.lie_derivative_metric(g, x)
-        out.append(_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val.real))
-        div = C.divergence(C.christoffel_from_jets(g), x)
-        out.append(_norm_res(div, -10.0 * x[:, 0]))
+        out.extend(residuals(x))
     return np.concatenate(out), n
+
+
+def _chk_conformal_killing(cfg, seed):
+    spec = geo.MetricSpec("ga", cfg.a)
+
+    def residuals(x):
+        g = geo.metric_jets(spec, x, order=2)
+        V = C.vector_field_jets(x, order=1)
+        LV = C.lie_derivative_metric(g, V)
+        div = C.divergence(C.christoffel_from_jets(g), V).val
+        return (_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val.real),
+                _norm_res(div, -10.0 * x[:, 0]))
+    return _per_region(cfg, seed, 0.02, residuals)
 
 
 def _square_pieces(cfg, seed):
@@ -315,13 +321,18 @@ def _chk_square_field(cfg, seed):
     return np.concatenate(out), len(xb) + len(xl)
 
 
+def _metric_length(spec, x, V):
+    """g(V, V) at the points x."""
+    gv = geo.metric_jets(spec, x, order=0).val.real
+    return np.einsum('...ij,...i,...j->...', gv, V, V, optimize=True)
+
+
 def _chk_square_length(cfg, seed):
     spec, (xb, Vb), (xl, Vl) = _square_pieces(cfg, seed)
     s = cfg.b ** 2 + cfg.c ** 2
     out = []
     for x, V in ((xb, Vb), (xl, Vl)):
-        gv = geo.metric_jets(spec, x, order=0).val.real
-        q = np.einsum('...ij,...i,...j->...', gv, V, V, optimize=True)
+        q = _metric_length(spec, x, V)
         d = geo.radial_values(x)[1]
         out.append(_norm_res(q, -(s * d) ** 2))
     return np.concatenate(out), len(xb) + len(xl)
@@ -331,9 +342,7 @@ def _chk_causal_type(cfg, seed):
     spec, (xb, Vb), (xl, Vl) = _square_pieces(cfg, seed)
     bad = 0
     for x, V in ((xb, Vb), (xl, Vl)):
-        gv = geo.metric_jets(spec, x, order=0).val.real
-        q = np.einsum('...ij,...i,...j->...', gv, V, V, optimize=True)
-        bad += int(np.sum(q >= 0))
+        bad += int(np.sum(_metric_length(spec, x, V) >= 0))
     rng = np.random.default_rng(seed + 2)
     n = max(cfg.samples // 3, 8)
     w = rng.normal(size=(n, 4))
@@ -354,26 +363,13 @@ def _chk_causal_type(cfg, seed):
 
 def _chk_length_square(cfg, seed):
     s = cfg.b ** 2 + cfg.c ** 2
-    out = []
-    n = 0
-    for i, region in enumerate(("B_a", "L")):
-        x = _draw(cfg, region, seed + i, 0.02)
-        n += len(x)
-        u = S.length_square_u(cfg.b, cfg.c, x)
-        d = geo.radial_values(x)[1]
-        out.append(_norm_res(u, s * d))
-    return np.concatenate(out), n
+    return _per_region(cfg, seed, 0.02, lambda x: [_norm_res(
+        S.length_square_u(cfg.b, cfg.c, x), s * geo.radial_values(x)[1])])
 
 
 def _chk_einstein_rescale(cfg, seed):
-    out = []
-    n = 0
-    for i, region in enumerate(("B_a", "L")):
-        x = _draw(cfg, region, seed + i, 0.1)
-        n += len(x)
-        out.append(_norm_res(*S.einstein_rescale_residual(cfg.b, cfg.c, x,
-                                                          a=cfg.a)))
-    return np.concatenate(out), n
+    return _per_region(cfg, seed, 0.1, lambda x: [_norm_res(
+        *S.einstein_rescale_residual(cfg.b, cfg.c, x, a=cfg.a))])
 
 
 def _chk_regularity(cfg, seed):

@@ -186,7 +186,6 @@ def test_dirac_square_converges_at_the_zero():
     assert all(b < a for a, b in zip(diffs, diffs[1:])), diffs
     assert diffs[-1] < 1e-6 * (1.0 + np.max(np.abs(pr.rhs)))
     assert np.min(np.max(np.abs(pr.lhs), axis=1)) > 0.1   # limit is nonzero
-    assert pr.sign == -1.0        # relative sign, fixed by the inner product
 
 
 def test_harness_speed_determinism_negative_control(default_run):

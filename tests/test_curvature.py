@@ -207,7 +207,7 @@ def test_eh_connection_form_displays():
     beta = np.sqrt(1.0 - rad ** -4)
     gamma = beta / rad + 2.0 / (rad ** 5 * beta)
     yj = J.seed(y, order=0)
-    s1, s2, _ = geo.sigma_forms(yj)
+    s1, s2, _ = geo.sigma_forms(yj, geo.sum_squares(yj).reciprocal())
     Fv = fr.vectors.val
     sig1 = np.einsum('...m,...mk->...k',
                      np.stack([np.broadcast_to(s.val, rad.shape) for s in s1], -1), Fv)
@@ -308,7 +308,8 @@ def test_asd_split_zero_and_dim_guard():
 
 def test_lie_v_flat_metric():
     x = np.random.default_rng(3).uniform(-2, 2, size=(50, 5))
-    LV = C.lie_derivative_metric(geo.metric_jets(G0, x, order=1), x)
+    LV = C.lie_derivative_metric(geo.metric_jets(G0, x, order=1),
+                                 C.vector_field_jets(x, order=1))
     target = -4.0 * x[:, 0][:, None, None] * geo.ETA
     assert np.max(np.abs(LV - target)) < 1e-12
 
@@ -321,7 +322,7 @@ def test_lie_v_flat_metric():
 def test_lie_v_ga_conformal(sampler):
     x = sampler()
     g = geo.metric_jets(GA, x, order=1)
-    LV = C.lie_derivative_metric(g, x)
+    LV = C.lie_derivative_metric(g, C.vector_field_jets(x, order=1))
     assert np.max(np.abs(LV + 4.0 * x[:, 0][:, None, None] * g.val)) < 1e-9
 
 
@@ -332,8 +333,18 @@ def test_lie_v_ga_conformal(sampler):
 ])
 def test_divergence_v_ga(sampler):
     x = sampler()
-    div = C.divergence(C.christoffel(GA, x, order=1), x)
-    assert np.max(np.abs(div + 10.0 * x[:, 0])) < 1e-9
+    div = C.divergence(C.christoffel(GA, x, order=2),
+                       C.vector_field_jets(x, order=2))
+    assert np.max(np.abs(div.val + 10.0 * x[:, 0])) < 1e-9
+
+    # the jet's first partials against central differences of its values
+    def f(pts):
+        return C.divergence(C.christoffel(GA, pts, order=1),
+                            C.vector_field_jets(pts, order=1)).val
+
+    for i in range(5):
+        fd = J.central_diff(f, x, np.eye(5, dtype=int)[i], 1e-4)
+        assert np.max(np.abs(div.grad[:, i] - fd)) < 1e-7
 
 
 # ------------------------------------------------- Hessians and traces

@@ -103,7 +103,7 @@ def test_radial_ro_ambiguous_on_cone_and_mixed():
 def test_sigma_duality_and_radial_annihilation():
     rng = np.random.default_rng(8)
     xj = J.seed(rng.normal(size=(10, 4)))
-    sig = G.sigma_forms(xj)
+    sig = G.sigma_forms(xj, G.sum_squares(xj).reciprocal())
     K = G.sigma_dual_vectors(xj)
     for i in range(3):
         for j in range(3):
@@ -120,7 +120,7 @@ def test_sigma_structure_equations():
     # d sigma_i = 2 sigma_j ^ sigma_k, cyclic
     rng = np.random.default_rng(12)
     xj = J.seed(rng.normal(size=(7, 4)))
-    sig = G.sigma_forms(xj)
+    sig = G.sigma_forms(xj, G.sum_squares(xj).reciprocal())
 
     def dform(form):
         n = len(form)
@@ -175,7 +175,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
     r = r2.sqrt()
     ro = (r2 - xj[0] * xj[0]) / r
     beta2 = (-1.0) * ro.pow_int(4) * a ** 4 + 1.0
-    s1, s2, s3 = G.sigma_forms(xj[1:])
+    s1, s2, s3 = G.sigma_forms(xj[1:], r2.reciprocal())
     alpha = G.alpha_form(xj, r)
     dr = [None] + [xj[i] / r for i in range(1, 5)]
     alt = [[None] * 5 for _ in range(5)]

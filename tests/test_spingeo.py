@@ -210,7 +210,6 @@ def test_essentiality_identity_at_zero():
     for rad in (0.3, 0.1, 0.03, 0.01):
         pr = S.essentiality_probe(1.0, 0.5, radius=rad, n=12, seed=7)
         diffs.append(pr.diff)
-        assert pr.sign == -1.0
         # the left side is bounded away from zero near the origin
         assert np.min(np.max(np.abs(pr.lhs), axis=1)) > 0.1
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
@@ -306,7 +305,8 @@ def test_zero_structure():
 def test_square_is_conformal_killing():
     x = V.sample("B_a", 1.0, 100, 26, exclusion=0.1 / np.sqrt(2), outer=0.9)
     g = geo.metric_jets(GA, x, order=2)
-    LV = C.lie_derivative_metric(g, x)
-    div = C.divergence(C.christoffel_from_jets(g), x)
+    Vj = C.vector_field_jets(x, order=1)
+    LV = C.lie_derivative_metric(g, Vj)
+    div = C.divergence(C.christoffel_from_jets(g), Vj).val
     ck = LV - (2.0 / 5.0) * div[:, None, None] * g.val.real
     assert np.max(np.abs(ck)) < 1e-9
