@@ -212,12 +212,12 @@ def _frame_f(xj, rad):
     r, ro, beta = rad.r, rad.ro, rad.beta
     x0 = xj[0]
     w = r * r + x0 * x0
-    k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
     f0 = [w] + [2.0 * x0 * xj[m] for m in range(1, 5)]
     fc = w * beta * r.reciprocal()
     f1 = [2.0 * r * x0 * beta] + [fc * xj[m] for m in range(1, 5)]
     ib = beta.reciprocal()
-    return [f0, f1] + _sphere_columns((k1, k2, k3), (ro, ro, ro * ib))
+    return [f0, f1] + _sphere_columns(geo.sigma_dual_vectors(xj[1:]),
+                                      (ro, ro, ro * ib))
 
 
 def _frame_etilde(xj, rad):
@@ -225,7 +225,6 @@ def _frame_etilde(xj, rad):
     x0 = xj[0]
     w = r * r + x0 * x0
     idet = rad.d.reciprocal()
-    k1, k2, k3 = geo.sigma_dual_vectors(xj[1:])
     c0 = 2.0 * x0 * w * (1.0 + (-1.0) * beta) * idet
     e0 = [(w * w + (-4.0) * x0 * x0 * r * r * beta) * idet] + [
         c0 * xj[m] for m in range(1, 5)]
@@ -233,7 +232,8 @@ def _frame_etilde(xj, rad):
     e1 = [2.0 * x0 * r * w * (beta + (-1.0)) * idet] + [
         c1 * xj[m] for m in range(1, 5)]
     ib = beta.reciprocal()
-    return [e0, e1] + _sphere_columns((k1, k2, k3), (ro, ro, ro * ib))
+    return [e0, e1] + _sphere_columns(geo.sigma_dual_vectors(xj[1:]),
+                                      (ro, ro, ro * ib))
 
 
 def frame_htilde(x, a=1.0, order=3):
