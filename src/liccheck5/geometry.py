@@ -216,10 +216,13 @@ def _quadratic_form(base, terms):
     rows = [[float(base[i][j]) for j in range(n)] for i in range(n)]
     for c, v in terms:
         for i in range(n):
+            if v[i] is None:
+                continue
+            cv = c * v[i]
             for j in range(i, n):
-                if v[i] is None or v[j] is None:
+                if v[j] is None:
                     continue
-                term = c * v[i] * v[j]
+                term = cv * v[j]
                 rows[i][j] = rows[i][j] + term
                 if i != j:
                     rows[j][i] = rows[j][i] + term

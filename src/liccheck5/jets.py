@@ -98,7 +98,7 @@ class Jet:
                        + (cross + np.swapaxes(cross, -1, -2)))
         if order >= 3:
             out.append(a[3] * _pad(b[0], 3) + b[3] * _pad(a[0], 3)
-                       + _sym_gh(b[1], a[2]) + _sym_gh(a[1], b[2]))
+                       + _sym3(_outer(b[1], a[2]) + _outer(a[1], b[2])))
         return Jet(*out)
 
     __rmul__ = __mul__
@@ -122,7 +122,7 @@ class Jet:
         if order >= 3:
             ggg = g[..., :, None, None] * g[..., None, :, None] * g[..., None, None, :]
             out.append(f1[..., None, None, None] * self.third
-                       + f2[..., None, None, None] * _sym_gh(g, h)
+                       + f2[..., None, None, None] * _sym3(_outer(g, h))
                        + f3[..., None, None, None] * ggg)
         return Jet(*out)
 
@@ -194,16 +194,20 @@ def _pad(scal, k):
 
 
 def _sym3(p):
-    """p_ijk + p_jik + p_kij over the trailing axes: with p = g_i h_jk (h
-    symmetric) this is the symmetrized g_i h_jk + g_j h_ik + g_k h_ij."""
+    """p_ijk + p_jik + p_kij over the trailing axes.
+
+    With p a sum of products g_i h_jk (each h symmetric) this is the
+    symmetrized sum of g_i h_jk + g_j h_ik + g_k h_ij, so one call serves
+    every such product of a third-order level."""
     n = p.ndim
-    return (p + np.swapaxes(p, n - 3, n - 2)
-            + p.transpose(tuple(range(n - 3)) + (n - 2, n - 1, n - 3)))
+    out = p + np.swapaxes(p, n - 3, n - 2)
+    out += p.transpose(tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
+    return out
 
 
-def _sym_gh(g, h):
-    """Symmetrized g_i h_jk + g_j h_ik + g_k h_ij."""
-    return _sym3(g[..., :, None, None] * h[..., None, :, :])
+def _outer(g, h):
+    """g_i h_jk over the trailing axes."""
+    return g[..., :, None, None] * h[..., None, :, :]
 
 
 def seed(points, order=3):
@@ -289,6 +293,12 @@ def stack(nested):
     return Jet(*[level(k) for k in range(order + 1)])
 
 
+# Entries of the larger operand from which a pairwise jeinsum contraction
+# takes the matmul path.  On the Christoffel contractions at 1, 12 and 1200
+# points, plain einsum is the faster one below this size and matmul above it.
+MATMUL_MIN_SIZE = 4096
+
+
 def jeinsum(spec, A, B=None):
     """Einsum over the tensor axes of jets, derivatives by the Leibniz rule.
 
@@ -296,6 +306,11 @@ def jeinsum(spec, A, B=None):
     broadcast, derivative axes trail and are handled here.  A plain ndarray
     operand is a constant.  The result carries min(A.order, B.order); with a
     single operand the spec permutes or traces tensor axes.
+
+    A pairwise contraction whose larger operand has at least
+    ``MATMUL_MIN_SIZE`` entries goes through numpy's optimized einsum, which
+    runs it as a batched matmul; a smaller one, such as most of a single
+    point's, stays on plain einsum, which is faster there.
     """
     x, y, z = [c for c in "xyzXYZ" if c not in spec][:3]
     dax = ("", x, x + y, x + y + z)             # derivative axes of each level
@@ -308,8 +323,10 @@ def jeinsum(spec, A, B=None):
 
     def term(a, b, da, db, dout=None):
         dout = da + db if dout is None else dout
-        return np.einsum("...%s%s,...%s%s->...%s%s" % (sa, da, sb, db, out, dout),
-                         a, b)
+        sub = "...%s%s,...%s%s->...%s%s" % (sa, da, sb, db, out, dout)
+        if max(np.size(a), np.size(b)) >= MATMUL_MIN_SIZE:
+            return np.einsum(sub, a, b, optimize=True)
+        return np.einsum(sub, a, b)
 
     if not isinstance(B, Jet):
         return Jet(*[term(a, B, d, "") for a, d in zip(A.levels, dax)])
@@ -326,8 +343,8 @@ def jeinsum(spec, A, B=None):
                       + (cross + np.swapaxes(cross, -1, -2)))
     if order >= 3:
         levels.append(term(a[3], b[0], dax[3], "") + term(a[0], b[3], "", dax[3])
-                      + _sym3(term(a[1], b[2], x, y + z))
-                      + _sym3(term(a[2], b[1], y + z, x, dax[3])))
+                      + _sym3(term(a[1], b[2], x, y + z)
+                              + term(a[2], b[1], y + z, x, dax[3])))
     return Jet(*levels)
 
 

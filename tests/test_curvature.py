@@ -347,6 +347,22 @@ def test_divergence_v_ga(sampler):
         assert np.max(np.abs(div.grad[:, i] - fd)) < 1e-7
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda: V.sample("B_a", 1.0, 100, 17, exclusion=0.1 / np.sqrt(2),
+                     outer=0.9),
+    lambda: V.sample("L", 1.0, 60, 18, exclusion=0.05),
+])
+def test_divergence_v_gatilde(sampler):
+    """det gatilde = -d^-10, so the Christoffel trace adds V(-5 ln|d|) =
+    10 x0 to d_i V^i = -10 x0: div V vanishes identically, and only with
+    the trace term and its derivatives."""
+    x = sampler()
+    div = C.divergence(C.christoffel(GAT, x, order=2),
+                       C.vector_field_jets(x, order=2))
+    assert np.max(np.abs(div.val)) < 1e-9
+    assert np.max(np.abs(div.grad)) < 1e-8
+
+
 # ------------------------------------------------- Hessians and traces
 
 

@@ -299,3 +299,73 @@ def test_jeinsum_orders_constants_and_traces():
     d = A.d()
     assert d.order == 2 and d.val.shape == (5, 3, 3, 5)
     _assert_jets_close(d[1, 2, 4], A[1, 2].d()[4], 2)
+
+
+def _batch_point(jet, p):
+    """The jet at batch point p alone, as a batch of one."""
+    return jets.Jet(*[lv[p:p + 1] for lv in jet.levels])
+
+
+def _spy_einsum(monkeypatch):
+    """Record, per np.einsum call, whether it took the optimized path."""
+    paths, plain = [], np.einsum
+
+    def spy(*args, **kwargs):
+        paths.append(bool(kwargs.get("optimize", False)))
+        return plain(*args, **kwargs)
+    monkeypatch.setattr(np, "einsum", spy)
+    return paths
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("spec, shapes", [
+    ("kl,ijl->kij", ((3, 3), (3, 3, 3))),
+    ("lim,mjk->lkij", ((3, 3, 3), (3, 3, 3))),
+    ("lun,ni->liu", ((3, 3, 3), (3, 3))),
+    (",ij->ij", ((), (3, 3))),
+])
+def test_matmul_and_plain_contractions_agree(spec, shapes, order, monkeypatch):
+    """A batch large enough for the matmul path gives, point for point, the
+    plain einsum results of the same points taken one at a time."""
+    rng = np.random.default_rng(RNG_SEED + 3)
+    n = 100
+    xs = jets.seed(rng.uniform(-0.5, 0.5, size=(n, 5)), order=order)
+    A, B = (_random_tensor_jet(rng, xs, s) for s in shapes)
+    paths = _spy_einsum(monkeypatch)
+    got = jets.jeinsum(spec, A, B)
+    assert any(paths)
+    del paths[:]
+    ones = [jets.jeinsum(spec, _batch_point(A, p), _batch_point(B, p))
+            for p in range(n)]
+    assert not any(paths)
+    want = jets.Jet(*[np.concatenate([o.levels[k] for o in ones])
+                      for k in range(order + 1)])
+    _assert_jets_close(got, want, order)
+
+
+def _sym3_of_each(*ps):
+    """The sum of p_ijk + p_jik + p_kij, symmetrized one product at a time."""
+    return sum(p + np.swapaxes(p, -3, -2) + np.moveaxis(p, -3, -1) for p in ps)
+
+
+def test_third_level_symmetrizes_the_sum_of_cross_terms():
+    """One symmetrization of the summed cross terms equals the sum of the
+    two symmetrized products, for Jet.__mul__ and for jeinsum."""
+    rng = np.random.default_rng(RNG_SEED + 4)
+    xs = jets.seed(rng.uniform(-0.5, 0.5, size=(30, 5)), order=3)
+    u, v = (_random_tensor_jet(rng, xs, ()) for _ in range(2))
+    a, b = u.levels, v.levels
+    want = (a[3] * b[0][:, None, None, None] + b[3] * a[0][:, None, None, None]
+            + _sym3_of_each(b[1][:, :, None, None] * a[2][:, None],
+                            a[1][:, :, None, None] * b[2][:, None]))
+    assert np.max(_rel((u * v).third, want)) < 1e-13
+
+    U = _random_tensor_jet(rng, xs, (3, 3))
+    W = _random_tensor_jet(rng, xs, (3, 3, 3))
+    a, b = U.levels, W.levels
+    e = np.einsum
+    want = (e("...klxyz,...ijl->...kijxyz", a[3], b[0])
+            + e("...kl,...ijlxyz->...kijxyz", a[0], b[3])
+            + _sym3_of_each(e("...klx,...ijlyz->...kijxyz", a[1], b[2]),
+                            e("...klyz,...ijlx->...kijxyz", a[2], b[1])))
+    assert np.max(_rel(jets.jeinsum("kl,ijl->kij", U, W).third, want)) < 1e-13

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -207,6 +208,24 @@ def test_negative_control_hits_only_the_twistor_check(baseline):
 def test_thread_count_does_not_change_the_report(baseline, monkeypatch):
     monkeypatch.setenv("VERIFY_THREADS", "1")
     assert V.emit_report(V.run_suite(FAST)) == V.emit_report(baseline)
+
+
+def test_blas_thread_count_does_not_change_the_report(tmp_path):
+    """Large jet contractions run as batched matmul; the report is the same
+    byte for byte with one BLAS thread and with two."""
+    src = str(pathlib.Path(liccheck5.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, %r); "
+            "from liccheck5.cli import main; main()" % src)
+    reports = []
+    for n in ("1", "2"):
+        path = tmp_path / ("report-%s.json" % n)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+        subprocess.run([sys.executable, "-c", code, "run",
+                        "--only", "twistor-equation", "--only", "weyl-covariance",
+                        "--samples", "60", "--report", str(path)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_threads_must_be_a_positive_integer(monkeypatch):
