@@ -206,7 +206,7 @@ def tensor(family, point, what, a):
         elif what == "weyl":
             T = C.weyl(spec, p)
         else:
-            T = C.christoffel(spec, p, order=0).val.real
+            T = C.christoffel(spec, p, order=1).val.real
     except Exception as exc:
         raise click.ClickException("%s: %s" % (type(exc).__name__, exc))
     T = np.asarray(T)

@@ -16,8 +16,7 @@ lowered slot layout above the trace removal reads weyl = lowered + P * g
 (Kulkarni-Nomizu product of the Schouten tensor with the metric).
 
 Everything is computed per batch from a single jet evaluation of the metric
-at the requested points; there is no global state, so point batches can be
-mapped in parallel and results merged in any order.
+at the requested points; the functions are stateless.
 """
 
 from dataclasses import dataclass

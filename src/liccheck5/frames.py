@@ -63,7 +63,7 @@ def k_q_rho(x, a=1.0, order=3):
 
 def _k_q_rho(xj, rad, a):
     """k_q_rho on the exterior side from the batch's radial jets."""
-    ro, beta, r = rad.ro, rad.beta, rad.r
+    ro, beta, r, w = rad.ro, rad.beta, rad.r, rad.w
     ib = beta.reciprocal()
     rho = (float(a) ** 4) * ro * ro * ib * ib
     gate = 4.0 * xj[0] * xj[0] * rho
@@ -71,7 +71,6 @@ def _k_q_rho(xj, rad, a):
         raise CaViolationError("4 x0^2 rho >= 1: point(s) outside C_a")
     iS = (((-1.0) * gate + 1.0).sqrt()).reciprocal()
     ip1 = (beta + 1.0).reciprocal()
-    w = r * r + xj[0] * xj[0]
     k = (1.0 + (-1.0) * gate * beta * ip1) * iS
     q = (-2.0) * xj[0] * w * beta * rho * r.reciprocal() * ip1 * iS
     if np.any(k.val <= 0.0):
@@ -187,31 +186,29 @@ def _sphere_columns(kvs, scales):
 
 def _frame_e_parts(xj, rad, a):
     """The columns e_0, e_1 of frame e, the K table and the scalars (c, 1/r,
-    1/r^2, w) they are built from, with c = a^4 r_o^2 / (1 + beta) and
-    w = r^2 + x0^2; frame htilde reuses all of them."""
-    r, ro, beta = rad.r, rad.ro, rad.beta
+    1/r^2) they are built from, with c = a^4 r_o^2 / (1 + beta); frame
+    htilde reuses all of them."""
+    r, ro, beta, w = rad.r, rad.ro, rad.beta, rad.w
     c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
     ir2 = ir * ir
     x0 = xj[0]
-    w = r * r + x0 * x0
     e0 = [4.0 * x0 * x0 * c + 1.0] + [2.0 * x0 * w * c * xj[m] * ir2
                                       for m in range(1, 5)]
     e1c = (1.0 + (-1.0) * w * w * c * ir2) * ir
     e1 = [(-2.0) * x0 * w * c * ir] + [e1c * xj[m] for m in range(1, 5)]
-    return e0, e1, geo.sigma_dual_vectors(xj[1:]), (c, ir, ir2, w)
+    return e0, e1, geo.sigma_dual_vectors(xj[1:]), (c, ir, ir2)
 
 
 def _frame_e(xj, rad, a):
-    e0, e1, ks, (_, ir, _, _) = _frame_e_parts(xj, rad, a)
+    e0, e1, ks, (_, ir, _) = _frame_e_parts(xj, rad, a)
     ib = rad.beta.reciprocal()
     return [e0, e1] + _sphere_columns(ks, (ir, ir, ir * ib))
 
 
 def _frame_f(xj, rad):
-    r, ro, beta = rad.r, rad.ro, rad.beta
+    r, ro, beta, w = rad.r, rad.ro, rad.beta, rad.w
     x0 = xj[0]
-    w = r * r + x0 * x0
     f0 = [w] + [2.0 * x0 * xj[m] for m in range(1, 5)]
     fc = w * beta * r.reciprocal()
     f1 = [2.0 * r * x0 * beta] + [fc * xj[m] for m in range(1, 5)]
@@ -221,9 +218,8 @@ def _frame_f(xj, rad):
 
 
 def _frame_etilde(xj, rad):
-    r, ro, beta = rad.r, rad.ro, rad.beta
+    r, ro, beta, w = rad.r, rad.ro, rad.beta, rad.w
     x0 = xj[0]
-    w = r * r + x0 * x0
     idet = rad.d.reciprocal()
     c0 = 2.0 * x0 * w * (1.0 + (-1.0) * beta) * idet
     e0 = [(w * w + (-4.0) * x0 * x0 * r * r * beta) * idet] + [
@@ -256,8 +252,8 @@ def frame_htilde(x, a=1.0, order=3):
         return FrameValue(J.constant(np.eye(5), 5, order, x.shape[:-1]), spec)
     rad = geo.radial_jets(xj, a)
     k, q, _ = _k_q_rho(xj, rad, a)
-    e0, e1, (_, _, k3), (c, ir, ir2, w) = _frame_e_parts(xj, rad, a)
-    x0 = xj[0]
+    e0, e1, (_, _, k3), (c, ir, ir2) = _frame_e_parts(xj, rad, a)
+    x0, w = xj[0], rad.w
     cols = [[k * e0[m] + q * e1[m] for m in range(5)]]
     tcoef = (q * (1.0 + 4.0 * x0 * x0 * c) + (-2.0) * k * x0 * w * c * ir) * ir
     wm1 = 2.0 * q * x0 * w * c * ir + k * (1.0 + (-1.0) * w * w * c * ir2) + (-1.0)

@@ -164,12 +164,14 @@ def beta_jet(ro, a):
 @dataclass(frozen=True)
 class RadialJets:
     """The cone's radial coordinate functions over one batch of coordinate
-    jets, each built once: r^2, r, d = r^2 - x0^2, r_o and beta."""
+    jets, each built once: r^2, r, d = r^2 - x0^2, r_o, beta and
+    w = r^2 + x0^2."""
     r2: J.Jet
     r: J.Jet
     d: J.Jet
     ro: J.Jet
     beta: J.Jet
+    w: J.Jet
 
 
 def radial_jets(xj, a):
@@ -178,7 +180,7 @@ def radial_jets(xj, a):
     sides raise AmbiguousError."""
     r2, r, d = r2_r_d(xj)
     ro = radial_ro(xj, r, d)
-    return RadialJets(r2, r, d, ro, beta_jet(ro, a))
+    return RadialJets(r2, r, d, ro, beta_jet(ro, a), r * r + xj[0] * xj[0])
 
 
 def sigma_dual_vectors(spatial):
@@ -198,11 +200,11 @@ def sigma_forms(spatial, ir2):
     return tuple([k * ir2 for k in kv] for kv in sigma_dual_vectors(spatial))
 
 
-def alpha_form(xj, r):
+def alpha_form(xj, rad):
     """alpha = (r^2+x0^2) dr - 2 x0 r dx0 as a 5-slot covector of jets,
-    given the r jet of the same batch."""
-    ir = r.reciprocal()
-    w = (r * r + xj[0] * xj[0]) * ir
+    given the RadialJets of the same batch."""
+    r = rad.r
+    w = rad.w * r.reciprocal()
     a0 = (-2.0) * xj[0] * r
     return [a0, w * xj[1], w * xj[2], w * xj[3], w * xj[4]]
 
@@ -285,7 +287,7 @@ def _metric_ga(xj, rad, a):
     _, _, sig3 = sigma_forms(xj[1:], r2.reciprocal())
     c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
     return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
-                                 (c, alpha_form(xj, rad.r))])
+                                 (c, alpha_form(xj, rad))])
 
 
 def mu_jet(d):

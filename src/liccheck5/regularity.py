@@ -190,23 +190,26 @@ def _unit_no_small(rng, k):
     return w / np.linalg.norm(w)
 
 
-def random_crossing_curve(rng):
-    """Affine curve through a generic cone point away from the vertex."""
+def random_crossing_curve(rng, a=1.0):
+    """Affine curve through a generic cone point away from the vertex.  Its
+    base and spacings scale with 1/a, tracking the family's own dilation
+    g_a(x/a) = g_1(x)."""
     u = rng.uniform(0.4, 1.0)
     s = rng.choice([-1.0, 1.0])
     w = _unit_no_small(rng, 4)
     base = np.concatenate([[s * u], u * w])
     xi = rng.uniform(-0.3, 0.3, 4)
     direction = np.concatenate([[-s], w + xi])
-    return CrossingCurve(base, direction)
+    return CrossingCurve(base / a, direction, t0=0.1 / a)
 
 
-def vertex_curve(rng):
+def vertex_curve(rng, a=1.0):
     """Two-ray curve through the vertex: exterior for t > 0, timelike
-    axis (where the extension is zero) for t < 0."""
+    axis (where the extension is zero) for t < 0.  Its spacings scale with
+    1/a."""
     d = np.concatenate([[rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.6)],
                         _unit_no_small(rng, 4)])
-    return CrossingCurve(np.zeros(5), d)
+    return CrossingCurve(np.zeros(5), d, t0=0.1 / a)
 
 
 def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3):
@@ -214,8 +217,8 @@ def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3):
     vertex curve; the field's class is the min over curves (None = every
     probed order continuous on every curve)."""
     rng = np.random.default_rng(seed)
-    curves = [random_crossing_curve(rng) for _ in range(n_curves)]
-    curves.append(vertex_curve(rng))
+    curves = [random_crossing_curve(rng, a) for _ in range(n_curves)]
+    curves.append(vertex_curve(rng, a))
     reports = [smoothness_probe(field_tag, c, max_order=max_order, a=a)
                for c in curves]
     classes = [r.smoothness_class for r in reports]

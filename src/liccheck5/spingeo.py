@@ -21,8 +21,7 @@ Conventions, all pinned by the flat oracles in the test suite:
     the zero in test_essentiality_identity_at_zero, lhs = -25 s e_0 and
     rhs = +25 s e_0 with s = b^2 + c^2.
 
-Everything here is values-in/values-out per point batch and holds no
-state, so checks parallelise freely.
+Everything here is values-in/values-out per point batch and stateless.
 """
 
 from dataclasses import dataclass

@@ -17,11 +17,9 @@ byte-identical across runs.
 """
 
 import json
-import os
 import time
 import traceback
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,8 +374,8 @@ def _chk_regularity(cfg, seed):
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(10):
-        rep = R.smoothness_probe(("ga", 0, 0), R.random_crossing_curve(rng),
-                                 a=cfg.a)
+        rep = R.smoothness_probe(("ga", 0, 0),
+                                 R.random_crossing_curve(rng, cfg.a), a=cfg.a)
         bad += int(rep.smoothness_class != 1)
     _, cls = R.probe_family(R.RO2, a=cfg.a, n_curves=3, seed=seed)
     bad += int(cls != 1)
@@ -396,8 +394,8 @@ def _chk_regularity(cfg, seed):
 
 def _chk_weyl_decay(cfg, seed):
     rng = np.random.default_rng(seed)
-    res = [abs(R.weyl_decay_exponent(R.random_crossing_curve(rng), a=cfg.a) - 2.0)
-           for _ in range(3)]
+    res = [abs(R.weyl_decay_exponent(R.random_crossing_curve(rng, cfg.a),
+                                     a=cfg.a) - 2.0) for _ in range(3)]
     return np.array(res), 36
 
 
@@ -429,8 +427,8 @@ def _chk_essentiality(cfg, seed):
     radii = (0.3, 0.1, 0.03, 0.01, 0.003)
     diffs, pr = [], None
     for rad in radii:
-        pr = S.essentiality_probe(cfg.b, cfg.c, a=cfg.a, radius=rad, n=12,
-                                  seed=seed)
+        pr = S.essentiality_probe(cfg.b, cfg.c, a=cfg.a, radius=rad / cfg.a,
+                                  n=12, seed=seed)
         diffs.append(pr.diff)
     scale = 1.0 + float(np.max(np.abs(pr.lhs))) + float(np.max(np.abs(pr.rhs)))
     res = [diffs[-1] / scale]
@@ -516,17 +514,6 @@ REGISTRY = (
 )
 
 
-def _threads():
-    v = os.environ.get("VERIFY_THREADS", "").strip()
-    if v:
-        try:
-            return max(1, int(v))
-        except ValueError:
-            raise ValueError("VERIFY_THREADS must be a positive integer, got %r"
-                             % v) from None
-    return min(4, os.cpu_count() or 1)
-
-
 def _seed_for(name, seed):
     return zlib.crc32(name.encode()) ^ (int(seed) & 0xFFFFFFFF)
 
@@ -544,6 +531,8 @@ def _versions():
 
 
 def run_suite(cfg, skip=(), only=None):
+    """Run the selected checks one after another, in REGISTRY order, on the
+    calling thread; a check that raises is recorded, not thrown."""
     names = {c.name for c in REGISTRY}
     for n in list(skip) + list(only or []) + list(cfg.tol):
         if n not in names:
@@ -570,10 +559,8 @@ def run_suite(cfg, skip=(), only=None):
         return CheckResult(check.name, check.claim, nsamp, rmax, rmed, tol,
                            verdict, time.perf_counter() - t0, error)
 
-    with ThreadPoolExecutor(max_workers=_threads()) as ex:
-        checks = list(ex.map(one, selected))
     return Report(config=_config_echo(cfg), versions=_versions(),
-                  checks=checks)
+                  checks=[one(check) for check in selected])
 
 
 # ------------------------------------------------------------------ reports

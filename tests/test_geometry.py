@@ -143,7 +143,7 @@ def test_sigma_structure_equations():
 def test_alpha_annihilates_cone_vector_and_sphere_directions():
     x = V.sample("B_a", 1.0, 10, 5, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
-    al = G.alpha_form(xj, G.radial_r(xj))
+    al = G.alpha_form(xj, G.radial_jets(xj, 1.0))
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     x0 = x[:, 0]
     Vv = np.concatenate([(-(r * r + x0 * x0))[:, None],
@@ -176,7 +176,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
     ro = (r2 - xj[0] * xj[0]) / r
     beta2 = (-1.0) * ro.pow_int(4) * a ** 4 + 1.0
     s1, s2, s3 = G.sigma_forms(xj[1:], r2.reciprocal())
-    alpha = G.alpha_form(xj, r)
+    alpha = G.alpha_form(xj, G.radial_jets(xj, a))
     dr = [None] + [xj[i] / r for i in range(1, 5)]
     alt = [[None] * 5 for _ in range(5)]
     zero = J.constant(0.0, dim=5, shape=x.shape[:-1])

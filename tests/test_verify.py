@@ -3,8 +3,11 @@ import gc
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import threading
+import time
 import weakref
 
 import click
@@ -14,7 +17,9 @@ from click.testing import CliRunner
 
 import liccheck5
 from liccheck5 import cli
+from liccheck5 import curvature as C
 from liccheck5 import geometry as geo
+from liccheck5 import jets as J
 from liccheck5 import verify as V
 from liccheck5.errors import EmptyRegionError
 
@@ -143,6 +148,35 @@ def test_checks_are_independent(baseline):
     assert solo.checks[0] == full       # wall time excluded from equality
 
 
+def test_checks_run_in_registry_order_on_the_calling_thread(monkeypatch):
+    calls = []
+
+    def traced(check):
+        def fn(cfg, seed):
+            calls.append((check.name, threading.get_ident()))
+            return check.fn(cfg, seed)
+        return dataclasses.replace(check, fn=fn)
+
+    monkeypatch.setattr(V, "REGISTRY", tuple(traced(c) for c in V.REGISTRY))
+    t0 = time.perf_counter()
+    rep = V.run_suite(V.SuiteConfig(samples=20))
+    wall = time.perf_counter() - t0
+    assert calls == [(c.name, threading.get_ident()) for c in V.REGISTRY]
+    # check times do not overlap, so they add up to at most the run's time
+    assert sum(c.seconds for c in rep.checks) <= wall
+
+
+def test_probes_scale_with_the_family_parameter():
+    # the probe curves and the essentiality radii shrink with 1/a, as the
+    # sampling box does, so they stay inside the closure of B_a
+    rep = V.run_suite(V.SuiteConfig(a=5.0, samples=30),
+                      only=["regularity-classes", "weyl-decay", "essentiality"])
+    assert rep.overall == "pass", [(c.name, c.verdict, c.error)
+                                   for c in rep.checks]
+    r = CliRunner().invoke(cli.main, ["probe-c1", "--a", "5", "--curves", "2"])
+    assert r.exit_code == 0, r.output
+
+
 def test_skip_and_unknown_names(baseline):
     rep = V.run_suite(FAST, skip=("essentiality", "weyl-decay"))
     names = {c.name for c in rep.checks}
@@ -205,11 +239,6 @@ def test_negative_control_hits_only_the_twistor_check(baseline):
 
 # ----------------------------------------------------------------- reports
 
-def test_thread_count_does_not_change_the_report(baseline, monkeypatch):
-    monkeypatch.setenv("VERIFY_THREADS", "1")
-    assert V.emit_report(V.run_suite(FAST)) == V.emit_report(baseline)
-
-
 def test_blas_thread_count_does_not_change_the_report(tmp_path):
     """Large jet contractions run as batched matmul; the report is the same
     byte for byte with one BLAS thread and with two."""
@@ -226,20 +255,6 @@ def test_blas_thread_count_does_not_change_the_report(tmp_path):
                        env=env, capture_output=True, timeout=300, check=True)
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
-
-
-def test_verify_threads_must_be_a_positive_integer(monkeypatch):
-    monkeypatch.setenv("VERIFY_THREADS", "abc")
-    with pytest.raises(ValueError, match="VERIFY_THREADS.*positive integer"):
-        V.run_suite(FAST, only=["clifford-relations"])
-
-
-def test_cli_run_rejects_bad_verify_threads(monkeypatch):
-    monkeypatch.setenv("VERIFY_THREADS", "abc")
-    r = CliRunner().invoke(cli.main, ["run", "--only", "clifford-relations"])
-    assert r.exit_code != 0
-    assert "VERIFY_THREADS" in r.output and "positive integer" in r.output
-    assert "invalid literal" not in r.output
 
 
 def test_json_shape(baseline):
@@ -396,6 +411,54 @@ def test_cli_tensor():
                                       "--point", "0.2,0.9,0,0,0",
                                       "--what", "ricci", "--a", "1.0"])
     assert r.exit_code == 0 and "zero (every component" in r.output
+
+
+_COMPONENT = re.compile(r"^\s+\[([\d,]+)\] = (\S+)$", re.M)
+TENSOR_POINTS = {"ga": np.array([0.3, 0.2, 0.5, 0.1, 0.3]),      # in B_a
+                 "eh": np.array([2.0, 0.5, 0.0, 0.3])}
+
+
+def _cli_tensor(family, what, rank):
+    """The tensor `verify tensor` prints at TENSOR_POINTS[family], zero
+    where it prints no component."""
+    p = TENSOR_POINTS[family]
+    r = CliRunner().invoke(cli.main, [
+        "tensor", "--spec", family, "--what", what,
+        "--point", ",".join("%.17g" % v for v in p)])
+    assert r.exit_code == 0, r.output
+    T = np.zeros((len(p),) * rank)
+    for idx, val in _COMPONENT.findall(r.output):
+        T[tuple(int(i) for i in idx.split(","))] = float(val)
+    return T
+
+
+@pytest.mark.parametrize("what,rank,want", [
+    ("metric", 2, lambda spec, p: geo.metric_jets(spec, p, order=0).val.real),
+    ("ricci", 2, C.ricci),
+    ("weyl", 4, C.weyl),
+])
+def test_cli_tensor_prints_every_component_above_the_floor(what, rank, want):
+    got = _cli_tensor("ga", what, rank)
+    T = want(geo.MetricSpec("ga", 1.0), TENSOR_POINTS["ga"])
+    assert np.all(np.abs(got - T) <= 1e-9 * max(np.max(np.abs(T)), 1.0))
+    assert np.count_nonzero(got) > 0
+
+
+@pytest.mark.parametrize("family", ["ga", "eh"])
+def test_cli_tensor_christoffel_matches_central_differences(family):
+    spec = geo.MetricSpec(family, 1.0)
+    p = TENSOR_POINTS[family]
+    n = len(p)
+
+    def metric(q):
+        return geo.metric_jets(spec, q, order=0).val.real
+
+    dg = np.stack([J.central_diff(metric, p, np.eye(n, dtype=int)[m], 1e-4)
+                   for m in range(n)])               # dg[m, i, j] = d_m g_ij
+    t = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    want = 0.5 * np.einsum('kl,ijl->kij', np.linalg.inv(metric(p)), t)
+    got = _cli_tensor(family, "christoffel", 3)
+    assert np.max(np.abs(got - want)) <= 1e-7 * (1.0 + np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("args,field", [
