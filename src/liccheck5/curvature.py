@@ -28,6 +28,7 @@ from . import geometry as geo
 from . import jets as J
 from .errors import (DimensionError, FrameMismatchError, OrderError,
                      SingularError)
+from .frames import gram_matrix
 
 # ------------------------------------------------------------------ types
 
@@ -131,14 +132,14 @@ def bianchi_residual(spec, x):
 # -------------------------------------------------------- connection forms
 
 
-def connection_forms(frame, spec, x):
-    """Frame connection forms omega_ij = g(nabla f_i, f_j) and the curvature
-    2-forms Omega_ij(X, Y) = g(R(X, Y) f_i, f_j), both with lowered indices.
+def connection_forms(F, spec, x):
+    """Connection forms omega_ij = g(nabla f_i, f_j) of the frame jet F and
+    its curvature 2-forms Omega_ij(X, Y) = g(R(X, Y) f_i, f_j), both with
+    lowered indices.
 
     The metric is carried to second order: curvature values need first
     derivatives of the Christoffel symbols, omega keeps its first partials."""
     n = spec.dim
-    F = frame.vectors
     if F.val.shape[-2:] != (n, n):
         raise DimensionError("frame is %s but the metric is %dd"
                              % (F.val.shape[-2:], n))
@@ -150,7 +151,7 @@ def _frame_signature(Fv, gv, label, tol=1e-8):
     """Signs eps of an orthonormal frame's Gram matrix diagonal; a frame
     whose Gram matrix strays from diag(eps) by more than tol raises."""
     n = Fv.shape[-1]
-    gram = np.einsum('...mn,...mi,...nj->...ij', gv, Fv, Fv, optimize=True)
+    gram = gram_matrix(Fv, gv)
     eps = np.sign(np.mean(gram.reshape(-1, n, n), axis=0).diagonal())
     if np.max(np.abs(gram - np.diag(eps))) > tol:
         raise FrameMismatchError("frame fails the Gram check for %s" % (label,))
@@ -174,7 +175,7 @@ def forms_from_jets(F, g, label="custom", tol=1e-8):
                            curvature_frame=curv)
 
 
-def structure_residuals(forms, frame, spec, x):
+def structure_residuals(forms, F, spec, x):
     """Sup residuals of the two structure equations on frame pairs.
 
     First:  d f^i = sum_k omega^i_k wedge f^k, checked in lowered form
@@ -182,7 +183,6 @@ def structure_residuals(forms, frame, spec, x):
     d omega_ij - sum_k eps_k omega_ik wedge omega_kj.
     """
     g = geo.metric_jets(spec, x, order=2)
-    F = frame.vectors
     Fv = F.val.real
     eps = forms.eps
     theta = J.jeinsum("un,ni->iu", g, F)       # theta[i, mu]: lowered coframe
@@ -232,15 +232,16 @@ def asd_project(two_forms, orientation=1.0):
     return 0.5 * (two_forms + star), 0.5 * (two_forms - star)
 
 
-def asd_split(frame, spec, x):
-    """(W+, W-) parts of the Weyl curvature 2-forms in an orthonormal 4-frame.
+def asd_split(F, spec, x):
+    """(W+, W-) parts of the Weyl curvature 2-forms in the orthonormal
+    4-frame jet F.
 
     Duality is taken against the standard coordinate orientation, so frames
     listed in an order of negative determinant get the sign-corrected star."""
     if spec.dim != 4:
         raise DimensionError("self-dual split is a 4d operation")
     g = geo.metric_jets(spec, x, order=2)
-    Fv = frame.vectors.val.real
+    Fv = F.val.real
     _frame_signature(Fv, g.val.real, spec.family)
     W = _curvature_pieces(g)["weyl"]
     Wf = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl', W, Fv, Fv, Fv, Fv,

@@ -1,8 +1,9 @@
 """Orthonormal frames for the metric family and the transitions between them.
 
-Frames come back as (5, 5) tensor jets in column convention:
-``vectors[mu, i]`` is Cartesian component mu of the i-th frame vector, so a
-right matrix action "frame . M" is ``jets.jeinsum("mi,ij->mj", vectors, M)``.
+A frame is its (n, n) tensor jet in column convention: ``F[mu, i]`` is
+Cartesian component mu of the i-th frame vector, so a right matrix action
+"frame . M" is ``jets.jeinsum("mi,ij->mj", F, M)``.  The caller names the
+metric the frame is orthonormal for.
 
 Vector-frame transitions (G, Q, kappa) are (5, 5) tensor jets; the spinor
 lifts (Gtilde, Qtilde, kappatilde) are plain complex value arrays, batched as
@@ -18,19 +19,11 @@ In closed form, with rho = a^4 beta^-2 r_o^2 and w = r^2 + x_0^2,
 which satisfies k^2 - q^2 = 1 identically on C_a and reduces to (1, 0) on L.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geometry as geo
 from . import jets as J
 from .errors import CaViolationError, DimensionError, DomainError
-
-@dataclass
-class FrameValue:
-    vectors: J.Jet               # (5, 5) tensor jet, columns = vectors
-    metric_spec: geo.MetricSpec
-
 
 # ----------------------------------------------------------------- plumbing
 
@@ -232,7 +225,7 @@ def _frame_etilde(xj, rad):
                                       (ro, ro, ro * ib))
 
 
-def frame_htilde(x, a=1.0, order=3):
+def _frame_htilde(x, a, order):
     """The non-singular C^1 frame htilde = e.(QG) on C_a.
 
     On the L side (cone and axis included) this is exactly the standard
@@ -247,9 +240,8 @@ def frame_htilde(x, a=1.0, order=3):
     and htilde_0 = k e_0 + q e_1, which is regular anyway.
     """
     x, xj = _seed(x, order)
-    spec = geo.MetricSpec("ga", a)
     if geo.cone_side(x) < 0:
-        return FrameValue(J.constant(np.eye(5), 5, order, x.shape[:-1]), spec)
+        return J.constant(np.eye(5), 5, order, x.shape[:-1])
     rad = geo.radial_jets(xj, a)
     k, q, _ = _k_q_rho(xj, rad, a)
     e0, e1, (_, _, k3), (c, ir, ir2) = _frame_e_parts(xj, rad, a)
@@ -264,25 +256,25 @@ def frame_htilde(x, a=1.0, order=3):
             t = wm1 * xj[m] * xj[j] * ir2 + bm1 * k3[m - 1] * k3[j - 1] * ir2
             col.append((t + 1.0) if m == j else t)
         cols.append(col)
-    return FrameValue(_columns(cols), spec)
+    return _columns(cols)
 
 
 def frame_eval(id, x, a=1.0, order=3):
-    """Evaluate one of the frames {e, f, etilde, u, htilde} at x, as jets."""
+    """One of the frames {e, f, etilde, u, htilde} at x, as a (5, 5) tensor
+    jet: e and htilde are orthonormal for ga, f and etilde for gatilde, and
+    u for g0."""
     if id == "htilde":
-        return frame_htilde(x, a, order=order)
+        return _frame_htilde(x, a, order)
     x, xj = _seed(x, order)
     if id == "u":
-        return FrameValue(J.constant(np.eye(5), 5, order, x.shape[:-1]),
-                          geo.MetricSpec("g0"))
+        return J.constant(np.eye(5), 5, order, x.shape[:-1])
     if id == "e":
         rad = geo.radial_jets(xj, a)
-        return FrameValue(_columns(_frame_e(xj, rad, a)), geo.MetricSpec("ga", a))
+        return _columns(_frame_e(xj, rad, a))
     if id in ("f", "etilde"):
         _require_exterior(x, "frame " + id)
         build = _frame_f if id == "f" else _frame_etilde
-        return FrameValue(_columns(build(xj, geo.radial_jets(xj, a))),
-                          geo.MetricSpec("gatilde", a))
+        return _columns(build(xj, geo.radial_jets(xj, a)))
     raise ValueError(f"unknown frame id {id!r}")
 
 
@@ -301,13 +293,11 @@ def eh_frame(y, a=1.0):
     ir = rad2.sqrt().reciprocal()
     k1, k2, k3 = geo.sigma_dual_vectors(yj)
     ib = beta.reciprocal()
-    vec = J.stack([[(-1.0) * beta * yj[m] * ir, k1[m] * ir, k2[m] * ir,
-                    k3[m] * ir * ib] for m in range(4)])
-    return FrameValue(vec, geo.MetricSpec("eh", a))
+    return J.stack([[(-1.0) * beta * yj[m] * ir, k1[m] * ir, k2[m] * ir,
+                     k3[m] * ir * ib] for m in range(4)])
 
 
-def gram_matrix(fv: FrameValue, x):
-    """Pointwise Gram matrix of the frame under its own metric, (..., 5, 5)."""
-    gv = geo.metric_jets(fv.metric_spec, x, order=0).val
-    vv = fv.vectors.val
-    return np.einsum("...mi,...mn,...nj->...ij", vv, gv, vv, optimize=True)
+def gram_matrix(Fv, gv):
+    """Pointwise Gram matrix F^T g F of frame values Fv under metric values
+    gv, both (..., n, n)."""
+    return np.einsum("...mi,...mn,...nj->...ij", Fv, gv, Fv, optimize=True)

@@ -64,6 +64,7 @@ class MonomialSpec:
 
 
 RO2 = MonomialSpec(2, (0, 0, 0, 0, 0, 0))
+N_SPACINGS = 12                 # parameters t0 / 2**j, j < N_SPACINGS, per curve
 
 
 @dataclass
@@ -71,7 +72,6 @@ class CrossingCurve:
     base: object
     direction: object
     t0: float = 0.1
-    n: int = 12
     inward: np.ndarray = field(init=False)      # leg for t < 0, derived
 
     def __post_init__(self):
@@ -80,11 +80,11 @@ class CrossingCurve:
         # the timelike axis at the vertex, the line continued elsewhere
         self.inward = (np.array([1.0, 0, 0, 0, 0]) if np.all(self.base == 0.0)
                        else -self.direction)
-        if self.t0 <= 0 or self.n < 5:
-            raise ValueError("need t0 > 0 and at least 5 spacings")
+        if self.t0 <= 0:
+            raise ValueError("need t0 > 0")
 
     def spacings(self):
-        return self.t0 * 0.5 ** np.arange(self.n)
+        return self.t0 * 0.5 ** np.arange(N_SPACINGS)
 
     def point(self, t):
         leg = self.direction if t >= 0 else self.inward

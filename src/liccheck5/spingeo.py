@@ -121,7 +121,7 @@ def _cov_all(phi, spec, x, forms=None):
         forms = C.connection_forms(fr, spec, x)
     comp = phi.components(x, order=1)
     sig = _spin_matrices(forms)
-    cov = (np.einsum('...mk,...am->...ka', fr.vectors.val.real, comp.grad)
+    cov = (np.einsum('...mk,...am->...ka', fr.val.real, comp.grad)
            + np.einsum('...kab,...b->...ka', sig, comp.val))
     return cov, forms.eps
 
@@ -205,7 +205,7 @@ def spinor_square(phi, spec, x):
     fr = F.frame_eval(frame_id, x, a=spec.a, order=0)
     p = CL.spinor_square_components(SpinorValue(w, frame_id))
     vf = CL.EPS * p
-    Fv = fr.vectors.val.real
+    Fv = fr.val.real
     return np.einsum('...mi,...i->...m', Fv, vf)
 
 

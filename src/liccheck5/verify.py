@@ -20,7 +20,7 @@ import json
 import time
 import traceback
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -156,9 +156,9 @@ def _chk_clifford(cfg, seed):
 
 def _chk_frame_gram(cfg, seed):
     x = _draw(cfg, "B_a", seed, 0.01)
-    fv = F.frame_eval("e", x, cfg.a, order=0)
-    gram = F.gram_matrix(fv, x)
-    return _norm_res(gram, geo.ETA), len(x)
+    Fv = F.frame_eval("e", x, cfg.a, order=0).val
+    gv = geo.metric_jets(geo.MetricSpec("ga", cfg.a), x, order=0).val
+    return _norm_res(F.gram_matrix(Fv, gv), geo.ETA), len(x)
 
 
 def _chk_product_structure(cfg, seed):
@@ -176,9 +176,11 @@ def _chk_product_structure(cfg, seed):
 
 
 def _chk_product_ricci(cfg, seed):
+    # Ric(gatilde_a)(x) = a^2 Ric(gatilde_1)(a x): dividing by a^2 makes the
+    # residual that of the a = 1 metric at the dilated points
     x = _draw(cfg, "B_a", seed, 0.1)
     ric = C.ricci(geo.MetricSpec("gatilde", cfg.a), x)
-    return _norm_res(ric, 0.0), len(x)
+    return _norm_res(ric / cfg.a ** 2, 0.0), len(x)
 
 
 def _eh_points(a, seed, n):
@@ -201,7 +203,7 @@ def _chk_eh_connection(cfg, seed):
     yj = J.seed(y, order=0)
     forms = geo.sigma_forms(yj, geo.sum_squares(yj).reciprocal())
     sig1, sig2 = [np.einsum('...m,...mk->...k', np.stack([s.val for s in f], -1),
-                            fr.vectors.val) for f in forms[:2]]
+                            fr.val) for f in forms[:2]]
     f4 = np.zeros(om.shape[:-3] + (4,))
     f4[..., 3] = 1.0
     pairs = [(om[..., 0, 1, :], -beta[..., None] * sig1),
@@ -254,7 +256,7 @@ def _chk_twistor(cfg, seed):
     if cfg.perturb:
         fr = F.frame_eval("e", xb, cfg.a, order=1)
         g = geo.metric_jets(spec, xb, order=2) + cfg.perturb * _E12
-        forms = C.forms_from_jets(fr.vectors, g, label="perturbed", tol=1.0)
+        forms = C.forms_from_jets(fr, g, label="perturbed", tol=1.0)
     rb = S.twistor_residual(phi, spec, xb, forms=forms)
     xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
     rl = S.twistor_residual(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
@@ -518,12 +520,6 @@ def _seed_for(name, seed):
     return zlib.crc32(name.encode()) ^ (int(seed) & 0xFFFFFFFF)
 
 
-def _config_echo(cfg):
-    return {"a": cfg.a, "samples": cfg.samples, "seed": cfg.seed,
-            "b": cfg.b, "c": cfg.c, "tol": dict(cfg.tol),
-            "exclusion": cfg.exclusion, "perturb": cfg.perturb}
-
-
 def _versions():
     import platform
     return {"python": platform.python_version(), "numpy": np.__version__,
@@ -559,7 +555,7 @@ def run_suite(cfg, skip=(), only=None):
         return CheckResult(check.name, check.claim, nsamp, rmax, rmed, tol,
                            verdict, time.perf_counter() - t0, error)
 
-    return Report(config=_config_echo(cfg), versions=_versions(),
+    return Report(config=asdict(cfg), versions=_versions(),
                   checks=[one(check) for check in selected])
 
 

@@ -58,7 +58,8 @@ def test_gamma_relations_exact_and_fast():
 def test_frame_orthonormal_across_the_family():
     for a in (0.5, 1.0, 2.0):
         x = V.sample("B_a", a, 500, seed=41)
-        gram = F.gram_matrix(F.frame_eval("e", x, a, order=0), x)
+        gv = geo.metric_jets(geo.MetricSpec("ga", a), x, order=0).val
+        gram = F.gram_matrix(F.frame_eval("e", x, a, order=0).val, gv)
         assert np.max(V._norm_res(gram, ETA5)) < 1e-10, a
 
 

@@ -66,11 +66,11 @@ LAYERS = {
                     lambda x: np.broadcast_to(geo.ETA, x.shape[:1] + (5, 5))),
     "radial_ro": (lambda x: geo.radial_jets(J.seed(x, order=1), 1.0).ro.val,
                   lambda x: np.zeros(len(x))),
-    "frame_e": (lambda x: F.frame_eval("e", x, 1.0, order=1).vectors.val,
+    "frame_e": (lambda x: F.frame_eval("e", x, 1.0, order=1).val,
                 _cylindrical_frame),
-    "frame_f": (lambda x: F.frame_eval("f", x, 1.0, order=1).vectors.val,
+    "frame_f": (lambda x: F.frame_eval("f", x, 1.0, order=1).val,
                 None),
-    "frame_htilde": (lambda x: F.frame_htilde(x, 1.0, order=1).vectors.val,
+    "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0, order=1).val,
                      lambda x: np.broadcast_to(np.eye(5), x.shape[:1] + (5, 5))),
     "k_q_rho": (_kqr, lambda x: np.broadcast_to([1.0, 0.0, 0.0],
                                                 x.shape[:1] + (3,))),

@@ -117,6 +117,16 @@ def test_ricci_flat_gatilde_exterior():
     assert np.max(np.abs(ric)) < 1e-8 * scale
 
 
+@pytest.mark.parametrize("a", [3.0, 8.0])
+def test_gatilde_riemann_scales_with_the_dilation(a):
+    # g_a(x) = g_1(a x), so gatilde_a = a^2 (pullback of gatilde_1 under
+    # x -> a x) and the lowered Riemann tensor picks up a^6
+    x = V.sample("B_a", a, 60, 13, exclusion=0.1 / a)
+    low = C.riemann_lowered(geo.MetricSpec("gatilde", a), x)
+    low1 = C.riemann_lowered(GAT, a * x)
+    assert np.max(np.abs(low - a ** 6 * low1)) <= 1e-9 * np.max(np.abs(low))
+
+
 def test_riemann_gatilde_zero_inside_cone():
     x = V.sample("L", 1.0, 100, 12, exclusion=0.05)
     R = C.riemann(GAT, x, order=0).val
@@ -196,6 +206,22 @@ def test_connection_forms_gram_mismatch():
         C.connection_forms(fu, GA, x)
 
 
+@pytest.mark.parametrize("family", ["eh", "ga"])
+def test_single_point_curvature_forms_of_a_frame_jet(family):
+    # one unbatched point, as interactive callers pass it
+    if family == "eh":
+        p, spec = np.array([1.3, -0.8, 0.6, 1.1]), EH
+        fr, frb = F.eh_frame(p, 1.0), F.eh_frame(p[None], 1.0)
+    else:
+        p, spec = V.sample("B_a", 1.0, 1, 14, exclusion=0.1)[0], GA
+        fr, frb = F.frame_eval("e", p, 1.0), F.frame_eval("e", p[None], 1.0)
+    cf = C.connection_forms(fr, spec, p).curvature_frame
+    n = spec.dim
+    assert cf.shape == (n, n, n, n)
+    batched = C.connection_forms(frb, spec, p[None]).curvature_frame[0]
+    assert np.max(np.abs(cf - batched)) <= 1e-12 * (1.0 + np.max(np.abs(cf)))
+
+
 def test_eh_connection_form_displays():
     # omega_12 = omega_34 = -beta sigma1, omega_13 = -omega_24 = -beta sigma2,
     # omega_14 = omega_23 = -gamma f^4 with gamma = beta/R + beta'.
@@ -208,7 +234,7 @@ def test_eh_connection_form_displays():
     gamma = beta / rad + 2.0 / (rad ** 5 * beta)
     yj = J.seed(y, order=0)
     s1, s2, _ = geo.sigma_forms(yj, geo.sum_squares(yj).reciprocal())
-    Fv = fr.vectors.val
+    Fv = fr.val
     sig1 = np.einsum('...m,...mk->...k',
                      np.stack([np.broadcast_to(s.val, rad.shape) for s in s1], -1), Fv)
     sig2 = np.einsum('...m,...mk->...k',

@@ -14,6 +14,12 @@ from conftest import jet_close
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 
 
+def gram(fr, family, x, a=1.0):
+    """Gram matrix of frame jet fr under the named metric at x."""
+    gv = geo.metric_jets(geo.MetricSpec(family, a), x, order=0).val
+    return F.gram_matrix(fr.val, gv)
+
+
 def in_ca(x, a, n):
     """The first n points of a B_a draw that lie in the C_a neighbourhood
     of the cone, 4 x0^2 rho < 0.95 with rho = a^4 r_o^2 / (1 - (a r_o)^4)."""
@@ -28,52 +34,48 @@ def in_ca(x, a, n):
 def test_frame_e_orthonormal_ba(a):
     x = V.sample("B_a", a, 500, 41, exclusion=0.05 / np.sqrt(2),
                  outer=1 - 0.05 * a)
-    fv = F.frame_eval("e", x, a, order=0)
-    gram = F.gram_matrix(fv, x)
-    assert np.abs(gram - ETA).max() < 1e-10
+    fr = F.frame_eval("e", x, a, order=0)
+    assert np.abs(gram(fr, "ga", x, a) - ETA).max() < 1e-10
 
 
 def test_frame_e_orthonormal_on_l():
     x = V.sample("L", 1.0, 200, 42, exclusion=0.05)
-    fv = F.frame_eval("e", x, a=1.0, order=0)
-    gram = F.gram_matrix(fv, x)
-    assert np.abs(gram - ETA).max() < 1e-12
+    fr = F.frame_eval("e", x, a=1.0, order=0)
+    assert np.abs(gram(fr, "ga", x) - ETA).max() < 1e-12
 
 
 def test_frame_e_cylindrical_on_l():
     # r_o = 0 kills the T-correction: e0 = d0 and e1 = dr exactly.
     x = V.sample("L", 1.0, 50, 7, exclusion=0.05)
-    fv = F.frame_eval("e", x, a=1.0, order=1)
+    fr = F.frame_eval("e", x, a=1.0, order=1)
     r = np.linalg.norm(x[:, 1:], axis=-1)
-    assert np.allclose(fv.vectors[0, 0].val, 1.0)
+    assert np.allclose(fr[0, 0].val, 1.0)
     for m in range(1, 5):
-        assert np.allclose(fv.vectors[m, 0].val, 0.0)
-        assert np.allclose(fv.vectors[m, 1].val, x[:, m] / r)
-    assert np.allclose(fv.vectors[0, 1].val, 0.0)
+        assert np.allclose(fr[m, 0].val, 0.0)
+        assert np.allclose(fr[m, 1].val, x[:, m] / r)
+    assert np.allclose(fr[0, 1].val, 0.0)
 
 
 def test_e_dot_g_is_standard_frame_on_l():
     x = V.sample("L", 1.0, 100, 9, exclusion=0.05)
     e = F.frame_eval("e", x, a=1.0, order=0)
     G = F.transform_eval("G", x, order=0)
-    prod = J.jeinsum("ij,jk->ik", e.vectors, G).val
+    prod = J.jeinsum("ij,jk->ik", e, G).val
     assert np.abs(prod - np.eye(5)).max() < 1e-12
 
 
 @pytest.mark.parametrize("fid", ["f", "etilde"])
 def test_tilde_frames_orthonormal_for_gatilde(fid):
     x = V.sample("B_a", 1.0, 300, 43, exclusion=0.05 / np.sqrt(2))
-    fv = F.frame_eval(fid, x, a=1.0, order=0)
-    assert fv.metric_spec.family == "gatilde"
-    gram = F.gram_matrix(fv, x)
-    assert np.abs(gram - ETA).max() < 1e-10
+    fr = F.frame_eval(fid, x, a=1.0, order=0)
+    assert np.abs(gram(fr, "gatilde", x) - ETA).max() < 1e-10
 
 
 def test_etilde_is_conformal_stretch_of_e():
     # the pushforward identity Psi_*(e_i) = (R^2-s^2) etilde_i, pointwise form
     x = V.sample("B_a", 1.0, 100, 44, exclusion=0.05 / np.sqrt(2))
-    e = F.frame_eval("e", x, a=1.0, order=1).vectors
-    et = F.frame_eval("etilde", x, a=1.0, order=1).vectors
+    e = F.frame_eval("e", x, a=1.0, order=1)
+    et = F.frame_eval("etilde", x, a=1.0, order=1)
     d = np.sum(x[:, 1:] ** 2, axis=-1) - x[:, 0] ** 2
     xj = J.seed(x, order=1)
     djet = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] \
@@ -85,9 +87,9 @@ def test_etilde_is_conformal_stretch_of_e():
 
 def test_etilde_equals_f_kappa():
     x = V.sample("B_a", 1.0, 200, 45, exclusion=0.05 / np.sqrt(2))
-    f = F.frame_eval("f", x, a=1.0, order=0).vectors
+    f = F.frame_eval("f", x, a=1.0, order=0)
     kap = F.transform_eval("kappa", x, order=0)
-    et = F.frame_eval("etilde", x, a=1.0, order=0).vectors
+    et = F.frame_eval("etilde", x, a=1.0, order=0)
     prod = J.jeinsum("ij,jk->ik", f, kap).val
     assert np.abs(prod - et.val).max() < 1e-10
 
@@ -175,35 +177,34 @@ def test_gtilde_covers_g_and_is_special_unitary():
 def test_htilde_matches_product_off_axis():
     x = in_ca(V.sample("B_a", 1.0, 10 * 80, 52, exclusion=0.05 / np.sqrt(2)),
               1.0, 80)
-    ht = F.frame_htilde(x, a=1.0, order=1)
+    ht = F.frame_eval("htilde", x, a=1.0, order=1)
     e = F.frame_eval("e", x, a=1.0, order=1)
     Q = F.transform_eval("Q", x, a=1.0, order=1)
     G = F.transform_eval("G", x, a=1.0, order=1)
-    naive = J.jeinsum("ij,jk->ik", e.vectors, J.jeinsum("ij,jk->ik", Q, G))
-    assert jet_close(ht.vectors, naive) < 1e-10
+    naive = J.jeinsum("ij,jk->ik", e, J.jeinsum("ij,jk->ik", Q, G))
+    assert jet_close(ht, naive) < 1e-10
 
 
 def test_htilde_first_column_is_normalized_d0():
     x = in_ca(V.sample("B_a", 1.0, 10 * 120, 53, exclusion=0.05 / np.sqrt(2)),
               1.0, 120)
-    ht = F.frame_htilde(x, a=1.0, order=0)
+    ht = F.frame_eval("htilde", x, a=1.0, order=0)
     _, _, rho = F.k_q_rho(x, a=1.0, order=0)
     expect = 1.0 / np.sqrt(1.0 - 4.0 * x[:, 0] ** 2 * rho.val)
-    assert np.abs(ht.vectors[0, 0].val - expect).max() < 1e-12
+    assert np.abs(ht[0, 0].val - expect).max() < 1e-12
     for m in range(1, 5):
-        assert np.abs(ht.vectors[m, 0].val).max() < 1e-12
+        assert np.abs(ht[m, 0].val).max() < 1e-12
 
 
 def test_htilde_orthonormal_and_standard_on_l():
     x = in_ca(V.sample("B_a", 1.0, 10 * 200, 54, exclusion=0.05 / np.sqrt(2)),
               1.0, 200)
-    ht = F.frame_htilde(x, a=1.0, order=0)
-    gram = F.gram_matrix(ht, x)
-    assert np.abs(gram - ETA).max() < 1e-9
+    ht = F.frame_eval("htilde", x, a=1.0, order=0)
+    assert np.abs(gram(ht, "ga", x) - ETA).max() < 1e-9
     xl = V.sample("L", 1.0, 50, 55, exclusion=0.05)
     xl = np.vstack([xl, [[0.5, 0, 0, 0, 0]], [[0, 0, 0, 0, 0]]])  # axis, origin
-    htl = F.frame_htilde(xl, a=1.0, order=2)
-    assert np.abs(htl.vectors.val - np.eye(5)).max() == 0.0
+    htl = F.frame_eval("htilde", xl, a=1.0, order=2)
+    assert np.abs(htl.val - np.eye(5)).max() == 0.0
 
 
 def test_htilde_continuous_across_cone_and_origin():
@@ -215,7 +216,7 @@ def test_htilde_continuous_across_cone_and_origin():
     prev = None
     for t in (1e-2, 1e-4, 1e-6):
         pt = pc + t * out
-        v = F.frame_htilde(pt[None], a, order=0).vectors.val[0]
+        v = F.frame_eval("htilde", pt[None], a, order=0).val[0]
         gap = np.abs(v - np.eye(5)).max()
         if prev is not None:
             assert gap < prev * 1e-1
@@ -223,18 +224,17 @@ def test_htilde_continuous_across_cone_and_origin():
     assert prev < 1e-10
     for t in (1e-2, 1e-3):
         pt = np.array([0.5 * t, t, 0, 0, 0])
-        v = F.frame_htilde(pt[None], a, order=0).vectors.val[0]
+        v = F.frame_eval("htilde", pt[None], a, order=0).val[0]
         assert np.abs(v - np.eye(5)).max() < 1e-3 * t
 
 
 def test_frame_u_constant():
     x = V.sample("B_a", 1.0, 10, 56, exclusion=0.05 / np.sqrt(2))
-    fv = F.frame_eval("u", x, order=2)
-    assert fv.metric_spec.family == "g0"
-    assert np.abs(fv.vectors.val - np.eye(5)).max() == 0.0
+    fr = F.frame_eval("u", x, order=2)
+    assert np.abs(fr.val - np.eye(5)).max() == 0.0
     for m in range(5):
         for i in range(5):
-            assert np.all(fv.vectors[m, i].grad == 0.0)
+            assert np.all(fr[m, i].grad == 0.0)
 
 
 def test_frame_domain_errors():

@@ -177,6 +177,15 @@ def test_probes_scale_with_the_family_parameter():
     assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("a", [8.0, 10.0])
+def test_product_ricci_flat_is_dilation_invariant(a):
+    # Ric(gatilde_a) grows like a^2; the check divides it out, so the
+    # default sample passes at every a, not only the small ones
+    rep = V.run_suite(V.SuiteConfig(a=a), only=["product-ricci-flat"])
+    c = rep.checks[0]
+    assert c.verdict == "pass", (c.residual_max, c.error)
+
+
 def test_skip_and_unknown_names(baseline):
     rep = V.run_suite(FAST, skip=("essentiality", "weyl-decay"))
     names = {c.name for c in rep.checks}
