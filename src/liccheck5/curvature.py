@@ -15,12 +15,16 @@ The first/third Ricci contraction makes round spheres come out positive
 lowered slot layout above the trace removal reads weyl = lowered + P * g
 (Kulkarni-Nomizu product of the Schouten tensor with the metric).
 
-Everything is computed per batch from a single jet evaluation of the metric
-at the requested points; the functions are stateless.
+Everything is computed per batch from jet evaluations of the metric at the
+requested points, each carried only to the order its reader needs; the
+functions are stateless, and the curvature forms of a ConnectionForms are
+built when first read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+from typing import Callable
 
 import numpy as np
 
@@ -37,10 +41,25 @@ from .frames import gram_matrix
 class ConnectionForms:
     eps: np.ndarray              # frame signature, diag of the Gram matrix
     omega: J.Jet                 # (n, n, n) tensor jet, [i, j, mu]:
-                                 # coordinate components of omega_ij (lowered)
+                                 # coordinate components of omega_ij (lowered),
+                                 # one order below the frame
     omega_frame: np.ndarray      # (..., n, n, n) values, [i,j,k] = omega_ij(f_k)
-    curvature_frame: np.ndarray  # (..., n, n, n, n) values,
-                                 # [i,j,k,l] = Omega_ij(f_k, f_l)
+    frame: np.ndarray            # (..., n, n) frame values f_k
+    metric2: Callable[[], J.Jet]  # the order-2 metric jet curvature_frame
+                                  # is built from, called on first read
+
+    @cached_property
+    def curvature_frame(self):
+        """(..., n, n, n, n) values, [i,j,k,l] = Omega_ij(f_k, f_l); built
+        on first read, from the second-order metric."""
+        g = self.metric2()
+        if g.order < 2:
+            raise OrderError("curvature forms need a metric jet of order >= 2,"
+                             " got order %d" % g.order)
+        Fv = self.frame
+        return np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
+                         _curvature_pieces(g)["lowered"], Fv, Fv, Fv, Fv,
+                         optimize=True)
 
 
 # ------------------------------------------------------------- raw pieces
@@ -137,14 +156,21 @@ def connection_forms(F, spec, x):
     its curvature 2-forms Omega_ij(X, Y) = g(R(X, Y) f_i, f_j), both with
     lowered indices.
 
-    The metric is carried to second order: curvature values need first
-    derivatives of the Christoffel symbols, omega keeps its first partials."""
+    The metric follows the frame's order, up to 2, so omega comes out one
+    order below the frame: an order-1 frame gives omega's values, an order-2
+    frame adds the first partials the structure equations read.  The
+    curvature forms are built when curvature_frame is first read, from the
+    order-2 metric: the one already built, or one built then."""
     n = spec.dim
     if F.val.shape[-2:] != (n, n):
         raise DimensionError("frame is %s but the metric is %dd"
                              % (F.val.shape[-2:], n))
-    g = geo.metric_jets(spec, x, order=2)
-    return forms_from_jets(F, g, label=spec.family)
+    g = geo.metric_jets(spec, x, order=min(F.order, 2))
+    forms = forms_from_jets(F, g, label=spec.family)
+    if g.order < 2:
+        x = np.array(x, dtype=float)    # the points as they are now
+        forms.metric2 = lambda: geo.metric_jets(spec, x, order=2)
+    return forms
 
 
 def _frame_signature(Fv, gv, label, tol=1e-8):
@@ -159,7 +185,14 @@ def _frame_signature(Fv, gv, label, tol=1e-8):
 
 
 def forms_from_jets(F, g, label="custom", tol=1e-8):
-    """connection_forms for an explicit (frame jets, metric jets) pair."""
+    """connection_forms for an explicit (frame jets, metric jets) pair.
+
+    omega comes out one order below the lower of the two jets, and
+    curvature_frame is built from g itself, so reading it needs g of order
+    >= 2."""
+    if min(F.order, g.order) < 1:
+        raise OrderError("connection forms need frame and metric jets of"
+                         " order >= 1")
     Fv = F.val.real
     eps = _frame_signature(Fv, g.val.real, label, tol)
     gam = christoffel_from_jets(g)
@@ -168,11 +201,8 @@ def forms_from_jets(F, g, label="custom", tol=1e-8):
     low = J.jeinsum("lm,liu->miu", g, cov)
     omega = J.jeinsum("miu,mj->iju", low, F)
     omega_frame = np.einsum('...ijm,...mk->...ijk', omega.val.real, Fv)
-    pieces = _curvature_pieces(g, gam=gam)
-    curv = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
-                     pieces["lowered"], Fv, Fv, Fv, Fv, optimize=True)
     return ConnectionForms(eps=eps, omega=omega, omega_frame=omega_frame,
-                           curvature_frame=curv)
+                           frame=Fv, metric2=lambda: g)
 
 
 def structure_residuals(forms, F, spec, x):
@@ -182,6 +212,9 @@ def structure_residuals(forms, F, spec, x):
     d theta_i = sum_k eps_k omega_ik wedge theta_k.  Second:  Omega_ij =
     d omega_ij - sum_k eps_k omega_ik wedge omega_kj.
     """
+    if forms.omega.order < 1:
+        raise OrderError("structure equations need omega's first partials,"
+                         " i.e. forms of a frame jet of order >= 2")
     g = geo.metric_jets(spec, x, order=2)
     Fv = F.val.real
     eps = forms.eps

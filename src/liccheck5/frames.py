@@ -259,10 +259,15 @@ def _frame_htilde(x, a, order):
     return _columns(cols)
 
 
-def frame_eval(id, x, a=1.0, order=3):
+def frame_eval(id, x, a=1.0, order=1):
     """One of the frames {e, f, etilde, u, htilde} at x, as a (5, 5) tensor
     jet: e and htilde are orthonormal for ga, f and etilde for gatilde, and
-    u for g0."""
+    u for g0.
+
+    The default order 1 is what connection_forms needs for the spin
+    connection and the twistor residual: the frame's values and first
+    partials.  The structure equations read omega's partials, so they need
+    order 2."""
     if id == "htilde":
         return _frame_htilde(x, a, order)
     x, xj = _seed(x, order)

@@ -299,6 +299,63 @@ def test_structure_equations_lorentzian_frame():
     assert r2 < 1e-8
 
 
+def test_low_order_forms_name_the_order_they_need():
+    x = V.sample("B_a", 1.0, 10, 8, exclusion=0.15 / np.sqrt(2), outer=0.9)
+    fr = F.frame_eval("e", x, 1.0, order=1)
+    forms = C.connection_forms(fr, GA, x)
+    with pytest.raises(OrderError, match="frame jet of order >= 2"):
+        C.structure_residuals(forms, fr, GA, x)
+    g1 = geo.metric_jets(GA, x, order=1)
+    with pytest.raises(OrderError, match="metric jet of order >= 2"):
+        C.forms_from_jets(fr, g1).curvature_frame
+
+
+@pytest.mark.parametrize("family", ["eh", "ga"])
+def test_curvature_forms_are_built_on_first_read(family, monkeypatch):
+    if family == "eh":
+        x, spec = V._eh_points(1.0, 15, 40), EH
+        fr = F.eh_frame(x, 1.0)
+    else:
+        x, spec = V.sample("B_a", 1.0, 40, 15, exclusion=0.02), GA
+        fr = F.frame_eval("e", x, 1.0)
+    orders, pieces = [], []
+
+    def metric_jets(spec, x, order=2, _fn=geo.metric_jets):
+        orders.append(order)
+        return _fn(spec, x, order=order)
+
+    def curvature_pieces(g, gam=None, _fn=C._curvature_pieces):
+        pieces.append(g.order)
+        return _fn(g, gam)
+
+    monkeypatch.setattr(geo, "metric_jets", metric_jets)
+    monkeypatch.setattr(C, "_curvature_pieces", curvature_pieces)
+    forms = C.connection_forms(fr, spec, x)
+    # the eh frame is seeded to order 3, so its order-2 metric is built
+    # with omega; the default-order ga frame needs only an order-1 metric
+    assert orders == ([2] if family == "eh" else [1])
+    assert pieces == []
+    cf = forms.curvature_frame
+    assert orders == ([2] if family == "eh" else [1, 2])
+    assert pieces == [2]
+    assert forms.curvature_frame is cf
+    # the eager formula, summed in the same order: plain einsum's order
+    # moves ga's entries by ~4e-13 relative, as terms of ~1e5 cancel to ~20
+    Fv = fr.val
+    eager = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
+                      C.riemann_lowered(spec, x), Fv, Fv, Fv, Fv, optimize=True)
+    assert np.max(np.abs(cf - eager)) <= 1e-13 * np.max(np.abs(eager))
+
+
+def test_omega_is_one_order_below_the_frame():
+    x = V.sample("B_a", 1.0, 30, 16, exclusion=0.02)
+    forms = [C.connection_forms(F.frame_eval("e", x, 1.0, order=k), GA, x)
+             for k in (1, 2)]
+    assert [f.omega.order for f in forms] == [0, 1]
+    o1, o2 = (f.omega_frame for f in forms)
+    assert np.max(np.abs(o1 - o2)) <= 1e-13 * np.max(np.abs(o2))
+
+
 # ------------------------------------------------------------- ASD split
 
 

@@ -269,7 +269,7 @@ def test_eh_is_inverted_ha():
     assert resid < 1e-12
 
 
-def test_metric_spec_validation_and_aliases():
+def test_metric_spec_validation():
     assert G.MetricSpec("gatilde", 1.0).dim == 5
     assert G.MetricSpec("eh", 2.0).dim == 4
     # one spelling per family: no aliases, no case folding

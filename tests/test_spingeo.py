@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from liccheck5 import spingeo as S
 from liccheck5 import verify as V
 from liccheck5.clifford import GAMMA, SpinorValue
 from liccheck5.errors import (AmbiguousError, DomainError, FrameMismatchError,
-                              SingularError, UnknownTransitionError)
+                              OrderError, SingularError, UnknownTransitionError)
 
 G0 = geo.MetricSpec("g0")
 GA = geo.MetricSpec("ga", 1.0)
@@ -76,6 +78,25 @@ def test_twistor_residual_takes_forms_of_a_bare_frame_jet():
     for p, q in zip(given.directions, own.directions):
         assert np.array_equal(p.w, q.w)
     assert (given.norm, given.scale) == (own.norm, own.scale)
+
+
+def test_frame_default_order_is_what_the_twistor_residual_reads(monkeypatch):
+    # the residual asks for the least order connection_forms accepts, and
+    # frame_eval's default is that order
+    x = V.sample("B_a", 1.0, 5, 17, exclusion=0.02)
+    frame_eval = F.frame_eval
+    default = inspect.signature(frame_eval).parameters["order"].default
+    asked = []
+
+    def recording(*args, order, **kwargs):
+        asked.append(order)
+        return frame_eval(*args, order=order, **kwargs)
+
+    monkeypatch.setattr(F, "frame_eval", recording)
+    S.twistor_residual(S.psi_bc(1, 0), GA, x)
+    assert asked == [default] == [1]
+    with pytest.raises(OrderError, match="order >= 1"):
+        C.connection_forms(frame_eval("e", x, 1.0, order=default - 1), GA, x)
 
 
 def test_psi_twistor_on_flat_side():
