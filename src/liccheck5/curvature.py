@@ -109,36 +109,44 @@ def _curvature_pieces(g, gam=None):
 # ------------------------------------------------------------ public ops
 
 
+# The per-point entries below run a large batch block by block
+# (geometry._over_blocks), each block through its own metric jet.
+
+
 def christoffel(spec, x, order=2):
     """Gamma^k_ij jets for a metric family at a point batch."""
     if not 1 <= order <= 2:
         raise OrderError("christoffel supports jet orders 1 and 2")
-    g = geo.metric_jets(spec, x, order=order + 1)
-    return christoffel_from_jets(g)
+    return geo._over_blocks(spec, x, order + 1, lambda p: christoffel_from_jets(
+        geo.metric_jets(spec, p, order=order + 1)))
 
 
 def riemann(spec, x, order=1):
     """R^l_kij jets; order 0 gives plain values, order 1 adds first partials."""
     if not 0 <= order <= 1:
         raise OrderError("riemann supports jet orders 0 and 1")
-    g = geo.metric_jets(spec, x, order=order + 2)
-    return riemann_from_christoffel(christoffel_from_jets(g), order=order)
+    return geo._over_blocks(spec, x, order + 2, lambda p: riemann_from_christoffel(
+        christoffel_from_jets(geo.metric_jets(spec, p, order=order + 2)),
+        order=order))
+
+
+def _piece(spec, x, key):
+    """One entry of _curvature_pieces at a point batch."""
+    return geo._over_blocks(spec, x, 2, lambda p: _curvature_pieces(
+        geo.metric_jets(spec, p, order=2))[key])
 
 
 def ricci(spec, x):
-    g = geo.metric_jets(spec, x, order=2)
-    return _curvature_pieces(g)["ric"]
+    return _piece(spec, x, "ric")
 
 
 def riemann_lowered(spec, x):
-    g = geo.metric_jets(spec, x, order=2)
-    return _curvature_pieces(g)["lowered"]
+    return _piece(spec, x, "lowered")
 
 
 def weyl(spec, x):
     """Weyl tensor values with all indices lowered, layout [i, j, k, l]."""
-    g = geo.metric_jets(spec, x, order=2)
-    return _curvature_pieces(g)["weyl"]
+    return _piece(spec, x, "weyl")
 
 
 def bianchi_residual(spec, x):

@@ -194,10 +194,10 @@ def sigma_dual_vectors(spatial):
     return k1, k2, k3
 
 
-def sigma_forms(spatial, ir2):
-    """The invariant coframes sigma_i = K_i / r^2 as covector component jets,
-    given the 1/r^2 jet of the same spatial jets."""
-    return tuple([k * ir2 for k in kv] for kv in sigma_dual_vectors(spatial))
+def sigma_form(k, spatial, ir2):
+    """The invariant coframe sigma_k = K_k / r^2 (k = 1, 2, 3) as covector
+    component jets, given the 1/r^2 jet of the same spatial jets."""
+    return [c * ir2 for c in sigma_dual_vectors(spatial)[k - 1]]
 
 
 def alpha_form(xj, rad):
@@ -231,16 +231,36 @@ def _quadratic_form(base, terms):
     return J.stack(rows)
 
 
+def _over_blocks(spec: MetricSpec, x, order, fn):
+    """fn(points) over blocks of the batch x, each sized for spec's metric
+    jet of the given order (jets._blocked), once the points' dimension is
+    checked.  For 'ga'/'gatilde' a batch too large for one block has its
+    cone side decided as a whole before it is split, so exactly the
+    batches that raise unsplit raise split."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != spec.dim:
+        raise DimensionError("family %r needs %dd points, got %dd"
+                             % (spec.family, spec.dim, x.shape[-1]))
+    whole = None
+    if spec.family in ("ga", "gatilde"):
+        def whole(pts):
+            _branch(J.seed(pts, order=0))
+    # the metric's top level holds dim^(order + 2) float64 entries a point
+    return J._blocked(fn, x, 8 * spec.dim ** (order + 2), whole)
+
+
 def metric_jets(spec: MetricSpec, x, order=3):
     """Metric components as a (dim, dim) tensor jet.
 
     For family 'ga'/'gatilde' the batch must lie entirely on one side of the
     cone (AmbiguousError otherwise); the L side returns the exact flat branch.
+    A large batch is built block by block (_over_blocks), with the same result.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.dim:
-        raise DimensionError("family %r needs %dd points, got %dd"
-                             % (spec.family, spec.dim, x.shape[-1]))
+    return _over_blocks(spec, x, order, lambda p: _metric_block(spec, p, order))
+
+
+def _metric_block(spec, x, order):
+    """metric_jets on points x whose dimension is already checked."""
     xj = J.seed(x, order=order)
     shape = x.shape[:-1]
 
@@ -259,7 +279,6 @@ def metric_jets(spec: MetricSpec, x, order=3):
         return g
 
     # 4d families
-    n = x.shape[-1]
     rad2 = sum_squares(xj)
     rv = np.sqrt(np.sum(x * x, axis=-1))
     a = spec.a
@@ -273,7 +292,7 @@ def metric_jets(spec: MetricSpec, x, order=3):
         u = (a ** 4) * rad2.pow_int(-2)
     irad2 = rad2.reciprocal()
     w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-    _, _, sig3 = sigma_forms(xj, irad2)
+    sig3 = sigma_form(3, xj, irad2)
     return _quadratic_form(np.eye(4), [(w, xj), ((-1.0) * u * rad2, sig3)])
 
 
@@ -284,7 +303,7 @@ def _metric_ga(xj, rad, a):
     r2 = rad.r2
     ro2 = rad.ro * rad.ro
     u = (a ** 4) * ro2 * ro2          # (a r_o)^4
-    _, _, sig3 = sigma_forms(xj[1:], r2.reciprocal())
+    sig3 = sigma_form(3, xj[1:], r2.reciprocal())
     c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
     return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
                                  (c, alpha_form(xj, rad))])

@@ -201,9 +201,9 @@ def _chk_eh_connection(cfg, seed):
     beta = np.sqrt(1.0 - (a / rad) ** 4)
     gamma = beta / rad + 2.0 * a ** 4 / (rad ** 5 * beta)
     yj = J.seed(y, order=0)
-    forms = geo.sigma_forms(yj, geo.sum_squares(yj).reciprocal())
-    sig1, sig2 = [np.einsum('...m,...mk->...k', np.stack([s.val for s in f], -1),
-                            fr.val) for f in forms[:2]]
+    ir2 = geo.sum_squares(yj).reciprocal()
+    sig1, sig2 = [np.einsum('...m,...mk->...k', np.stack(
+        [s.val for s in geo.sigma_form(k, yj, ir2)], -1), fr.val) for k in (1, 2)]
     f4 = np.zeros(om.shape[:-3] + (4,))
     f4[..., 3] = 1.0
     pairs = [(om[..., 0, 1, :], -beta[..., None] * sig1),

@@ -15,11 +15,13 @@ each layer must say which side a batch is on.  The policy pinned here:
 import numpy as np
 import pytest
 
+from liccheck5 import curvature as C
 from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import jets as J
 from liccheck5 import regularity as R
 from liccheck5 import spingeo as S
+from liccheck5 import verify as V
 from liccheck5.errors import (AmbiguousError, DomainError,
                               NonTransversalError)
 
@@ -120,3 +122,54 @@ def test_cone_side_policy(name, kind, want):
     elif flat is not None:
         off = np.max(np.abs(out - flat(x)).reshape(len(x), -1), axis=1)
         assert np.all(off > 1e-3)
+
+
+# Forced blocking: 40-point batches in blocks of 10.  The cone side of a
+# split batch is decided over the whole batch, so the policy above holds
+# even when every block lies on one side.
+
+# name -> (evaluation, the order of the metric jet it builds)
+SPLIT_LAYERS = {
+    "metric_jets": (lambda x: geo.metric_jets(GA, x, order=1), 1),
+    "metric_jets-gatilde": (lambda x: geo.metric_jets(
+        geo.MetricSpec("gatilde", 1.0), x, order=1), 1),
+    "weyl": (lambda x: C.weyl(GA, x), 2),
+}
+
+
+def _split_layer(name, monkeypatch):
+    """The layer's evaluation, with blocks shrunk to 10 points."""
+    fn, order = SPLIT_LAYERS[name]
+    monkeypatch.setattr(J, "BLOCK_BYTES", 10 * 8 * 5 ** (order + 2))
+    return fn
+
+
+@pytest.mark.parametrize("name", list(SPLIT_LAYERS))
+def test_split_batch_mixing_the_sides_is_refused(name, monkeypatch):
+    ext = V.sample("B_a", 1.0, 20, 91, exclusion=0.05)
+    inner = V.sample("L", 1.0, 20, 92, exclusion=0.05)
+    fn = _split_layer(name, monkeypatch)
+    fn(ext), fn(inner)                   # each half alone is fine
+    with pytest.raises(AmbiguousError, match="mixes the two sides"):
+        fn(np.vstack([ext, inner]))
+
+
+@pytest.mark.parametrize("name", list(SPLIT_LAYERS))
+def test_split_batch_with_a_cone_point_in_a_later_block_is_refused(
+        name, monkeypatch):
+    x = V.sample("B_a", 1.0, 40, 93, exclusion=0.05)
+    x[35] = BATCHES["cone"][0]
+    with pytest.raises(AmbiguousError, match="on the cone boundary"):
+        _split_layer(name, monkeypatch)(x)
+
+
+@pytest.mark.parametrize("name", list(SPLIT_LAYERS))
+def test_split_batch_outside_the_closure_raises_as_unsplit(name, monkeypatch):
+    x = V.sample("B_a", 1.0, 40, 94, exclusion=0.05)
+    x[-1] = [0.0, 2.0, 0.0, 0.0, 0.0]          # r_o = 2 > 1/a
+    with pytest.raises(DomainError) as unsplit:
+        SPLIT_LAYERS[name][0](x)
+    with pytest.raises(DomainError) as split:
+        _split_layer(name, monkeypatch)(x)
+    assert str(split.value) == str(unsplit.value)
+    assert "outside the closure of B_a" in str(split.value)

@@ -188,6 +188,74 @@ def test_eh_riemann_equals_weyl():
     assert np.max(np.abs(W - low)) < 1e-8
 
 
+# (entry, its metric jet's order)
+ENTRIES = {
+    "christoffel-1": (lambda s, x: C.christoffel(s, x, order=1), 2),
+    "christoffel-2": (lambda s, x: C.christoffel(s, x, order=2), 3),
+    "riemann-0": (lambda s, x: C.riemann(s, x, order=0), 2),
+    "riemann-1": (lambda s, x: C.riemann(s, x, order=1), 3),
+    "ricci": (C.ricci, 2),
+    "riemann_lowered": (C.riemann_lowered, 2),
+    "weyl": (C.weyl, 2),
+}
+
+
+def _levels(out):
+    return out.levels if isinstance(out, J.Jet) else (out,)
+
+
+def _assert_identical(split, whole):
+    assert type(split) is type(whole)
+    assert len(_levels(split)) == len(_levels(whole))
+    for a, b in zip(_levels(split), _levels(whole)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+BLOCK_CASES = [(entry, spec, region, route)
+               for entry in ENTRIES
+               for spec, region in [(GA, "B_a"), (GAT, "B_a"), (GAT, "L"),
+                                    (EH, "eh")]
+               for route in ("matmul", "plain")]
+
+
+@pytest.mark.parametrize("entry,spec,region,route", BLOCK_CASES,
+                         ids=["%s-%s-%s-%s" % (e, s.family, r, m)
+                              for e, s, r, m in BLOCK_CASES])
+def test_blocked_curvature_equals_unblocked(entry, spec, region, route,
+                                            monkeypatch):
+    """40 points in 4 blocks of 10.  A 10-point block sends fewer
+    contractions to matmul than the whole batch does (MATMUL_MIN_SIZE), so
+    the routing is pinned to one path for both runs."""
+    fn, order = ENTRIES[entry]
+    monkeypatch.setattr(J, "MATMUL_MIN_SIZE", 0 if route == "matmul" else 1 << 60)
+    x = (V._eh_points(1.0, 86, 40) if region == "eh"
+         else V.sample(region, 1.0, 40, 87, exclusion=0.05))
+    whole = fn(spec, x)
+    calls = []
+    metric = geo.metric_jets
+    monkeypatch.setattr(geo, "metric_jets",
+                        lambda *a, **k: calls.append(1) or metric(*a, **k))
+    monkeypatch.setattr(J, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
+    split = fn(spec, x)
+    assert len(calls) == 4                  # one metric jet a block
+    _assert_identical(split, whole)
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("spec", [GA, GAT], ids=["ga", "gatilde"])
+def test_default_blocks_equal_the_whole_batch(entry, spec, monkeypatch):
+    """At the shipped budget and routing, a batch one point over a block
+    runs in two equal blocks, each large enough to take the whole batch's
+    matmul path, so the result is the unblocked one bit for bit."""
+    fn, order = ENTRIES[entry]
+    n = J.BLOCK_BYTES // (8 * 5 ** (order + 2)) + 1
+    x = V.sample("B_a", 1.0, n, 88, exclusion=0.05)
+    split = fn(spec, x)
+    monkeypatch.setattr(J, "BLOCK_BYTES", 1 << 40)
+    _assert_identical(split, fn(spec, x))
+
+
 # ------------------------------------------------------- connection forms
 
 
@@ -233,7 +301,8 @@ def test_eh_connection_form_displays():
     beta = np.sqrt(1.0 - rad ** -4)
     gamma = beta / rad + 2.0 / (rad ** 5 * beta)
     yj = J.seed(y, order=0)
-    s1, s2, _ = geo.sigma_forms(yj, geo.sum_squares(yj).reciprocal())
+    ir2 = geo.sum_squares(yj).reciprocal()
+    s1, s2 = [geo.sigma_form(k, yj, ir2) for k in (1, 2)]
     Fv = fr.val
     sig1 = np.einsum('...m,...mk->...k',
                      np.stack([np.broadcast_to(s.val, rad.shape) for s in s1], -1), Fv)

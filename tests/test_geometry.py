@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,7 +105,8 @@ def test_radial_ro_ambiguous_on_cone_and_mixed():
 def test_sigma_duality_and_radial_annihilation():
     rng = np.random.default_rng(8)
     xj = J.seed(rng.normal(size=(10, 4)))
-    sig = G.sigma_forms(xj, G.sum_squares(xj).reciprocal())
+    ir2 = G.sum_squares(xj).reciprocal()
+    sig = [G.sigma_form(k, xj, ir2) for k in (1, 2, 3)]
     K = G.sigma_dual_vectors(xj)
     for i in range(3):
         for j in range(3):
@@ -120,7 +123,8 @@ def test_sigma_structure_equations():
     # d sigma_i = 2 sigma_j ^ sigma_k, cyclic
     rng = np.random.default_rng(12)
     xj = J.seed(rng.normal(size=(7, 4)))
-    sig = G.sigma_forms(xj, G.sum_squares(xj).reciprocal())
+    ir2 = G.sum_squares(xj).reciprocal()
+    sig = [G.sigma_form(k, xj, ir2) for k in (1, 2, 3)]
 
     def dform(form):
         n = len(form)
@@ -175,7 +179,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
     r = r2.sqrt()
     ro = (r2 - xj[0] * xj[0]) / r
     beta2 = (-1.0) * ro.pow_int(4) * a ** 4 + 1.0
-    s1, s2, s3 = G.sigma_forms(xj[1:], r2.reciprocal())
+    s1, s2, s3 = [G.sigma_form(k, xj[1:], r2.reciprocal()) for k in (1, 2, 3)]
     alpha = G.alpha_form(xj, G.radial_jets(xj, a))
     dr = [None] + [xj[i] / r for i in range(1, 5)]
     alt = [[None] * 5 for _ in range(5)]
@@ -293,3 +297,70 @@ def test_mu_jet_branches():
     assert np.allclose(mul.val, np.log(-dl), rtol=1e-13)
     with pytest.raises(AmbiguousError):
         G.mu_jet(G.cone_d(J.seed(np.vstack([xb, xl]))))
+
+
+# ------------------------------------------------------------------- blocks
+
+def _batches():
+    """40 points for each family: B_a and L draws for ga/gatilde, and
+    Eguchi-Hanson points (R > a) and their inversions (R < 1/a) for eh/ha."""
+    y = V._eh_points(1.0, 83, 40)
+    return {"ga": V.sample("B_a", 1.0, 40, 81, exclusion=0.05),
+            "ga-L": V.sample("L", 1.0, 40, 82, exclusion=0.05),
+            "g0": V.sample("B_a", 1.0, 40, 84, exclusion=0.05),
+            "eh": y,
+            "ha": y / np.sum(y * y, axis=1)[:, None]}
+
+
+BLOCK_CASES = [(fam, kind, order)
+               for fam, kind in [("ga", "ga"), ("ga", "ga-L"), ("gatilde", "ga"),
+                                 ("gatilde", "ga-L"), ("g0", "g0"),
+                                 ("eh", "eh"), ("ha", "ha")]
+               for order in range(4)]
+
+
+@pytest.mark.parametrize("family,kind,order", BLOCK_CASES,
+                         ids=["%s-%s-%d" % c for c in BLOCK_CASES])
+def test_blocked_metric_equals_unblocked(family, kind, order, monkeypatch):
+    spec = G.MetricSpec(family, 1.0)
+    x = _batches()[kind]
+    whole = G.metric_jets(spec, x, order=order)
+    calls = []
+    block = G._metric_block
+    monkeypatch.setattr(G, "_metric_block",
+                        lambda *args: calls.append(1) or block(*args))
+    # 13 points a block: 40 points run in 4 blocks
+    monkeypatch.setattr(J, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
+    split = G.metric_jets(spec, x, order=order)
+    assert len(calls) == 4
+    assert split.order == whole.order
+    for a, b in zip(split.levels, whole.levels):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    # a 3-d batch shape is flattened for the blocks and given back
+    x3 = x.reshape(2, 4, 5, spec.dim)
+    split3 = G.metric_jets(spec, x3, order=order)
+    for a, b in zip(split3.levels, whole.levels):
+        assert np.array_equal(a, b.reshape((2, 4, 5) + b.shape[1:]))
+
+
+def test_metric_working_set_does_not_grow_with_the_batch():
+    """The memory metric_jets needs beyond its result stays that of one
+    block: at 1200 points at most 1.5x what it is at 300 points, both of
+    which run in several blocks."""
+    spec = G.MetricSpec("ga", 1.0)
+    x = V.sample("B_a", 1.0, 1200, 85, exclusion=0.05)
+    assert 300 * 8 * 5 ** 5 > 2 * J.BLOCK_BYTES
+
+    def working_set(pts):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            g = G.metric_jets(spec, pts, order=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - start - sum(a.nbytes for a in g.levels)
+
+    small, large = working_set(x[:300]), working_set(x)
+    assert large <= 1.5 * small, (large, small)

@@ -343,6 +343,35 @@ def test_matmul_and_plain_contractions_agree(spec, shapes, order, monkeypatch):
     _assert_jets_close(got, want, order)
 
 
+@pytest.mark.parametrize("count, cap", [(5, 5), (7, 3), (40, 13), (84, 83),
+                                        (8301, 83)])
+def test_blocks_are_equal_and_fill_one_output(count, cap, monkeypatch):
+    """A batch over the cap runs in the fewest blocks of at most ``cap``
+    points, their sizes differing by at most one, each written in place;
+    a batch within the cap goes to fn as it is, and ``whole`` sees the
+    whole batch once before a split."""
+    monkeypatch.setattr(jets, "BLOCK_BYTES", cap * 16)
+    x = np.arange(count * 2.0).reshape(count, 2)
+    seen, wholes = [], []
+
+    def fn(p):
+        seen.append(p)
+        return jets.Jet(2.0 * p[:, 0], p[:, :, None] * p[:, None, :])
+
+    got = jets._blocked(fn, x, 16, wholes.append)
+    sizes = [len(p) for p in seen]
+    assert len(sizes) == -(-count // cap) and sum(sizes) == count
+    assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+    if count <= cap:
+        assert seen[0] is x and not wholes
+    else:
+        assert len(wholes) == 1 and np.array_equal(wholes[0], x)
+    assert np.array_equal(got.val, 2.0 * x[:, 0])
+    assert np.array_equal(got.grad, x[:, :, None] * x[:, None, :])
+    vals = jets._blocked(lambda p: fn(p).grad, x, 16)
+    assert isinstance(vals, np.ndarray) and np.array_equal(vals, got.grad)
+
+
 def _sym3_of_each(*ps):
     """The sum of p_ijk + p_jik + p_kij, symmetrized one product at a time."""
     return sum(p + np.swapaxes(p, -3, -2) + np.moveaxis(p, -3, -1) for p in ps)
