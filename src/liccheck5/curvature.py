@@ -58,7 +58,7 @@ class ConnectionForms:
                              " got order %d" % g.order)
         Fv = self.frame
         return np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
-                         _curvature_pieces(g)["lowered"], Fv, Fv, Fv, Fv,
+                         _CurvaturePieces(g).lowered, Fv, Fv, Fv, Fv,
                          optimize=True)
 
 
@@ -84,26 +84,46 @@ def riemann_from_christoffel(gam, order=1):
     return half - J.jeinsum("lkij->lkji", half)
 
 
-def _curvature_pieces(g, gam=None):
-    """Curvature values derivable from one metric jet; ``gam`` reuses
-    Christoffel jets already built from the same metric."""
-    n = g.val.shape[-1]
-    if gam is None:
-        gam = christoffel_from_jets(g)
-    R = riemann_from_christoffel(gam, order=0)
-    gv = g.val.real
-    V = R.val
-    ginv = np.linalg.inv(gv)
-    ric = np.einsum('...ikij->...kj', V)
-    sc = np.einsum('...kj,...kj->...', ginv, ric)
-    low = np.einsum('...lm,...mkij->...ijkl', gv, V)
-    P = (ric - sc[..., None, None] * gv / (2.0 * (n - 1))) / (n - 2)
-    kn = (np.einsum('...ik,...jl->...ijkl', P, gv)
-          + np.einsum('...jl,...ik->...ijkl', P, gv)
-          - np.einsum('...il,...jk->...ijkl', P, gv)
-          - np.einsum('...jk,...il->...ijkl', P, gv))
-    return {"gv": gv, "ric": ric, "scalar": sc, "lowered": low,
-            "weyl": low + kn}
+class _CurvaturePieces:
+    """Curvature values of one metric jet, each formed on first read and
+    kept: reading ric forms Riemann and its trace, not the lowered tensor
+    or the Weyl tensor.  ``gam`` reuses Christoffel jets already built
+    from the same metric."""
+
+    def __init__(self, g, gam=None):
+        self.g, self.gam = g, gam
+
+    @cached_property
+    def gv(self):
+        return self.g.val.real
+
+    @cached_property
+    def riemann(self):
+        gam = christoffel_from_jets(self.g) if self.gam is None else self.gam
+        return riemann_from_christoffel(gam, order=0).val
+
+    @cached_property
+    def ric(self):
+        return np.einsum('...ikij->...kj', self.riemann)
+
+    @cached_property
+    def scalar(self):
+        return np.einsum('...kj,...kj->...', np.linalg.inv(self.gv), self.ric)
+
+    @cached_property
+    def lowered(self):
+        return np.einsum('...lm,...mkij->...ijkl', self.gv, self.riemann)
+
+    @cached_property
+    def weyl(self):
+        gv, n = self.gv, self.gv.shape[-1]
+        P = ((self.ric - self.scalar[..., None, None] * gv / (2.0 * (n - 1)))
+             / (n - 2))
+        kn = (np.einsum('...ik,...jl->...ijkl', P, gv)
+              + np.einsum('...jl,...ik->...ijkl', P, gv)
+              - np.einsum('...il,...jk->...ijkl', P, gv)
+              - np.einsum('...jk,...il->...ijkl', P, gv))
+        return self.lowered + kn
 
 
 # ------------------------------------------------------------ public ops
@@ -131,9 +151,10 @@ def riemann(spec, x, order=1):
 
 
 def _piece(spec, x, key):
-    """One entry of _curvature_pieces at a point batch."""
-    return geo._over_blocks(spec, x, 2, lambda p: _curvature_pieces(
-        geo.metric_jets(spec, p, order=2))[key])
+    """One entry of _CurvaturePieces at a point batch; only what it reads
+    is formed."""
+    return geo._over_blocks(spec, x, 2, lambda p: getattr(_CurvaturePieces(
+        geo.metric_jets(spec, p, order=2)), key))
 
 
 def ricci(spec, x):
@@ -284,7 +305,7 @@ def asd_split(F, spec, x):
     g = geo.metric_jets(spec, x, order=2)
     Fv = F.val.real
     _frame_signature(Fv, g.val.real, spec.family)
-    W = _curvature_pieces(g)["weyl"]
+    W = _CurvaturePieces(g).weyl
     Wf = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl', W, Fv, Fv, Fv, Fv,
                    optimize=True)
     return asd_project(Wf, orientation=np.sign(np.linalg.det(Fv)))
@@ -361,7 +382,7 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
         raise SingularError("identity breaks down on the cone r = |x0|")
     mu = geo.mu_jet(d)
     if flat_variant:
-        lhs = _curvature_pieces(J.jeinsum(",ij->ij", d * d, geo.ETA))["ric"]
+        lhs = _CurvaturePieces(J.jeinsum(",ij->ij", d * d, geo.ETA)).ric
         gt = J.constant(geo.ETA, 5, 1, x.shape[:-1])
     else:
         lhs = ricci(geo.MetricSpec("ga", a), x)

@@ -209,26 +209,64 @@ def alpha_form(xj, rad):
     return [a0, w * xj[1], w * xj[2], w * xj[3], w * xj[4]]
 
 
-def _quadratic_form(base, terms):
-    """The jet matrix base + sum of c v v^T over the (c, v) terms, in order.
+# K3 = _K3 @ x on the spatial slots, read off sigma_dual_vectors' table: a
+# signed permutation, so K3_i K3_j = sign_i sign_j x_p(i) x_p(j)
+_K3 = np.array(sigma_dual_vectors(list(np.eye(4)))[2])
+_K3_PERM = np.argmax(np.abs(_K3), axis=1)
+_K3_SIGNS = np.outer(_K3.sum(axis=1), _K3.sum(axis=1))
 
-    ``base`` is a constant (n, n) array; each v lists n scalar jets, None
-    where the covector has no component."""
-    n = len(base)
-    rows = [[float(base[i][j]) for j in range(n)] for i in range(n)]
-    for c, v in terms:
-        for i in range(n):
-            if v[i] is None:
-                continue
-            cv = c * v[i]
-            for j in range(i, n):
-                if v[j] is None:
-                    continue
-                term = cv * v[j]
-                rows[i][j] = rows[i][j] + term
-                if i != j:
-                    rows[j][i] = rows[j][i] + term
-    return J.stack(rows)
+
+def _times_coordinates(f, x, slots):
+    """The jet f x_s for each s in slots, on a new last tensor axis, where x
+    are the points f is seeded at.  x_s is linear, so level k of f x_s is
+    x_s f_k with f_{k-1} added into each of the k derivative slots of d_s:
+    a scatter, where the Leibniz product f * seed[s] forms full outer
+    products; the two agree bit for bit."""
+    xs = x[..., slots]
+    nb = xs.ndim - 1
+    out = []
+    for k, fk in enumerate(f.levels):
+        dk = (slice(None),) * k
+        xk = xs.reshape(xs.shape[:-1] + (1,) * (fk.ndim - nb - k)
+                        + (len(slots),) + (1,) * k)
+        hk = fk[(Ellipsis, None) + dk] * xk
+        if k:
+            prev, cross = f.levels[k - 1], np.zeros_like(hk)
+            for m in range(k):
+                for j, s in enumerate(slots):
+                    cross[(Ellipsis, j) + dk[:m] + (s,) + dk[m + 1:]] += prev
+            hk += cross
+        out.append(hk)
+    return J.Jet(*out)
+
+
+def _closed_form(x, A, B, C=None, D=None):
+    """The metric jet whose spatial block, over the last four coordinates
+    of the points x, is delta + A x x^T + B K3 K3^T; in 5d the time row is
+    g_0j = C x_j and the corner g_00 = D.  A, B, C, D are scalar jets
+    seeded at x."""
+    n = x.shape[-1]
+    slots = list(range(n - 4, n))
+    lin = _times_coordinates(J.stack([A, B] if C is None else [A, B, C]),
+                             x, slots)
+    quad = _times_coordinates(lin[:2, :], x, slots)   # A x x^T, B x x^T
+    levels = []
+    for k, q in enumerate(quad.levels):
+        dk = (slice(None),) * k
+        g = np.empty(x.shape[:-1] + (n, n) + (n,) * k)
+        block = g[(Ellipsis, slice(n - 4, None), slice(n - 4, None)) + dk]
+        np.multiply(q[(Ellipsis, 1, _K3_PERM[:, None], _K3_PERM[None, :]) + dk],
+                    _K3_SIGNS[(Ellipsis,) + (None,) * k], out=block)
+        block += q[(Ellipsis, 0, slice(None), slice(None)) + dk]
+        if k == 0:
+            block += np.eye(4)
+        if C is not None:
+            row = lin.levels[k][(Ellipsis, 2, slice(None)) + dk]
+            g[(Ellipsis, 0, slice(1, None)) + dk] = row
+            g[(Ellipsis, slice(1, None), 0) + dk] = row
+            g[(Ellipsis, 0, 0) + dk] = D.levels[k]
+        levels.append(g)
+    return J.Jet(*levels)
 
 
 def _over_blocks(spec: MetricSpec, x, order, fn):
@@ -272,7 +310,7 @@ def _metric_block(spec, x, order):
             rad, g = None, J.constant(ETA, 5, order, shape)
         else:
             rad = radial_jets(xj, spec.a)
-            g = _metric_ga(xj, rad, spec.a)
+            g = _metric_ga(x, xj, rad, spec.a)
         if spec.family == "gatilde":
             d = cone_d(xj) if rad is None else rad.d
             g = J.jeinsum(",ij->ij", (d * d).reciprocal(), g)
@@ -292,21 +330,24 @@ def _metric_block(spec, x, order):
         u = (a ** 4) * rad2.pow_int(-2)
     irad2 = rad2.reciprocal()
     w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-    sig3 = sigma_form(3, xj, irad2)
-    return _quadratic_form(np.eye(4), [(w, xj), ((-1.0) * u * rad2, sig3)])
+    return _closed_form(x, w, (-1.0) * u * irad2)
 
 
-def _metric_ga(xj, rad, a):
-    """g_a on the exterior side from the batch's radial jets.  r^2 and
-    beta^2 = 1 - (a r_o)^4 are formed before any square root: squaring the
-    bundle's r and beta instead moves the suite's residuals by up to 5x."""
-    r2 = rad.r2
+def _metric_ga(x, xj, rad, a):
+    """g_a on the exterior side from the radial jets of the batch x:
+    eta + c alpha alpha^T - u r^2 sigma3 sigma3^T with u = (a r_o)^4 and
+    c = a^4 r_o^2 / (r^2 (1 - u)), where alpha = (-2 x0 r, (w/r) x) and
+    sigma3 = K3/r^2.  r^2 and beta^2 = 1 - u are formed before any square
+    root: squaring the bundle's r and beta instead moves the suite's
+    residuals by up to 5x."""
+    r2, w, x0 = rad.r2, rad.w, xj[0]
     ro2 = rad.ro * rad.ro
     u = (a ** 4) * ro2 * ro2          # (a r_o)^4
-    sig3 = sigma_form(3, xj[1:], r2.reciprocal())
+    ir2 = r2.reciprocal()
     c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
-    return _quadratic_form(ETA, [((-1.0) * u * r2, [None] + sig3),
-                                 (c, alpha_form(xj, rad))])
+    cw = c * w
+    return _closed_form(x, cw * w * ir2, (-1.0) * u * ir2, (-2.0) * cw * x0,
+                        4.0 * c * x0 * x0 * r2 - 1.0)
 
 
 def mu_jet(d):

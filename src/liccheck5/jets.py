@@ -387,13 +387,15 @@ def _blocked(fn, x, point_bytes, whole=None):
     outs = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         part = fn(x[lo:hi])
-        levels = part.levels if isinstance(part, Jet) else (part,)
+        is_jet = isinstance(part, Jet)
+        levels = part.levels if is_jet else (part,)
         if outs is None:
             outs = [np.empty((count,) + a.shape[1:], a.dtype) for a in levels]
         for out, a in zip(outs, levels):
             out[lo:hi] = a
+        del part, levels, a     # copied: not kept alive while the next block runs
     outs = [out.reshape(base + out.shape[1:]) for out in outs]
-    return Jet(*outs) if isinstance(part, Jet) else outs[0]
+    return Jet(*outs) if is_jet else outs[0]
 
 
 def jmat_inv(A):

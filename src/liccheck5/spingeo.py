@@ -231,7 +231,7 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     u = d * s
     g = geo.metric_jets(geo.MetricSpec("ga", a), x, order=2)
     gam = C.christoffel_from_jets(g)
-    ric0 = C.trace_free(C._curvature_pieces(g, gam=gam)["ric"], g)
+    ric0 = C.trace_free(C._CurvaturePieces(g, gam=gam).ric, g)
     hess0 = C.trace_free(C.hessian_scalar(u, gam), g)
     uv = np.asarray(u.val)
     return -uv[..., None, None] * ric0, 3.0 * hess0

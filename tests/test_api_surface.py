@@ -23,10 +23,13 @@ from liccheck5 import jets
 SRC = pathlib.Path(liccheck5.__file__).parent
 
 # public functions only tests call, kept as references the tests check the
-# package against: the region classifier, the jet engine's coefficient and
-# finite-difference oracles, and the vector representation of a spin lift
+# package against: the region classifier, the covector alpha of the g_a
+# formula (its cylindrical rewrite is compared with the closed-form metric),
+# the jet engine's coefficient and finite-difference oracles, and the
+# vector representation of a spin lift
 ORACLES = (
     "clifford.lambda_of",
+    "geometry.alpha_form",
     "geometry.classify",
     "jets.central_diff",
     "jets.extract",

@@ -88,10 +88,24 @@ def test_round_sphere_fixes_sign_convention():
          + 1.0).reciprocal() * 2.0
     zero = J.constant(np.zeros(y.shape[:-1]), dim=4, order=3)
     g = J.stack([[c * c if i == j else zero for j in range(4)] for i in range(4)])
-    p = C._curvature_pieces(g)
-    assert np.max(np.abs(p["ric"] - 3.0 * p["gv"])) < 1e-12
-    assert np.max(np.abs(p["scalar"] - 12.0)) < 1e-12
-    assert np.max(np.abs(p["weyl"])) < 1e-12
+    p = C._CurvaturePieces(g)
+    assert np.max(np.abs(p.ric - 3.0 * p.gv)) < 1e-12
+    assert np.max(np.abs(p.scalar - 12.0)) < 1e-12
+    assert np.max(np.abs(p.weyl)) < 1e-12
+
+
+def test_curvature_pieces_form_only_what_is_read():
+    x = V.sample("B_a", 1.0, 12, 31, exclusion=0.02)
+    g = geo.metric_jets(GAT, x, order=2)
+    p = C._CurvaturePieces(g)
+    ric = p.ric
+    assert set(vars(p)) == {"g", "gam", "riemann", "ric"}
+    low = p.lowered
+    assert set(vars(p)) == {"g", "gam", "riemann", "ric", "gv", "lowered"}
+    # read in any order, each piece is the same array bit for bit
+    q = C._CurvaturePieces(g)
+    assert np.array_equal(q.weyl, p.weyl)
+    assert np.array_equal(q.ric, ric) and np.array_equal(q.lowered, low)
 
 
 def test_degenerate_metric_raises():
@@ -393,12 +407,12 @@ def test_curvature_forms_are_built_on_first_read(family, monkeypatch):
         orders.append(order)
         return _fn(spec, x, order=order)
 
-    def curvature_pieces(g, gam=None, _fn=C._curvature_pieces):
+    def curvature_pieces(g, gam=None, _fn=C._CurvaturePieces):
         pieces.append(g.order)
         return _fn(g, gam)
 
     monkeypatch.setattr(geo, "metric_jets", metric_jets)
-    monkeypatch.setattr(C, "_curvature_pieces", curvature_pieces)
+    monkeypatch.setattr(C, "_CurvaturePieces", curvature_pieces)
     forms = C.connection_forms(fr, spec, x)
     # the eh frame is seeded to order 3, so its order-2 metric is built
     # with omega; the default-order ga frame needs only an order-1 metric

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -299,6 +300,29 @@ def test_mu_jet_branches():
         G.mu_jet(G.cone_d(J.seed(np.vstack([xb, xl]))))
 
 
+# ------------------------------------------------- coordinate products
+
+@pytest.mark.parametrize("dim", (4, 5))
+@pytest.mark.parametrize("order", range(4))
+def test_times_coordinates_is_the_leibniz_product(dim, order):
+    """f x_s by scatter equals the jet product f * seed[s] bit for bit, for
+    a scalar and a (2, 2) tensor f, over the four spatial slots."""
+    x = np.random.default_rng(31).uniform(0.2, 1.5, size=(3, dim))
+    xj = J.seed(x, order=order)
+    f = (xj[0] * xj[1] + 1.0).sqrt()
+    t = J.stack([[f, xj[-1] * f], [f.reciprocal(), (-1.0) * xj[0] * xj[0]]])
+    slots = list(range(dim - 4, dim))
+    hf = G._times_coordinates(f, x, slots)
+    ht = G._times_coordinates(t, x, slots)
+    assert hf.order == ht.order == order
+    for j, s in enumerate(slots):
+        pairs = [(hf[j], f * xj[s])] + [(ht[i, k, j], t[i, k] * xj[s])
+                                        for i in range(2) for k in range(2)]
+        for got, want in pairs:
+            for a, b in zip(got.levels, want.levels, strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
 # ------------------------------------------------------------------- blocks
 
 def _batches():
@@ -364,3 +388,56 @@ def test_metric_working_set_does_not_grow_with_the_batch():
 
     small, large = working_set(x[:300]), working_set(x)
     assert large <= 1.5 * small, (large, small)
+
+
+# ------------------------------------------------ finite-difference oracle
+
+FD_STEP = {1: 1e-5, 2: 1e-4, 3: 1e-3}
+FD_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-4}
+
+
+def _fd_points():
+    """Six points a case: B_a and L draws for ga/gatilde/g0, one on each
+    side of the cone, and the Eguchi-Hanson chart R > a for eh with its
+    inversion R < 1/a for ha."""
+    y = V._eh_points(1.0, 87, 6)
+    return {"B_a": V.sample("B_a", 1.0, 6, 88, exclusion=0.05),
+            "L": V.sample("L", 1.0, 6, 89, exclusion=0.05),
+            "R>a": y,
+            "R<1/a": y / np.sum(y * y, axis=1)[:, None]}
+
+
+FD_CASES = [(fam, region, n)
+            for fam, region in [("g0", "B_a"), ("ga", "B_a"), ("ga", "L"),
+                                ("gatilde", "B_a"), ("gatilde", "L"),
+                                ("eh", "R>a"), ("ha", "R<1/a")]
+            for n in (1, 6)]
+
+
+@pytest.mark.parametrize("family,region,n", FD_CASES,
+                         ids=["%s-%s-%d" % c for c in FD_CASES])
+def test_metric_jets_match_central_differences(family, region, n):
+    """Every level of the order-3 metric jet against central differences
+    of the order-0 metric, with one Richardson step at order 3 as in
+    test_jets; the residual of each order is normalized by the scale of
+    both sides."""
+    spec = G.MetricSpec(family, 1.0)
+    x = _fd_points()[region][:n]
+    jet = G.metric_jets(spec, x, order=3)
+
+    def metric(pts):
+        return G.metric_jets(spec, pts, order=0).val
+
+    for order in (1, 2, 3):
+        h = FD_STEP[order]
+        diff = scale_a = scale_b = 0.0
+        for idx in itertools.combinations_with_replacement(range(spec.dim), order):
+            alpha = np.bincount(idx, minlength=spec.dim)
+            fd = J.central_diff(metric, x, alpha, h)
+            if order == 3:
+                fd = (4.0 * J.central_diff(metric, x, alpha, h / 2) - fd) / 3.0
+            got = J.extract(jet, alpha)
+            diff = max(diff, float(np.max(np.abs(got - fd))))
+            scale_a = max(scale_a, float(np.max(np.abs(got))))
+            scale_b = max(scale_b, float(np.max(np.abs(fd))))
+        assert diff / (1.0 + scale_a + scale_b) < FD_TOL[order], (order, diff)
