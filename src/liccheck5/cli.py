@@ -155,6 +155,7 @@ def probe_c1(field, curves, a, seed, max_order):
     """Probe the smoothness class of a field across the cone."""
     tag = _field_tag(field)
     try:
+        geo.MetricSpec("ga", a)         # the probe curves scale with 1/a
         reports, overall = R.probe_family(tag, a=a, n_curves=curves,
                                           seed=seed, max_order=max_order)
     except (ValueError, LicError) as exc:

@@ -377,10 +377,11 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
     flat background instead (independent sanity case)."""
     x = np.asarray(x, dtype=float)
     xj = J.seed(x, order=2)
-    d = geo.cone_d(xj)
+    rad = geo.RadialJets(xj, a)
+    d = rad.d
     if np.any(d.val == 0.0):
         raise SingularError("identity breaks down on the cone r = |x0|")
-    mu = geo.mu_jet(d)
+    mu = rad.mu
     if flat_variant:
         lhs = _CurvaturePieces(J.jeinsum(",ij->ij", d * d, geo.ETA)).ric
         gt = J.constant(geo.ETA, 5, 1, x.shape[:-1])

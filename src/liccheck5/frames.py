@@ -51,7 +51,7 @@ def k_q_rho(x, a=1.0, order=3):
     if geo.cone_side(x) < 0:
         return tuple(J.constant(v, 5, order, x.shape[:-1])
                      for v in (1.0, 0.0, 0.0))
-    return _k_q_rho(xj, geo.radial_jets(xj, a), a)
+    return _k_q_rho(xj, geo.RadialJets(xj, a), a)
 
 
 def _k_q_rho(xj, rad, a):
@@ -76,7 +76,7 @@ def _k_q_rho(xj, rad, a):
 def _g_matrix(x, xj):
     if np.any(geo.radial_values(x)[0] == 0.0):
         raise DomainError("G is singular on the axis r = 0")
-    ir = geo.radial_r(xj).reciprocal()
+    ir = geo.RadialJets(xj, None).r.reciprocal()
     rows = [xj[1:], *geo.sigma_dual_vectors(xj[1:])]        # x, K1, K2, K3
     return J.stack([[1.0, 0.0, 0.0, 0.0, 0.0]]
                    + [[0.0] + [v * ir for v in row] for row in rows])
@@ -122,10 +122,10 @@ def _qtilde_matrix(x, a):
 def _kappa_matrix(x, order):
     x, xj = _seed(x, order)
     _require_exterior(x, "kappa")
-    _, r, d = geo.r2_r_d(xj)
-    idet = d.reciprocal()
-    ch = (r * r + xj[0] * xj[0]) * idet
-    sh = 2.0 * xj[0] * r * idet
+    rad = geo.RadialJets(xj, None)
+    idet = rad.d.reciprocal()
+    ch = rad.w * idet
+    sh = 2.0 * xj[0] * rad.r * idet
     return _boost(ch, (-1.0) * sh)
 
 
@@ -242,7 +242,7 @@ def _frame_htilde(x, a, order):
     x, xj = _seed(x, order)
     if geo.cone_side(x) < 0:
         return J.constant(np.eye(5), 5, order, x.shape[:-1])
-    rad = geo.radial_jets(xj, a)
+    rad = geo.RadialJets(xj, a)
     k, q, _ = _k_q_rho(xj, rad, a)
     e0, e1, (_, _, k3), (c, ir, ir2) = _frame_e_parts(xj, rad, a)
     x0, w = xj[0], rad.w
@@ -274,12 +274,11 @@ def frame_eval(id, x, a=1.0, order=1):
     if id == "u":
         return J.constant(np.eye(5), 5, order, x.shape[:-1])
     if id == "e":
-        rad = geo.radial_jets(xj, a)
-        return _columns(_frame_e(xj, rad, a))
+        return _columns(_frame_e(xj, geo.RadialJets(xj, a), a))
     if id in ("f", "etilde"):
         _require_exterior(x, "frame " + id)
         build = _frame_f if id == "f" else _frame_etilde
-        return _columns(build(xj, geo.radial_jets(xj, a)))
+        return _columns(build(xj, geo.RadialJets(xj, a)))
     raise ValueError(f"unknown frame id {id!r}")
 
 

@@ -18,6 +18,7 @@ with beta = sqrt(1 - (a r_o)^4) and alpha = (r^2+x0^2) dr - 2 x0 r dx0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +48,9 @@ class MetricSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError("unknown metric family %r" % (self.family,))
-        if self.family != "g0" and not self.a > 0:
-            raise ValueError("family %r needs a > 0" % self.family)
+        if self.family != "g0" and not 0 < self.a < np.inf:
+            raise ValueError("family %r needs a > 0 and finite, got a = %r"
+                             % (self.family, self.a))
 
     @property
     def dim(self):
@@ -112,75 +114,63 @@ def sum_squares(js):
     return out
 
 
-def _r2(xj):
-    return sum_squares(xj[1:])
-
-
-def radial_r(xj):
-    """r = |(x1..x4)| as a jet; xj is the list of 5 coordinate jets."""
-    return _r2(xj).sqrt()
-
-
-def cone_d(xj):
-    """d = r^2 - x0^2 as a jet: positive off the closed cone L, negative
-    inside."""
-    return _r2(xj) - xj[0] * xj[0]
-
-
-def r2_r_d(xj):
-    """(r^2, r, d = r^2 - x0^2) as jets, all from one r^2; r must not
-    vanish."""
-    r2 = _r2(xj)
-    return r2, r2.sqrt(), r2 - xj[0] * xj[0]
-
-
-def _branch(xj):
-    """cone_side of the jets' base points, raising on the cone itself, where
-    the jets of r_o and g_a are not defined."""
-    x = np.stack([np.asarray(j.val) for j in xj], axis=-1)
-    if np.any(cone_gap(x) == 0.0):
-        raise AmbiguousError("point(s) on the cone boundary r = |x0|")
-    return cone_side(x)
-
-
-def radial_ro(xj, r, d):
-    """Odd radial coordinate r_o as a jet from the r and d jets of the same
-    batch: d/r off L, 0 on L."""
-    if _branch(xj) < 0:
-        return J.constant(0.0, dim=xj[0].dim, order=xj[0].order,
-                          shape=np.shape(xj[0].val))
-    return d / r
-
-
-def beta_jet(ro, a):
-    """beta = sqrt(1 - (a r_o)^4) from the r_o jet; equals 1 identically on
-    L.  Raises DomainError outside the closure of B_a."""
-    bsq = (-1.0) * (float(a) ** 4) * ro.pow_int(4) + 1.0
-    if np.any(bsq.val <= 0.0):
-        raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
-    return bsq.sqrt()
-
-
-@dataclass(frozen=True)
 class RadialJets:
     """The cone's radial coordinate functions over one batch of coordinate
-    jets, each built once: r^2, r, d = r^2 - x0^2, r_o, beta and
-    w = r^2 + x0^2."""
-    r2: J.Jet
-    r: J.Jet
-    d: J.Jet
-    ro: J.Jet
-    beta: J.Jet
-    w: J.Jet
+    jets xj, each built on first read from those before it: r^2, r,
+    d = r^2 - x0^2, w = r^2 + x0^2, the batch's cone side, r_o (d/r off
+    L, 0 on L), beta = sqrt(1 - (a r_o)^4) (1 on L) and mu = ln|d|.  The
+    side, and so r_o, beta and mu, raise AmbiguousError on the cone itself
+    and for a batch mixing the two sides; beta raises DomainError outside
+    the closure of B_a.  A caller that reads no beta passes a = None."""
 
+    def __init__(self, xj, a):
+        self.xj, self.a = xj, a
 
-def radial_jets(xj, a):
-    """RadialJets of the coordinate jets xj for the family parameter a.  On
-    L, r_o = 0 and beta = 1; the cone itself and a batch mixing the two
-    sides raise AmbiguousError."""
-    r2, r, d = r2_r_d(xj)
-    ro = radial_ro(xj, r, d)
-    return RadialJets(r2, r, d, ro, beta_jet(ro, a), r * r + xj[0] * xj[0])
+    @cached_property
+    def r2(self):
+        return sum_squares(self.xj[1:])
+
+    @cached_property
+    def r(self):
+        return self.r2.sqrt()
+
+    @cached_property
+    def d(self):
+        return self.r2 - self.xj[0] * self.xj[0]
+
+    @cached_property
+    def w(self):
+        return self.r * self.r + self.xj[0] * self.xj[0]
+
+    @cached_property
+    def side(self):
+        """cone_side of the jets' base points, raising on the cone itself,
+        where the jets of r_o and g_a are not defined."""
+        x = np.stack([np.asarray(j.val) for j in self.xj], axis=-1)
+        if np.any(cone_gap(x) == 0.0):
+            raise AmbiguousError("point(s) on the cone boundary r = |x0|")
+        return cone_side(x)
+
+    @cached_property
+    def ro(self):
+        if self.side < 0:
+            x0 = self.xj[0]
+            return J.constant(0.0, dim=x0.dim, order=x0.order,
+                              shape=np.shape(x0.val))
+        return self.d / self.r
+
+    @cached_property
+    def beta(self):
+        if self.a is None:
+            raise ValueError("beta needs the family parameter a")
+        bsq = (-1.0) * (float(self.a) ** 4) * self.ro.pow_int(4) + 1.0
+        if np.any(bsq.val <= 0.0):
+            raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
+        return bsq.sqrt()
+
+    @cached_property
+    def mu(self):
+        return (self.d if self.side > 0 else (-1.0) * self.d).ln()
 
 
 def sigma_dual_vectors(spatial):
@@ -282,7 +272,7 @@ def _over_blocks(spec: MetricSpec, x, order, fn):
     whole = None
     if spec.family in ("ga", "gatilde"):
         def whole(pts):
-            _branch(J.seed(pts, order=0))
+            RadialJets(J.seed(pts, order=0), spec.a).side
     # the metric's top level holds dim^(order + 2) float64 entries a point
     return J._blocked(fn, x, 8 * spec.dim ** (order + 2), whole)
 
@@ -306,14 +296,13 @@ def _metric_block(spec, x, order):
         return J.constant(ETA, 5, order, shape)
 
     if spec.family in ("ga", "gatilde"):
-        if _branch(xj) < 0:
-            rad, g = None, J.constant(ETA, 5, order, shape)
+        rad = RadialJets(xj, spec.a)
+        if rad.side < 0:
+            g = J.constant(ETA, 5, order, shape)
         else:
-            rad = radial_jets(xj, spec.a)
             g = _metric_ga(x, xj, rad, spec.a)
         if spec.family == "gatilde":
-            d = cone_d(xj) if rad is None else rad.d
-            g = J.jeinsum(",ij->ij", (d * d).reciprocal(), g)
+            g = J.jeinsum(",ij->ij", (rad.d * rad.d).reciprocal(), g)
         return g
 
     # 4d families
@@ -339,21 +328,17 @@ def _metric_ga(x, xj, rad, a):
     c = a^4 r_o^2 / (r^2 (1 - u)), where alpha = (-2 x0 r, (w/r) x) and
     sigma3 = K3/r^2.  r^2 and beta^2 = 1 - u are formed before any square
     root: squaring the bundle's r and beta instead moves the suite's
-    residuals by up to 5x."""
+    residuals by up to 5x.  Raises DomainError where 1 - u <= 0, outside
+    the closure of B_a."""
     r2, w, x0 = rad.r2, rad.w, xj[0]
     ro2 = rad.ro * rad.ro
     u = (a ** 4) * ro2 * ro2          # (a r_o)^4
+    bsq = (-1.0) * u + 1.0
+    if np.any(bsq.val <= 0.0):
+        raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
     ir2 = r2.reciprocal()
-    c = (a ** 4) * ro2 * (r2 * ((-1.0) * u + 1.0)).reciprocal()
+    c = (a ** 4) * ro2 * (r2 * bsq).reciprocal()
     cw = c * w
     return _closed_form(x, cw * w * ir2, (-1.0) * u * ir2, (-2.0) * cw * x0,
                         4.0 * c * x0 * x0 * r2 - 1.0)
 
-
-def mu_jet(d):
-    """mu = ln|d| from the jet d = r^2 - x0^2 (single-signed batch)."""
-    if np.all(d.val > 0):
-        return d.ln()
-    if np.all(d.val < 0):
-        return ((-1.0) * d).ln()
-    raise AmbiguousError("mu undefined / mixed sign across the cone")

@@ -96,10 +96,10 @@ def _monomial_jets(spec, x, order):
     if geo.cone_gap(x) < 0:
         return J.constant(0.0, dim=5, order=order)
     xj = J.seed(x, order=order)
-    _, r, d = geo.r2_r_d(xj)
-    out = geo.radial_ro(xj, r, d).pow_int(spec.m)
+    rad = geo.RadialJets(xj, None)
+    out = rad.ro.pow_int(spec.m)
     if spec.l[0]:
-        out = out * r.reciprocal().pow_int(spec.l[0])
+        out = out * rad.r.reciprocal().pow_int(spec.l[0])
     for i, p in enumerate(spec.l[1:]):
         if p:
             out = out * xj[i].pow_int(p)

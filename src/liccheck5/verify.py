@@ -132,6 +132,12 @@ def _draw(cfg, region, seed, m, n=None, outer=0.95):
                   max(cfg.exclusion, m), outer)
 
 
+def _draw_l(cfg, seed, m):
+    """The L side of a two-sided check: a third of cfg.samples points (at
+    least one) at cone margin m, drawn with seed + 1."""
+    return _draw(cfg, "L", seed + 1, m, n=max(cfg.samples // 3, 1))
+
+
 def _norm_res(A, B):
     """Per-point normalized residual sup|A-B| / (1 + |A| + |B|)."""
     A = np.asarray(A, dtype=float)
@@ -170,7 +176,7 @@ def _chk_product_structure(cfg, seed):
         np.max(np.abs(np.einsum('...ijkl,...k->...ijl', low, Vv)), axis=(1, 2, 3)))
     sc = np.max(np.abs(low), axis=(1, 2, 3, 4)) * np.max(np.abs(Vv), axis=1)
     block = mixed / (1.0 + sc)
-    xl = _draw(cfg, "L", seed + 1, 0.1, n=max(cfg.samples // 3, 1))
+    xl = _draw_l(cfg, seed, 0.1)
     flat = _norm_res(C.riemann_lowered(geo.MetricSpec("gatilde", cfg.a), xl), 0.0)
     return np.concatenate([block, flat]), len(xb) + len(xl)
 
@@ -258,7 +264,7 @@ def _chk_twistor(cfg, seed):
         g = geo.metric_jets(spec, xb, order=2) + cfg.perturb * _E12
         forms = C.forms_from_jets(fr, g, label="perturbed", tol=1.0)
     rb = S.twistor_residual(phi, spec, xb, forms=forms)
-    xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
+    xl = _draw_l(cfg, seed, 0.02)
     rl = S.twistor_residual(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
     out = []
     for res in (rb, rl):
@@ -305,7 +311,7 @@ def _chk_conformal_killing(cfg, seed):
 def _square_pieces(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
     xb = _draw(cfg, "B_a", seed, 0.02)
-    xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
+    xl = _draw_l(cfg, seed, 0.02)
     Vb = S.spinor_square(S.psi_bc(cfg.b, cfg.c), spec, xb)
     Vl = S.spinor_square(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
     return spec, (xb, Vb), (xl, Vl)
@@ -413,7 +419,7 @@ def _chk_weyl_witness(cfg, seed):
     xb = _draw(cfg, "B_a", seed, 0.1)
     wb = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xb)),
                 axis=(1, 2, 3, 4))
-    xl = _draw(cfg, "L", seed + 1, 0.02, n=max(cfg.samples // 3, 1))
+    xl = _draw_l(cfg, seed, 0.02)
     wl = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xl)),
                 axis=(1, 2, 3, 4))
     return np.concatenate([[max(0.0, 1e-3 - float(np.max(wb)))], wl]), \

@@ -256,6 +256,23 @@ def test_blocked_curvature_equals_unblocked(entry, spec, region, route,
     _assert_identical(split, whole)
 
 
+def test_weyl_depends_on_batch_size_only_at_round_off(monkeypatch):
+    """A 40-point batch sends contractions to matmul that four 10-point
+    calls keep on plain einsum (MATMUL_MIN_SIZE), so a point's Weyl tensor
+    moves with the size of its batch, at round-off (5.7e-12 here); on one
+    routing the two agree bit for bit."""
+    x = V.sample("B_a", 1.0, 40, 7)
+
+    def whole_and_parts():
+        return C.weyl(GA, x), np.concatenate([C.weyl(GA, x[i:i + 10])
+                                              for i in range(0, 40, 10)])
+    whole, parts = whole_and_parts()
+    assert np.max(np.abs(whole - parts)) <= 1e-9 * np.max(np.abs(whole))
+    monkeypatch.setattr(J, "MATMUL_MIN_SIZE", 0)
+    whole, parts = whole_and_parts()
+    assert np.array_equal(whole, parts)
+
+
 @pytest.mark.parametrize("entry", list(ENTRIES))
 @pytest.mark.parametrize("spec", [GA, GAT], ids=["ga", "gatilde"])
 def test_default_blocks_equal_the_whole_batch(entry, spec, monkeypatch):

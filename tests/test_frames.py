@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -260,34 +262,43 @@ def test_frame_domain_errors():
         F.transform_eval("nope", axis)
 
 
+RADIAL_FIELDS = ("r2", "r", "d", "w", "side", "ro", "beta", "mu")
+
+
 def _count_radial_builds(monkeypatch):
-    """Wrap geometry's builders of r^2, r_o and beta; return their counters.
-    Every r and d jet is derived from an r^2 jet."""
-    counts = {}
-    for name in ("_r2", "radial_ro", "beta_jet"):
-        def counted(*args, _fn=getattr(geo, name), _name=name):
+    """Wrap the builder of each geometry.RadialJets field; return their
+    counters."""
+    counts = dict.fromkeys(RADIAL_FIELDS, 0)
+    for name in RADIAL_FIELDS:
+        def counted(rad, _fn=vars(geo.RadialJets)[name].func, _name=name):
             counts[_name] += 1
-            return _fn(*args)
-        counts[name] = 0
-        monkeypatch.setattr(geo, name, counted)
+            return _fn(rad)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(geo.RadialJets, name)
+        monkeypatch.setattr(geo.RadialJets, name, prop)
     return counts
 
 
-ALL_RADIAL = {"_r2": 1, "radial_ro": 1, "beta_jet": 1}
+def _builds(*names):
+    return {name: int(name in names) for name in RADIAL_FIELDS}
 
-# each call with the builds it makes: the full bundle, or r and d alone
+
+# each call with the fields it builds: every field it reads, once, and
+# the fields those are built from; the metric builds no beta, kappa no
+# side, r_o or beta, and the monomial probe no w or beta
+FRAME_FIELDS = _builds("r2", "r", "d", "w", "side", "ro", "beta")
 RADIAL_CALLS = {
-    "frame_e": (lambda x: F.frame_eval("e", x, 1.0), ALL_RADIAL),
-    "frame_f": (lambda x: F.frame_eval("f", x, 1.0), ALL_RADIAL),
-    "frame_etilde": (lambda x: F.frame_eval("etilde", x, 1.0), ALL_RADIAL),
-    "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0), ALL_RADIAL),
-    "k_q_rho": (lambda x: F.k_q_rho(x, 1.0), ALL_RADIAL),
+    "frame_e": (lambda x: F.frame_eval("e", x, 1.0), FRAME_FIELDS),
+    "frame_f": (lambda x: F.frame_eval("f", x, 1.0), FRAME_FIELDS),
+    "frame_etilde": (lambda x: F.frame_eval("etilde", x, 1.0), FRAME_FIELDS),
+    "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0), FRAME_FIELDS),
+    "k_q_rho": (lambda x: F.k_q_rho(x, 1.0), FRAME_FIELDS),
     "metric_ga": (lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x),
-                  ALL_RADIAL),
+                  _builds("r2", "r", "d", "w", "side", "ro")),
     "kappa": (lambda x: F.transform_eval("kappa", x),
-              {"_r2": 1, "radial_ro": 0, "beta_jet": 0}),
+              _builds("r2", "r", "d", "w")),
     "monomial": (lambda x: R._monomial_jets(R.MonomialSpec(2, (0,) * 6), x, 3),
-                 {"_r2": 1, "radial_ro": 1, "beta_jet": 0}),
+                 _builds("r2", "r", "d", "side", "ro")),
 }
 
 

@@ -81,11 +81,11 @@ def test_classify_rejects_wrong_dim():
 def test_radial_ro_exterior_values_and_zero_on_l():
     x = V.sample("B_a", 1.0, 12, 3, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
-    ro = G.radial_jets(xj, 1.0).ro
+    ro = G.RadialJets(xj, 1.0).ro
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     assert np.allclose(ro.val, (r * r - x[:, 0] ** 2) / r, rtol=1e-13)
     xl = V.sample("L", 1.0, 9, 4, exclusion=0.05)
-    rol = G.radial_jets(J.seed(xl), 1.0).ro
+    rol = G.RadialJets(J.seed(xl), 1.0).ro
     assert np.all(rol.val == 0.0)
     assert np.all(rol.grad == 0.0)
     assert np.all(rol.third == 0.0)
@@ -94,11 +94,11 @@ def test_radial_ro_exterior_values_and_zero_on_l():
 def test_radial_ro_ambiguous_on_cone_and_mixed():
     cone = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(AmbiguousError):
-        G.radial_jets(J.seed(cone), 1.0)
+        G.RadialJets(J.seed(cone), 1.0).ro
     mixed = np.vstack([V.sample("B_a", 1.0, 2, 1, exclusion=0.05 / np.sqrt(2)),
                        V.sample("L", 1.0, 2, 2, exclusion=0.05)])
     with pytest.raises(AmbiguousError):
-        G.radial_jets(J.seed(mixed), 1.0)
+        G.RadialJets(J.seed(mixed), 1.0).ro
 
 
 # ------------------------------------------------------------------- forms
@@ -148,7 +148,7 @@ def test_sigma_structure_equations():
 def test_alpha_annihilates_cone_vector_and_sphere_directions():
     x = V.sample("B_a", 1.0, 10, 5, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
-    al = G.alpha_form(xj, G.radial_jets(xj, 1.0))
+    al = G.alpha_form(xj, G.RadialJets(xj, 1.0))
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     x0 = x[:, 0]
     Vv = np.concatenate([(-(r * r + x0 * x0))[:, None],
@@ -163,9 +163,11 @@ def test_alpha_annihilates_cone_vector_and_sphere_directions():
 
 def test_beta_is_one_on_l():
     xl = V.sample("L", 1.0, 6, 9, exclusion=0.05)
-    b = G.radial_jets(J.seed(xl), 1.7).beta
+    b = G.RadialJets(J.seed(xl), 1.7).beta
     assert np.all(b.val == 1.0)
     assert np.all(b.grad == 0.0)
+    with pytest.raises(ValueError, match="family parameter"):
+        G.RadialJets(J.seed(xl), None).beta     # no beta for a guessed a
 
 
 # ------------------------------------------------------------------ metrics
@@ -181,7 +183,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
     ro = (r2 - xj[0] * xj[0]) / r
     beta2 = (-1.0) * ro.pow_int(4) * a ** 4 + 1.0
     s1, s2, s3 = [G.sigma_form(k, xj[1:], r2.reciprocal()) for k in (1, 2, 3)]
-    alpha = G.alpha_form(xj, G.radial_jets(xj, a))
+    alpha = G.alpha_form(xj, G.RadialJets(xj, a))
     dr = [None] + [xj[i] / r for i in range(1, 5)]
     alt = [[None] * 5 for _ in range(5)]
     zero = J.constant(0.0, dim=5, shape=x.shape[:-1])
@@ -289,15 +291,15 @@ def test_metric_spec_validation():
 
 def test_mu_jet_branches():
     xb = V.sample("B_a", 1.0, 6, 70, exclusion=0.05 / np.sqrt(2))
-    mu = G.mu_jet(G.cone_d(J.seed(xb)))
+    mu = G.RadialJets(J.seed(xb), None).mu
     d = np.sum(xb[:, 1:] ** 2, axis=1) - xb[:, 0] ** 2
     assert np.allclose(mu.val, np.log(d), rtol=1e-13)
     xl = V.sample("L", 1.0, 6, 71, exclusion=0.05)
-    mul = G.mu_jet(G.cone_d(J.seed(xl)))
+    mul = G.RadialJets(J.seed(xl), None).mu
     dl = np.sum(xl[:, 1:] ** 2, axis=1) - xl[:, 0] ** 2
     assert np.allclose(mul.val, np.log(-dl), rtol=1e-13)
     with pytest.raises(AmbiguousError):
-        G.mu_jet(G.cone_d(J.seed(np.vstack([xb, xl]))))
+        G.RadialJets(J.seed(np.vstack([xb, xl])), None).mu
 
 
 # ------------------------------------------------- coordinate products

@@ -132,7 +132,7 @@ def test_dro_coefficients_bounded():
     w /= np.linalg.norm(w, axis=1)[:, None]
     x = np.column_stack([x0, r[:, None] * w])
     x = x[geo.radial_values(x)[2] < 1.0]
-    sup = np.max(np.abs(geo.radial_jets(J.seed(x, order=1), 1.0).ro.grad))
+    sup = np.max(np.abs(geo.RadialJets(J.seed(x, order=1), 1.0).ro.grad))
     assert sup <= 2.0 * (1 + 1e-9)
     assert sup > 1.9
 

@@ -496,12 +496,23 @@ def test_cli_tensor_rejects_non_finite_points(family, point):
     assert "Error: point coordinates must be finite" in r.output, r.output
 
 
-@pytest.mark.parametrize("a", ["-1", "0", "nan"])
+@pytest.mark.parametrize("a", ["-1", "0", "nan", "inf"])
 def test_cli_tensor_rejects_bad_family_parameter(a):
     r = CliRunner().invoke(cli.main, ["tensor", "--spec", "ga", "--point",
                                       "0.1,0.5,0.2,0.1,0.3", "--a", a])
     assert r.exit_code == 1, r.output
     assert "Error: family 'ga' needs a > 0" in r.output, r.output
+    assert "and finite, got a = " in r.output, r.output
+
+
+@pytest.mark.parametrize("a", ["-1", "0", "nan", "inf"])
+def test_cli_probe_c1_rejects_bad_family_parameter(a):
+    # the probe curves scale with 1/a, so a is checked before they are drawn
+    r = CliRunner().invoke(cli.main, ["probe-c1", "--a", a, "--curves", "1"])
+    assert r.exit_code == 1, r.output
+    assert "Error: family 'ga' needs a > 0 and finite, got a = " in r.output, \
+        r.output
+    assert isinstance(r.exception, SystemExit), r.exception
 
 
 def test_cli_calls_keep_no_captured_stdout_alive():
