@@ -150,7 +150,7 @@ def _field_tag(field):
               help="random crossing curves")
 @click.option("--a", "a", type=float, default=1.0, help="family parameter")
 @click.option("--seed", type=int, default=0)
-@click.option("--max-order", type=int, default=3)
+@click.option("--max-order", type=click.IntRange(0, 3), default=3)
 def probe_c1(field, curves, a, seed, max_order):
     """Probe the smoothness class of a field across the cone."""
     tag = _field_tag(field)

@@ -377,7 +377,7 @@ def conformal_ricci_check(x, a=1.0, flat_variant=False):
     flat background instead (independent sanity case)."""
     x = np.asarray(x, dtype=float)
     xj = J.seed(x, order=2)
-    rad = geo.RadialJets(xj, a)
+    rad = geo.RadialJets(xj)
     d = rad.d
     if np.any(d.val == 0.0):
         raise SingularError("identity breaks down on the cone r = |x0|")

@@ -9,9 +9,13 @@ Vector-frame transitions (G, Q, kappa) are (5, 5) tensor jets; the spinor
 lifts (Gtilde, Qtilde, kappatilde) are plain complex value arrays, batched as
 (..., 4, 4).
 
+The closed forms below are the a = 1 members; the public functions build
+them at a x (y / a for eh_frame) and restore a with Jet.dilate, where
+frames f and etilde carry the weight a^-2 and rho the weight a^2 (README).
+
 The Q entries are *derived*, not copied: h_0 := (k e_0 + q e_1) must be the
 unit-normalized d/dx_0, which forces k = -ga(h_0, e_0) and q = +ga(h_0, e_1).
-In closed form, with rho = a^4 beta^-2 r_o^2 and w = r^2 + x_0^2,
+In closed form, with rho = beta^-2 r_o^2 and w = r^2 + x_0^2 at a = 1,
 
     k = (1 - 4 x_0^2 rho beta/(1+beta)) / sqrt(1 - 4 x_0^2 rho)
     q = -2 x_0 w beta rho / (r (1+beta) sqrt(1 - 4 x_0^2 rho))
@@ -47,18 +51,19 @@ def k_q_rho(x, a=1.0, order=3):
     On the L side this is exactly (1, 0, 0).  Raises CaViolationError when
     4 x_0^2 rho >= 1 (outside the C_a neighbourhood of the cone).
     """
-    x, xj = _seed(x, order)
+    x, xj = _seed(a * np.asarray(x, dtype=float), order)
     if geo.cone_side(x) < 0:
         return tuple(J.constant(v, 5, order, x.shape[:-1])
                      for v in (1.0, 0.0, 0.0))
-    return _k_q_rho(xj, geo.RadialJets(xj, a), a)
+    k, q, rho = _k_q_rho(xj, geo.RadialJets(xj))
+    return k.dilate(a), q.dilate(a), rho.dilate(a, a ** 2)
 
 
-def _k_q_rho(xj, rad, a):
-    """k_q_rho on the exterior side from the batch's radial jets."""
+def _k_q_rho(xj, rad):
+    """k_q_rho at a = 1 on the exterior side from the batch's radial jets."""
     ro, beta, r, w = rad.ro, rad.beta, rad.r, rad.w
     ib = beta.reciprocal()
-    rho = (float(a) ** 4) * ro * ro * ib * ib
+    rho = ro * ro * ib * ib
     gate = 4.0 * xj[0] * xj[0] * rho
     if np.any(gate.val >= 1.0):
         raise CaViolationError("4 x0^2 rho >= 1: point(s) outside C_a")
@@ -76,7 +81,7 @@ def _k_q_rho(xj, rad, a):
 def _g_matrix(x, xj):
     if np.any(geo.radial_values(x)[0] == 0.0):
         raise DomainError("G is singular on the axis r = 0")
-    ir = geo.RadialJets(xj, None).r.reciprocal()
+    ir = geo.RadialJets(xj).r.reciprocal()
     rows = [xj[1:], *geo.sigma_dual_vectors(xj[1:])]        # x, K1, K2, K3
     return J.stack([[1.0, 0.0, 0.0, 0.0, 0.0]]
                    + [[0.0] + [v * ir for v in row] for row in rows])
@@ -105,8 +110,7 @@ def _boost(ch, sh):
     return J.stack(rows)
 
 
-def _qtilde_matrix(x, a):
-    k, q, _ = k_q_rho(x, a, order=0)
+def _qtilde_matrix(k, q):
     kv = np.asarray(k.val, dtype=float)
     qv = np.asarray(q.val, dtype=float)
     big = np.sqrt((kv + 1.0) / 2.0)
@@ -122,7 +126,7 @@ def _qtilde_matrix(x, a):
 def _kappa_matrix(x, order):
     x, xj = _seed(x, order)
     _require_exterior(x, "kappa")
-    rad = geo.RadialJets(xj, None)
+    rad = geo.RadialJets(xj)
     idet = rad.d.reciprocal()
     ch = rad.w * idet
     sh = 2.0 * xj[0] * rad.r * idet
@@ -157,7 +161,7 @@ def transform_eval(id, x, a=1.0, order=3):
     if id == "Q":
         return _boost(*k_q_rho(x, a, order)[:2])
     if id == "Qtilde":
-        return _qtilde_matrix(x, a)
+        return _qtilde_matrix(*k_q_rho(x, a, order=0)[:2])
     if id == "kappa":
         return _kappa_matrix(x, order)
     if id == "kappatilde":
@@ -177,12 +181,12 @@ def _sphere_columns(kvs, scales):
     return [[0.0] + [sc * kv[m] for m in range(4)] for kv, sc in zip(kvs, scales)]
 
 
-def _frame_e_parts(xj, rad, a):
+def _frame_e_parts(xj, rad):
     """The columns e_0, e_1 of frame e, the K table and the scalars (c, 1/r,
-    1/r^2) they are built from, with c = a^4 r_o^2 / (1 + beta); frame
-    htilde reuses all of them."""
+    1/r^2) they are built from, with c = r_o^2 / (1 + beta); frame htilde
+    reuses all of them."""
     r, ro, beta, w = rad.r, rad.ro, rad.beta, rad.w
-    c = (float(a) ** 4) * ro * ro * (beta + 1.0).reciprocal()
+    c = ro * ro * (beta + 1.0).reciprocal()
     ir = r.reciprocal()
     ir2 = ir * ir
     x0 = xj[0]
@@ -193,8 +197,8 @@ def _frame_e_parts(xj, rad, a):
     return e0, e1, geo.sigma_dual_vectors(xj[1:]), (c, ir, ir2)
 
 
-def _frame_e(xj, rad, a):
-    e0, e1, ks, (_, ir, _) = _frame_e_parts(xj, rad, a)
+def _frame_e(xj, rad):
+    e0, e1, ks, (_, ir, _) = _frame_e_parts(xj, rad)
     ib = rad.beta.reciprocal()
     return [e0, e1] + _sphere_columns(ks, (ir, ir, ir * ib))
 
@@ -225,11 +229,11 @@ def _frame_etilde(xj, rad):
                                       (ro, ro, ro * ib))
 
 
-def _frame_htilde(x, a, order):
-    """The non-singular C^1 frame htilde = e.(QG) on C_a.
+def _frame_htilde(x, xj):
+    """The non-singular C^1 frame htilde = e.(QG) on C_1.
 
     On the L side (cone and axis included) this is exactly the standard
-    frame.  On the B_a side the product is expanded and the 1/r factors
+    frame.  On the B_1 side the product is expanded and the 1/r factors
     cancelled algebraically, so the evaluation stays finite near the origin:
     with W := 2 q x0 w c / r + k (1 - w^2 c / r^2),
 
@@ -239,12 +243,11 @@ def _frame_htilde(x, a, order):
 
     and htilde_0 = k e_0 + q e_1, which is regular anyway.
     """
-    x, xj = _seed(x, order)
     if geo.cone_side(x) < 0:
-        return J.constant(np.eye(5), 5, order, x.shape[:-1])
-    rad = geo.RadialJets(xj, a)
-    k, q, _ = _k_q_rho(xj, rad, a)
-    e0, e1, (_, _, k3), (c, ir, ir2) = _frame_e_parts(xj, rad, a)
+        return J.constant(np.eye(5), 5, xj[0].order, x.shape[:-1])
+    rad = geo.RadialJets(xj)
+    k, q, _ = _k_q_rho(xj, rad)
+    e0, e1, (_, _, k3), (c, ir, ir2) = _frame_e_parts(xj, rad)
     x0, w = xj[0], rad.w
     cols = [[k * e0[m] + q * e1[m] for m in range(5)]]
     tcoef = (q * (1.0 + 4.0 * x0 * x0 * c) + (-2.0) * k * x0 * w * c * ir) * ir
@@ -268,17 +271,17 @@ def frame_eval(id, x, a=1.0, order=1):
     connection and the twistor residual: the frame's values and first
     partials.  The structure equations read omega's partials, so they need
     order 2."""
-    if id == "htilde":
-        return _frame_htilde(x, a, order)
-    x, xj = _seed(x, order)
+    x, xj = _seed(a * np.asarray(x, dtype=float), order)
     if id == "u":
         return J.constant(np.eye(5), 5, order, x.shape[:-1])
+    if id == "htilde":
+        return _frame_htilde(x, xj).dilate(a)
     if id == "e":
-        return _columns(_frame_e(xj, geo.RadialJets(xj, a), a))
+        return _columns(_frame_e(xj, geo.RadialJets(xj))).dilate(a)
     if id in ("f", "etilde"):
         _require_exterior(x, "frame " + id)
         build = _frame_f if id == "f" else _frame_etilde
-        return _columns(build(xj, geo.RadialJets(xj, a)))
+        return _columns(build(xj, geo.RadialJets(xj))).dilate(a, a ** -2)
     raise ValueError(f"unknown frame id {id!r}")
 
 
@@ -288,17 +291,17 @@ def eh_frame(y, a=1.0):
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != 4:
         raise DimensionError("expected points with 4 components")
-    rv = np.sqrt(np.sum(y * y, axis=-1))
-    if np.any(rv <= a):
+    y = y / a
+    if not np.all(np.sqrt(np.sum(y * y, axis=-1)) > 1.0):
         raise DomainError("instanton frame needs R > a")
     yj = J.seed(y, order=3)
     rad2 = geo.sum_squares(yj)
-    beta = ((-1.0) * (float(a) ** 4) * rad2.pow_int(-2) + 1.0).sqrt()
+    beta = ((-1.0) * rad2.pow_int(-2) + 1.0).sqrt()
     ir = rad2.sqrt().reciprocal()
     k1, k2, k3 = geo.sigma_dual_vectors(yj)
     ib = beta.reciprocal()
     return J.stack([[(-1.0) * beta * yj[m] * ir, k1[m] * ir, k2[m] * ir,
-                     k3[m] * ir * ib] for m in range(4)])
+                     k3[m] * ir * ib] for m in range(4)]).dilate(1.0 / a)
 
 
 def gram_matrix(Fv, gv):

@@ -13,6 +13,9 @@ extended by zero on L.  The metric family:
     eh       4d: dR^2/(1-(a/R)^4) + R^2(sigma1^2+sigma2^2+(1-(a/R)^4) sigma3^2)
 
 with beta = sqrt(1 - (a r_o)^4) and alpha = (r^2+x0^2) dr - 2 x0 r dx0.
+The closed forms below are the a = 1 members; metric_jets alone reads a,
+by Jet.dilate: ga_a(x) = ga_1(a x), gatilde_a(x) = a^4 gatilde_1(a x),
+ha_a(y) = ha_1(a y) and eh_a(y) = eh_1(y / a), component for component.
 """
 
 from __future__ import annotations
@@ -115,16 +118,16 @@ def sum_squares(js):
 
 
 class RadialJets:
-    """The cone's radial coordinate functions over one batch of coordinate
-    jets xj, each built on first read from those before it: r^2, r,
-    d = r^2 - x0^2, w = r^2 + x0^2, the batch's cone side, r_o (d/r off
-    L, 0 on L), beta = sqrt(1 - (a r_o)^4) (1 on L) and mu = ln|d|.  The
-    side, and so r_o, beta and mu, raise AmbiguousError on the cone itself
-    and for a batch mixing the two sides; beta raises DomainError outside
-    the closure of B_a.  A caller that reads no beta passes a = None."""
+    """The cone's radial coordinate functions at a = 1 over one batch of
+    coordinate jets xj, each built on first read from those before it:
+    r^2, r, d = r^2 - x0^2, w = r^2 + x0^2, the batch's cone side, r_o
+    (d/r off L, 0 on L), beta = sqrt(1 - r_o^4) (1 on L) and mu = ln|d|.
+    The side, and so r_o, beta and mu, raise AmbiguousError on the cone
+    itself and for a batch mixing the two sides; beta raises DomainError
+    outside the closure of B_1."""
 
-    def __init__(self, xj, a):
-        self.xj, self.a = xj, a
+    def __init__(self, xj):
+        self.xj = xj
 
     @cached_property
     def r2(self):
@@ -161,10 +164,8 @@ class RadialJets:
 
     @cached_property
     def beta(self):
-        if self.a is None:
-            raise ValueError("beta needs the family parameter a")
-        bsq = (-1.0) * (float(self.a) ** 4) * self.ro.pow_int(4) + 1.0
-        if np.any(bsq.val <= 0.0):
+        bsq = (-1.0) * self.ro.pow_int(4) + 1.0
+        if not np.all(bsq.val > 0.0):        # NaN included
             raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
         return bsq.sqrt()
 
@@ -272,7 +273,7 @@ def _over_blocks(spec: MetricSpec, x, order, fn):
     whole = None
     if spec.family in ("ga", "gatilde"):
         def whole(pts):
-            RadialJets(J.seed(pts, order=0), spec.a).side
+            RadialJets(J.seed(pts, order=0)).side
     # the metric's top level holds dim^(order + 2) float64 entries a point
     return J._blocked(fn, x, 8 * spec.dim ** (order + 2), whole)
 
@@ -288,57 +289,52 @@ def metric_jets(spec: MetricSpec, x, order=3):
 
 
 def _metric_block(spec, x, order):
-    """metric_jets on points x whose dimension is already checked."""
-    xj = J.seed(x, order=order)
-    shape = x.shape[:-1]
-
+    """metric_jets on points x whose dimension is already checked: the
+    a = 1 closed form at the dilated points, scaled back by Jet.dilate."""
     if spec.family == "g0":
-        return J.constant(ETA, 5, order, shape)
+        return J.constant(ETA, 5, order, x.shape[:-1])
+    a = spec.a
+    y = x / a if spec.family == "eh" else a * x
+    xj = J.seed(y, order=order)
 
     if spec.family in ("ga", "gatilde"):
-        rad = RadialJets(xj, spec.a)
-        if rad.side < 0:
-            g = J.constant(ETA, 5, order, shape)
-        else:
-            g = _metric_ga(x, xj, rad, spec.a)
-        if spec.family == "gatilde":
-            g = J.jeinsum(",ij->ij", (rad.d * rad.d).reciprocal(), g)
-        return g
+        rad = RadialJets(xj)
+        g = (J.constant(ETA, 5, order, x.shape[:-1]) if rad.side < 0
+             else _metric_ga(y, xj, rad))
+        if spec.family == "ga":
+            return g.dilate(a)
+        # the weight a^4 is formed only once the domain tests have passed
+        g = J.jeinsum(",ij->ij", (rad.d * rad.d).reciprocal(), g)
+        return g.dilate(a, a ** 4)
 
-    # 4d families
+    # 4d families: u = R^4 (ha) or R^-4 (eh) at the dilated points
+    ha = spec.family == "ha"
+    rv = np.sqrt(np.sum(y * y, axis=-1))
+    if not np.all(rv < 1.0 if ha else rv > 1.0):
+        raise DomainError("ha needs r < 1/a" if ha else "eh needs R > a")
     rad2 = sum_squares(xj)
-    rv = np.sqrt(np.sum(x * x, axis=-1))
-    a = spec.a
-    if spec.family == "ha":
-        if np.any(a * rv >= 1.0):
-            raise DomainError("ha needs r < 1/a")
-        u = (a ** 4) * rad2.pow_int(2)
-    else:
-        if np.any(rv <= a):
-            raise DomainError("eh needs R > a")
-        u = (a ** 4) * rad2.pow_int(-2)
+    u = rad2.pow_int(2 if ha else -2)
     irad2 = rad2.reciprocal()
     w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-    return _closed_form(x, w, (-1.0) * u * irad2)
+    return _closed_form(y, w, (-1.0) * u * irad2).dilate(a if ha else 1.0 / a)
 
 
-def _metric_ga(x, xj, rad, a):
-    """g_a on the exterior side from the radial jets of the batch x:
-    eta + c alpha alpha^T - u r^2 sigma3 sigma3^T with u = (a r_o)^4 and
-    c = a^4 r_o^2 / (r^2 (1 - u)), where alpha = (-2 x0 r, (w/r) x) and
+def _metric_ga(x, xj, rad):
+    """g_1 on the exterior side from the radial jets of the batch x:
+    eta + c alpha alpha^T - u r^2 sigma3 sigma3^T with u = r_o^4 and
+    c = r_o^2 / (r^2 (1 - u)), where alpha = (-2 x0 r, (w/r) x) and
     sigma3 = K3/r^2.  r^2 and beta^2 = 1 - u are formed before any square
     root: squaring the bundle's r and beta instead moves the suite's
-    residuals by up to 5x.  Raises DomainError where 1 - u <= 0, outside
-    the closure of B_a."""
+    residuals by up to 5x.  Raises DomainError unless 1 - u > 0, inside
+    the closure of B_1."""
     r2, w, x0 = rad.r2, rad.w, xj[0]
     ro2 = rad.ro * rad.ro
-    u = (a ** 4) * ro2 * ro2          # (a r_o)^4
+    u = ro2 * ro2
     bsq = (-1.0) * u + 1.0
-    if np.any(bsq.val <= 0.0):
+    if not np.all(bsq.val > 0.0):        # NaN included
         raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
     ir2 = r2.reciprocal()
-    c = (a ** 4) * ro2 * (r2 * bsq).reciprocal()
+    c = ro2 * (r2 * bsq).reciprocal()
     cw = c * w
     return _closed_form(x, cw * w * ir2, (-1.0) * u * ir2, (-2.0) * cw * x0,
                         4.0 * c * x0 * x0 * r2 - 1.0)
-

@@ -187,6 +187,14 @@ class Jet:
         """The same jet carried only through the given derivative order."""
         return Jet(*self.levels[:order + 1])
 
+    def dilate(self, s, weight=1.0):
+        """The jet of x -> weight * f(s x), given this jet of f seeded at the
+        points s x: level k is scaled by weight * s^k.  The jet itself when
+        s = weight = 1."""
+        if s == 1.0 and weight == 1.0:
+            return self
+        return Jet(*[a * (weight * s ** k) for k, a in enumerate(self.levels)])
+
 
 def _pad(scal, k):
     """Append k broadcast axes so a value array lines up with derivative axes."""

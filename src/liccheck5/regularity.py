@@ -96,7 +96,7 @@ def _monomial_jets(spec, x, order):
     if geo.cone_gap(x) < 0:
         return J.constant(0.0, dim=5, order=order)
     xj = J.seed(x, order=order)
-    rad = geo.RadialJets(xj, None)
+    rad = geo.RadialJets(xj)
     out = rad.ro.pow_int(spec.m)
     if spec.l[0]:
         out = out * rad.r.reciprocal().pow_int(spec.l[0])
@@ -157,7 +157,7 @@ class ProbeReport:
 
 def smoothness_probe(field_tag, curve, max_order=3, a=1.0):
     if not 0 <= max_order <= 3:
-        raise OrderError("partials are carried to order 3 at most")
+        raise OrderError("max_order must be in 0..3, got %r" % (max_order,))
     ts = curve.spacings()
     plus = np.array([curve.point(t) for t in ts])
     minus = np.array([curve.point(-t) for t in ts])

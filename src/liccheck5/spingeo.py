@@ -77,7 +77,7 @@ def psi_bc(b, c, frame="e"):
     if frame == "e":
         def comps(x, order=3):
             xj = J.seed(x, order=order)
-            r = geo.RadialJets(xj, None).r
+            r = geo.RadialJets(xj).r
             return J.stack([(-b) * xj[0], c * xj[0], b * r, c * r])
         return SpinorField("e", comps)
     if frame == "u":
@@ -224,7 +224,7 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     spinor length square u under the deformed metric (trace-free parts,
     single-side batches)."""
     xj = J.seed(x, order=3)
-    d = geo.RadialJets(xj, a).d
+    d = geo.RadialJets(xj).d
     if np.any(d.val == 0.0):
         raise SingularError("residual is not defined on the cone r = |x0|")
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)

@@ -147,3 +147,40 @@ def test_every_public_jet_member_is_used():
     shadowed = [name for name in public
                 if name in reads and hasattr(np.ndarray, name)]
     assert not shadowed, "Jet members read like array methods: %s" % shadowed
+
+
+# the family parameter's boundary: the only functions of geometry and frames
+# that take a parameter `a` or read an attribute `.a`.  Everything they call
+# works at a = 1 on dilated points, and Jet.dilate restores a.
+A_READERS = (
+    "frames.eh_frame",
+    "frames.frame_eval",
+    "frames.k_q_rho",
+    "frames.transform_eval",
+    "geometry.MetricSpec.__post_init__",
+    "geometry._metric_block",
+    "geometry.classify",
+)
+
+
+def _functions(tree, prefix):
+    """(qualified name, node) of the module's functions and methods; a
+    nested function counts as part of the one it is defined in."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield prefix + top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from _functions(top, prefix + top.name + ".")
+
+
+def test_family_parameter_is_read_only_at_the_boundary():
+    readers = []
+    for stem in ("geometry", "frames"):
+        tree = ast.parse((SRC / (stem + ".py")).read_text())
+        for name, fn in _functions(tree, stem + "."):
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if (any(arg.arg == "a" for arg in args)
+                    or any(isinstance(node, ast.Attribute) and node.attr == "a"
+                           for node in ast.walk(fn))):
+                readers.append(name)
+    assert sorted(readers) == sorted(A_READERS), set(readers) ^ set(A_READERS)

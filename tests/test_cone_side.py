@@ -66,7 +66,7 @@ def _kqr(x):
 LAYERS = {
     "metric_jets": (lambda x: geo.metric_jets(GA, x, order=1).val,
                     lambda x: np.broadcast_to(geo.ETA, x.shape[:1] + (5, 5))),
-    "radial_ro": (lambda x: geo.RadialJets(J.seed(x, order=1), 1.0).ro.val,
+    "radial_ro": (lambda x: geo.RadialJets(J.seed(x, order=1)).ro.val,
                   lambda x: np.zeros(len(x))),
     "frame_e": (lambda x: F.frame_eval("e", x, 1.0, order=1).val,
                 _cylindrical_frame),

@@ -81,11 +81,11 @@ def test_classify_rejects_wrong_dim():
 def test_radial_ro_exterior_values_and_zero_on_l():
     x = V.sample("B_a", 1.0, 12, 3, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
-    ro = G.RadialJets(xj, 1.0).ro
+    ro = G.RadialJets(xj).ro
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     assert np.allclose(ro.val, (r * r - x[:, 0] ** 2) / r, rtol=1e-13)
     xl = V.sample("L", 1.0, 9, 4, exclusion=0.05)
-    rol = G.RadialJets(J.seed(xl), 1.0).ro
+    rol = G.RadialJets(J.seed(xl)).ro
     assert np.all(rol.val == 0.0)
     assert np.all(rol.grad == 0.0)
     assert np.all(rol.third == 0.0)
@@ -94,11 +94,11 @@ def test_radial_ro_exterior_values_and_zero_on_l():
 def test_radial_ro_ambiguous_on_cone_and_mixed():
     cone = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(AmbiguousError):
-        G.RadialJets(J.seed(cone), 1.0).ro
+        G.RadialJets(J.seed(cone)).ro
     mixed = np.vstack([V.sample("B_a", 1.0, 2, 1, exclusion=0.05 / np.sqrt(2)),
                        V.sample("L", 1.0, 2, 2, exclusion=0.05)])
     with pytest.raises(AmbiguousError):
-        G.RadialJets(J.seed(mixed), 1.0).ro
+        G.RadialJets(J.seed(mixed)).ro
 
 
 # ------------------------------------------------------------------- forms
@@ -148,7 +148,7 @@ def test_sigma_structure_equations():
 def test_alpha_annihilates_cone_vector_and_sphere_directions():
     x = V.sample("B_a", 1.0, 10, 5, exclusion=0.05 / np.sqrt(2))
     xj = J.seed(x)
-    al = G.alpha_form(xj, G.RadialJets(xj, 1.0))
+    al = G.alpha_form(xj, G.RadialJets(xj))
     r = np.sqrt(np.sum(x[:, 1:] ** 2, axis=1))
     x0 = x[:, 0]
     Vv = np.concatenate([(-(r * r + x0 * x0))[:, None],
@@ -163,18 +163,17 @@ def test_alpha_annihilates_cone_vector_and_sphere_directions():
 
 def test_beta_is_one_on_l():
     xl = V.sample("L", 1.0, 6, 9, exclusion=0.05)
-    b = G.RadialJets(J.seed(xl), 1.7).beta
+    b = G.RadialJets(J.seed(xl)).beta
     assert np.all(b.val == 1.0)
     assert np.all(b.grad == 0.0)
-    with pytest.raises(ValueError, match="family parameter"):
-        G.RadialJets(J.seed(xl), None).beta     # no beta for a guessed a
 
 
 # ------------------------------------------------------------------ metrics
 
-def test_metric_ga_equals_cylindrical_rewrite():
-    a = 1.0
-    x = V.sample("B_a", 1.0, 10, 17, exclusion=0.05 / np.sqrt(2))
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_metric_ga_equals_cylindrical_rewrite(a):
+    # a is written out here, where metric_jets reads it only as a dilation
+    x = V.sample("B_a", a, 10, 17, exclusion=0.05 / np.sqrt(2) / a)
     ga = G.metric_jets(G.MetricSpec("ga", a), x)
 
     xj = J.seed(x)
@@ -183,7 +182,7 @@ def test_metric_ga_equals_cylindrical_rewrite():
     ro = (r2 - xj[0] * xj[0]) / r
     beta2 = (-1.0) * ro.pow_int(4) * a ** 4 + 1.0
     s1, s2, s3 = [G.sigma_form(k, xj[1:], r2.reciprocal()) for k in (1, 2, 3)]
-    alpha = G.alpha_form(xj, G.RadialJets(xj, a))
+    alpha = G.alpha_form(xj, G.RadialJets(xj))
     dr = [None] + [xj[i] / r for i in range(1, 5)]
     alt = [[None] * 5 for _ in range(5)]
     zero = J.constant(0.0, dim=5, shape=x.shape[:-1])
@@ -291,15 +290,15 @@ def test_metric_spec_validation():
 
 def test_mu_jet_branches():
     xb = V.sample("B_a", 1.0, 6, 70, exclusion=0.05 / np.sqrt(2))
-    mu = G.RadialJets(J.seed(xb), None).mu
+    mu = G.RadialJets(J.seed(xb)).mu
     d = np.sum(xb[:, 1:] ** 2, axis=1) - xb[:, 0] ** 2
     assert np.allclose(mu.val, np.log(d), rtol=1e-13)
     xl = V.sample("L", 1.0, 6, 71, exclusion=0.05)
-    mul = G.RadialJets(J.seed(xl), None).mu
+    mul = G.RadialJets(J.seed(xl)).mu
     dl = np.sum(xl[:, 1:] ** 2, axis=1) - xl[:, 0] ** 2
     assert np.allclose(mul.val, np.log(-dl), rtol=1e-13)
     with pytest.raises(AmbiguousError):
-        G.RadialJets(J.seed(np.vstack([xb, xl])), None).mu
+        G.RadialJets(J.seed(np.vstack([xb, xl]))).mu
 
 
 # ------------------------------------------------- coordinate products
@@ -401,7 +400,7 @@ FD_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-4}
 def _fd_points():
     """Six points a case: B_a and L draws for ga/gatilde/g0, one on each
     side of the cone, and the Eguchi-Hanson chart R > a for eh with its
-    inversion R < 1/a for ha."""
+    inversion R < 1/a for ha, all at a = 1."""
     y = V._eh_points(1.0, 87, 6)
     return {"B_a": V.sample("B_a", 1.0, 6, 88, exclusion=0.05),
             "L": V.sample("L", 1.0, 6, 89, exclusion=0.05),
@@ -409,29 +408,38 @@ def _fd_points():
             "R<1/a": y / np.sum(y * y, axis=1)[:, None]}
 
 
-FD_CASES = [(fam, region, n)
+# the a = 1 cases, then ga, gatilde, eh and ha away from a = 1: there the
+# points and the steps are dilated with the family, as eh_a(y) = eh_1(y/a)
+# and the others f_a(x) = f_1(a x), so only a wrong level scaling shows
+FD_CASES = [(fam, region, n, 1.0)
             for fam, region in [("g0", "B_a"), ("ga", "B_a"), ("ga", "L"),
                                 ("gatilde", "B_a"), ("gatilde", "L"),
                                 ("eh", "R>a"), ("ha", "R<1/a")]
-            for n in (1, 6)]
+            for n in (1, 6)] + [
+    (fam, region, 6, a)
+    for fam, region in [("ga", "B_a"), ("gatilde", "B_a"), ("gatilde", "L"),
+                        ("eh", "R>a"), ("ha", "R<1/a")]
+    for a in (0.5, 3.0)]
 
 
-@pytest.mark.parametrize("family,region,n", FD_CASES,
-                         ids=["%s-%s-%d" % c for c in FD_CASES])
-def test_metric_jets_match_central_differences(family, region, n):
+@pytest.mark.parametrize("family,region,n,a", FD_CASES,
+                         ids=["%s-%s-%d%s" % (f, r, n, "" if a == 1.0 else "-a%g" % a)
+                              for f, r, n, a in FD_CASES])
+def test_metric_jets_match_central_differences(family, region, n, a):
     """Every level of the order-3 metric jet against central differences
     of the order-0 metric, with one Richardson step at order 3 as in
     test_jets; the residual of each order is normalized by the scale of
     both sides."""
-    spec = G.MetricSpec(family, 1.0)
-    x = _fd_points()[region][:n]
+    spec = G.MetricSpec(family, a)
+    s = a if family == "eh" else 1.0 / a
+    x = s * _fd_points()[region][:n]
     jet = G.metric_jets(spec, x, order=3)
 
     def metric(pts):
         return G.metric_jets(spec, pts, order=0).val
 
     for order in (1, 2, 3):
-        h = FD_STEP[order]
+        h = s * FD_STEP[order]
         diff = scale_a = scale_b = 0.0
         for idx in itertools.combinations_with_replacement(range(spec.dim), order):
             alpha = np.bincount(idx, minlength=spec.dim)

@@ -105,8 +105,9 @@ def test_randomized_specs_match_prediction():
 
 
 def test_probe_guards():
-    with pytest.raises(OrderError):
-        R.smoothness_probe(R.RO2, crossing(), max_order=4)
+    for order in (-1, 4):
+        with pytest.raises(OrderError, match="must be in 0..3, got %d" % order):
+            R.smoothness_probe(R.RO2, crossing(), max_order=order)
     # a curve running along a cone generator never leaves it
     tangent = R.CrossingCurve([1.0, 1, 0, 0, 0], [1.0, 1, 0, 0, 0])
     with pytest.raises(NonTransversalError):
@@ -132,7 +133,7 @@ def test_dro_coefficients_bounded():
     w /= np.linalg.norm(w, axis=1)[:, None]
     x = np.column_stack([x0, r[:, None] * w])
     x = x[geo.radial_values(x)[2] < 1.0]
-    sup = np.max(np.abs(geo.RadialJets(J.seed(x, order=1), 1.0).ro.grad))
+    sup = np.max(np.abs(geo.RadialJets(J.seed(x, order=1)).ro.grad))
     assert sup <= 2.0 * (1 + 1e-9)
     assert sup > 1.9
 

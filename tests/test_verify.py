@@ -177,6 +177,16 @@ def test_probes_scale_with_the_family_parameter():
     assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("a", [0.1, 30.0])
+def test_whole_suite_passes_away_from_a_one(a):
+    # every check, not one or three; at a = 0.01 parallel-spinor still
+    # fails (ROADMAP item 5)
+    rep = V.run_suite(V.SuiteConfig(a=a, samples=30))
+    assert len(rep.checks) == len(V.REGISTRY) == 21
+    assert rep.overall == "pass", [(c.name, c.residual_max, c.error)
+                                   for c in rep.checks if c.verdict != "pass"]
+
+
 @pytest.mark.parametrize("a", [8.0, 10.0])
 def test_product_ricci_flat_is_dilation_invariant(a):
     # Ric(gatilde_a) grows like a^2; the check divides it out, so the
@@ -408,6 +418,14 @@ def test_cli_probe_c1_ga_honours_max_order(max_order, want):
     assert "predicted: class %s\n" % want in r.output, r.output
 
 
+@pytest.mark.parametrize("max_order", ["-1", "4"])
+def test_cli_probe_c1_rejects_max_order_out_of_range(max_order):
+    r = CliRunner().invoke(cli.main, ["probe-c1", "--max-order", max_order])
+    assert r.exit_code == 2, r.output
+    assert "Invalid value for '--max-order'" in r.output, r.output
+    assert "0<=x<=3" in r.output, r.output
+
+
 def test_cli_tensor():
     r = CliRunner().invoke(cli.main, ["tensor", "--spec", "g0",
                                       "--point", "0.3,1,0,0,0"])
@@ -503,6 +521,23 @@ def test_cli_tensor_rejects_bad_family_parameter(a):
     assert r.exit_code == 1, r.output
     assert "Error: family 'ga' needs a > 0" in r.output, r.output
     assert "and finite, got a = " in r.output, r.output
+
+
+@pytest.mark.parametrize("family,point,a,message", [
+    ("ga", "0.1,0.5,0.2,0.1,0.3", "1e200", "point(s) outside the closure of B_a"),
+    ("gatilde", "0.1,0.5,0.2,0.1,0.3", "1e80", "point(s) outside the closure of B_a"),
+    ("ha", "0.1,0.5,0.2,0.3", "1e200", "ha needs r < 1/a"),
+    ("eh", "2,0.5,0,0.3", "1e200", "eh needs R > a"),
+], ids=["ga", "gatilde", "ha", "eh"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy on inf - inf
+def test_cli_tensor_huge_family_parameter_fails_cleanly(family, point, a, message):
+    # a x overflows in its squares: the NaNs that follow must fail the
+    # domain tests, not pass them and print as a zero metric
+    r = CliRunner().invoke(cli.main, ["tensor", "--spec", family, "--point",
+                                      point, "--a", a])
+    assert r.exit_code == 1, r.output
+    assert "Error: DomainError: " + message in r.output, r.output
+    assert "zero" not in r.output and not _COMPONENT.findall(r.output), r.output
 
 
 @pytest.mark.parametrize("a", ["-1", "0", "nan", "inf"])
