@@ -120,6 +120,9 @@ def run(a, samples, seed, b, c, tol_override, exclude, skip, only,
                  ch.samples, ch.claim))
         if ch.error:
             _echo("    " + ch.error)
+        if ch.verdict == "fail" and ch.worst:
+            _echo("    worst: %s (%s)" % (ch.worst[0], ", ".join(
+                "%.6g" % v for v in ch.worst[1])))
     _echo("overall: %s" % rep.overall)
     if report_path:
         V.emit_report(rep, fmt=fmt, path=report_path)

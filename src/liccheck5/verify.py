@@ -2,12 +2,12 @@
 check with a normalized residual, plus report emission.
 
 Each identity A = B is reported as sup |A - B| / (1 + |A| + |B|) per sample
-point (structural checks report a mismatch count instead).  Sampling draws
-uniform points from numpy's seeded Generator and rejects them into the
-requested region, so a fixed (config, seed) pair reproduces residuals
-bit-for-bit; each check derives its own seed from its name and runs
-independently of the others.  Every check takes a sup or a count over its
-sample, so none needs a low-discrepancy sequence.
+point; structural checks report a mismatch count.  A check returns a list of
+Parts, its points with their residuals, and run_suite alone counts samples
+and finds the max, the median and the worst point.  Sampling rejects uniform
+draws of numpy's seeded Generator into a region, so a fixed (config, seed)
+reproduces residuals bit-for-bit; each check seeds itself from its name.
+Every check takes a sup or a count, so none needs a low-discrepancy sequence.
 
 Checks whose integrands degenerate at the cone (curvature of the rescaled
 metric, conformal identities) sample with a wider cone margin than the
@@ -17,6 +17,7 @@ byte-identical across runs.
 """
 
 import json
+import platform
 import time
 import traceback
 import zlib
@@ -33,9 +34,6 @@ from . import jets as J
 from . import regularity as R
 from . import spingeo as S
 from .errors import EmptyRegionError
-
-_E12 = np.zeros((5, 5))
-_E12[1, 2] = _E12[2, 1] = 1.0      # symmetric unit matrix of the negative control
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,10 @@ class SuiteConfig:
                                  % (name, getattr(self, name)))
         if self.a <= 0:
             raise ValueError("a must be positive")
+        for name in ("samples", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r" % (name, v))
         if self.samples < 1:
             raise ValueError("need at least one sample per check")
         if not 0 < self.exclusion < 1.0 / (10.0 * self.a):
@@ -79,6 +81,18 @@ class CheckResult:
     seconds: float = field(default=0.0, compare=False)
     # "Type: message (file:line)" of a check that raised; never serialized
     error: str = field(default="", compare=False)
+    # (region, point) of the largest per-point residual, when it is the max
+    worst: tuple = field(default=None, compare=False)
+
+
+@dataclass
+class Part:
+    """A piece of a check's result: res[..., j] is the residual at
+    points[j] of region; a part without points counts n samples."""
+    res: object
+    region: str = ""
+    points: object = None
+    n: int = 0
 
 
 @dataclass
@@ -122,31 +136,37 @@ def sample(region, a, n, seed, exclusion=1e-3, outer=0.95):
     raise EmptyRegionError("region %s empty after exclusions" % region)
 
 
-def _draw(cfg, region, seed, m, n=None, outer=0.95):
-    """cfg.samples points of a region (n if given) at cone margin m, never
-    below the configured exclusion.  Exterior margins ride the same 1/a
-    dilation as the sampling box; interior ones are absolute, as that
+def _draw(cfg, region, seed, m, share=1, outer=0.95):
+    """max(cfg.samples // share, 1) points of a region at cone margin m,
+    never below the configured exclusion.  Exterior margins ride the same
+    1/a dilation as the sampling box; interior ones are absolute, as that
     geometry never dilates."""
     m = m / cfg.a if region == "B_a" else m
-    return sample(region, cfg.a, cfg.samples if n is None else n, seed,
+    return sample(region, cfg.a, max(cfg.samples // share, 1), seed,
                   max(cfg.exclusion, m), outer)
 
 
-def _draw_l(cfg, seed, m):
-    """The L side of a two-sided check: a third of cfg.samples points (at
-    least one) at cone margin m, drawn with seed + 1."""
-    return _draw(cfg, "L", seed + 1, m, n=max(cfg.samples // 3, 1))
+def _per_side(cfg, seed, m, residuals, l_share=1):
+    """A part per side, residuals(region, x) at cone margin m: B_a drawn with
+    seed, L with seed + 1 and a 1/l_share share of the points."""
+    parts = []
+    for i, (region, share) in enumerate((("B_a", 1), ("L", l_share))):
+        x = _draw(cfg, region, seed + i, m, share)
+        parts.append(Part(residuals(region, x), region, x))
+    return parts
+
+
+def _psi(cfg, region):                # frame e on B_a, u on L
+    return S.psi_bc(cfg.b, cfg.c, frame="e" if region == "B_a" else "u")
 
 
 def _norm_res(A, B):
     """Per-point normalized residual sup|A-B| / (1 + |A| + |B|)."""
     A = np.asarray(A, dtype=float)
     B = np.broadcast_to(np.asarray(B, dtype=float), A.shape)
-    ax = tuple(range(1, A.ndim))
-    d = np.max(np.abs(A - B), axis=ax) if ax else np.abs(A - B)
-    sa = np.max(np.abs(A), axis=ax) if ax else np.abs(A)
-    sb = np.max(np.abs(B), axis=ax) if ax else np.abs(B)
-    return d / (1.0 + sa + sb)
+    A, B = A.reshape(len(A), -1), B.reshape(len(A), -1)
+    return np.max(np.abs(A - B), axis=1) / (
+        1.0 + np.max(np.abs(A), axis=1) + np.max(np.abs(B), axis=1))
 
 
 # -------------------------------------------------------------- the checks
@@ -157,14 +177,14 @@ def _chk_clifford(cfg, seed):
     target = -2.0 * geo.ETA[:, :, None, None] * np.eye(4)
     res = [np.max(np.abs(acomm[i, j] - target[i, j]))
            for i in range(5) for j in range(i, 5)]
-    return np.array(res), 15
+    return [Part(np.array(res), n=15)]
 
 
 def _chk_frame_gram(cfg, seed):
     x = _draw(cfg, "B_a", seed, 0.01)
     Fv = F.frame_eval("e", x, cfg.a, order=0).val
     gv = geo.metric_jets(geo.MetricSpec("ga", cfg.a), x, order=0).val
-    return _norm_res(F.gram_matrix(Fv, gv), geo.ETA), len(x)
+    return [Part(_norm_res(F.gram_matrix(Fv, gv), geo.ETA), "B_a", x)]
 
 
 def _chk_product_structure(cfg, seed):
@@ -175,10 +195,9 @@ def _chk_product_structure(cfg, seed):
         np.max(np.abs(np.einsum('...ijkl,...i->...jkl', low, Vv)), axis=(1, 2, 3)),
         np.max(np.abs(np.einsum('...ijkl,...k->...ijl', low, Vv)), axis=(1, 2, 3)))
     sc = np.max(np.abs(low), axis=(1, 2, 3, 4)) * np.max(np.abs(Vv), axis=1)
-    block = mixed / (1.0 + sc)
-    xl = _draw_l(cfg, seed, 0.1)
+    xl = _draw(cfg, "L", seed + 1, 0.1, share=3)
     flat = _norm_res(C.riemann_lowered(geo.MetricSpec("gatilde", cfg.a), xl), 0.0)
-    return np.concatenate([block, flat]), len(xb) + len(xl)
+    return [Part(mixed / (1.0 + sc), "B_a", xb), Part(flat, "L", xl)]
 
 
 def _chk_product_ricci(cfg, seed):
@@ -186,7 +205,7 @@ def _chk_product_ricci(cfg, seed):
     # residual that of the a = 1 metric at the dilated points
     x = _draw(cfg, "B_a", seed, 0.1)
     ric = C.ricci(geo.MetricSpec("gatilde", cfg.a), x)
-    return _norm_res(ric / cfg.a ** 2, 0.0), len(x)
+    return [Part(_norm_res(ric / cfg.a ** 2, 0.0), "B_a", x)]
 
 
 def _eh_points(a, seed, n):
@@ -218,8 +237,7 @@ def _chk_eh_connection(cfg, seed):
              (om[..., 1, 3, :], beta[..., None] * sig2),
              (om[..., 0, 3, :], -gamma[..., None] * f4),
              (om[..., 1, 2, :], -gamma[..., None] * f4)]
-    res = np.concatenate([_norm_res(A, B) for A, B in pairs])
-    return res, len(y)
+    return [Part(np.stack([_norm_res(A, B) for A, B in pairs]), "instanton", y)]
 
 
 def _wedge4(i, j):
@@ -243,34 +261,32 @@ def _chk_eh_curvature(cfg, seed):
              (cf[:, 0, 1], cf[:, 2, 3]),
              (cf[:, 0, 2], -cf[:, 1, 3]),
              (cf[:, 0, 3], cf[:, 1, 2])]
-    res = np.concatenate([_norm_res(A, B) for A, B in pairs])
-    return res, len(rad)
+    return [Part(np.stack([_norm_res(A, B) for A, B in pairs]), "instanton", p)]
 
 
 def _chk_eh_asd(cfg, seed):
     y = _eh_points(cfg.a, seed, max(cfg.samples // 3, 16))
     plus, minus = C.asd_split(F.eh_frame(y, cfg.a),
                               geo.MetricSpec("eh", cfg.a), y)
-    return np.array([np.max(np.abs(plus)) / np.max(np.abs(minus))]), len(y)
+    return [Part(np.array([np.max(np.abs(plus)) / np.max(np.abs(minus))]),
+                 n=len(y))]
 
 
 def _chk_twistor(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
-    xb = _draw(cfg, "B_a", seed, 0.02)
-    phi = S.psi_bc(cfg.b, cfg.c)
-    forms = None
-    if cfg.perturb:
-        fr = F.frame_eval("e", xb, cfg.a, order=1)
-        g = geo.metric_jets(spec, xb, order=2) + cfg.perturb * _E12
-        forms = C.forms_from_jets(fr, g, label="perturbed", tol=1.0)
-    rb = S.twistor_residual(phi, spec, xb, forms=forms)
-    xl = _draw_l(cfg, seed, 0.02)
-    rl = S.twistor_residual(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
-    out = []
-    for res in (rb, rl):
+
+    def residuals(region, x):
+        forms = None
+        if cfg.perturb and region == "B_a":
+            fr = F.frame_eval("e", x, cfg.a, order=1)
+            E = np.zeros((5, 5))
+            E[1, 2] = E[2, 1] = cfg.perturb
+            g = geo.metric_jets(spec, x, order=2) + E
+            forms = C.forms_from_jets(fr, g, label="perturbed", tol=1.0)
+        res = S.twistor_residual(_psi(cfg, region), spec, x, forms=forms)
         P = np.stack([d.w for d in res.directions], axis=-2)
-        out.append(np.max(np.abs(P), axis=(-2, -1)) / (1.0 + res.scale))
-    return np.concatenate(out), len(xb) + len(xl)
+        return np.max(np.abs(P), axis=(-2, -1)) / (1.0 + res.scale)
+    return _per_side(cfg, seed, 0.02, residuals, l_share=3)
 
 
 def _chk_parallel(cfg, seed):
@@ -279,103 +295,75 @@ def _chk_parallel(cfg, seed):
     nu = S.nu_bc(cfg.b, cfg.c)
     cov = S._cov_all(nu, spec, x)[0]
     scale = max(float(np.abs(nu.values(x)).max()), 1.0)
-    return np.max(np.abs(cov), axis=(-2, -1)) / scale, len(x)
-
-
-def _per_region(cfg, seed, m, residuals):
-    """The residual arrays residuals(x) over cfg.samples draws from B_a
-    (seed) and L (seed + 1) at cone margin m, concatenated, with the number
-    of points drawn."""
-    out = []
-    n = 0
-    for i, region in enumerate(("B_a", "L")):
-        x = _draw(cfg, region, seed + i, m)
-        n += len(x)
-        out.extend(residuals(x))
-    return np.concatenate(out), n
+    return [Part(np.max(np.abs(cov), axis=(-2, -1)) / scale, "B_a", x)]
 
 
 def _chk_conformal_killing(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
 
-    def residuals(x):
+    def residuals(region, x):
         g = geo.metric_jets(spec, x, order=2)
         V = C.vector_field_jets(x, order=1)
         LV = C.lie_derivative_metric(g, V)
         div = C.divergence(C.christoffel_from_jets(g), V).val
-        return (_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val.real),
-                _norm_res(div, -10.0 * x[:, 0]))
-    return _per_region(cfg, seed, 0.02, residuals)
-
-
-def _square_pieces(cfg, seed):
-    spec = geo.MetricSpec("ga", cfg.a)
-    xb = _draw(cfg, "B_a", seed, 0.02)
-    xl = _draw_l(cfg, seed, 0.02)
-    Vb = S.spinor_square(S.psi_bc(cfg.b, cfg.c), spec, xb)
-    Vl = S.spinor_square(S.psi_bc(cfg.b, cfg.c, frame="u"), spec, xl)
-    return spec, (xb, Vb), (xl, Vl)
+        return np.stack([_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val.real),
+                         _norm_res(div, -10.0 * x[:, 0])])
+    return _per_side(cfg, seed, 0.02, residuals)
 
 
 def _chk_square_field(cfg, seed):
-    _, (xb, Vb), (xl, Vl) = _square_pieces(cfg, seed)
     s = cfg.b ** 2 + cfg.c ** 2
-    out = []
-    for x, V in ((xb, Vb), (xl, Vl)):
-        Vt = C.vector_field_jets(x, order=0).val.real
-        out.append(_norm_res(V, s * Vt))
-    return np.concatenate(out), len(xb) + len(xl)
+    return _per_side(cfg, seed, 0.02, lambda region, x: _norm_res(
+        S.spinor_square(_psi(cfg, region), geo.MetricSpec("ga", cfg.a), x),
+        s * C.vector_field_jets(x, order=0).val.real), l_share=3)
 
 
-def _metric_length(spec, x, V):
-    """g(V, V) at the points x."""
+def _square_length(cfg, region, x):
+    """g_a(V, V) of the spinor square V at the points x of one side."""
+    spec = geo.MetricSpec("ga", cfg.a)
+    V = S.spinor_square(_psi(cfg, region), spec, x)
     gv = geo.metric_jets(spec, x, order=0).val.real
     return np.einsum('...ij,...i,...j->...', gv, V, V, optimize=True)
 
 
 def _chk_square_length(cfg, seed):
-    spec, (xb, Vb), (xl, Vl) = _square_pieces(cfg, seed)
     s = cfg.b ** 2 + cfg.c ** 2
-    out = []
-    for x, V in ((xb, Vb), (xl, Vl)):
-        q = _metric_length(spec, x, V)
-        d = geo.radial_values(x)[1]
-        out.append(_norm_res(q, -(s * d) ** 2))
-    return np.concatenate(out), len(xb) + len(xl)
+    return _per_side(cfg, seed, 0.02, lambda region, x: _norm_res(
+        _square_length(cfg, region, x),
+        -(s * geo.radial_values(x)[1]) ** 2), l_share=3)
 
 
 def _chk_causal_type(cfg, seed):
-    spec, (xb, Vb), (xl, Vl) = _square_pieces(cfg, seed)
-    bad = 0
-    for x, V in ((xb, Vb), (xl, Vl)):
-        bad += int(np.sum(_metric_length(spec, x, V) >= 0))
+    # a count, not 0/1 flags per point, so a failure says how many are off
+    sides = _per_side(cfg, seed, 0.02, lambda region, x:
+                      _square_length(cfg, region, x) >= 0, l_share=3)
+    bad = sum(int(np.sum(p.res)) for p in sides)
     rng = np.random.default_rng(seed + 2)
     n = max(cfg.samples // 3, 8)
     w = rng.normal(size=(n, 4))
     w /= np.linalg.norm(w, axis=1)[:, None]
     x0 = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
     cone = np.column_stack([x0, np.abs(x0)[:, None] * w])
-    Vc = S.spinor_square(S.psi_bc(cfg.b, cfg.c, frame="u"),
-                         geo.MetricSpec("g0"), cone)
+    Vc = S.spinor_square(_psi(cfg, "L"), geo.MetricSpec("g0"), cone)
     qc = np.einsum('ij,...i,...j->...', geo.ETA, Vc, Vc, optimize=True)
     szc = np.max(np.abs(Vc), axis=1)
     bad += int(np.sum(np.abs(qc) > 1e-10 * (1.0 + szc ** 2)))
     bad += int(np.sum(szc < 1e-12))            # lightlike but nonzero
-    V0 = S.spinor_square(S.psi_bc(cfg.b, cfg.c, frame="u"),
-                         geo.MetricSpec("g0"), np.zeros((1, 5)))
+    V0 = S.spinor_square(_psi(cfg, "L"), geo.MetricSpec("g0"), np.zeros((1, 5)))
     bad += int(np.max(np.abs(V0)) != 0.0)      # zero vector at the zero
-    return np.array([float(bad)]), len(xb) + len(xl) + n + 1
+    return [Part(np.array([float(bad)]),
+                 n=sum(len(p.points) for p in sides) + n + 1)]
 
 
 def _chk_length_square(cfg, seed):
     s = cfg.b ** 2 + cfg.c ** 2
-    return _per_region(cfg, seed, 0.02, lambda x: [_norm_res(
-        S.length_square_u(cfg.b, cfg.c, x), s * geo.radial_values(x)[1])])
+    return _per_side(cfg, seed, 0.02, lambda region, x: _norm_res(
+        S.length_square_u(cfg.b, cfg.c, x), s * geo.radial_values(x)[1]))
 
 
 def _chk_einstein_rescale(cfg, seed):
-    return _per_region(cfg, seed, 0.1, lambda x: [_norm_res(
-        *S.einstein_rescale_residual(cfg.b, cfg.c, x, a=cfg.a))])
+    return _per_side(cfg, seed, 0.1, lambda region, x: _norm_res(
+        *S.einstein_rescale_residual(cfg.b, cfg.c, x, a=cfg.a)))
 
 
 def _chk_regularity(cfg, seed):
@@ -397,38 +385,37 @@ def _chk_regularity(cfg, seed):
         _, cls = R.probe_family(ms, a=cfg.a, n_curves=3, seed=seed + trial)
         want = ms.predicted_class - 1 if ms.predicted_class <= 3 else None
         bad += int(cls != want)
-    return np.array([float(bad)]), 21
+    return [Part(np.array([float(bad)]), n=21)]
 
 
 def _chk_weyl_decay(cfg, seed):
     rng = np.random.default_rng(seed)
     res = [abs(R.weyl_decay_exponent(R.random_crossing_curve(rng, cfg.a),
                                      a=cfg.a) - 2.0) for _ in range(3)]
-    return np.array(res), 36
+    return [Part(np.array(res), n=36)]
 
 
 def _chk_weyl_covariance(cfg, seed):
     x = _draw(cfg, "B_a", seed, 0.1)
     Wga = C.weyl(geo.MetricSpec("ga", cfg.a), x)
     Wgt = C.weyl(geo.MetricSpec("gatilde", cfg.a), x)
-    d = geo.radial_values(x)[1]
-    return _norm_res(Wga, d[:, None, None, None, None] ** 2 * Wgt), len(x)
+    d2 = geo.radial_values(x)[1][:, None, None, None, None] ** 2
+    return [Part(_norm_res(Wga, d2 * Wgt), "B_a", x)]
 
 
 def _chk_weyl_witness(cfg, seed):
     xb = _draw(cfg, "B_a", seed, 0.1)
-    wb = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xb)),
-                axis=(1, 2, 3, 4))
-    xl = _draw_l(cfg, seed, 0.02)
+    wb = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xb)))
+    xl = _draw(cfg, "L", seed + 1, 0.02, share=3)
     wl = np.max(np.abs(C.weyl(geo.MetricSpec("ga", cfg.a), xl)),
                 axis=(1, 2, 3, 4))
-    return np.concatenate([[max(0.0, 1e-3 - float(np.max(wb)))], wl]), \
-        len(xb) + len(xl)
+    return [Part(np.array([max(0.0, 1e-3 - float(wb))]), n=len(xb)),
+            Part(wl, "L", xl)]
 
 
 def _chk_conformal_ricci(cfg, seed):
     x = _draw(cfg, "B_a", seed, 0.1)
-    return _norm_res(*C.conformal_ricci_check(x, a=cfg.a)), len(x)
+    return [Part(_norm_res(*C.conformal_ricci_check(x, a=cfg.a)), "B_a", x)]
 
 
 def _chk_essentiality(cfg, seed):
@@ -444,7 +431,7 @@ def _chk_essentiality(cfg, seed):
         res.append(1.0)                         # no convergence
     if np.min(np.max(np.abs(pr.lhs), axis=1)) <= 0.1:
         res.append(1.0)                         # limit must be nonzero
-    return np.array(res), 12 * len(radii)
+    return [Part(np.array(res), n=12 * len(radii))]
 
 
 @dataclass(frozen=True)
@@ -526,10 +513,14 @@ def _seed_for(name, seed):
     return zlib.crc32(name.encode()) ^ (int(seed) & 0xFFFFFFFF)
 
 
-def _versions():
-    import platform
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "liccheck5": __version__}
+def _worst(parts, rmax):
+    """(region, point) of the point whose residual is rmax, if any."""
+    for p in parts:
+        if p.points is not None:
+            per = np.max(np.reshape(p.res, (-1, len(p.points))), axis=0)
+            if np.max(per) == rmax:
+                return p.region, p.points[int(np.argmax(per))]
+    return None
 
 
 def run_suite(cfg, skip=(), only=None):
@@ -541,15 +532,19 @@ def run_suite(cfg, skip=(), only=None):
             raise ValueError("unknown check %r" % n)
     selected = [c for c in REGISTRY
                 if c.name not in skip and (only is None or c.name in only)]
+    if not selected:
+        raise ValueError("no checks selected")
 
     def one(check):
         t0 = time.perf_counter()
         tol = cfg.tol.get(check.name, check.tol)
-        error = ""
+        error, worst = "", None
         try:
-            res, nsamp = check.fn(cfg, _seed_for(check.name, cfg.seed))
-            res = np.atleast_1d(np.asarray(res, dtype=float))
+            parts = check.fn(cfg, _seed_for(check.name, cfg.seed))
+            res = np.concatenate([np.ravel(p.res) for p in parts]).astype(float)
             rmax, rmed = float(np.max(res)), float(np.median(res))
+            nsamp = sum(p.n or len(p.points) for p in parts)
+            worst = _worst(parts, rmax)
             verdict = "pass" if rmax <= tol else "fail"
         except Exception as exc:                       # recorded, not thrown
             rmax = rmed = -1.0
@@ -559,9 +554,11 @@ def run_suite(cfg, skip=(), only=None):
             error = "%s: %s (%s:%d)" % (type(exc).__name__, exc,
                                         where.filename, where.lineno)
         return CheckResult(check.name, check.claim, nsamp, rmax, rmed, tol,
-                           verdict, time.perf_counter() - t0, error)
+                           verdict, time.perf_counter() - t0, error, worst)
 
-    return Report(config=asdict(cfg), versions=_versions(),
+    versions = {"python": platform.python_version(), "numpy": np.__version__,
+                "liccheck5": __version__}
+    return Report(config=asdict(cfg), versions=versions,
                   checks=[one(check) for check in selected])
 
 

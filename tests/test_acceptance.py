@@ -24,8 +24,9 @@ CFG = V.SuiteConfig()                      # 300 samples, seed 0
 def _run(name, **cfg_kw):
     check = [c for c in V.REGISTRY if c.name == name][0]
     cfg = V.SuiteConfig(**cfg_kw) if cfg_kw else CFG
-    res, n = check.fn(cfg, V._seed_for(name, cfg.seed))
-    return np.atleast_1d(np.asarray(res, dtype=float)), n
+    parts = check.fn(cfg, V._seed_for(name, cfg.seed))
+    res = np.concatenate([np.ravel(p.res) for p in parts]).astype(float)
+    return res, sum(p.n if p.points is None else len(p.points) for p in parts)
 
 
 def random_spec(rng):

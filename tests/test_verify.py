@@ -124,6 +124,18 @@ def test_config_validation():
             V.SuiteConfig(tol={"twistor-equation": v})
 
 
+def test_config_takes_only_integer_samples_and_seed():
+    # a float would run as its floor (seed) or error in every check
+    # (samples) while the report printed it as given
+    for kwargs in ({"samples": 2.5}, {"samples": True}, {"seed": 1.5},
+                   {"seed": False}, {"seed": "3"}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
+            V.SuiteConfig(**kwargs)
+    cfg = V.SuiteConfig(samples=np.int64(20), seed=np.int32(3))
+    assert V.run_suite(cfg, only=["frame-orthonormality"]).overall == "pass"
+
+
 # ---------------------------------------------------------------- the suite
 
 def test_registry_shape():
@@ -207,6 +219,57 @@ def test_skip_and_unknown_names(baseline):
         V.run_suite(FAST, only=["no-such-check"])
 
 
+def test_a_run_that_selects_nothing_is_refused():
+    everything = [c.name for c in V.REGISTRY]
+    for kwargs in ({"only": []}, {"skip": everything}):
+        with pytest.raises(ValueError, match="^no checks selected$"):
+            V.run_suite(FAST, **kwargs)
+    args = ["run"] + [a for n in everything for a in ("--skip", n)]
+    r = CliRunner().invoke(cli.main, args)
+    assert r.exit_code == 1, r.output
+    assert "Error: no checks selected" in r.output, r.output
+    assert "overall" not in r.output and "Traceback" not in r.output
+
+
+def _samples(parts):
+    return sum(p.n if p.points is None else len(p.points) for p in parts)
+
+
+@pytest.mark.parametrize("check", V.REGISTRY, ids=lambda c: c.name)
+def test_check_protocol(check, monkeypatch):
+    """Each check returns parts whose residuals line up with their points,
+    and run_suite derives the sample count and the worst point from them."""
+    got = []
+
+    def recorded(cfg, seed):
+        got.extend(check.fn(cfg, seed))
+        return got
+
+    monkeypatch.setattr(V, "REGISTRY", (dataclasses.replace(check,
+                                                            fn=recorded),))
+    result = V.run_suite(V.SuiteConfig(samples=20)).checks[0]
+    assert not result.error, result.error
+    assert result.samples == _samples(got) > 0
+    held, at_worst = False, []
+    for p in got:
+        if p.points is None:
+            assert p.n > 0 and p.region == ""
+            continue
+        res = np.asarray(p.res, dtype=float)
+        assert res.ndim in (1, 2) and res.shape[-1] == len(p.points)
+        if p.region in ("B_a", "L"):
+            gap = geo.cone_gap(p.points)
+            assert np.all(gap > 0 if p.region == "B_a" else gap < 0), p.region
+        per = np.max(res.reshape(-1, len(p.points)), axis=0)
+        held |= np.max(per) == result.residual_max
+        if result.worst is not None and result.worst[0] == p.region:
+            at_worst.extend(per[np.all(p.points == result.worst[1], axis=1)])
+    if held:
+        assert at_worst and max(at_worst) == result.residual_max
+    else:
+        assert result.worst is None
+
+
 @pytest.mark.parametrize("check", ["einstein-rescale", "conformal-killing"])
 def test_one_check_builds_each_region_metric_once(check, monkeypatch):
     builds = []
@@ -227,6 +290,23 @@ def test_tol_override_flips_verdict():
         only=["frame-orthonormality"])
     assert rep.checks[0].verdict == "fail"
     assert rep.overall == "fail"
+
+
+def test_cli_run_prints_where_a_failing_check_is_worst():
+    r = CliRunner().invoke(cli.main, [
+        "run", "--only", "frame-orthonormality", "--samples", "40",
+        "--tol-override", "frame-orthonormality=1e-30"])
+    assert r.exit_code == 1, r.output
+    lines = r.output.splitlines()
+    assert lines[0].startswith("[fail] frame-orthonormality")
+    m = re.fullmatch(r"    worst: B_a \((.*)\)", lines[1])
+    assert m, lines[1]
+    point = np.array([float(v) for v in m.group(1).split(", ")])
+    assert point.shape == (5,) and geo.cone_gap(point[None])[0] > 0
+    # a passing check prints no worst point
+    r = CliRunner().invoke(cli.main, ["run", "--only", "frame-orthonormality",
+                                      "--samples", "40"])
+    assert r.exit_code == 0 and "worst" not in r.output, r.output
 
 
 def test_tol_override_must_name_a_check(tmp_path):
@@ -251,6 +331,7 @@ def test_negative_control_hits_only_the_twistor_check(baseline):
     assert verdicts["twistor-equation"] == "fail"
     tw = [c for c in rep.checks if c.name == "twistor-equation"][0]
     assert tw.residual_max > 1e-5
+    assert tw.worst[0] == "B_a"              # the defect is on the exterior
     for c, b in zip(rep.checks, baseline.checks):
         if c.name != "twistor-equation":
             assert c.verdict == b.verdict == "pass"
