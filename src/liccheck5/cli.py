@@ -53,6 +53,9 @@ def _load_config(path):
                               or not isinstance(v, types[k])):
             raise click.ClickException("config key %r has the wrong JSON "
                                        "type: %r" % (k, v))
+    if doc.get("format") not in (None, "json", "csv"):
+        raise click.ClickException("config key 'format' is %r: format must "
+                                   "be json or csv" % doc["format"])
     return doc
 
 
@@ -125,7 +128,11 @@ def run(a, samples, seed, b, c, tol_override, exclude, skip, only,
                 "%.6g" % v for v in ch.worst[1])))
     _echo("overall: %s" % rep.overall)
     if report_path:
-        V.emit_report(rep, fmt=fmt, path=report_path)
+        try:
+            V.emit_report(rep, fmt=fmt, path=report_path)
+        except OSError as exc:
+            raise click.ClickException("cannot write the report to %s: %s"
+                                       % (report_path, exc.strerror))
         _echo("report written to %s" % report_path)
     sys.exit(0 if rep.overall == "pass" else 1)
 
@@ -210,7 +217,7 @@ def tensor(family, point, what, a):
         elif what == "weyl":
             T = C.weyl(spec, p)
         else:
-            T = C.christoffel(spec, p, order=1).val.real
+            T = C.christoffel(spec, p).real
     except Exception as exc:
         raise click.ClickException("%s: %s" % (type(exc).__name__, exc))
     T = np.asarray(T)

@@ -16,9 +16,9 @@ lowered slot layout above the trace removal reads weyl = lowered + P * g
 (Kulkarni-Nomizu product of the Schouten tensor with the metric).
 
 Everything is computed per batch from jet evaluations of the metric at the
-requested points, each carried only to the order its reader needs; the
-functions are stateless, and the curvature forms of a ConnectionForms are
-built when first read.
+requested points, each carried only to the order its reader needs.  One
+_CurvaturePieces bundle per metric jet builds what the jet gives, each
+piece on first read; connection forms keep the bundle omega was built from.
 """
 
 from dataclasses import dataclass
@@ -44,22 +44,19 @@ class ConnectionForms:
                                  # coordinate components of omega_ij (lowered),
                                  # one order below the frame
     omega_frame: np.ndarray      # (..., n, n, n) values, [i,j,k] = omega_ij(f_k)
-    frame: np.ndarray            # (..., n, n) frame values f_k
-    metric2: Callable[[], J.Jet]  # the order-2 metric jet curvature_frame
-                                  # is built from, called on first read
+    frame: J.Jet                 # the frame jet, [mu, k] = component mu of f_k
+    pieces: Callable[[], "_CurvaturePieces"]  # the bundle omega was built
+                                 # from, or an order-2 one if its g is order 1
 
     @cached_property
     def curvature_frame(self):
         """(..., n, n, n, n) values, [i,j,k,l] = Omega_ij(f_k, f_l); built
         on first read, from the second-order metric."""
-        g = self.metric2()
-        if g.order < 2:
+        P = self.pieces()
+        if P.g.order < 2:
             raise OrderError("curvature forms need a metric jet of order >= 2,"
-                             " got order %d" % g.order)
-        Fv = self.frame
-        return np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
-                         _CurvaturePieces(g).lowered, Fv, Fv, Fv, Fv,
-                         optimize=True)
+                             " got order %d" % P.g.order)
+        return _frame_components(P.lowered, self.frame.val.real)
 
 
 # ------------------------------------------------------------- raw pieces
@@ -75,23 +72,26 @@ def christoffel_from_jets(g):
     return 0.5 * J.jeinsum("kl,ijl->kij", ginv, t)
 
 
-def riemann_from_christoffel(gam, order=1):
-    """R^l_kij jets from Christoffel jets (one derivative is spent)."""
-    dgam = gam.truncate(order + 1).d()          # dgam[l, j, k, i] = d_i Gamma^l_jk
-    g1 = gam.truncate(order)
+def riemann_from_christoffel(gam):
+    """R^l_kij values from Christoffel jets of order >= 1."""
+    dgam = gam.truncate(1).d()                  # dgam[l, j, k, i] = d_i Gamma^l_jk
+    g0 = gam.truncate(0)
     half = (J.jeinsum("ljki->lkij", dgam)
-            + J.jeinsum("lim,mjk->lkij", g1, g1))
-    return half - J.jeinsum("lkij->lkji", half)
+            + J.jeinsum("lim,mjk->lkij", g0, g0))
+    return (half - J.jeinsum("lkij->lkji", half)).val
 
 
 class _CurvaturePieces:
-    """Curvature values of one metric jet, each formed on first read and
-    kept: reading ric forms Riemann and its trace, not the lowered tensor
-    or the Weyl tensor.  ``gam`` reuses Christoffel jets already built
-    from the same metric."""
+    """What one metric jet g gives, each piece formed on first read and
+    kept: reading ric forms the Christoffel jets (one order below g),
+    Riemann and its trace, not the lowered tensor or the Weyl tensor."""
 
-    def __init__(self, g, gam=None):
-        self.g, self.gam = g, gam
+    def __init__(self, g):
+        self.g = g
+
+    @cached_property
+    def gam(self):
+        return christoffel_from_jets(self.g)
 
     @cached_property
     def gv(self):
@@ -99,8 +99,7 @@ class _CurvaturePieces:
 
     @cached_property
     def riemann(self):
-        gam = christoffel_from_jets(self.g) if self.gam is None else self.gam
-        return riemann_from_christoffel(gam, order=0).val
+        return riemann_from_christoffel(self.gam)
 
     @cached_property
     def ric(self):
@@ -129,32 +128,22 @@ class _CurvaturePieces:
 # ------------------------------------------------------------ public ops
 
 
-# The per-point entries below run a large batch block by block
-# (geometry._over_blocks), each block through its own metric jet.
-
-
-def christoffel(spec, x, order=2):
-    """Gamma^k_ij jets for a metric family at a point batch."""
-    if not 1 <= order <= 2:
-        raise OrderError("christoffel supports jet orders 1 and 2")
-    return geo._over_blocks(spec, x, order + 1, lambda p: christoffel_from_jets(
-        geo.metric_jets(spec, p, order=order + 1)))
-
-
-def riemann(spec, x, order=1):
-    """R^l_kij jets; order 0 gives plain values, order 1 adds first partials."""
-    if not 0 <= order <= 1:
-        raise OrderError("riemann supports jet orders 0 and 1")
-    return geo._over_blocks(spec, x, order + 2, lambda p: riemann_from_christoffel(
-        christoffel_from_jets(geo.metric_jets(spec, p, order=order + 2)),
-        order=order))
-
-
 def _piece(spec, x, key):
-    """One entry of _CurvaturePieces at a point batch; only what it reads
-    is formed."""
+    """One entry of _CurvaturePieces at a point batch, run block by block
+    (geometry._over_blocks), each block through its own order-2 metric
+    jet; only what the entry reads is formed."""
     return geo._over_blocks(spec, x, 2, lambda p: getattr(_CurvaturePieces(
         geo.metric_jets(spec, p, order=2)), key))
+
+
+def christoffel(spec, x):
+    """Gamma^k_ij values, [k, i, j], for a metric family at a point batch."""
+    return _piece(spec, x, "gam").val
+
+
+def riemann(spec, x):
+    """R^l_kij values for a metric family at a point batch."""
+    return _piece(spec, x, "riemann")
 
 
 def ricci(spec, x):
@@ -172,7 +161,7 @@ def weyl(spec, x):
 
 def bianchi_residual(spec, x):
     """(sup |cyclic sum|, sup |riemann|) for the first Bianchi identity."""
-    V = riemann(spec, x, order=0).val
+    V = riemann(spec, x)
     cyc = V + np.einsum('...lijk->...lkij', V) + np.einsum('...ljki->...lkij', V)
     return float(np.max(np.abs(cyc))), float(np.max(np.abs(V)))
 
@@ -189,7 +178,7 @@ def connection_forms(F, spec, x):
     order below the frame: an order-1 frame gives omega's values, an order-2
     frame adds the first partials the structure equations read.  The
     curvature forms are built when curvature_frame is first read, from the
-    order-2 metric: the one already built, or one built then."""
+    order-2 metric's bundle: omega's, or one built then."""
     n = spec.dim
     if F.val.shape[-2:] != (n, n):
         raise DimensionError("frame is %s but the metric is %dd"
@@ -198,7 +187,7 @@ def connection_forms(F, spec, x):
     forms = forms_from_jets(F, g, label=spec.family)
     if g.order < 2:
         x = np.array(x, dtype=float)    # the points as they are now
-        forms.metric2 = lambda: geo.metric_jets(spec, x, order=2)
+        forms.pieces = lambda: _CurvaturePieces(geo.metric_jets(spec, x, order=2))
     return forms
 
 
@@ -217,25 +206,26 @@ def forms_from_jets(F, g, label="custom", tol=1e-8):
     """connection_forms for an explicit (frame jets, metric jets) pair.
 
     omega comes out one order below the lower of the two jets, and
-    curvature_frame is built from g itself, so reading it needs g of order
-    >= 2."""
+    curvature_frame is read from g's own bundle, so reading it needs g of
+    order >= 2."""
     if min(F.order, g.order) < 1:
         raise OrderError("connection forms need frame and metric jets of"
                          " order >= 1")
+    P = _CurvaturePieces(g)
     Fv = F.val.real
-    eps = _frame_signature(Fv, g.val.real, label, tol)
-    gam = christoffel_from_jets(g)
+    eps = _frame_signature(Fv, P.gv, label, tol)
     # cov[l, i, mu]: component l of nabla_mu f_i; low[m, i, mu] = g(nabla_mu f_i, d_m)
-    cov = F.d() + J.jeinsum("lun,ni->liu", gam, F)
+    cov = F.d() + J.jeinsum("lun,ni->liu", P.gam, F)
     low = J.jeinsum("lm,liu->miu", g, cov)
     omega = J.jeinsum("miu,mj->iju", low, F)
     omega_frame = np.einsum('...ijm,...mk->...ijk', omega.val.real, Fv)
     return ConnectionForms(eps=eps, omega=omega, omega_frame=omega_frame,
-                           frame=Fv, metric2=lambda: g)
+                           frame=F, pieces=lambda: P)
 
 
-def structure_residuals(forms, F, spec, x):
-    """Sup residuals of the two structure equations on frame pairs.
+def structure_residuals(forms):
+    """Sup residuals of the two structure equations on frame pairs, for
+    the frame and metric the forms were built from.
 
     First:  d f^i = sum_k omega^i_k wedge f^k, checked in lowered form
     d theta_i = sum_k eps_k omega_ik wedge theta_k.  Second:  Omega_ij =
@@ -244,7 +234,7 @@ def structure_residuals(forms, F, spec, x):
     if forms.omega.order < 1:
         raise OrderError("structure equations need omega's first partials,"
                          " i.e. forms of a frame jet of order >= 2")
-    g = geo.metric_jets(spec, x, order=2)
+    g, F = forms.pieces().g, forms.frame
     Fv = F.val.real
     eps = forms.eps
     theta = J.jeinsum("un,ni->iu", g, F)       # theta[i, mu]: lowered coframe
@@ -302,13 +292,18 @@ def asd_split(F, spec, x):
     listed in an order of negative determinant get the sign-corrected star."""
     if spec.dim != 4:
         raise DimensionError("self-dual split is a 4d operation")
-    g = geo.metric_jets(spec, x, order=2)
+    P = _CurvaturePieces(geo.metric_jets(spec, x, order=2))
     Fv = F.val.real
-    _frame_signature(Fv, g.val.real, spec.family)
-    W = _CurvaturePieces(g).weyl
-    Wf = np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl', W, Fv, Fv, Fv, Fv,
-                   optimize=True)
-    return asd_project(Wf, orientation=np.sign(np.linalg.det(Fv)))
+    _frame_signature(Fv, P.gv, spec.family)
+    return asd_project(_frame_components(P.weyl, Fv),
+                       orientation=np.sign(np.linalg.det(Fv)))
+
+
+def _frame_components(T, Fv):
+    """Frame components of (0, 4) tensor values T, laid out like the
+    curvature 2-forms: [i, j, k, l] = T(f_k, f_l, f_i, f_j)."""
+    return np.einsum('...abcd,...ak,...bl,...ci,...dj->...ijkl',
+                     T, Fv, Fv, Fv, Fv, optimize=True)
 
 
 # ------------------------------------------------- vector fields and Lie
@@ -365,35 +360,31 @@ def trace_free(T, g):
 # --------------------------------------------------- conformal identities
 
 
-def conformal_ricci_check(x, a=1.0, flat_variant=False):
+def conformal_ricci_check(x, a=1.0):
     """Both sides (Ric, rhs) of the conformal Ricci identity at a
     single-side point batch.
 
     The deformed metric is exp(2 mu) times its Ricci-flat rescaling with
-    mu = ln|r^2 - x0^2|, so its Ricci tensor must equal the rhs
-    -3 (Hess(mu) - dmu dmu) - (Lap(mu) + 3 |dmu|^2) gtilde, every piece on
-    the right taken with respect to the rescaled metric.  With
-    ``flat_variant`` the same identity is run for exp(2 mu) * eta against a
-    flat background instead (independent sanity case)."""
+    mu = ln|r^2 - x0^2|, so its Ricci tensor must equal _conformal_rhs of
+    mu against the rescaled metric."""
     x = np.asarray(x, dtype=float)
-    xj = J.seed(x, order=2)
-    rad = geo.RadialJets(xj)
-    d = rad.d
-    if np.any(d.val == 0.0):
+    rad = geo.RadialJets(J.seed(x, order=2))
+    if np.any(rad.d.val == 0.0):
         raise SingularError("identity breaks down on the cone r = |x0|")
-    mu = rad.mu
-    if flat_variant:
-        lhs = _CurvaturePieces(J.jeinsum(",ij->ij", d * d, geo.ETA)).ric
-        gt = J.constant(geo.ETA, 5, 1, x.shape[:-1])
-    else:
-        lhs = ricci(geo.MetricSpec("ga", a), x)
-        gt = geo.metric_jets(geo.MetricSpec("gatilde", a), x, order=1)
-    H = hessian_scalar(mu, christoffel_from_jets(gt))
+    gt = geo.metric_jets(geo.MetricSpec("gatilde", a), x, order=1)
+    return ricci(geo.MetricSpec("ga", a), x), _conformal_rhs(rad.mu, gt)
+
+
+def _conformal_rhs(mu, gt):
+    """Ricci tensor of exp(2 mu) gt for a Ricci-flat 5d metric jet gt
+    (order >= 1) and a scalar jet mu (order >= 2) at the same points:
+    -3 (Hess(mu) - dmu dmu) - (Lap(mu) + 3 |dmu|^2) gt, every piece taken
+    with respect to gt."""
+    H = hessian_scalar(mu, _CurvaturePieces(gt).gam)
     gtv = gt.val.real
     gti = np.linalg.inv(gtv)
     lap = np.einsum('...ij,...ij->...', gti, H)
     grad2 = np.einsum('...ij,...i,...j->...', gti, mu.grad, mu.grad,
                       optimize=True)
     dmu2 = mu.grad[..., :, None] * mu.grad[..., None, :]
-    rhs = -3.0 * (H - dmu2) - (lap + 3.0 * grad2)[..., None, None] * gtv
-    return lhs, rhs
+    return -3.0 * (H - dmu2) - (lap + 3.0 * grad2)[..., None, None] * gtv

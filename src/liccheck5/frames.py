@@ -286,15 +286,16 @@ def frame_eval(id, x, a=1.0, order=1):
 
 
 def eh_frame(y, a=1.0):
-    """Orthonormal frame for the 4d gravitational instanton metric (R > a):
-    the inward unit radial vector followed by the three sphere directions."""
+    """Orthonormal frame for the 4d gravitational instanton metric (R > a),
+    an order-2 tensor jet: the inward unit radial vector followed by the
+    three sphere directions."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != 4:
         raise DimensionError("expected points with 4 components")
     y = y / a
     if not np.all(np.sqrt(np.sum(y * y, axis=-1)) > 1.0):
         raise DomainError("instanton frame needs R > a")
-    yj = J.seed(y, order=3)
+    yj = J.seed(y, order=2)
     rad2 = geo.sum_squares(yj)
     beta = ((-1.0) * rad2.pow_int(-2) + 1.0).sqrt()
     ir = rad2.sqrt().reciprocal()

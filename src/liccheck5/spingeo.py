@@ -161,19 +161,16 @@ def _lift(ids, x, a):
 
 
 def change_spinor_frame(phi, from_frame, to_frame, x, a=1.0):
-    """Re-express spinor components in another frame's spin lift.
-
-    phi may be a SpinorValue or a bare component array.  Known transitions:
-    e <-> u (rotation lift), e <-> htilde (boost-rotation lift) and
-    f <-> etilde (cone boost lift)."""
-    w = phi.w if isinstance(phi, SpinorValue) else np.asarray(phi, dtype=complex)
-    if isinstance(phi, SpinorValue) and phi.frame != from_frame:
+    """Re-express the SpinorValue phi, in frame from_frame, in another
+    frame's spin lift.  Known transitions: e <-> u (rotation lift),
+    e <-> htilde (boost-rotation lift) and f <-> etilde (cone boost lift)."""
+    if phi.frame != from_frame:
         raise UnknownTransitionError("value is in frame %r, not %r"
                                      % (phi.frame, from_frame))
     x = np.asarray(x, dtype=float)
     key = (from_frame, to_frame)
     if from_frame == to_frame:
-        return SpinorValue(w.copy(), to_frame)
+        return SpinorValue(phi.w.copy(), to_frame)
     table = {
         ("e", "u"): [("Gtilde", True)],
         ("u", "e"): [("Gtilde", False)],
@@ -186,7 +183,7 @@ def change_spinor_frame(phi, from_frame, to_frame, x, a=1.0):
         raise UnknownTransitionError("no spin lift registered for %s -> %s"
                                      % (from_frame, to_frame))
     m = _lift(table[key], x, a)
-    return SpinorValue(np.einsum('...ab,...b->...a', m, w), to_frame)
+    return SpinorValue(np.einsum('...ab,...b->...a', m, phi.w), to_frame)
 
 
 # ------------------------------------------------------------ squares
@@ -223,16 +220,15 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     """Both sides (-u . Ric0, 3 Hess(u)0) of the rescaling identity for the
     spinor length square u under the deformed metric (trace-free parts,
     single-side batches)."""
-    xj = J.seed(x, order=3)
-    d = geo.RadialJets(xj).d
+    d = geo.RadialJets(J.seed(x, order=2)).d
     if np.any(d.val == 0.0):
         raise SingularError("residual is not defined on the cone r = |x0|")
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
     u = d * s
-    g = geo.metric_jets(geo.MetricSpec("ga", a), x, order=2)
-    gam = C.christoffel_from_jets(g)
-    ric0 = C.trace_free(C._CurvaturePieces(g, gam=gam).ric, g)
-    hess0 = C.trace_free(C.hessian_scalar(u, gam), g)
+    P = C._CurvaturePieces(geo.metric_jets(geo.MetricSpec("ga", a), x,
+                                           order=2))
+    ric0 = C.trace_free(P.ric, P.g)
+    hess0 = C.trace_free(C.hessian_scalar(u, P.gam), P.g)
     uv = np.asarray(u.val)
     return -uv[..., None, None] * ric0, 3.0 * hess0
 
@@ -284,7 +280,7 @@ def psi_components_htilde(b, c, x, a=1.0):
     x = np.asarray(x, dtype=float)
     if geo.cone_side(x) < 0:
         return psi_bc(b, c, frame="u").values(x)
-    w = psi_bc(b, c, frame="e").values(x)
+    w = SpinorValue(psi_bc(b, c, frame="e").values(x), "e")
     return change_spinor_frame(w, "e", "htilde", x, a=a).w
 
 

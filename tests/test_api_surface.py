@@ -184,3 +184,25 @@ def test_family_parameter_is_read_only_at_the_boundary():
                            for node in ast.walk(fn))):
                 readers.append(name)
     assert sorted(readers) == sorted(A_READERS), set(readers) ^ set(A_READERS)
+
+
+def _calls(fn, name):
+    """Whether the function node calls `name`, bare or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))
+               for node in ast.walk(fn))
+
+
+def test_curvature_builds_each_piece_in_one_place():
+    """Christoffel symbols are formed only by the per-metric bundle, a batch
+    is cut into blocks only by _piece, and the structure equations read
+    their metric from the forms they check instead of building one."""
+    fns = dict(_functions(ast.parse((SRC / "curvature.py").read_text()), ""))
+
+    def callers(name):
+        return sorted(q for q, fn in fns.items() if _calls(fn, name))
+    assert callers("christoffel_from_jets") == ["_CurvaturePieces.gam"]
+    assert callers("_over_blocks") == ["_piece"]
+    assert not any(_calls(fns["structure_residuals"], name)
+                   for name in ("metric_jets", "_CurvaturePieces"))

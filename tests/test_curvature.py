@@ -29,13 +29,13 @@ def wedge(i, j):
 def test_christoffel_flat_zero():
     x = np.random.default_rng(1).uniform(-2, 2, size=(20, 5))
     gam = C.christoffel(G0, x)
-    assert np.max(np.abs(gam.val)) == 0.0
+    assert np.max(np.abs(gam)) == 0.0
 
 
 def test_riemann_flat_zero():
     x = np.random.default_rng(2).uniform(-2, 2, size=(20, 5))
     R = C.riemann(G0, x)
-    assert np.max(np.abs(R.val)) == 0.0
+    assert np.max(np.abs(R)) == 0.0
 
 
 def test_christoffel_ha_matches_finite_differences():
@@ -60,7 +60,7 @@ def test_christoffel_ha_matches_finite_differences():
                 fd[k, i, j] = 0.5 * sum(
                     ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
                     for l in range(4))
-    gam = C.christoffel(HA, pt).val
+    gam = C.christoffel(HA, pt)
     assert np.max(np.abs(gam - fd)) < 1e-5
 
 
@@ -116,11 +116,6 @@ def test_degenerate_metric_raises():
         C.christoffel_from_jets(bad)
 
 
-def test_christoffel_order_cap():
-    with pytest.raises(OrderError):
-        C.christoffel(G0, np.zeros(5), order=3)
-
-
 # ------------------------------------------------- Riemann / Ricci / Weyl
 
 
@@ -143,7 +138,7 @@ def test_gatilde_riemann_scales_with_the_dilation(a):
 
 def test_riemann_gatilde_zero_inside_cone():
     x = V.sample("L", 1.0, 100, 12, exclusion=0.05)
-    R = C.riemann(GAT, x, order=0).val
+    R = C.riemann(GAT, x)
     assert np.max(np.abs(R)) < 1e-8
 
 
@@ -162,7 +157,7 @@ def test_first_bianchi(spec, sampler):
 
 def test_bundle_symmetries_and_traces():
     x = V.sample("B_a", 1.0, 30, 31, exclusion=0.15 / np.sqrt(2), outer=0.9)
-    R = C.riemann(GA, x, order=0).val
+    R = C.riemann(GA, x)
     # antisymmetry in the 2-form slots (last two indices of R^l_kij)
     assert np.max(np.abs(R + np.einsum('...lkij->...lkji', R))) < 1e-9
     ric = C.ricci(GA, x)
@@ -202,12 +197,11 @@ def test_eh_riemann_equals_weyl():
     assert np.max(np.abs(W - low)) < 1e-8
 
 
-# (entry, its metric jet's order)
+# (entry, its metric jet's order); a numbered name gives the order of the
+# jet the entry reads its values from
 ENTRIES = {
-    "christoffel-1": (lambda s, x: C.christoffel(s, x, order=1), 2),
-    "christoffel-2": (lambda s, x: C.christoffel(s, x, order=2), 3),
-    "riemann-0": (lambda s, x: C.riemann(s, x, order=0), 2),
-    "riemann-1": (lambda s, x: C.riemann(s, x, order=1), 3),
+    "christoffel-1": (C.christoffel, 2),
+    "riemann-0": (C.riemann, 2),
     "ricci": (C.ricci, 2),
     "riemann_lowered": (C.riemann_lowered, 2),
     "weyl": (C.weyl, 2),
@@ -384,7 +378,7 @@ def test_structure_equations_eh():
     y = V._eh_points(1.0, 9, 100)
     fr = F.eh_frame(y, 1.0)
     forms = C.connection_forms(fr, EH, y)
-    r1, r2 = C.structure_residuals(forms, fr, EH, y)
+    r1, r2 = C.structure_residuals(forms)
     assert r1 < 1e-8
     assert r2 < 1e-8
 
@@ -394,7 +388,7 @@ def test_structure_equations_lorentzian_frame():
     fr = F.frame_eval("e", x, 1.0, order=3)
     forms = C.connection_forms(fr, GA, x)
     assert list(forms.eps) == [-1.0, 1.0, 1.0, 1.0, 1.0]
-    r1, r2 = C.structure_residuals(forms, fr, GA, x)
+    r1, r2 = C.structure_residuals(forms)
     assert r1 < 1e-8
     assert r2 < 1e-8
 
@@ -404,7 +398,7 @@ def test_low_order_forms_name_the_order_they_need():
     fr = F.frame_eval("e", x, 1.0, order=1)
     forms = C.connection_forms(fr, GA, x)
     with pytest.raises(OrderError, match="frame jet of order >= 2"):
-        C.structure_residuals(forms, fr, GA, x)
+        C.structure_residuals(forms)
     g1 = geo.metric_jets(GA, x, order=1)
     with pytest.raises(OrderError, match="metric jet of order >= 2"):
         C.forms_from_jets(fr, g1).curvature_frame
@@ -418,26 +412,33 @@ def test_curvature_forms_are_built_on_first_read(family, monkeypatch):
     else:
         x, spec = V.sample("B_a", 1.0, 40, 15, exclusion=0.02), GA
         fr = F.frame_eval("e", x, 1.0)
-    orders, pieces = [], []
+    orders, gams, riems = [], [], []
 
     def metric_jets(spec, x, order=2, _fn=geo.metric_jets):
         orders.append(order)
         return _fn(spec, x, order=order)
 
-    def curvature_pieces(g, gam=None, _fn=C._CurvaturePieces):
-        pieces.append(g.order)
-        return _fn(g, gam)
+    def christoffel_from_jets(g, _fn=C.christoffel_from_jets):
+        gams.append(g.order)
+        return _fn(g)
+
+    def riemann_from_christoffel(gam, _fn=C.riemann_from_christoffel):
+        riems.append(gam.order)
+        return _fn(gam)
 
     monkeypatch.setattr(geo, "metric_jets", metric_jets)
-    monkeypatch.setattr(C, "_CurvaturePieces", curvature_pieces)
+    monkeypatch.setattr(C, "christoffel_from_jets", christoffel_from_jets)
+    monkeypatch.setattr(C, "riemann_from_christoffel", riemann_from_christoffel)
     forms = C.connection_forms(fr, spec, x)
-    # the eh frame is seeded to order 3, so its order-2 metric is built
-    # with omega; the default-order ga frame needs only an order-1 metric
-    assert orders == ([2] if family == "eh" else [1])
-    assert pieces == []
+    # the eh frame is seeded to order 2, so omega's Christoffel symbols come
+    # from an order-2 metric; the default-order ga frame needs only order 1
+    assert orders == gams == ([2] if family == "eh" else [1])
+    assert riems == []
     cf = forms.curvature_frame
-    assert orders == ([2] if family == "eh" else [1, 2])
-    assert pieces == [2]
+    # eh reads its curvature from the bundle omega was built from, without
+    # a second metric or Christoffel build; ga builds the order-2 bundle now
+    assert orders == gams == ([2] if family == "eh" else [1, 2])
+    assert riems == [1]
     assert forms.curvature_frame is cf
     # the eager formula, summed in the same order: plain einsum's order
     # moves ga's entries by ~4e-13 relative, as terms of ~1e5 cancel to ~20
@@ -516,14 +517,15 @@ def test_lie_v_ga_conformal(sampler):
 ])
 def test_divergence_v_ga(sampler):
     x = sampler()
-    div = C.divergence(C.christoffel(GA, x, order=2),
+    div = C.divergence(C.christoffel_from_jets(geo.metric_jets(GA, x, order=3)),
                        C.vector_field_jets(x, order=2))
     assert np.max(np.abs(div.val + 10.0 * x[:, 0])) < 1e-9
 
     # the jet's first partials against central differences of its values
     def f(pts):
-        return C.divergence(C.christoffel(GA, pts, order=1),
-                            C.vector_field_jets(pts, order=1)).val
+        return C.divergence(
+            C.christoffel_from_jets(geo.metric_jets(GA, pts, order=2)),
+            C.vector_field_jets(pts, order=1)).val
 
     for i in range(5):
         fd = J.central_diff(f, x, np.eye(5, dtype=int)[i], 1e-4)
@@ -540,7 +542,7 @@ def test_divergence_v_gatilde(sampler):
     10 x0 to d_i V^i = -10 x0: div V vanishes identically, and only with
     the trace term and its derivatives."""
     x = sampler()
-    div = C.divergence(C.christoffel(GAT, x, order=2),
+    div = C.divergence(C.christoffel_from_jets(geo.metric_jets(GAT, x, order=3)),
                        C.vector_field_jets(x, order=2))
     assert np.max(np.abs(div.val)) < 1e-9
     assert np.max(np.abs(div.grad)) < 1e-8
@@ -552,7 +554,8 @@ def test_divergence_v_gatilde(sampler):
 def test_hessian_of_x0_squared_flat():
     x = np.random.default_rng(5).uniform(-1, 1, size=(10, 5))
     u = J.seed(x, order=2)[0]
-    H = C.hessian_scalar(u * u, C.christoffel(G0, x, order=1))
+    H = C.hessian_scalar(u * u, C.christoffel_from_jets(
+        geo.metric_jets(G0, x, order=1)))
     target = np.zeros((10, 5, 5))
     target[:, 0, 0] = 2.0
     assert np.max(np.abs(H - target)) == 0.0
@@ -571,7 +574,8 @@ def test_hessian_order_guard():
     x = np.zeros((1, 5))
     u = J.seed(x, order=1)[0]
     with pytest.raises(OrderError):
-        C.hessian_scalar(u, C.christoffel(G0, x, order=1))
+        C.hessian_scalar(u, C.christoffel_from_jets(
+            geo.metric_jets(G0, x, order=1)))
 
 
 # ------------------------------------------------- conformal identities
@@ -595,7 +599,12 @@ def test_conformal_ricci_identity_inside():
     lambda: V.sample("L", 1.0, 50, 26, exclusion=0.05),
 ])
 def test_conformal_ricci_flat_variant(sampler):
-    lhs, rhs = C.conformal_ricci_check(sampler(), 1.0, flat_variant=True)
+    # the same law for exp(2 mu) eta against the flat background
+    x = sampler()
+    rad = geo.RadialJets(J.seed(x, order=2))
+    eta = J.constant(geo.ETA, 5, 1, x.shape[:-1])
+    lhs = C._CurvaturePieces(J.jeinsum(",ij->ij", rad.d * rad.d, geo.ETA)).ric
+    rhs = C._conformal_rhs(rad.mu, eta)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 

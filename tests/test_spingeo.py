@@ -257,7 +257,7 @@ def test_essentiality_identity_at_zero():
 
 def test_change_frame_polynomial_display():
     x = V.sample("B_a", 1.0, 30, 16, exclusion=0.15 / np.sqrt(2), outer=0.9)
-    we = S.psi_bc(0.7, 0.4).values(x)
+    we = SpinorValue(S.psi_bc(0.7, 0.4).values(x), "e")
     wu = S.change_spinor_frame(we, "e", "u", x)
     assert wu.frame == "u"
     wu_direct = S.psi_bc(0.7, 0.4, frame="u").values(x)
@@ -266,17 +266,17 @@ def test_change_frame_polynomial_display():
 
 def test_change_frame_round_trips():
     x = V.sample("B_a", 1.0, 30, 17, exclusion=0.15 / np.sqrt(2), outer=0.9)
-    we = S.psi_bc(0.7, 0.4).values(x)
+    we = SpinorValue(S.psi_bc(0.7, 0.4).values(x), "e")
     rt = S.change_spinor_frame(S.change_spinor_frame(we, "e", "u", x), "u", "e", x)
-    assert np.max(np.abs(rt.w - we)) < 1e-12
+    assert np.max(np.abs(rt.w - we.w)) < 1e-12
     # the boost-rotation lift needs the cone neighbourhood
     xc = V.sample("B_a", 1.0, 30, 18, exclusion=0.05 / np.sqrt(2), outer=0.35)
-    wec = S.psi_bc(0.7, 0.4).values(xc)
+    wec = SpinorValue(S.psi_bc(0.7, 0.4).values(xc), "e")
     wh = S.change_spinor_frame(wec, "e", "htilde", xc)
     rth = S.change_spinor_frame(wh, "htilde", "e", xc)
-    assert np.max(np.abs(rth.w - wec)) < 1e-12
+    assert np.max(np.abs(rth.w - wec.w)) < 1e-12
     ident = S.change_spinor_frame(we, "e", "e", x)
-    assert np.max(np.abs(ident.w - we)) == 0.0
+    assert np.max(np.abs(ident.w - we.w)) == 0.0
 
 
 def test_change_frame_cone_boost_identity():
@@ -285,7 +285,7 @@ def test_change_frame_cone_boost_identity():
     x = V.sample("B_a", 1.0, 40, 19, exclusion=0.15 / np.sqrt(2), outer=0.9)
     d = np.sum(x[:, 1:] ** 2, 1) - x[:, 0] ** 2
     we = S.psi_bc(0.7, 0.4).values(x)
-    wf = S.change_spinor_frame(we, "etilde", "f", x)
+    wf = S.change_spinor_frame(SpinorValue(we, "etilde"), "etilde", "f", x)
     target = np.zeros_like(we)
     target[:, 2], target[:, 3] = 0.7, 0.4
     assert np.max(np.abs(wf.w / np.sqrt(d)[:, None] - target)) < 1e-12
@@ -294,7 +294,7 @@ def test_change_frame_cone_boost_identity():
 def test_change_frame_unknown():
     x = V.sample("B_a", 1.0, 3, 20, exclusion=0.2 / np.sqrt(2), outer=0.8)
     with pytest.raises(UnknownTransitionError):
-        S.change_spinor_frame(np.zeros(4), "u", "f", x)
+        S.change_spinor_frame(SpinorValue(np.zeros(4), "u"), "u", "f", x)
     with pytest.raises(UnknownTransitionError):
         S.change_spinor_frame(SpinorValue(np.zeros(4), "f"), "e", "u", x)
 

@@ -476,6 +476,33 @@ def test_cli_config_takes_every_suite_field(tmp_path):
     assert "[fail] twistor-equation" in r.output
 
 
+@pytest.mark.parametrize("with_report", [False, True])
+def test_cli_config_format_is_checked_before_the_run(tmp_path, monkeypatch,
+                                                     with_report):
+    cfgf = tmp_path / "cfg.json"
+    out = tmp_path / "rep.xml"
+    doc = {"format": "xml", "only": ["clifford-relations"]}
+    if with_report:
+        doc["report"] = str(out)
+    cfgf.write_text(json.dumps(doc))
+    runs = []
+    monkeypatch.setattr(V, "run_suite", lambda *a, **k: runs.append(a))
+    r = CliRunner().invoke(cli.main, ["run", "--config", str(cfgf)])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+    assert "Error: config key 'format' is 'xml': format must be json or csv" \
+        in r.output, r.output
+    assert runs == [] and not out.exists()
+
+
+def test_cli_run_names_a_report_path_it_cannot_write(tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    r = CliRunner().invoke(cli.main, ["run", "--only", "clifford-relations",
+                                      "--report", str(path)])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+    assert "overall: pass" in r.output
+    assert "Error: cannot write the report to %s" % path in r.output, r.output
+
+
 def test_cli_probe_c1():
     r = CliRunner().invoke(cli.main, ["probe-c1", "--field", "ro2",
                                       "--curves", "2", "--seed", "3"])
