@@ -211,13 +211,13 @@ def tensor(family, point, what, a):
                                    % (family, spec.dim, len(p)))
     try:
         if what == "metric":
-            T = geo.metric_jets(spec, p, order=0).val.real
+            T = geo.metric_jets(spec, p, order=0).val
         elif what == "ricci":
             T = C.ricci(spec, p)
         elif what == "weyl":
             T = C.weyl(spec, p)
         else:
-            T = C.christoffel(spec, p).real
+            T = C.christoffel(spec, p)
     except Exception as exc:
         raise click.ClickException("%s: %s" % (type(exc).__name__, exc))
     T = np.asarray(T)

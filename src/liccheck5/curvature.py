@@ -56,7 +56,7 @@ class ConnectionForms:
         if P.g.order < 2:
             raise OrderError("curvature forms need a metric jet of order >= 2,"
                              " got order %d" % P.g.order)
-        return _frame_components(P.lowered, self.frame.val.real)
+        return _frame_components(P.lowered, self.frame.val)
 
 
 # ------------------------------------------------------------- raw pieces
@@ -95,7 +95,7 @@ class _CurvaturePieces:
 
     @cached_property
     def gv(self):
-        return self.g.val.real
+        return self.g.val
 
     @cached_property
     def riemann(self):
@@ -129,11 +129,12 @@ class _CurvaturePieces:
 
 
 def _piece(spec, x, key):
-    """One entry of _CurvaturePieces at a point batch, run block by block
-    (geometry._over_blocks), each block through its own order-2 metric
-    jet; only what the entry reads is formed."""
-    return geo._over_blocks(spec, x, 2, lambda p: getattr(_CurvaturePieces(
-        geo.metric_jets(spec, p, order=2)), key))
+    """One entry of _CurvaturePieces at a point batch, block by block
+    (geometry._over_blocks), each from its own metric jet: of order 1 for
+    the Christoffel symbols, 2 for the rest."""
+    order = 1 if key == "gam" else 2
+    return geo._over_blocks(spec, x, order, lambda p: getattr(_CurvaturePieces(
+        geo.metric_jets(spec, p, order=order)), key))
 
 
 def christoffel(spec, x):
@@ -212,13 +213,13 @@ def forms_from_jets(F, g, label="custom", tol=1e-8):
         raise OrderError("connection forms need frame and metric jets of"
                          " order >= 1")
     P = _CurvaturePieces(g)
-    Fv = F.val.real
+    Fv = F.val
     eps = _frame_signature(Fv, P.gv, label, tol)
     # cov[l, i, mu]: component l of nabla_mu f_i; low[m, i, mu] = g(nabla_mu f_i, d_m)
     cov = F.d() + J.jeinsum("lun,ni->liu", P.gam, F)
     low = J.jeinsum("lm,liu->miu", g, cov)
     omega = J.jeinsum("miu,mj->iju", low, F)
-    omega_frame = np.einsum('...ijm,...mk->...ijk', omega.val.real, Fv)
+    omega_frame = np.einsum('...ijm,...mk->...ijk', omega.val, Fv)
     return ConnectionForms(eps=eps, omega=omega, omega_frame=omega_frame,
                            frame=F, pieces=lambda: P)
 
@@ -235,15 +236,15 @@ def structure_residuals(forms):
         raise OrderError("structure equations need omega's first partials,"
                          " i.e. forms of a frame jet of order >= 2")
     g, F = forms.pieces().g, forms.frame
-    Fv = F.val.real
+    Fv = F.val
     eps = forms.eps
     theta = J.jeinsum("un,ni->iu", g, F)       # theta[i, mu]: lowered coframe
-    tg = theta.grad.real                        # tg[i, nu, mu] = d_mu theta[i, nu]
-    og = forms.omega.grad.real
+    tg = theta.grad                            # tg[i, nu, mu] = d_mu theta[i, nu]
+    og = forms.omega.grad
     dth = np.swapaxes(tg, -1, -2) - tg
     dom = np.swapaxes(og, -1, -2) - og
-    tv = theta.val.real
-    ov = forms.omega.val.real
+    tv = theta.val
+    ov = forms.omega.val
     wedge1 = (np.einsum('k,...ikm,...kn->...imn', eps, ov, tv, optimize=True)
               - np.einsum('k,...ikn,...km->...imn', eps, ov, tv, optimize=True))
     res1 = np.einsum('...imn,...ma,...nb->...iab', dth - wedge1, Fv, Fv,
@@ -293,7 +294,7 @@ def asd_split(F, spec, x):
     if spec.dim != 4:
         raise DimensionError("self-dual split is a 4d operation")
     P = _CurvaturePieces(geo.metric_jets(spec, x, order=2))
-    Fv = F.val.real
+    Fv = F.val
     _frame_signature(Fv, P.gv, spec.family)
     return asd_project(_frame_components(P.weyl, Fv),
                        orientation=np.sign(np.linalg.det(Fv)))
@@ -322,8 +323,8 @@ def lie_derivative_metric(g, V):
     """(L_V g)_ij values from a 5d metric jet g and the vector field jet V
     (both of order >= 1) at the same points: V^k d_k g_ij + g_kj d_i V^k
     + g_ik d_j V^k."""
-    gv, dg = g.val.real, g.grad.real            # dg[i, j, k] = d_k g_ij
-    Vv, dV = V.val.real, V.grad.real            # dV[k, i] = d_i V^k
+    gv, dg = g.val, g.grad                      # dg[i, j, k] = d_k g_ij
+    Vv, dV = V.val, V.grad                      # dV[k, i] = d_i V^k
     return (np.einsum('...k,...ijk->...ij', Vv, dg)
             + np.einsum('...kj,...ki->...ij', gv, dV)
             + np.einsum('...ik,...kj->...ij', gv, dV))
@@ -333,7 +334,8 @@ def divergence(gam, V):
     """div V = d_i V^i + Gamma^i_im V^m as a scalar jet, one order below
     the vector field jet V, from the Christoffel jets gam of a 5d metric at
     the same points."""
-    return J.jeinsum("ii->", V.d()) + J.jeinsum("iim,m->", gam, V)
+    trace = J.jeinsum("iim->m", gam)            # Gamma^i_im
+    return J.jeinsum("ii->", V.d()) + J.jeinsum("m,m->", trace, V)
 
 
 # --------------------------------------------------- scalars and traces
@@ -350,7 +352,7 @@ def hessian_scalar(u, gam):
 def trace_free(T, g):
     """Remove the trace under the metric jet g: T - (tr_g T / n) g, for
     (..., n, n) values."""
-    gv = g.val.real
+    gv = g.val
     n = gv.shape[-1]
     T = np.asarray(T)
     tr = np.einsum('...ij,...ij->...', np.linalg.inv(gv), T)
@@ -381,7 +383,7 @@ def _conformal_rhs(mu, gt):
     -3 (Hess(mu) - dmu dmu) - (Lap(mu) + 3 |dmu|^2) gt, every piece taken
     with respect to gt."""
     H = hessian_scalar(mu, _CurvaturePieces(gt).gam)
-    gtv = gt.val.real
+    gtv = gt.val
     gti = np.linalg.inv(gtv)
     lap = np.einsum('...ij,...ij->...', gti, H)
     grad2 = np.einsum('...ij,...i,...j->...', gti, mu.grad, mu.grad,

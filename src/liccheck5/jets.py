@@ -24,6 +24,9 @@ broadcast like numpy arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import prod
+
 import numpy as np
 
 from .errors import DomainError, OrderError, SingularMetricError
@@ -34,6 +37,7 @@ __all__ = [
     "constant",
     "extract",
     "stack",
+    "contract",
     "jeinsum",
     "jmat_inv",
     "central_diff",
@@ -301,10 +305,40 @@ def stack(nested):
     return Jet(*[level(k) for k in range(order + 1)])
 
 
-# Entries of the larger operand from which a pairwise jeinsum contraction
-# takes the matmul path.  On the Christoffel contractions at 1, 12 and 1200
-# points, plain einsum is the faster one below this size and matmul above it.
-MATMUL_MIN_SIZE = 4096
+@lru_cache
+def _plan(spec, nda, ndb):
+    """contract's plan for spec on operands of nda and ndb axes: the
+    transposes to (batch, kept, summed) axes of the first operand and
+    (batch, summed, kept) of the second, their batch ranks, the number of
+    summed axes and the permutation of the product's axes into spec's."""
+    sa, sb, out = spec.replace("->", ",").split(",")
+    ba, bb = nda - len(sa), ndb - len(sb)
+    if (any(len(set(s)) < len(s) for s in (sa, sb, out)) or min(ba, bb) < 0
+            or set(out) != set(sa) ^ set(sb)):
+        raise ValueError("contract cannot run %r on %d and %d axes" % (spec, nda, ndb))
+    summed = [c for c in sa if c in sb]
+    kept = [c for c in sa if c not in sb] + [c for c in sb if c not in sa]
+    ta = tuple(range(ba)) + tuple(ba + sa.index(c) for c in kept + summed if c in sa)
+    tb = tuple(range(bb)) + tuple(bb + sb.index(c) for c in summed + kept if c in sb)
+    nb = max(ba, bb)
+    return ta, tb, ba, bb, len(summed), tuple(range(nb)) + tuple(
+        nb + kept.index(c) for c in out)
+
+
+def contract(spec, a, b):
+    """np.einsum of two arrays as one batched matmul: ``spec`` names their
+    trailing axes (e.g. "kl,lij->kij"), leading batch axes broadcast, and a
+    letter of both operands is summed.  Each point's product runs on its
+    own, so its result does not depend on the batch it shares."""
+    a, b = np.asarray(a), np.asarray(b)
+    ta, tb, la, lb, k, perm = _plan(spec, a.ndim, b.ndim)
+    a, b = a.transpose(ta), b.transpose(tb)
+    rows, ks, cols = a.shape[la:a.ndim - k], a.shape[a.ndim - k:], b.shape[lb + k:]
+    if b.shape[lb:lb + k] != ks:
+        raise ValueError("contract %r: the summed axes differ" % spec)
+    c = np.matmul(a.reshape(a.shape[:la] + (prod(rows), prod(ks))),
+                  b.reshape(b.shape[:lb] + (prod(ks), prod(cols))))
+    return c.reshape(c.shape[:-2] + rows + cols).transpose(perm)
 
 
 def jeinsum(spec, A, B=None):
@@ -313,12 +347,9 @@ def jeinsum(spec, A, B=None):
     ``spec`` names tensor axes only (e.g. "kl,lij->kij"); batch axes lead and
     broadcast, derivative axes trail and are handled here.  A plain ndarray
     operand is a constant.  The result carries min(A.order, B.order); with a
-    single operand the spec permutes or traces tensor axes.
-
-    A pairwise contraction whose larger operand has at least
-    ``MATMUL_MIN_SIZE`` entries goes through numpy's optimized einsum, which
-    runs it as a batched matmul; a smaller one, such as most of a single
-    point's, stays on plain einsum, which is faster there.
+    single operand the spec permutes or traces tensor axes.  Every pairwise
+    term goes through ``contract``, so a point's result does not depend on
+    the batch it shares.
     """
     x, y, z = [c for c in "xyzXYZ" if c not in spec][:3]
     dax = ("", x, x + y, x + y + z)             # derivative axes of each level
@@ -331,10 +362,7 @@ def jeinsum(spec, A, B=None):
 
     def term(a, b, da, db, dout=None):
         dout = da + db if dout is None else dout
-        sub = "...%s%s,...%s%s->...%s%s" % (sa, da, sb, db, out, dout)
-        if max(np.size(a), np.size(b)) >= MATMUL_MIN_SIZE:
-            return np.einsum(sub, a, b, optimize=True)
-        return np.einsum(sub, a, b)
+        return contract("%s%s,%s%s->%s%s" % (sa, da, sb, db, out, dout), a, b)
 
     if not isinstance(B, Jet):
         return Jet(*[term(a, B, d, "") for a, d in zip(A.levels, dax)])
@@ -376,12 +404,7 @@ def _blocked(fn, x, point_bytes, whole=None):
     at most that many points, their sizes differing by at most one; each
     block's levels are written into outputs allocated once, and the batch
     shape is restored.  ``whole``, if given, is called first with the whole
-    flattened batch.
-
-    Each block then holds at least half the cap (rounded down), so a
-    contraction that the whole batch sends to matmul (MATMUL_MIN_SIZE) goes
-    there in every block too, and the result is the unblocked one bit for
-    bit."""
+    flattened batch."""
     size = max(BLOCK_BYTES // point_bytes, 1)
     base = x.shape[:-1]
     count = int(np.prod(base))

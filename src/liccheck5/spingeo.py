@@ -121,14 +121,14 @@ def _cov_all(phi, spec, x, forms=None):
         forms = C.connection_forms(fr, spec, x)
     comp = phi.components(x, order=1)
     sig = _spin_matrices(forms)
-    cov = (np.einsum('...mk,...am->...ka', fr.val.real, comp.grad)
+    cov = (np.einsum('...mk,...am->...ka', fr.val, comp.grad)
            + np.einsum('...kab,...b->...ka', sig, comp.val))
     return cov, forms.eps
 
 
 def _dirac_w(cov, eps):
     """Components of D phi = sum_k eps_k f_k . nabla_k phi."""
-    return np.einsum('k,kab,...kb->...a', eps, GAMMA, cov, optimize=True)
+    return J.contract("kab,kb->a", eps[:, None, None] * GAMMA, cov)
 
 
 def dirac(phi, spec, x):
@@ -202,7 +202,7 @@ def spinor_square(phi, spec, x):
     fr = F.frame_eval(frame_id, x, a=spec.a, order=0)
     p = CL.spinor_square_components(SpinorValue(w, frame_id))
     vf = CL.EPS * p
-    Fv = fr.val.real
+    Fv = fr.val
     return np.einsum('...mi,...i->...m', Fv, vf)
 
 
@@ -241,7 +241,7 @@ def _div_grad_of_square(b, c, spec, x):
     g = geo.metric_jets(spec, x, order=2)
     div = C.divergence(C.christoffel_from_jets(g),
                        C.vector_field_jets(x, order=2))
-    gi = np.linalg.inv(g.val.real)
+    gi = np.linalg.inv(g.val)
     return 2.5 * s * np.einsum('...ij,...j->...i', gi, div.grad)
 
 

@@ -190,7 +190,7 @@ def _chk_frame_gram(cfg, seed):
 def _chk_product_structure(cfg, seed):
     xb = _draw(cfg, "B_a", seed, 0.15, outer=0.85)
     low = C.riemann_lowered(geo.MetricSpec("gatilde", cfg.a), xb)
-    Vv = C.vector_field_jets(xb, order=0).val.real
+    Vv = C.vector_field_jets(xb, order=0).val
     mixed = np.maximum(
         np.max(np.abs(np.einsum('...ijkl,...i->...jkl', low, Vv)), axis=(1, 2, 3)),
         np.max(np.abs(np.einsum('...ijkl,...k->...ijl', low, Vv)), axis=(1, 2, 3)))
@@ -306,7 +306,7 @@ def _chk_conformal_killing(cfg, seed):
         V = C.vector_field_jets(x, order=1)
         LV = C.lie_derivative_metric(g, V)
         div = C.divergence(C.christoffel_from_jets(g), V).val
-        return np.stack([_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val.real),
+        return np.stack([_norm_res(LV, -4.0 * x[:, 0, None, None] * g.val),
                          _norm_res(div, -10.0 * x[:, 0])])
     return _per_side(cfg, seed, 0.02, residuals)
 
@@ -315,14 +315,14 @@ def _chk_square_field(cfg, seed):
     s = cfg.b ** 2 + cfg.c ** 2
     return _per_side(cfg, seed, 0.02, lambda region, x: _norm_res(
         S.spinor_square(_psi(cfg, region), geo.MetricSpec("ga", cfg.a), x),
-        s * C.vector_field_jets(x, order=0).val.real), l_share=3)
+        s * C.vector_field_jets(x, order=0).val), l_share=3)
 
 
 def _square_length(cfg, region, x):
     """g_a(V, V) of the spinor square V at the points x of one side."""
     spec = geo.MetricSpec("ga", cfg.a)
     V = S.spinor_square(_psi(cfg, region), spec, x)
-    gv = geo.metric_jets(spec, x, order=0).val.real
+    gv = geo.metric_jets(spec, x, order=0).val
     return np.einsum('...ij,...i,...j->...', gv, V, V, optimize=True)
 
 

@@ -206,3 +206,20 @@ def test_curvature_builds_each_piece_in_one_place():
     assert callers("_over_blocks") == ["_piece"]
     assert not any(_calls(fns["structure_residuals"], name)
                    for name in ("metric_jets", "_CurvaturePieces"))
+
+
+def test_every_pairwise_contraction_takes_one_path():
+    """np.matmul is called only by jets.contract, no call in jets.py asks
+    np.einsum for an optimized path, and the Dirac operator contracts
+    through jets.contract as well."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    matmuls = sorted("%s.%s" % (stem, name)
+                     for stem, tree in trees.items()
+                     for name, fn in _functions(tree, "")
+                     if _calls(fn, "matmul"))
+    assert matmuls == ["jets.contract"]
+    assert not any(kw.arg == "optimize" for node in ast.walk(trees["jets"])
+                   if isinstance(node, ast.Call) for kw in node.keywords)
+    spin = dict(_functions(trees["spingeo"], ""))
+    assert _calls(spin["_dirac_w"], "contract")

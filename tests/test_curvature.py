@@ -5,6 +5,7 @@ from liccheck5 import curvature as C
 from liccheck5 import frames as F
 from liccheck5 import geometry as geo
 from liccheck5 import jets as J
+from liccheck5 import spingeo as S
 from liccheck5 import verify as V
 from liccheck5.errors import (DimensionError, FrameMismatchError, OrderError,
                               SingularError, SingularMetricError)
@@ -108,6 +109,27 @@ def test_curvature_pieces_form_only_what_is_read():
     assert np.array_equal(q.ric, ric) and np.array_equal(q.lowered, low)
 
 
+def test_metric_frame_and_curvature_jets_are_real():
+    """Metric, frame, Christoffel and connection-form jets carry float64
+    at every level; only spinor values are complex, so src reads no
+    .real on the others."""
+    x = V.sample("B_a", 1.0, 12, 32, exclusion=0.05)
+    y_in = np.random.default_rng(33).uniform(-0.4, 0.4, size=(6, 4))
+    y_out = V._eh_points(1.0, 34, 6)
+    jets = [geo.metric_jets(spec, pts, order=3)
+            for spec, pts in [(G0, x), (GA, x), (GAT, x), (HA, y_in),
+                              (EH, y_out)]]
+    jets += [F.frame_eval(fid, x, order=3) for fid in ("e", "f", "etilde", "u")]
+    ro = geo.radial_values(x)[2]
+    in_ca = x[4.0 * x[:, 0] ** 2 * ro ** 2 / (1.0 - ro ** 4) < 0.95]
+    jets.append(F.frame_eval("htilde", in_ca, order=3))
+    jets += [F.eh_frame(y_out),
+             C.christoffel_from_jets(geo.metric_jets(GA, x, order=3)),
+             C.connection_forms(F.frame_eval("e", x, order=2), GA, x).omega]
+    for jet in jets:
+        assert [lv.dtype for lv in jet.levels] == [np.float64] * len(jet.levels)
+
+
 def test_degenerate_metric_raises():
     z = J.constant(0.0, dim=2, order=2)
     o = J.constant(1.0, dim=2, order=2)
@@ -197,10 +219,9 @@ def test_eh_riemann_equals_weyl():
     assert np.max(np.abs(W - low)) < 1e-8
 
 
-# (entry, its metric jet's order); a numbered name gives the order of the
-# jet the entry reads its values from
+# (entry, the order of the metric jet it is built from)
 ENTRIES = {
-    "christoffel-1": (C.christoffel, 2),
+    "christoffel-1": (C.christoffel, 1),
     "riemann-0": (C.riemann, 2),
     "ricci": (C.ricci, 2),
     "riemann_lowered": (C.riemann_lowered, 2),
@@ -227,16 +248,25 @@ BLOCK_CASES = [(entry, spec, region, route)
                for route in ("matmul", "plain")]
 
 
+def _plain_contract(spec, a, b):
+    """contract's result from plain (unoptimized) np.einsum, which sums in
+    its own order."""
+    sa, rest = spec.split(",")
+    sb, out = rest.split("->")
+    return np.einsum("...%s,...%s->...%s" % (sa, sb, out), a, b)
+
+
 @pytest.mark.parametrize("entry,spec,region,route", BLOCK_CASES,
                          ids=["%s-%s-%s-%s" % (e, s.family, r, m)
                               for e, s, r, m in BLOCK_CASES])
 def test_blocked_curvature_equals_unblocked(entry, spec, region, route,
                                             monkeypatch):
-    """40 points in 4 blocks of 10.  A 10-point block sends fewer
-    contractions to matmul than the whole batch does (MATMUL_MIN_SIZE), so
-    the routing is pinned to one path for both runs."""
+    """40 points in 4 blocks of 10 give the whole batch's bits, on the
+    shipped matmul contraction and, so that blocking is seen not to lean
+    on one kernel's summation order, with plain einsum in its place."""
     fn, order = ENTRIES[entry]
-    monkeypatch.setattr(J, "MATMUL_MIN_SIZE", 0 if route == "matmul" else 1 << 60)
+    if route == "plain":
+        monkeypatch.setattr(J, "contract", _plain_contract)
     x = (V._eh_points(1.0, 86, 40) if region == "eh"
          else V.sample(region, 1.0, 40, 87, exclusion=0.05))
     whole = fn(spec, x)
@@ -250,29 +280,40 @@ def test_blocked_curvature_equals_unblocked(entry, spec, region, route,
     _assert_identical(split, whole)
 
 
-def test_weyl_depends_on_batch_size_only_at_round_off(monkeypatch):
-    """A 40-point batch sends contractions to matmul that four 10-point
-    calls keep on plain einsum (MATMUL_MIN_SIZE), so a point's Weyl tensor
-    moves with the size of its batch, at round-off (5.7e-12 here); on one
-    routing the two agree bit for bit."""
-    x = V.sample("B_a", 1.0, 40, 7)
+def _forms_e(x):
+    """omega and Omega of frame e under ga, one row per point."""
+    forms = C.connection_forms(F.frame_eval("e", x, order=2), GA, x)
+    return np.hstack([forms.omega_frame.reshape(len(x), -1),
+                      forms.curvature_frame.reshape(len(x), -1)])
 
-    def whole_and_parts():
-        return C.weyl(GA, x), np.concatenate([C.weyl(GA, x[i:i + 10])
-                                              for i in range(0, 40, 10)])
-    whole, parts = whole_and_parts()
-    assert np.max(np.abs(whole - parts)) <= 1e-9 * np.max(np.abs(whole))
-    monkeypatch.setattr(J, "MATMUL_MIN_SIZE", 0)
-    whole, parts = whole_and_parts()
-    assert np.array_equal(whole, parts)
+
+def _twistor(x, frame):
+    res = S.twistor_residual(S.psi_bc(1.0, 0.5, frame=frame), GA, x)
+    return np.stack([d.w for d in res.directions], axis=-2)
+
+
+def test_a_point_has_the_same_bits_alone_and_in_any_batch():
+    """Every pairwise contraction runs each point's product on its own
+    (jets.contract), so one 40-point call, 40 one-point calls and four
+    10-point calls agree bit for bit."""
+    xb = V.sample("B_a", 1.0, 40, 7)
+    xl = V.sample("L", 1.0, 40, 8)
+    on_b = [lambda x, fn=fn, spec=spec: fn(spec, x) for spec in (GA, GAT)
+            for fn in (C.christoffel, C.riemann, C.ricci, C.weyl)]
+    on_b += [_forms_e, lambda x: _twistor(x, "e")]
+    for x, fn in [(xb, fn) for fn in on_b] + [(xl, lambda x: _twistor(x, "u"))]:
+        whole = fn(x)
+        for size in (1, 10):
+            parts = np.concatenate([fn(x[i:i + size])
+                                    for i in range(0, 40, size)])
+            assert np.array_equal(parts, whole)
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
 @pytest.mark.parametrize("spec", [GA, GAT], ids=["ga", "gatilde"])
 def test_default_blocks_equal_the_whole_batch(entry, spec, monkeypatch):
-    """At the shipped budget and routing, a batch one point over a block
-    runs in two equal blocks, each large enough to take the whole batch's
-    matmul path, so the result is the unblocked one bit for bit."""
+    """At the shipped budget, a batch one point over a block runs in two
+    equal blocks, and the result is the unblocked one bit for bit."""
     fn, order = ENTRIES[entry]
     n = J.BLOCK_BYTES // (8 * 5 ** (order + 2)) + 1
     x = V.sample("B_a", 1.0, n, 88, exclusion=0.05)

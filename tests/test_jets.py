@@ -301,46 +301,79 @@ def test_jeinsum_orders_constants_and_traces():
     _assert_jets_close(d[1, 2, 4], A[1, 2].d()[4], 2)
 
 
-def _batch_point(jet, p):
-    """The jet at batch point p alone, as a batch of one."""
-    return jets.Jet(*[lv[p:p + 1] for lv in jet.levels])
-
-
-def _spy_einsum(monkeypatch):
-    """Record, per np.einsum call, whether it took the optimized path."""
-    paths, plain = [], np.einsum
-
-    def spy(*args, **kwargs):
-        paths.append(bool(kwargs.get("optimize", False)))
-        return plain(*args, **kwargs)
-    monkeypatch.setattr(np, "einsum", spy)
-    return paths
+# The (first operand, second operand, output) derivative letters of the
+# terms jeinsum adds at derivative level 1, 2 and 3; an output of None
+# takes the first operand's letters, then the second's.
+TERMS = {1: [("x", "", None), ("", "x", None)],
+         2: [("xy", "", None), ("", "xy", None), ("x", "y", None)],
+         3: [("xyz", "", None), ("", "xyz", None), ("x", "yz", None),
+             ("yz", "x", "xyz")]}
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("spec, shapes", [
-    ("kl,ijl->kij", ((3, 3), (3, 3, 3))),
-    ("lim,mjk->lkij", ((3, 3, 3), (3, 3, 3))),
-    ("lun,ni->liu", ((3, 3, 3), (3, 3))),
-    (",ij->ij", ((), (3, 3))),
+    ("kl,ijl->kij", ((5, 5), (5, 5, 5))),
+    ("lim,mjk->lkij", ((5, 5, 5), (5, 5, 5))),
+    ("lun,ni->liu", ((5, 5, 5), (5, 5))),
+    (",ij->ij", ((), (5, 5))),
+    ("lm,liu->miu", ((5, 5), (5, 5, 5))),
+    ("miu,mj->iju", ((5, 5, 5), (5, 5))),
+    ("un,ni->iu", ((5, 5), (5, 5))),
+    ("ij,jk->ik", ((5, 5), (5, 5))),
+    ("m,m->", ((5,), (5,))),
 ])
-def test_matmul_and_plain_contractions_agree(spec, shapes, order, monkeypatch):
-    """A batch large enough for the matmul path gives, point for point, the
-    plain einsum results of the same points taken one at a time."""
+def test_matmul_and_plain_contractions_agree(spec, shapes, order):
+    """contract, one batched matmul, gives np.einsum's result to round-off
+    on the terms jeinsum runs with these tensor specs, and a point alone
+    gives the bits it has in the batch."""
     rng = np.random.default_rng(RNG_SEED + 3)
-    n = 100
-    xs = jets.seed(rng.uniform(-0.5, 0.5, size=(n, 5)), order=order)
-    A, B = (_random_tensor_jet(rng, xs, s) for s in shapes)
-    paths = _spy_einsum(monkeypatch)
-    got = jets.jeinsum(spec, A, B)
-    assert any(paths)
-    del paths[:]
-    ones = [jets.jeinsum(spec, _batch_point(A, p), _batch_point(B, p))
-            for p in range(n)]
-    assert not any(paths)
-    want = jets.Jet(*[np.concatenate([o.levels[k] for o in ones])
-                      for k in range(order + 1)])
-    _assert_jets_close(got, want, order)
+    n = 40
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    for da, db, dout in TERMS[order]:
+        sub = "%s%s,%s%s->%s%s" % (sa, da, sb, db, out, dout or da + db)
+        a = rng.normal(size=(n,) + shapes[0] + (5,) * len(da))
+        b = rng.normal(size=(n,) + shapes[1] + (5,) * len(db))
+        got = jets.contract(sub, a, b)
+        want = np.einsum("..." + sub.replace(",", ",...").replace("->", "->..."),
+                         a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for p in (0, 17, n - 1):
+            assert np.array_equal(jets.contract(sub, a[p:p + 1], b[p:p + 1]),
+                                  got[p:p + 1])
+
+
+def test_contract_broadcasts_a_constant_operand():
+    """An operand without batch axes, such as the Dirac operator's
+    eps_k gamma_k, meets a batch of complex values; and batch axes of
+    different ranks broadcast as in np.matmul."""
+    rng = np.random.default_rng(RNG_SEED + 4)
+    const = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    cov = rng.normal(size=(40, 5, 4)) + 1j * rng.normal(size=(40, 5, 4))
+    got = jets.contract("kab,kb->a", const, cov)
+    want = np.einsum("kab,...kb->...a", const, cov)
+    assert got.shape == (40, 4)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(jets.contract("kab,kb->a", const, cov[3:4]), got[3:4])
+    a, b = rng.normal(size=(6, 3, 3)), rng.normal(size=(2, 6, 3))
+    got = jets.contract("ij,j->i", a, b)
+    want = np.einsum("...ij,...j->...i", a, b)
+    assert got.shape == (2, 6, 3)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("ii,i->", ((3, 3), (3,))),          # a letter twice in one operand
+    ("ij,k->ik", ((3, 3), (3,))),        # j summed over one operand only
+    ("ij,j->ik", ((3, 3), (3,))),        # k in no operand
+    ("ij,ij->i", ((3, 3), (3, 3))),      # i kept from both operands
+    ("ij,j->i", ((3, 3), (4,))),         # summed axes that differ
+    ("ijk,k->ij", ((3, 3), (3,))),       # more letters than axes
+])
+def test_contract_refuses_what_one_matmul_cannot_run(spec, shapes):
+    with pytest.raises(ValueError):
+        jets.contract(spec, np.ones(shapes[0]), np.ones(shapes[1]))
 
 
 @pytest.mark.parametrize("count, cap", [(5, 5), (7, 3), (40, 13), (84, 83),

@@ -153,6 +153,85 @@ def test_cov_deriv_guards():
         S.psi_bc(1, 0, frame="f")
 
 
+# ------------------------------------------- conformal covariance, generic
+
+
+def _affine_spinor(seed):
+    """A seeded random complex affine spinor field in frame e."""
+    rng = np.random.default_rng(seed)
+    c0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    lin = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+
+    def comps(x, order=3):
+        xj = J.seed(x, order=order)
+        return J.stack([c0[s] + sum(lin[s, i] * xj[i] for i in range(5))
+                        for s in range(4)])
+    return S.SpinorField("e", comps)
+
+
+def _rescaled(phi, weight):
+    """weight(d) phi, d = r^2 - x0^2, in frame etilde = d e, whose spin
+    lift is that of e."""
+    def comps(x, order=3):
+        d = geo.RadialJets(J.seed(x, order=order)).d
+        return J.jeinsum(",s->s", weight(d), phi.components(x, order))
+    return S.SpinorField("etilde", comps)
+
+
+def _norm_res_c(A, B):
+    """verify._norm_res for complex values: per point sup|A - B| over
+    (1 + sup|A| + sup|B|)."""
+    A, B = (np.reshape(v, (len(v), -1)) for v in (A, B))
+    return np.max(np.abs(A - B), axis=1) / (
+        1.0 + np.max(np.abs(A), axis=1) + np.max(np.abs(B), axis=1))
+
+
+def _twistor_p(phi, spec, x):
+    """The five P_k of phi as one (..., 5, 4) array."""
+    return np.stack([v.w for v in S.twistor_residual(phi, spec, x).directions],
+                    axis=-2)
+
+
+CONFORMAL_TOL = 1e-10
+
+
+def _conformal_laws(a, seeds=(0, 1, 2)):
+    """Worst normalized residuals of D~(d^2 phi) = d^3 D phi and
+    P~(d^-1/2 phi) = d^1/2 P(phi) over affine spinors phi, with g~_a =
+    g_a / d^2 in frame etilde against g_a in frame e, on a B_a draw."""
+    ga, gt = geo.MetricSpec("ga", a), geo.MetricSpec("gatilde", a)
+    x = V.sample("B_a", a, 30, 61, exclusion=0.05 / a, outer=0.9)
+    d = np.sum(x[:, 1:] ** 2, axis=1) - x[:, 0] ** 2
+    dirac = twistor = 0.0
+    for seed in seeds:
+        phi = _affine_spinor(seed)
+        lhs = S.dirac(_rescaled(phi, lambda d: d * d), gt, x).w
+        rhs = d[:, None] ** 3 * S.dirac(phi, ga, x).w
+        dirac = max(dirac, np.max(_norm_res_c(lhs, rhs)))
+        lhs = _twistor_p(_rescaled(phi, lambda d: d.sqrt().reciprocal()), gt, x)
+        rhs = np.sqrt(d)[:, None, None] * _twistor_p(phi, ga, x)
+        twistor = max(twistor, np.max(_norm_res_c(lhs, rhs)))
+    return dirac, twistor
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 7.0])
+def test_dirac_and_twistor_operators_are_conformally_covariant(a):
+    """In dimension 5, g~ = g / d^2 and frames d e: D~(d^2 phi) = d^3 D phi
+    and P~(d^-1/2 phi) = d^1/2 P(phi) on generic spinors, not only on the
+    twistor spinors the suite checks."""
+    dirac, twistor = _conformal_laws(a)
+    assert dirac <= CONFORMAL_TOL and twistor <= CONFORMAL_TOL
+
+
+def test_conformal_law_sees_a_defect_on_spinor_component_3(monkeypatch):
+    """Scaling column 3 of every spin-connection matrix by 1.5 leaves the
+    default suite's spinors unharmed but breaks the twistor law."""
+    spin = S._spin_matrices
+    monkeypatch.setattr(S, "_spin_matrices",
+                        lambda forms: spin(forms) * np.array([1, 1, 1, 1.5]))
+    assert _conformal_laws(1.0, seeds=(0,))[1] > CONFORMAL_TOL
+
+
 # ------------------------------------------------------------ squares
 
 
