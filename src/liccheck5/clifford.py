@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets as J
 from .errors import FrameMismatchError, NonRealPairingError, NotInSpinGroupError
 from .geometry import ETA
 
@@ -75,7 +76,7 @@ def spinor_square_components(phi: SpinorValue):
     g0 = GAMMA[0]
     w = phi.w
     g0w = np.conj(np.einsum("ab,...b->...a", g0, w))
-    p = np.einsum("...a,iab,...b->...i", g0w, GAMMA, w, optimize=True)
+    p = J.contract("a,ia->i", g0w, J.contract("iab,b->ia", GAMMA, w))
     if np.max(np.abs(p.imag)) > 1e-10 * (1.0 + np.max(np.abs(p.real))):
         raise NonRealPairingError("max imag %g" % np.max(np.abs(p.imag)))
     return p.real

@@ -118,11 +118,22 @@ class _CurvaturePieces:
         gv, n = self.gv, self.gv.shape[-1]
         P = ((self.ric - self.scalar[..., None, None] * gv / (2.0 * (n - 1)))
              / (n - 2))
-        kn = (np.einsum('...ik,...jl->...ijkl', P, gv)
-              + np.einsum('...jl,...ik->...ijkl', P, gv)
-              - np.einsum('...il,...jk->...ijkl', P, gv)
-              - np.einsum('...jk,...il->...ijkl', P, gv))
-        return self.lowered + kn
+        return self.lowered + _kulkarni_nomizu(P, gv)
+
+
+def _kulkarni_nomizu(P, g):
+    """P_ik g_jl + P_jl g_ik - P_il g_jk - P_jk g_il from one outer product
+    X = P_ik g_jl: the second term is X with i, j and k, l swapped, the
+    third, Y, is X with k, l swapped, and the fourth Y with i, j and k, l
+    swapped; summed in that order, in place."""
+    X = P[..., :, None, :, None] * g[..., None, :, None, :]
+    Y = np.swapaxes(X, -1, -2)
+    n = X.ndim
+    pairs = tuple(range(n - 4)) + (n - 3, n - 4, n - 1, n - 2)
+    kn = X + X.transpose(pairs)
+    kn -= Y
+    kn -= Y.transpose(pairs)
+    return kn
 
 
 # ------------------------------------------------------------ public ops

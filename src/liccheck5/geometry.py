@@ -16,12 +16,21 @@ with beta = sqrt(1 - (a r_o)^4) and alpha = (r^2+x0^2) dr - 2 x0 r dx0.
 The closed forms below are the a = 1 members; metric_jets alone reads a,
 by Jet.dilate: ga_a(x) = ga_1(a x), gatilde_a(x) = a^4 gatilde_1(a x),
 ha_a(y) = ha_1(a y) and eh_a(y) = eh_1(y / a), component for component.
+
+Every metric is a sum of coefficients times the polynomial tensors eta,
+e0 e0^T, e0 xh^T + xh e0^T, xh xh^T and K3 K3^T (xh the spatial part of
+x), and its coefficients depend on the U(2) invariants alone: x0 and
+rho = r^2 for ga and gatilde (gatilde's 1/d^2 folded into each of them),
+R^2 for ha and eh.  metric_jets builds them once a batch as jets in those
+one or two variables, then, block by block, pulls them back to x through
+the invariants' exact jets and multiplies them with the tensors' exact
+jets as batched matmuls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,6 +117,14 @@ def cone_side(x):
     raise AmbiguousError("batch mixes the two sides of the cone")
 
 
+def _side_off_the_cone(x):
+    """cone_side of the points x, raising on the cone itself, where the
+    jets of r_o and g_a are not defined."""
+    if np.any(cone_gap(x) == 0.0):
+        raise AmbiguousError("point(s) on the cone boundary r = |x0|")
+    return cone_side(x)
+
+
 def sum_squares(js):
     """js[0]^2 + js[1]^2 + ... as a jet, summed left to right: r^2 from the
     spatial jets (x1..x4), R^2 from the four 4d coordinate jets."""
@@ -147,12 +164,8 @@ class RadialJets:
 
     @cached_property
     def side(self):
-        """cone_side of the jets' base points, raising on the cone itself,
-        where the jets of r_o and g_a are not defined."""
-        x = np.stack([np.asarray(j.val) for j in self.xj], axis=-1)
-        if np.any(cone_gap(x) == 0.0):
-            raise AmbiguousError("point(s) on the cone boundary r = |x0|")
-        return cone_side(x)
+        return _side_off_the_cone(
+            np.stack([np.asarray(j.val) for j in self.xj], axis=-1))
 
     @cached_property
     def ro(self):
@@ -200,64 +213,168 @@ def alpha_form(xj, rad):
     return [a0, w * xj[1], w * xj[2], w * xj[3], w * xj[4]]
 
 
-# K3 = _K3 @ x on the spatial slots, read off sigma_dual_vectors' table: a
-# signed permutation, so K3_i K3_j = sign_i sign_j x_p(i) x_p(j)
+# The closed forms' polynomial tensors, ordered by degree in x: eta (delta in
+# 4d), e0 e0^T, e0 xh^T + xh e0^T, xh xh^T and K3 K3^T, with xh the spatial
+# part of x (its last four slots) and K3 = _K3 xh the Hopf field of
+# sigma_dual_vectors' table; 4d has no e0 terms.  Each tensor after the
+# first is a sum of outer products u v^T of the fields e0, xh and K3.
 _K3 = np.array(sigma_dual_vectors(list(np.eye(4)))[2])
-_K3_PERM = np.argmax(np.abs(_K3), axis=1)
-_K3_SIGNS = np.outer(_K3.sum(axis=1), _K3.sum(axis=1))
+_TENSORS = {5: ((), (("e0", "e0"),), (("e0", "xh"), ("xh", "e0")),
+                (("xh", "xh"),), (("k3", "k3"),)),
+            4: ((), (("xh", "xh"),), (("k3", "k3"),))}
 
 
-def _times_coordinates(f, x, slots):
-    """The jet f x_s for each s in slots, on a new last tensor axis, where x
-    are the points f is seeded at.  x_s is linear, so level k of f x_s is
-    x_s f_k with f_{k-1} added into each of the k derivative slots of d_s:
-    a scatter, where the Leibniz product f * seed[s] forms full outer
-    products; the two agree bit for bit."""
-    xs = x[..., slots]
-    nb = xs.ndim - 1
-    out = []
-    for k, fk in enumerate(f.levels):
-        dk = (slice(None),) * k
-        xk = xs.reshape(xs.shape[:-1] + (1,) * (fk.ndim - nb - k)
-                        + (len(slots),) + (1,) * k)
-        hk = fk[(Ellipsis, None) + dk] * xk
-        if k:
-            prev, cross = f.levels[k - 1], np.zeros_like(hk)
-            for m in range(k):
-                for j, s in enumerate(slots):
-                    cross[(Ellipsis, j) + dk[:m] + (s,) + dk[m + 1:]] += prev
-            hk += cross
-        out.append(hk)
+@lru_cache
+def _monomials(n, sel):
+    """Every entry of the tensors sel of _TENSORS[n] is one monomial
+    c x_a x_b, where x_n = 1 stands in for a missing factor: the field
+    components are single terms (K3 is a signed permutation of xh), and
+    the two products of e0 xh^T + xh e0^T never share an entry.  So are the
+    entries' exact partials, c (x_b [a = d] + x_a [b = d]) and then
+    c ([a = d][b = e] + [a = e][b = d]), and there are no third ones.
+    Returns, for the tensors of degree >= 0, >= 1 and 2 (trailing runs of
+    sel, after k1 and k2 others), the level tables (c, ab) with
+    ab = a (n + 1) + b (n, n, m), (c1, a1) (n, n, n, m - k1) and c2
+    (n, n, n, n, m - k2), and k1, k2."""
+    sp, perm = range(n - 4, n), np.argmax(np.abs(_K3), axis=1)
+    fields = {"e0": [(1.0, n)] + [(0.0, n)] * (n - 1),
+              "xh": [(0.0, n)] * (n - 4) + [(1.0, i) for i in sp],
+              "k3": [(0.0, n)] * (n - 4) + [(_K3[i, p], n - 4 + p)
+                                             for i, p in enumerate(perm)]}
+    m = len(sel)
+    c, a, b = np.zeros((n, n, m)), np.full((n, n, m), n), np.full((n, n, m), n)
+    for i, j, t in np.ndindex(n, n, m):
+        pairs = _TENSORS[n][sel[t]]
+        if not pairs:
+            c[i, j, t] = _FLAT[n][i, j]
+            continue
+        terms = [(cu * cv, au, av) for u, v in pairs
+                 for (cu, au), (cv, av) in [(fields[u][i], fields[v][j])]
+                 if cu * cv]
+        assert len(terms) <= 1, "an entry that is not one monomial"
+        if terms:
+            c[i, j, t], a[i, j, t], b[i, j, t] = terms[0]
+    degree = np.max((a < n) * 1 + (b < n), axis=(0, 1))
+    k1, k2 = (int(np.sum(degree < k)) for k in (1, 2))
+    d = np.arange(n)[:, None]
+    hit_a, hit_b = (a[:, :, None] == d) * 1, (b[:, :, None] == d) * 1
+    c1 = c[:, :, None] * (hit_a + hit_b)
+    a1 = np.where(hit_a, b[:, :, None], a[:, :, None])     # the other factor
+    c2 = c1[:, :, :, None] * (a1[:, :, :, None] == d)
+    c, ab, c1, a1, c2 = tables = [np.ascontiguousarray(t) for t in (
+        c, a * (n + 1) + b, c1[..., k1:], a1[..., k1:], c2[..., k2:])]
+    for t in tables:                          # shared by every caller
+        t.setflags(write=False)
+    return (c, ab), (c1, a1), c2, k1, k2
+
+
+_FLAT = {5: ETA, 4: np.eye(4)}
+
+
+def _tensor_jets(x, sel, order):
+    """The jets of the tensors sel of _TENSORS at the points x (..., n),
+    stacked on a last axis, up to the order asked: T0 (..., n, n, m); T1
+    (..., n, n, n, m - k1) over the tensors of degree >= 1 and the constant
+    T2 (n, n, n, n, m - k2) over those of degree 2, trailing runs of sel;
+    returned with k1 and k2.  Each level is a gather of x (_monomials),
+    made contiguous: np.matmul's bits follow its operands' layout."""
+    n = x.shape[-1]
+    (c, ab), (c1, a1), c2, k1, k2 = _monomials(n, tuple(sel))
+    xp = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    xx = (xp[..., :, None] * xp[..., None, :]).reshape(x.shape[:-1] + (-1,))
+    levels = [c * np.take(xx, ab, axis=-1)]
+    if order >= 1:
+        levels.append(c1 * np.take(xp, a1, axis=-1))
+    if order >= 2:
+        levels.append(c2)
+    return levels, k1, k2
+
+
+def _pullback(F, x):
+    """The jets in x of the scalar jets F (a (..., m) tensor jet) in the
+    invariants phi = (x0, rho) of 5d points x, or phi = rho of 4d ones,
+    where rho = |xh|^2.  phi's jets are exact and short: gradient
+    (e0, 2 xh), Hessian twice the spatial identity on rho and zero on x0,
+    no third level.  So the chain rule reads f_ab dphi^a dphi^b +
+    f_b d2phi^b at level 2, and at level 3 f_abc dphi^a dphi^b dphi^c plus
+    the symmetrized f_a,rho dphi^a d2rho."""
+    n = x.shape[-1]
+    p, sp = n - 3, slice(n - 4, n)          # p invariants
+    grad = np.zeros(x.shape[:-1] + (p, n))
+    grad[..., 0, 0] = 1.0                   # x0's gradient, in 5d
+    grad[..., -1, sp] = 2.0 * x[..., sp]    # rho's
+    hess = np.zeros((n, n))
+    hess[sp, sp] = 2.0 * np.eye(4)          # rho's; x0's is zero
+    out = [F.val]
+    if F.order >= 1:
+        out.append(J.contract("ta,ax->tx", F.grad, grad))
+    if F.order >= 2:
+        f_x = J.contract("tab,ax->tbx", F.hess, grad)
+        out.append(J.contract("tbx,by->txy", f_x, grad)
+                   + F.grad[..., -1, None, None] * hess)
+    if F.order >= 3:
+        f_xy = J.contract("tcbx,by->tcxy",
+                          J.contract("tabc,ax->tcbx", F.third, grad), grad)
+        out.append(J.contract("tcxy,cz->txyz", f_xy, grad)
+                   + J._sym3(f_x[..., -1, :, None, None] * hess))
     return J.Jet(*out)
 
 
-def _closed_form(x, A, B, C=None, D=None):
-    """The metric jet whose spatial block, over the last four coordinates
-    of the points x, is delta + A x x^T + B K3 K3^T; in 5d the time row is
-    g_0j = C x_j and the corner g_00 = D.  A, B, C, D are scalar jets
-    seeded at x."""
-    n = x.shape[-1]
-    slots = list(range(n - 4, n))
-    lin = _times_coordinates(J.stack([A, B] if C is None else [A, B, C]),
-                             x, slots)
-    quad = _times_coordinates(lin[:2, :], x, slots)   # A x x^T, B x x^T
-    levels = []
-    for k, q in enumerate(quad.levels):
-        dk = (slice(None),) * k
-        g = np.empty(x.shape[:-1] + (n, n) + (n,) * k)
-        block = g[(Ellipsis, slice(n - 4, None), slice(n - 4, None)) + dk]
-        np.multiply(q[(Ellipsis, 1, _K3_PERM[:, None], _K3_PERM[None, :]) + dk],
-                    _K3_SIGNS[(Ellipsis,) + (None,) * k], out=block)
-        block += q[(Ellipsis, 0, slice(None), slice(None)) + dk]
-        if k == 0:
-            block += np.eye(4)
-        if C is not None:
-            row = lin.levels[k][(Ellipsis, 2, slice(None)) + dk]
-            g[(Ellipsis, 0, slice(1, None)) + dk] = row
-            g[(Ellipsis, slice(1, None), 0) + dk] = row
-            g[(Ellipsis, 0, 0) + dk] = D.levels[k]
-        levels.append(g)
-    return J.Jet(*levels)
+def _closed_form(x, F, sel):
+    """The metric jet sum_t f_t T_t at the points x, where the f_t are the
+    coefficient jets F (in the invariants, pulled back here) of the tensors
+    sel of _TENSORS, and eta (delta in 4d) is added with coefficient 1
+    unless sel lists it.  T_t's jets stop at level 2, so level k of the
+    product is a sum of matmuls over t in the output's layout: T0 f_k, the
+    symmetrized T1 f_(k-1) and T2 f_(k-2)."""
+    f = _pullback(F, x).levels
+    order = len(f) - 1
+    t, k1, k2 = _tensor_jets(x, sel, min(order, 2))
+    out = [J.contract("ijt,t->ij", t[0], f[0])]
+    if 0 not in sel:
+        out[0] += _FLAT[x.shape[-1]]
+    if order >= 1:
+        out.append(J.contract("ijt,tx->ijx", t[0], f[1])
+                   + J.contract("ijxt,t->ijx", t[1], f[0][..., k1:]))
+    # the top levels are summed in place, so a block holds few of them
+    if order >= 2:
+        cross = J.contract("ijxt,ty->ijxy", t[1], f[1][..., k1:, :])
+        cross = cross + np.swapaxes(cross, -1, -2)
+        cross += J.contract("ijt,txy->ijxy", t[0], f[2])
+        cross += J.contract("ijxyt,t->ijxy", t[2], f[0][..., k2:])
+        out.append(cross)
+    if order >= 3:
+        cross = J.contract("ijxt,tyz->ijxyz", t[1], f[2][..., k1:, :, :])
+        cross += J.contract("ijyzt,tx->ijxyz", t[2], f[1][..., k2:, :])
+        cross = J._sym3(cross)
+        cross += J.contract("ijt,txyz->ijxyz", t[0], f[3])
+        out.append(cross)
+    return J.Jet(*out)
+
+
+class _InvariantJets(RadialJets):
+    """RadialJets at the points x (..., 5) as jets in the two invariants
+    (x0, rho = r^2) alone: x0 and rho are the seeds, so every field is a
+    jet in two variables, and the side is decided from the points."""
+
+    def __init__(self, x, order):
+        rho = sum_squares(list(np.moveaxis(x[..., 1:], -1, 0)))
+        x0, self.r2 = J.seed(np.stack([x[..., 0], rho], axis=-1), order)
+        super().__init__([x0])
+        self.points = x
+
+    @cached_property
+    def side(self):
+        return _side_off_the_cone(self.points)
+
+
+def _points(spec, x):
+    """The points x as floats, refused unless they are spec.dim-dimensional."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != spec.dim:
+        raise DimensionError("family %r needs %dd points, got %dd"
+                             % (spec.family, spec.dim, x.shape[-1]))
+    return x
 
 
 def _over_blocks(spec: MetricSpec, x, order, fn):
@@ -266,16 +383,13 @@ def _over_blocks(spec: MetricSpec, x, order, fn):
     checked.  For 'ga'/'gatilde' a batch too large for one block has its
     cone side decided as a whole before it is split, so exactly the
     batches that raise unsplit raise split."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.dim:
-        raise DimensionError("family %r needs %dd points, got %dd"
-                             % (spec.family, spec.dim, x.shape[-1]))
-    whole = None
-    if spec.family in ("ga", "gatilde"):
-        def whole(pts):
-            RadialJets(J.seed(pts, order=0)).side
-    # the metric's top level holds dim^(order + 2) float64 entries a point
-    return J._blocked(fn, x, 8 * spec.dim ** (order + 2), whole)
+    whole = _side_off_the_cone if spec.family in ("ga", "gatilde") else None
+    return J._blocked(fn, _points(spec, x), _point_bytes(spec, order), whole)
+
+
+def _point_bytes(spec, order):
+    """The metric's top level: dim^(order + 2) float64 entries a point."""
+    return 8 * spec.dim ** (order + 2)
 
 
 def metric_jets(spec: MetricSpec, x, order=3):
@@ -283,51 +397,70 @@ def metric_jets(spec: MetricSpec, x, order=3):
 
     For family 'ga'/'gatilde' the batch must lie entirely on one side of the
     cone (AmbiguousError otherwise); the L side returns the exact flat branch.
-    A large batch is built block by block (_over_blocks), with the same result.
+    The closed form's coefficient jets are built once for the batch, in
+    its invariants; their pullback and the closed form run block by block
+    (jets._blocked), with the same result.
     """
-    return _over_blocks(spec, x, order, lambda p: _metric_block(spec, p, order))
-
-
-def _metric_block(spec, x, order):
-    """metric_jets on points x whose dimension is already checked: the
-    a = 1 closed form at the dilated points, scaled back by Jet.dilate."""
-    if spec.family == "g0":
-        return J.constant(ETA, 5, order, x.shape[:-1])
+    x = _points(spec, x)
     a = spec.a
     y = x / a if spec.family == "eh" else a * x
-    xj = J.seed(y, order=order)
-
-    if spec.family in ("ga", "gatilde"):
-        rad = RadialJets(xj)
-        g = (J.constant(ETA, 5, order, x.shape[:-1]) if rad.side < 0
-             else _metric_ga(y, xj, rad))
-        if spec.family == "ga":
-            return g.dilate(a)
-        # the weight a^4 is formed only once the domain tests have passed
-        g = J.jeinsum(",ij->ij", (rad.d * rad.d).reciprocal(), g)
-        return g.dilate(a, a ** 4)
-
-    # 4d families: u = R^4 (ha) or R^-4 (eh) at the dilated points
-    ha = spec.family == "ha"
-    rv = np.sqrt(np.sum(y * y, axis=-1))
-    if not np.all(rv < 1.0 if ha else rv > 1.0):
-        raise DomainError("ha needs r < 1/a" if ha else "eh needs R > a")
-    rad2 = sum_squares(xj)
-    u = rad2.pow_int(2 if ha else -2)
-    irad2 = rad2.reciprocal()
-    w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-    return _closed_form(y, w, (-1.0) * u * irad2).dilate(a if ha else 1.0 / a)
+    F, sel = _coefficients(spec.family, y, order)
+    g = J._blocked(lambda p, *f: _metric_block(p, f, sel, order), y,
+                   _point_bytes(spec, order), extra=() if F is None else F.levels)
+    if spec.family == "eh":
+        return g.dilate(1.0 / a)
+    # the weight a^4 is formed only once the domain tests have passed
+    return g.dilate(a, a ** 4 if spec.family == "gatilde" else 1.0)
 
 
-def _metric_ga(x, xj, rad):
-    """g_1 on the exterior side from the radial jets of the batch x:
-    eta + c alpha alpha^T - u r^2 sigma3 sigma3^T with u = r_o^4 and
-    c = r_o^2 / (r^2 (1 - u)), where alpha = (-2 x0 r, (w/r) x) and
-    sigma3 = K3/r^2.  r^2 and beta^2 = 1 - u are formed before any square
-    root: squaring the bundle's r and beta instead moves the suite's
-    residuals by up to 5x.  Raises DomainError unless 1 - u > 0, inside
-    the closure of B_1."""
-    r2, w, x0 = rad.r2, rad.w, xj[0]
+def _metric_block(x, levels, sel, order):
+    """The metric jet on one block of (dilated) points x from its share of
+    the coefficient jets' levels, or the flat metric when there are none."""
+    if not levels:
+        return J.constant(_FLAT[x.shape[-1]], x.shape[-1], order, x.shape[:-1])
+    return _closed_form(x, J.Jet(*levels), sel)
+
+
+def _coefficients(family, x, order):
+    """The a = 1 closed form's coefficient jets at the points x, as one
+    (..., m) tensor jet in the invariants, with the table indices (sel) of
+    the tensors they multiply, or (None, ()) for the flat metric.  ga and
+    gatilde are jets in (x0, rho) (_InvariantJets), gatilde's 1/d^2 folded
+    into every coefficient, eta's included; ha and eh in R^2 alone, with
+    u = R^4 (ha) or R^-4 (eh)."""
+    if family == "g0":
+        return None, ()
+    if family in ("ha", "eh"):
+        ha = family == "ha"
+        rv = np.sqrt(np.sum(x * x, axis=-1))
+        if not np.all(rv < 1.0 if ha else rv > 1.0):
+            raise DomainError("ha needs r < 1/a" if ha else "eh needs R > a")
+        (rad2,) = J.seed(sum_squares(list(np.moveaxis(x, -1, 0)))[..., None],
+                         order)
+        u = rad2.pow_int(2 if ha else -2)
+        irad2 = rad2.reciprocal()
+        w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
+        return J.stack([w, (-1.0) * u * irad2]), (1, 2)
+    rad = _InvariantJets(x, order)
+    coef, sel = ([], ()) if rad.side < 0 else (_metric_ga(rad), (1, 2, 3, 4))
+    if family == "gatilde":               # eta's coefficient too: 1/d^2
+        id2 = J.stack([(rad.d * rad.d).reciprocal()])
+        return (J.stack([1.0] + coef) * id2 if coef else id2), (0,) + sel
+    return (J.stack(coef) if coef else None), sel
+
+
+def _metric_ga(rad):
+    """The coefficients of g_1 on the exterior side, from the invariant
+    radial jets: g_1 = eta + 4 c x0^2 r^2 e0 e0^T - 2 c w x0 (e0 xh^T +
+    xh e0^T) + (c w^2 / r^2) xh xh^T - (u / r^2) K3 K3^T, with u = r_o^4
+    and c = r_o^2 / (r^2 (1 - u)); that is eta + c alpha alpha^T -
+    u r^2 sigma3 sigma3^T with alpha = (-2 x0 r, (w/r) xh) and sigma3 =
+    K3/r^2.  On the seeds (x0, rho), r^2 is the seed rho itself, with no
+    square root at all, and beta^2 = 1 - u is formed from r_o = d/r before
+    any square root of it: squaring the bundle's r and beta instead moves
+    the suite's residuals by up to 5x.  Raises DomainError unless 1 - u > 0,
+    inside the closure of B_1."""
+    r2, w, x0 = rad.r2, rad.w, rad.xj[0]
     ro2 = rad.ro * rad.ro
     u = ro2 * ro2
     bsq = (-1.0) * u + 1.0
@@ -336,5 +469,5 @@ def _metric_ga(x, xj, rad):
     ir2 = r2.reciprocal()
     c = ro2 * (r2 * bsq).reciprocal()
     cw = c * w
-    return _closed_form(x, cw * w * ir2, (-1.0) * u * ir2, (-2.0) * cw * x0,
-                        4.0 * c * x0 * x0 * r2 - 1.0)
+    return [4.0 * c * x0 * x0 * r2, (-2.0) * cw * x0, cw * w * ir2,
+            (-1.0) * u * ir2]

@@ -394,7 +394,7 @@ def jeinsum(spec, A, B=None):
 BLOCK_BYTES = 2 << 20
 
 
-def _blocked(fn, x, point_bytes, whole=None):
+def _blocked(fn, x, point_bytes, whole=None, extra=()):
     """fn(x) evaluated over blocks of the points x (..., n).
 
     fn maps points to a Jet, or an ndarray, with one leading axis per batch
@@ -404,20 +404,22 @@ def _blocked(fn, x, point_bytes, whole=None):
     at most that many points, their sizes differing by at most one; each
     block's levels are written into outputs allocated once, and the batch
     shape is restored.  ``whole``, if given, is called first with the whole
-    flattened batch."""
+    flattened batch.  The arrays ``extra`` lead with the batch axes of x
+    and are cut with it: fn(x, *extra) takes each block's share."""
     size = max(BLOCK_BYTES // point_bytes, 1)
     base = x.shape[:-1]
     count = int(np.prod(base))
     if count <= size:
-        return fn(x)
+        return fn(x, *extra)
     blocks = -(-count // size)                  # ceil division
     edges = [count * i // blocks for i in range(blocks + 1)]
     x = x.reshape(count, x.shape[-1])
+    extra = [e.reshape((count,) + e.shape[len(base):]) for e in extra]
     if whole is not None:
         whole(x)
     outs = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        part = fn(x[lo:hi])
+        part = fn(x[lo:hi], *[e[lo:hi] for e in extra])
         is_jet = isinstance(part, Jet)
         levels = part.levels if is_jet else (part,)
         if outs is None:

@@ -158,8 +158,8 @@ A_READERS = (
     "frames.k_q_rho",
     "frames.transform_eval",
     "geometry.MetricSpec.__post_init__",
-    "geometry._metric_block",
     "geometry.classify",
+    "geometry.metric_jets",
 )
 
 

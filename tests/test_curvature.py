@@ -212,6 +212,23 @@ def test_weyl_conformal_covariance():
     assert np.max(np.abs(diff)) < 1e-8 * np.max(np.abs(Wgt))
 
 
+@pytest.mark.parametrize("spec", [GA, GAT], ids=["ga", "gatilde"])
+def test_kulkarni_nomizu_product_equals_the_einsum_form(spec):
+    """The Weyl tensor's Kulkarni-Nomizu term, built from one outer product
+    and its transposes, is bit for bit the sum of the four einsum outer
+    products, added in the same order."""
+    x = V.sample("B_a", 1.0, 100, 15, exclusion=0.05)
+    P = C._CurvaturePieces(geo.metric_jets(spec, x, order=2))
+    gv, n = P.gv, 5
+    schouten = ((P.ric - P.scalar[..., None, None] * gv / (2.0 * (n - 1)))
+                / (n - 2))
+    kn = (np.einsum('...ik,...jl->...ijkl', schouten, gv)
+          + np.einsum('...jl,...ik->...ijkl', schouten, gv)
+          - np.einsum('...il,...jk->...ijkl', schouten, gv)
+          - np.einsum('...jk,...il->...ijkl', schouten, gv))
+    assert np.array_equal(P.weyl, P.lowered + kn)
+
+
 def test_eh_riemann_equals_weyl():
     y = V._eh_points(1.0, 5, 60)
     low = C.riemann_lowered(EH, y)
@@ -292,16 +309,31 @@ def _twistor(x, frame):
     return np.stack([d.w for d in res.directions], axis=-2)
 
 
+def _metric3(spec):
+    """The order-3 metric jet's levels, one row per point."""
+    def levels(x):
+        g = geo.metric_jets(spec, x, order=3)
+        return np.hstack([lv.reshape(len(x), -1) for lv in g.levels])
+    return levels
+
+
+def _square(frame):
+    return lambda x: S.spinor_square(S.psi_bc(1.0, 0.5, frame=frame), GA, x)
+
+
 def test_a_point_has_the_same_bits_alone_and_in_any_batch():
     """Every pairwise contraction runs each point's product on its own
     (jets.contract), so one 40-point call, 40 one-point calls and four
-    10-point calls agree bit for bit."""
+    10-point calls agree bit for bit: the order-3 metric jets, the
+    curvature, the forms, the twistor residual and the spinor square."""
     xb = V.sample("B_a", 1.0, 40, 7)
     xl = V.sample("L", 1.0, 40, 8)
     on_b = [lambda x, fn=fn, spec=spec: fn(spec, x) for spec in (GA, GAT)
             for fn in (C.christoffel, C.riemann, C.ricci, C.weyl)]
-    on_b += [_forms_e, lambda x: _twistor(x, "e")]
-    for x, fn in [(xb, fn) for fn in on_b] + [(xl, lambda x: _twistor(x, "u"))]:
+    on_b += [_metric3(GA), _metric3(GAT), _forms_e,
+             lambda x: _twistor(x, "e"), _square("e")]
+    on_l = [lambda x: _twistor(x, "u"), _square("u")]
+    for x, fn in [(xb, fn) for fn in on_b] + [(xl, fn) for fn in on_l]:
         whole = fn(x)
         for size in (1, 10):
             parts = np.concatenate([fn(x[i:i + size])
@@ -309,12 +341,17 @@ def test_a_point_has_the_same_bits_alone_and_in_any_batch():
             assert np.array_equal(parts, whole)
 
 
-@pytest.mark.parametrize("entry", list(ENTRIES))
+# the curvature entries and the order-3 metric jet itself
+DEFAULT_ENTRIES = dict(ENTRIES, **{
+    "metric-3": (lambda spec, x: geo.metric_jets(spec, x, order=3), 3)})
+
+
+@pytest.mark.parametrize("entry", list(DEFAULT_ENTRIES))
 @pytest.mark.parametrize("spec", [GA, GAT], ids=["ga", "gatilde"])
 def test_default_blocks_equal_the_whole_batch(entry, spec, monkeypatch):
     """At the shipped budget, a batch one point over a block runs in two
     equal blocks, and the result is the unblocked one bit for bit."""
-    fn, order = ENTRIES[entry]
+    fn, order = DEFAULT_ENTRIES[entry]
     n = J.BLOCK_BYTES // (8 * 5 ** (order + 2)) + 1
     x = V.sample("B_a", 1.0, n, 88, exclusion=0.05)
     split = fn(spec, x)

@@ -284,8 +284,10 @@ def _builds(*names):
 
 
 # each call with the fields it builds: every field it reads, once, and
-# the fields those are built from; the metric builds no beta, kappa no
-# side, r_o or beta, and the monomial probe no w or beta
+# the fields those are built from; the metric builds no beta, and no r2 or
+# side either (its invariant seeds are x0 and r^2, and the side is decided
+# from its points), kappa no side, r_o or beta, and the monomial probe no
+# w or beta
 FRAME_FIELDS = _builds("r2", "r", "d", "w", "side", "ro", "beta")
 RADIAL_CALLS = {
     "frame_e": (lambda x: F.frame_eval("e", x, 1.0), FRAME_FIELDS),
@@ -294,7 +296,7 @@ RADIAL_CALLS = {
     "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0), FRAME_FIELDS),
     "k_q_rho": (lambda x: F.k_q_rho(x, 1.0), FRAME_FIELDS),
     "metric_ga": (lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x),
-                  _builds("r2", "r", "d", "w", "side", "ro")),
+                  _builds("r", "d", "w", "ro")),
     "kappa": (lambda x: F.transform_eval("kappa", x),
               _builds("r2", "r", "d", "w")),
     "monomial": (lambda x: R._monomial_jets(R.MonomialSpec(2, (0,) * 6), x, 3),

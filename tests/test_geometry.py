@@ -301,27 +301,87 @@ def test_mu_jet_branches():
         G.RadialJets(J.seed(np.vstack([xb, xl]))).mu
 
 
-# ------------------------------------------------- coordinate products
+# ------------------------------------------------- the closed form's pieces
+
+def _seeded_tensors(xj):
+    """The closed form's polynomial tensors as Leibniz products of the
+    coordinate jets xj, in the order of geometry._TENSORS: eta (delta in
+    4d), then e0 e0^T, e0 xh^T + xh e0^T in 5d, then xh xh^T, K3 K3^T."""
+    n, zero = len(xj), 0.0 * xj[0]
+    xh = [zero] * (n - 4) + list(xj[n - 4:])
+    k3 = [zero] * (n - 4) + list(G.sigma_dual_vectors(xj[n - 4:])[2])
+    e0 = [zero + 1.0] + [zero] * (n - 1)
+
+    def outer(u, v):
+        return J.stack([[ui * vj for vj in v] for ui in u])
+    flat = J.stack([[zero + (G.ETA if n == 5 else np.eye(4))[i, j]
+                     for j in range(n)] for i in range(n)])
+    mid = [outer(e0, e0), outer(e0, xh) + outer(xh, e0)] if n == 5 else []
+    return [flat] + mid + [outer(xh, xh), outer(k3, k3)]
+
 
 @pytest.mark.parametrize("dim", (4, 5))
 @pytest.mark.parametrize("order", range(4))
-def test_times_coordinates_is_the_leibniz_product(dim, order):
-    """f x_s by scatter equals the jet product f * seed[s] bit for bit, for
-    a scalar and a (2, 2) tensor f, over the four spatial slots."""
-    x = np.random.default_rng(31).uniform(0.2, 1.5, size=(3, dim))
-    xj = J.seed(x, order=order)
-    f = (xj[0] * xj[1] + 1.0).sqrt()
-    t = J.stack([[f, xj[-1] * f], [f.reciprocal(), (-1.0) * xj[0] * xj[0]]])
-    slots = list(range(dim - 4, dim))
-    hf = G._times_coordinates(f, x, slots)
-    ht = G._times_coordinates(t, x, slots)
-    assert hf.order == ht.order == order
-    for j, s in enumerate(slots):
-        pairs = [(hf[j], f * xj[s])] + [(ht[i, k, j], t[i, k] * xj[s])
-                                        for i in range(2) for k in range(2)]
-        for got, want in pairs:
-            for a, b in zip(got.levels, want.levels, strict=True):
-                assert a.shape == b.shape and np.array_equal(a, b)
+def test_tensor_jets_are_the_leibniz_product(dim, order):
+    """Each polynomial tensor's exact jets (T0, T1 over the tensors of
+    degree >= 1, the constant T2 over those of degree 2) equal the Leibniz
+    product of the coordinate jets bit for bit, whose other levels are
+    zero; there is no third level."""
+    x = np.random.default_rng(31).uniform(-1.5, 1.5, size=(3, dim))
+    want = _seeded_tensors(J.seed(x, order=order))
+    sel = tuple(range(len(want)))
+    got, k1, k2 = G._tensor_jets(x, sel, order)
+    assert len(got) == min(order, 2) + 1
+    for k, level in enumerate(got):
+        start = (0, k1, k2)[k]              # the trailing run of sel
+        assert level.shape[-1] == len(want) - start
+        for t, w in enumerate(want):
+            if t < start:
+                assert not np.any(w.levels[k])
+            else:
+                assert np.array_equal(w.levels[k], np.broadcast_to(
+                    level[..., t - start], w.levels[k].shape))
+    for w in want:
+        assert all(not np.any(level) for level in w.levels[3:])
+
+
+def _relative(got, want):
+    """Worst entry of |got - want| over the largest |want|, level by level."""
+    return max(float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+               for a, b in zip(got.levels, want.levels, strict=True))
+
+
+def _ro_c_id2(rad):
+    ro2 = rad.ro * rad.ro
+    c = ro2 * (rad.r2 * ((-1.0) * ro2 * ro2 + 1.0)).reciprocal()
+    return J.stack([rad.ro, c, (rad.d * rad.d).reciprocal()])
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_pulled_back_invariant_jets_equal_the_5d_radial_jets(order):
+    """r_o, c = r_o^2/(r^2 (1 - r_o^4)) and 1/d^2 built in the invariants
+    (x0, rho) and pulled back equal the same formulas on 5d seeds."""
+    x = V.sample("B_a", 1.0, 60, 91, exclusion=0.05)
+    got = G._pullback(_ro_c_id2(G._InvariantJets(x, order)), x)
+    want = _ro_c_id2(G.RadialJets(J.seed(x, order=order)))
+    assert _relative(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("a", (0.1, 1.0, 7.0))
+@pytest.mark.parametrize("order", range(4))
+def test_gatilde_is_ga_over_d_squared(a, order):
+    """metric_jets(gatilde), with 1/d^2 folded into its coefficients, equals
+    the g_a jet times 1/d^2 by the full Leibniz product, on both sides of
+    the cone.  1/d(x)^2 is a^4/d(a x)^2, with d taken at the dilated points
+    as the metric takes it: d's cancellation near the cone would otherwise
+    show up to 8e-14 at a = 7."""
+    for region, seed in (("B_a", 92), ("L", 93)):
+        x = V.sample(region, a, 40, seed, exclusion=0.05 / a)
+        d = G.RadialJets(J.seed(a * x, order=order)).d
+        ga = G.metric_jets(G.MetricSpec("ga", a), x, order=order)
+        want = J.jeinsum(",ij->ij", (d * d).reciprocal().dilate(a, a ** 4), ga)
+        got = G.metric_jets(G.MetricSpec("gatilde", a), x, order=order)
+        assert _relative(got, want) <= 1e-13, region
 
 
 # ------------------------------------------------------------------- blocks
@@ -350,14 +410,17 @@ def test_blocked_metric_equals_unblocked(family, kind, order, monkeypatch):
     spec = G.MetricSpec(family, 1.0)
     x = _batches()[kind]
     whole = G.metric_jets(spec, x, order=order)
-    calls = []
-    block = G._metric_block
+    calls, builds = [], []
+    block, coefficients = G._metric_block, G._coefficients
     monkeypatch.setattr(G, "_metric_block",
                         lambda *args: calls.append(1) or block(*args))
-    # 13 points a block: 40 points run in 4 blocks
+    monkeypatch.setattr(G, "_coefficients",
+                        lambda *args: builds.append(1) or coefficients(*args))
+    # 13 points a block: 40 points run in 4 blocks, on coefficient jets
+    # built once for the whole batch
     monkeypatch.setattr(J, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
     split = G.metric_jets(spec, x, order=order)
-    assert len(calls) == 4
+    assert len(calls) == 4 and len(builds) == 1
     assert split.order == whole.order
     for a, b in zip(split.levels, whole.levels):
         assert a.shape == b.shape and a.dtype == b.dtype
