@@ -140,12 +140,11 @@ def _kulkarni_nomizu(P, g):
 
 
 def _piece(spec, x, key):
-    """One entry of _CurvaturePieces at a point batch, block by block
-    (geometry._over_blocks), each from its own metric jet: of order 1 for
-    the Christoffel symbols, 2 for the rest."""
-    order = 1 if key == "gam" else 2
-    return geo._over_blocks(spec, x, order, lambda p: getattr(_CurvaturePieces(
-        geo.metric_jets(spec, p, order=order)), key))
+    """One entry of _CurvaturePieces at a point batch, read inside the
+    metric's own blocks (geometry._over_blocks) from each block's metric
+    jet: of order 1 for the Christoffel symbols, 2 for the rest."""
+    return geo._over_blocks(spec, x, 1 if key == "gam" else 2,
+                            lambda g: getattr(_CurvaturePieces(g), key))
 
 
 def christoffel(spec, x):

@@ -21,10 +21,12 @@ Every metric is a sum of coefficients times the polynomial tensors eta,
 e0 e0^T, e0 xh^T + xh e0^T, xh xh^T and K3 K3^T (xh the spatial part of
 x), and its coefficients depend on the U(2) invariants alone: x0 and
 rho = r^2 for ga and gatilde (gatilde's 1/d^2 folded into each of them),
-R^2 for ha and eh.  metric_jets builds them once a batch as jets in those
-one or two variables, then, block by block, pulls them back to x through
-the invariants' exact jets and multiplies them with the tensors' exact
-jets as batched matmuls.
+R^2 for ha and eh.  They are built once a batch as jets in those one or
+two variables, which decides the batch's cone side and domain; then, block
+by block, they are pulled back to x through the invariants' exact jets and
+multiplied with the tensors' exact jets as batched matmuls.  That loop,
+_over_blocks, is the package's one cut of a batch into blocks: metric_jets
+returns its jets, and the curvature entries read their pieces inside it.
 """
 
 from __future__ import annotations
@@ -368,28 +370,14 @@ class _InvariantJets(RadialJets):
         return _side_off_the_cone(self.points)
 
 
-def _points(spec, x):
-    """The points x as floats, refused unless they are spec.dim-dimensional."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.dim:
-        raise DimensionError("family %r needs %dd points, got %dd"
-                             % (spec.family, spec.dim, x.shape[-1]))
-    return x
-
-
-def _over_blocks(spec: MetricSpec, x, order, fn):
-    """fn(points) over blocks of the batch x, each sized for spec's metric
-    jet of the given order (jets._blocked), once the points' dimension is
-    checked.  For 'ga'/'gatilde' a batch too large for one block has its
-    cone side decided as a whole before it is split, so exactly the
-    batches that raise unsplit raise split."""
-    whole = _side_off_the_cone if spec.family in ("ga", "gatilde") else None
-    return J._blocked(fn, _points(spec, x), _point_bytes(spec, order), whole)
-
-
-def _point_bytes(spec, order):
-    """The metric's top level: dim^(order + 2) float64 entries a point."""
-    return 8 * spec.dim ** (order + 2)
+# Bytes the largest metric jet level of one block may take.  _over_blocks
+# runs a larger batch block by block, so a call's intermediates stay near
+# this size instead of growing with the batch.  On a 2-core Xeon with 2 MiB
+# of L2 cache a core, budgets of 1 to 8 MiB ran 1200-point batches equally
+# fast within noise, and peak memory grew above 2 MiB.  The loop is
+# private, so a tracer that wraps the public functions charges each
+# block's work to the layer that asked for it.
+BLOCK_BYTES = 2 << 20
 
 
 def metric_jets(spec: MetricSpec, x, order=3):
@@ -397,28 +385,65 @@ def metric_jets(spec: MetricSpec, x, order=3):
 
     For family 'ga'/'gatilde' the batch must lie entirely on one side of the
     cone (AmbiguousError otherwise); the L side returns the exact flat branch.
-    The closed form's coefficient jets are built once for the batch, in
-    its invariants; their pullback and the closed form run block by block
-    (jets._blocked), with the same result.
+    The coefficient jets, and with them the cone side and the domain, are
+    built once for the whole batch; a large batch then runs block by block
+    (_over_blocks), with the same result.
     """
-    x = _points(spec, x)
-    a = spec.a
-    y = x / a if spec.family == "eh" else a * x
+    return _over_blocks(spec, x, order, lambda g: g)
+
+
+def _over_blocks(spec: MetricSpec, x, order, read):
+    """read(g) for the metric jet g of the given order over the batch x,
+    block by block: the package's one block loop.  read maps a jet to a
+    Jet or an ndarray with one leading axis per batch axis.
+
+    The points are checked (spec.dim-dimensional) and dilated by a, and
+    the closed form's coefficient jets built in their invariants, once for
+    the whole batch, so its cone side and domain are decided before any
+    block runs.  Each block pulls its share of them back, forms the closed
+    form (or the flat metric), dilates it and reads it.  A batch whose top
+    metric level fits in BLOCK_BYTES is one block as it is; a larger one is
+    flattened to (N, n) and cut into the fewest blocks that fit, their
+    sizes differing by at most one, and each block's result is written
+    into outputs allocated once before the batch shape is restored."""
+    a, n, eh = spec.a, spec.dim, spec.family == "eh"
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != n:
+        raise DimensionError("family %r needs %dd points, got %dd"
+                             % (spec.family, n, x.shape[-1]))
+    y = x / a if eh else a * x
     F, sel = _coefficients(spec.family, y, order)
-    g = J._blocked(lambda p, *f: _metric_block(p, f, sel, order), y,
-                   _point_bytes(spec, order), extra=() if F is None else F.levels)
-    if spec.family == "eh":
-        return g.dilate(1.0 / a)
     # the weight a^4 is formed only once the domain tests have passed
-    return g.dilate(a, a ** 4 if spec.family == "gatilde" else 1.0)
+    s, weight = (1.0 / a if eh else a,
+                 a ** 4 if spec.family == "gatilde" else 1.0)
 
+    def block(p, *f):
+        g = (_closed_form(p, J.Jet(*f), sel) if f
+             else J.constant(_FLAT[n], n, order, p.shape[:-1]))
+        return read(g.dilate(s, weight))
 
-def _metric_block(x, levels, sel, order):
-    """The metric jet on one block of (dilated) points x from its share of
-    the coefficient jets' levels, or the flat metric when there are none."""
-    if not levels:
-        return J.constant(_FLAT[x.shape[-1]], x.shape[-1], order, x.shape[:-1])
-    return _closed_form(x, J.Jet(*levels), sel)
+    f = () if F is None else F.levels
+    size = max(BLOCK_BYTES // (8 * n ** (order + 2)), 1)     # top level, float64
+    base = y.shape[:-1]
+    count = int(np.prod(base))
+    if count <= size:
+        return block(y, *f)
+    blocks = -(-count // size)                  # ceil division
+    edges = [count * i // blocks for i in range(blocks + 1)]
+    y = y.reshape(count, n)
+    f = [e.reshape((count,) + e.shape[len(base):]) for e in f]
+    outs = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        part = block(y[lo:hi], *[e[lo:hi] for e in f])
+        is_jet = isinstance(part, J.Jet)
+        levels = part.levels if is_jet else (part,)
+        if outs is None:
+            outs = [np.empty((count,) + v.shape[1:], v.dtype) for v in levels]
+        for out, v in zip(outs, levels):
+            out[lo:hi] = v
+        del part, levels, v     # copied: not kept alive while the next block runs
+    outs = [out.reshape(base + out.shape[1:]) for out in outs]
+    return J.Jet(*outs) if is_jet else outs[0]
 
 
 def _coefficients(family, x, order):

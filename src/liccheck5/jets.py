@@ -384,53 +384,6 @@ def jeinsum(spec, A, B=None):
     return Jet(*levels)
 
 
-# Bytes the largest jet level of one block may take.  ``_blocked`` runs a
-# larger batch block by block, so a call's intermediates stay near this
-# size instead of growing with the batch.  On a 2-core Xeon with 2 MiB of
-# L2 cache a core, budgets of 1 to 8 MiB ran 1200-point batches equally
-# fast within noise, and peak memory grew above 2 MiB.  The block helpers
-# are private, so a tracer that wraps the public functions still charges
-# each block's work to the layer that asked for it.
-BLOCK_BYTES = 2 << 20
-
-
-def _blocked(fn, x, point_bytes, whole=None, extra=()):
-    """fn(x) evaluated over blocks of the points x (..., n).
-
-    fn maps points to a Jet, or an ndarray, with one leading axis per batch
-    axis; ``point_bytes`` is the size, per point, of its largest level.  A
-    batch of at most BLOCK_BYTES // point_bytes points goes to fn as it is.
-    A larger one is flattened to (N, n) and cut into the fewest blocks of
-    at most that many points, their sizes differing by at most one; each
-    block's levels are written into outputs allocated once, and the batch
-    shape is restored.  ``whole``, if given, is called first with the whole
-    flattened batch.  The arrays ``extra`` lead with the batch axes of x
-    and are cut with it: fn(x, *extra) takes each block's share."""
-    size = max(BLOCK_BYTES // point_bytes, 1)
-    base = x.shape[:-1]
-    count = int(np.prod(base))
-    if count <= size:
-        return fn(x, *extra)
-    blocks = -(-count // size)                  # ceil division
-    edges = [count * i // blocks for i in range(blocks + 1)]
-    x = x.reshape(count, x.shape[-1])
-    extra = [e.reshape((count,) + e.shape[len(base):]) for e in extra]
-    if whole is not None:
-        whole(x)
-    outs = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        part = fn(x[lo:hi], *[e[lo:hi] for e in extra])
-        is_jet = isinstance(part, Jet)
-        levels = part.levels if is_jet else (part,)
-        if outs is None:
-            outs = [np.empty((count,) + a.shape[1:], a.dtype) for a in levels]
-        for out, a in zip(outs, levels):
-            out[lo:hi] = a
-        del part, levels, a     # copied: not kept alive while the next block runs
-    outs = [out.reshape(base + out.shape[1:]) for out in outs]
-    return Jet(*outs) if is_jet else outs[0]
-
-
 def jmat_inv(A):
     """Inverse of a square tensor jet via a Neumann series at the point value.
 

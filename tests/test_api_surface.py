@@ -158,8 +158,8 @@ A_READERS = (
     "frames.k_q_rho",
     "frames.transform_eval",
     "geometry.MetricSpec.__post_init__",
+    "geometry._over_blocks",
     "geometry.classify",
-    "geometry.metric_jets",
 )
 
 
@@ -195,15 +195,24 @@ def _calls(fn, name):
 
 
 def test_curvature_builds_each_piece_in_one_place():
-    """Christoffel symbols are formed only by the per-metric bundle, a batch
-    is cut into blocks only by _piece, and the structure equations read
+    """Christoffel symbols are formed only by the per-metric bundle, the
+    curvature entries read their pieces inside the metric's one block loop
+    (geometry._over_blocks, called only by _piece and metric_jets) instead
+    of building a metric jet a block, and the structure equations read
     their metric from the forms they check instead of building one."""
-    fns = dict(_functions(ast.parse((SRC / "curvature.py").read_text()), ""))
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    fns = dict(_functions(trees["curvature"], ""))
 
     def callers(name):
         return sorted(q for q, fn in fns.items() if _calls(fn, name))
     assert callers("christoffel_from_jets") == ["_CurvaturePieces.gam"]
-    assert callers("_over_blocks") == ["_piece"]
+    assert sorted("%s.%s" % (stem, name)
+                  for stem, tree in trees.items()
+                  for name, fn in _functions(tree, "")
+                  if _calls(fn, "_over_blocks")) == [
+        "curvature._piece", "geometry.metric_jets"]
+    assert not _calls(fns["_piece"], "metric_jets")
     assert not any(_calls(fns["structure_residuals"], name)
                    for name in ("metric_jets", "_CurvaturePieces"))
 

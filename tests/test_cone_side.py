@@ -140,7 +140,7 @@ SPLIT_LAYERS = {
 def _split_layer(name, monkeypatch):
     """The layer's evaluation, with blocks shrunk to 10 points."""
     fn, order = SPLIT_LAYERS[name]
-    monkeypatch.setattr(J, "BLOCK_BYTES", 10 * 8 * 5 ** (order + 2))
+    monkeypatch.setattr(geo, "BLOCK_BYTES", 10 * 8 * 5 ** (order + 2))
     return fn
 
 

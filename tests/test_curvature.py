@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,21 +282,45 @@ def test_blocked_curvature_equals_unblocked(entry, spec, region, route,
                                             monkeypatch):
     """40 points in 4 blocks of 10 give the whole batch's bits, on the
     shipped matmul contraction and, so that blocking is seen not to lean
-    on one kernel's summation order, with plain einsum in its place."""
+    on one kernel's summation order, with plain einsum in its place.  The
+    coefficient jets are built, and a ga/gatilde batch's cone side
+    decided, once a call, however many blocks it runs in."""
     fn, order = ENTRIES[entry]
     if route == "plain":
         monkeypatch.setattr(J, "contract", _plain_contract)
     x = (V._eh_points(1.0, 86, 40) if region == "eh"
          else V.sample(region, 1.0, 40, 87, exclusion=0.05))
+    counts = _count_metric_work(monkeypatch)
     whole = fn(spec, x)
-    calls = []
-    metric = geo.metric_jets
-    monkeypatch.setattr(geo, "metric_jets",
-                        lambda *a, **k: calls.append(1) or metric(*a, **k))
-    monkeypatch.setattr(J, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
+    sides = int(spec.family in ("ga", "gatilde"))
+    assert counts == {"blocks": 1, "builds": 1, "sides": sides}
+    monkeypatch.setattr(geo, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
+    counts.update(dict.fromkeys(counts, 0))
     split = fn(spec, x)
-    assert len(calls) == 4                  # one metric jet a block
+    assert counts == {"blocks": 4, "builds": 1, "sides": sides}
     _assert_identical(split, whole)
+
+
+def _count_metric_work(monkeypatch):
+    """Counts, updated in place, of the blocks the metric's block loop reads
+    (geometry._over_blocks), of the coefficient jet builds and of the
+    cone side decisions."""
+    counts = dict(blocks=0, builds=0, sides=0)
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    loop = geo._over_blocks
+    monkeypatch.setattr(geo, "_over_blocks", lambda spec, x, order, read: loop(
+        spec, x, order, counted(read, "blocks")))
+    monkeypatch.setattr(geo, "_coefficients", counted(geo._coefficients,
+                                                       "builds"))
+    monkeypatch.setattr(geo, "_side_off_the_cone",
+                        counted(geo._side_off_the_cone, "sides"))
+    return counts
 
 
 def _forms_e(x):
@@ -352,11 +378,35 @@ def test_default_blocks_equal_the_whole_batch(entry, spec, monkeypatch):
     """At the shipped budget, a batch one point over a block runs in two
     equal blocks, and the result is the unblocked one bit for bit."""
     fn, order = DEFAULT_ENTRIES[entry]
-    n = J.BLOCK_BYTES // (8 * 5 ** (order + 2)) + 1
+    n = geo.BLOCK_BYTES // (8 * 5 ** (order + 2)) + 1
     x = V.sample("B_a", 1.0, n, 88, exclusion=0.05)
     split = fn(spec, x)
-    monkeypatch.setattr(J, "BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(geo, "BLOCK_BYTES", 1 << 40)
     _assert_identical(split, fn(spec, x))
+
+
+@pytest.mark.parametrize("entry", ["weyl", "ricci"])
+@pytest.mark.parametrize("spec", [GA, GAT], ids=["ga", "gatilde"])
+def test_curvature_working_set_does_not_grow_with_the_batch(entry, spec):
+    """The memory a curvature entry needs beyond its result stays that of
+    one of the metric's blocks: at 2400 points at most 1.6x what it is at
+    600 points, both of which run in several blocks."""
+    fn = ENTRIES[entry][0]
+    x = V.sample("B_a", 1.0, 2400, 89, exclusion=0.05)
+    assert 600 * 8 * 5 ** 4 > geo.BLOCK_BYTES
+
+    def working_set(pts):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - start - out.nbytes
+
+    small, large = working_set(x[:600]), working_set(x)
+    assert large <= 1.6 * small, (large, small)
 
 
 # ------------------------------------------------------- connection forms

@@ -411,14 +411,14 @@ def test_blocked_metric_equals_unblocked(family, kind, order, monkeypatch):
     x = _batches()[kind]
     whole = G.metric_jets(spec, x, order=order)
     calls, builds = [], []
-    block, coefficients = G._metric_block, G._coefficients
-    monkeypatch.setattr(G, "_metric_block",
-                        lambda *args: calls.append(1) or block(*args))
+    loop, coefficients = G._over_blocks, G._coefficients
+    monkeypatch.setattr(G, "_over_blocks", lambda spec, x, order, read: loop(
+        spec, x, order, lambda g: calls.append(1) or read(g)))
     monkeypatch.setattr(G, "_coefficients",
                         lambda *args: builds.append(1) or coefficients(*args))
     # 13 points a block: 40 points run in 4 blocks, on coefficient jets
     # built once for the whole batch
-    monkeypatch.setattr(J, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
+    monkeypatch.setattr(G, "BLOCK_BYTES", 13 * 8 * spec.dim ** (order + 2))
     split = G.metric_jets(spec, x, order=order)
     assert len(calls) == 4 and len(builds) == 1
     assert split.order == whole.order
@@ -438,7 +438,7 @@ def test_metric_working_set_does_not_grow_with_the_batch():
     which run in several blocks."""
     spec = G.MetricSpec("ga", 1.0)
     x = V.sample("B_a", 1.0, 1200, 85, exclusion=0.05)
-    assert 300 * 8 * 5 ** 5 > 2 * J.BLOCK_BYTES
+    assert 300 * 8 * 5 ** 5 > 2 * G.BLOCK_BYTES
 
     def working_set(pts):
         tracemalloc.start()

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liccheck5 import jets
+from liccheck5 import geometry, jets
 from liccheck5.errors import DomainError, OrderError, SingularMetricError
+from liccheck5.verify import _eh_points
 
 RNG_SEED = 20240817
 FD_STEP = {1: 1e-5, 2: 1e-4, 3: 1e-3}
@@ -379,29 +380,25 @@ def test_contract_refuses_what_one_matmul_cannot_run(spec, shapes):
 @pytest.mark.parametrize("count, cap", [(5, 5), (7, 3), (40, 13), (84, 83),
                                         (8301, 83)])
 def test_blocks_are_equal_and_fill_one_output(count, cap, monkeypatch):
-    """A batch over the cap runs in the fewest blocks of at most ``cap``
-    points, their sizes differing by at most one, each written in place;
-    a batch within the cap goes to fn as it is, and ``whole`` sees the
-    whole batch once before a split."""
-    monkeypatch.setattr(jets, "BLOCK_BYTES", cap * 16)
-    x = np.arange(count * 2.0).reshape(count, 2)
-    seen, wholes = [], []
-
-    def fn(p):
-        seen.append(p)
-        return jets.Jet(2.0 * p[:, 0], p[:, :, None] * p[:, None, :])
-
-    got = jets._blocked(fn, x, 16, wholes.append)
-    sizes = [len(p) for p in seen]
+    """The block loop over metric jets (geometry._over_blocks) runs a batch
+    over the cap in the fewest blocks of at most ``cap`` points, their
+    sizes differing by at most one, and returns a batch within the cap as
+    its one block's read; each block's read, a jet or an array, is written
+    in place into one output, the unblocked one bit for bit."""
+    spec = geometry.MetricSpec("eh", 1.0)
+    y = _eh_points(1.0, RNG_SEED + 5, count)
+    whole = geometry.metric_jets(spec, y, order=1)
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", cap * 8 * 4 ** 3)
+    seen = []
+    got = geometry._over_blocks(spec, y, 1, lambda g: seen.append(g) or g)
+    sizes = [len(g.val) for g in seen]
     assert len(sizes) == -(-count // cap) and sum(sizes) == count
     assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
     if count <= cap:
-        assert seen[0] is x and not wholes
-    else:
-        assert len(wholes) == 1 and np.array_equal(wholes[0], x)
-    assert np.array_equal(got.val, 2.0 * x[:, 0])
-    assert np.array_equal(got.grad, x[:, :, None] * x[:, None, :])
-    vals = jets._blocked(lambda p: fn(p).grad, x, 16)
+        assert got is seen[0]
+    assert np.array_equal(got.val, whole.val)
+    assert np.array_equal(got.grad, whole.grad)
+    vals = geometry._over_blocks(spec, y, 1, lambda g: g.grad)
     assert isinstance(vals, np.ndarray) and np.array_equal(vals, got.grad)
 
 
