@@ -143,7 +143,7 @@ def _piece(spec, x, key):
     """One entry of _CurvaturePieces at a point batch, read inside the
     metric's own blocks (geometry._over_blocks) from each block's metric
     jet: of order 1 for the Christoffel symbols, 2 for the rest."""
-    return geo._over_blocks(spec, x, 1 if key == "gam" else 2,
+    return geo._over_blocks(spec.family, spec.a, x, 1 if key == "gam" else 2,
                             lambda g: getattr(_CurvaturePieces(g), key))
 
 
@@ -379,12 +379,12 @@ def conformal_ricci_check(x, a=1.0):
     The deformed metric is exp(2 mu) times its Ricci-flat rescaling with
     mu = ln|r^2 - x0^2|, so its Ricci tensor must equal _conformal_rhs of
     mu against the rescaled metric."""
-    x = np.asarray(x, dtype=float)
-    rad = geo.RadialJets(J.seed(x, order=2))
+    rad = geo.RadialJets(x, 2)
     if np.any(rad.d.val == 0.0):
         raise SingularError("identity breaks down on the cone r = |x0|")
+    (mu,) = rad.pullback(rad.mu)
     gt = geo.metric_jets(geo.MetricSpec("gatilde", a), x, order=1)
-    return ricci(geo.MetricSpec("ga", a), x), _conformal_rhs(rad.mu, gt)
+    return ricci(geo.MetricSpec("ga", a), x), _conformal_rhs(mu, gt)
 
 
 def _conformal_rhs(mu, gt):

@@ -13,20 +13,25 @@ extended by zero on L.  The metric family:
     eh       4d: dR^2/(1-(a/R)^4) + R^2(sigma1^2+sigma2^2+(1-(a/R)^4) sigma3^2)
 
 with beta = sqrt(1 - (a r_o)^4) and alpha = (r^2+x0^2) dr - 2 x0 r dx0.
-The closed forms below are the a = 1 members; metric_jets alone reads a,
-by Jet.dilate: ga_a(x) = ga_1(a x), gatilde_a(x) = a^4 gatilde_1(a x),
-ha_a(y) = ha_1(a y) and eh_a(y) = eh_1(y / a), component for component.
+The closed forms below are the a = 1 members of the metrics and of their
+frames; _over_blocks alone reads a, by Jet.dilate with the weights of the
+table _FORMS: ga_a(x) = ga_1(a x), gatilde_a(x) = a^4 gatilde_1(a x),
+ha_a(y) = ha_1(a y) and eh_a(y) = eh_1(y / a), component for component,
+and the frames likewise.
 
-Every metric is a sum of coefficients times the polynomial tensors eta,
-e0 e0^T, e0 xh^T + xh e0^T, xh xh^T and K3 K3^T (xh the spatial part of
-x), and its coefficients depend on the U(2) invariants alone: x0 and
-rho = r^2 for ga and gatilde (gatilde's 1/d^2 folded into each of them),
-R^2 for ha and eh.  They are built once a batch as jets in those one or
-two variables, which decides the batch's cone side and domain; then, block
-by block, they are pulled back to x through the invariants' exact jets and
-multiplied with the tensors' exact jets as batched matmuls.  That loop,
-_over_blocks, is the package's one cut of a batch into blocks: metric_jets
-returns its jets, and the curvature entries read their pieces inside it.
+Every metric and every frame is a sum of coefficients times polynomial
+tensors: eta (delta in 4d) and outer products u v^T of the fields c_i
+(constant unit vectors), xh (the spatial part of x) and K1, K2, K3.  Its
+coefficients depend on the U(2) invariants alone: x0 and rho = r^2 in 5d
+(gatilde's 1/d^2 folded into each of them), R^2 in 4d.  They are built
+once a batch as jets in those one or two variables (RadialJets), which
+decides the batch's cone side and domain; then, block by block, they are
+pulled back to x through the invariants' exact jets and multiplied with
+the tensors' exact jets as batched matmuls.  That loop, _over_blocks, is
+the package's one cut of a batch into blocks: metric_jets and the frames
+return its jets, and the curvature entries read their pieces inside it.
+Every other reader of a radial function pulls it back from a RadialJets
+bundle the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import jets as J
-from .errors import AmbiguousError, DimensionError, DomainError
+from .errors import (AmbiguousError, CaViolationError, DimensionError,
+                     DomainError)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)
@@ -68,7 +74,7 @@ class MetricSpec:
 
     @property
     def dim(self):
-        return 4 if self.family in ("ha", "eh") else 5
+        return _FORMS[self.family][0]
 
 
 def classify(p, a):
@@ -109,22 +115,18 @@ def cone_gap(x):
 
 def cone_side(x):
     """+1 if every point has r > |x0|, -1 if every point lies in the closed
-    cone L (boundary included); a batch mixing the two raises.  The one
-    place the package decides a batch's cone side."""
-    d = cone_gap(x)
-    if np.all(d > 0.0):
+    cone L (boundary included); a batch mixing the two raises."""
+    return _side_of(cone_gap(x))
+
+
+def _side_of(gap):
+    """cone_side of points with the cone gaps gap: the one place the
+    package decides a batch's cone side."""
+    if np.all(gap > 0.0):
         return 1
-    if np.all(d <= 0.0):
+    if np.all(gap <= 0.0):
         return -1
     raise AmbiguousError("batch mixes the two sides of the cone")
-
-
-def _side_off_the_cone(x):
-    """cone_side of the points x, raising on the cone itself, where the
-    jets of r_o and g_a are not defined."""
-    if np.any(cone_gap(x) == 0.0):
-        raise AmbiguousError("point(s) on the cone boundary r = |x0|")
-    return cone_side(x)
 
 
 def sum_squares(js):
@@ -137,20 +139,36 @@ def sum_squares(js):
 
 
 class RadialJets:
-    """The cone's radial coordinate functions at a = 1 over one batch of
-    coordinate jets xj, each built on first read from those before it:
-    r^2, r, d = r^2 - x0^2, w = r^2 + x0^2, the batch's cone side, r_o
-    (d/r off L, 0 on L), beta = sqrt(1 - r_o^4) (1 on L) and mu = ln|d|.
-    The side, and so r_o, beta and mu, raise AmbiguousError on the cone
-    itself and for a batch mixing the two sides; beta raises DomainError
-    outside the closure of B_1."""
+    """The radial functions at a = 1 of the points x (..., 5), as jets of
+    the given order in the two invariants x0 and r^2 (the seeds), each
+    built on first read from those before it: r, d = r^2 - x0^2,
+    w = r^2 + x0^2, the cone gap and side of the batch, r_o (d/r off L, 0
+    on L), r_o^2, bsq = 1 - r_o^4, beta = sqrt(bsq) (1 on L) and
+    mu = ln|d|.  4d points seed r2 = R^2 alone, and give r2 and r.  The
+    side, and so r_o and what is built from it, raise AmbiguousError on the
+    cone itself and for a batch mixing the two sides; bsq raises
+    DomainError outside the closure of B_1.  pullback gives any of these
+    jets as a jet in x."""
 
-    def __init__(self, xj):
-        self.xj = xj
+    def __init__(self, x, order):
+        self.points = x = np.asarray(x, dtype=float)
+        rho = sum_squares(list(np.moveaxis(x[..., -4:], -1, 0)))
+        if x.shape[-1] == 4:
+            self.x0, (self.r2,) = None, J.seed(rho[..., None], order)
+        else:
+            self.x0, self.r2 = J.seed(np.stack([x[..., 0], rho], -1), order)
 
-    @cached_property
-    def r2(self):
-        return sum_squares(self.xj[1:])
+    def pullback(self, *fields):
+        """The jets in x of the scalar jets fields of this bundle, which
+        are jets in the invariants: their pullbacks (_pullback)."""
+        F = _pullback(J.stack(list(fields)), self.points)
+        return [F[i] for i in range(len(fields))]
+
+    def exterior(self, who):
+        """Raise DomainError unless every point lies off the closed cone
+        L, where who is defined."""
+        if not np.all(self.gap > 0.0):
+            raise DomainError(f"{who} is only defined off the cone, on r > |x0|")
 
     @cached_property
     def r(self):
@@ -158,31 +176,43 @@ class RadialJets:
 
     @cached_property
     def d(self):
-        return self.r2 - self.xj[0] * self.xj[0]
+        return self.r2 - self.x0 * self.x0
 
     @cached_property
     def w(self):
-        return self.r * self.r + self.xj[0] * self.xj[0]
+        return self.r * self.r + self.x0 * self.x0
+
+    @cached_property
+    def gap(self):
+        return cone_gap(self.points)
 
     @cached_property
     def side(self):
-        return _side_off_the_cone(
-            np.stack([np.asarray(j.val) for j in self.xj], axis=-1))
+        if np.any(self.gap == 0.0):
+            raise AmbiguousError("point(s) on the cone boundary r = |x0|")
+        return _side_of(self.gap)
 
     @cached_property
     def ro(self):
         if self.side < 0:
-            x0 = self.xj[0]
-            return J.constant(0.0, dim=x0.dim, order=x0.order,
-                              shape=np.shape(x0.val))
+            return J.constant(0.0, dim=self.x0.dim, order=self.x0.order,
+                              shape=np.shape(self.x0.val))
         return self.d / self.r
 
     @cached_property
-    def beta(self):
-        bsq = (-1.0) * self.ro.pow_int(4) + 1.0
+    def ro2(self):
+        return self.ro * self.ro
+
+    @cached_property
+    def bsq(self):
+        bsq = (-1.0) * (self.ro2 * self.ro2) + 1.0
         if not np.all(bsq.val > 0.0):        # NaN included
             raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
-        return bsq.sqrt()
+        return bsq
+
+    @cached_property
+    def beta(self):
+        return self.bsq.sqrt()
 
     @cached_property
     def mu(self):
@@ -206,57 +236,58 @@ def sigma_form(k, spatial, ir2):
     return [c * ir2 for c in sigma_dual_vectors(spatial)[k - 1]]
 
 
-def alpha_form(xj, rad):
-    """alpha = (r^2+x0^2) dr - 2 x0 r dx0 as a 5-slot covector of jets,
-    given the RadialJets of the same batch."""
-    r = rad.r
-    w = rad.w * r.reciprocal()
+def alpha_form(xj):
+    """alpha = (r^2+x0^2) dr - 2 x0 r dx0 as a 5-slot covector of jets of
+    the 5d coordinate jets xj, its r and w built from them: an oracle of
+    the closed forms, which read none of it."""
+    r = sum_squares(xj[1:]).sqrt()
+    w = (r * r + xj[0] * xj[0]) * r.reciprocal()
     a0 = (-2.0) * xj[0] * r
     return [a0, w * xj[1], w * xj[2], w * xj[3], w * xj[4]]
 
 
-# The closed forms' polynomial tensors, ordered by degree in x: eta (delta in
-# 4d), e0 e0^T, e0 xh^T + xh e0^T, xh xh^T and K3 K3^T, with xh the spatial
-# part of x (its last four slots) and K3 = _K3 xh the Hopf field of
-# sigma_dual_vectors' table; 4d has no e0 terms.  Each tensor after the
-# first is a sum of outer products u v^T of the fields e0, xh and K3.
-_K3 = np.array(sigma_dual_vectors(list(np.eye(4)))[2])
-_TENSORS = {5: ((), (("e0", "e0"),), (("e0", "xh"), ("xh", "e0")),
-                (("xh", "xh"),), (("k3", "k3"),)),
-            4: ((), (("xh", "xh"),), (("k3", "k3"),))}
+# The closed forms' polynomial tensors, each named by its terms: "eta" is
+# eta (delta in 4d), and "u v + u' v'" is u v^T + u' v'^T for the fields
+# c0, c1, ... (the constant unit vectors), x (the spatial part of x, its
+# last four slots) and k1, k2, k3 (K_k = _K[k - 1] x, the table of
+# sigma_dual_vectors).
+_K = np.array(sigma_dual_vectors(list(np.eye(4))))
+_FLAT = {5: ETA, 4: np.eye(4)}
 
 
 @lru_cache
 def _monomials(n, sel):
-    """Every entry of the tensors sel of _TENSORS[n] is one monomial
-    c x_a x_b, where x_n = 1 stands in for a missing factor: the field
-    components are single terms (K3 is a signed permutation of xh), and
-    the two products of e0 xh^T + xh e0^T never share an entry.  So are the
+    """Every entry of the tensors sel, named as above, in n dimensions is
+    one monomial c x_a x_b, where x_n = 1 stands in for a missing factor:
+    the field components are single terms (K_k is a signed permutation of
+    x), and the products of a tensor never share an entry.  So are the
     entries' exact partials, c (x_b [a = d] + x_a [b = d]) and then
     c ([a = d][b = e] + [a = e][b = d]), and there are no third ones.
-    Returns, for the tensors of degree >= 0, >= 1 and 2 (trailing runs of
-    sel, after k1 and k2 others), the level tables (c, ab) with
-    ab = a (n + 1) + b (n, n, m), (c1, a1) (n, n, n, m - k1) and c2
-    (n, n, n, n, m - k2), and k1, k2."""
-    sp, perm = range(n - 4, n), np.argmax(np.abs(_K3), axis=1)
-    fields = {"e0": [(1.0, n)] + [(0.0, n)] * (n - 1),
-              "xh": [(0.0, n)] * (n - 4) + [(1.0, i) for i in sp],
-              "k3": [(0.0, n)] * (n - 4) + [(_K3[i, p], n - 4 + p)
-                                             for i, p in enumerate(perm)]}
+    sel lists the tensors by degree, 0 first.  Returns, for the tensors of
+    degree >= 0, >= 1 and 2 (trailing runs of sel, after k1 and k2
+    others), the level tables (c, ab) with ab = a (n + 1) + b (n, n, m),
+    (c1, a1) (n, n, n, m - k1) and c2 (n, n, n, n, m - k2), and k1, k2."""
+    one = [(0.0, n)] * n
+    fields = {"c%d" % i: one[:i] + [(1.0, n)] + one[i + 1:] for i in range(n)}
+    fields["x"] = one[:n - 4] + [(1.0, i) for i in range(n - 4, n)]
+    for k, K in enumerate(_K, 1):
+        perm = np.argmax(np.abs(K), axis=1)
+        fields["k%d" % k] = one[:n - 4] + [(K[i, p], n - 4 + p)
+                                           for i, p in enumerate(perm)]
     m = len(sel)
     c, a, b = np.zeros((n, n, m)), np.full((n, n, m), n), np.full((n, n, m), n)
     for i, j, t in np.ndindex(n, n, m):
-        pairs = _TENSORS[n][sel[t]]
-        if not pairs:
+        if sel[t] == "eta":
             c[i, j, t] = _FLAT[n][i, j]
             continue
-        terms = [(cu * cv, au, av) for u, v in pairs
+        terms = [(cu * cv, au, av) for u, v in map(str.split, sel[t].split("+"))
                  for (cu, au), (cv, av) in [(fields[u][i], fields[v][j])]
                  if cu * cv]
         assert len(terms) <= 1, "an entry that is not one monomial"
         if terms:
             c[i, j, t], a[i, j, t], b[i, j, t] = terms[0]
     degree = np.max((a < n) * 1 + (b < n), axis=(0, 1))
+    assert np.all(np.diff(degree) >= 0), "tensors out of degree order"
     k1, k2 = (int(np.sum(degree < k)) for k in (1, 2))
     d = np.arange(n)[:, None]
     hit_a, hit_b = (a[:, :, None] == d) * 1, (b[:, :, None] == d) * 1
@@ -270,23 +301,20 @@ def _monomials(n, sel):
     return (c, ab), (c1, a1), c2, k1, k2
 
 
-_FLAT = {5: ETA, 4: np.eye(4)}
-
-
 def _tensor_jets(x, sel, order):
-    """The jets of the tensors sel of _TENSORS at the points x (..., n),
-    stacked on a last axis, up to the order asked: T0 (..., n, n, m); T1
-    (..., n, n, n, m - k1) over the tensors of degree >= 1 and the constant
-    T2 (n, n, n, n, m - k2) over those of degree 2, trailing runs of sel;
-    returned with k1 and k2.  Each level is a gather of x (_monomials),
-    made contiguous: np.matmul's bits follow its operands' layout."""
+    """The jets of the tensors sel at the points x (..., n), stacked on a
+    last axis, up to the order asked: T0 (..., n, n, m); T1
+    (..., n, n, n, m - k1) over the tensors of degree >= 1, a constant
+    (n, n, n, m - k1) where none has degree 2, and the constant T2
+    (n, n, n, n, m - k2) over those of degree 2, trailing runs of sel;
+    returned with k1 and k2.  Each level is a gather of x (_monomials)."""
     n = x.shape[-1]
     (c, ab), (c1, a1), c2, k1, k2 = _monomials(n, tuple(sel))
     xp = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
     xx = (xp[..., :, None] * xp[..., None, :]).reshape(x.shape[:-1] + (-1,))
     levels = [c * np.take(xx, ab, axis=-1)]
     if order >= 1:
-        levels.append(c1 * np.take(xp, a1, axis=-1))
+        levels.append(c1 if k2 == len(sel) else c1 * np.take(xp, a1, axis=-1))
     if order >= 2:
         levels.append(c2)
     return levels, k1, k2
@@ -322,19 +350,20 @@ def _pullback(F, x):
     return J.Jet(*out)
 
 
-def _closed_form(x, F, sel):
-    """The metric jet sum_t f_t T_t at the points x, where the f_t are the
+def _closed_form(x, F, sel, const):
+    """The jet const + sum_t f_t T_t at the points x, where the f_t are the
     coefficient jets F (in the invariants, pulled back here) of the tensors
-    sel of _TENSORS, and eta (delta in 4d) is added with coefficient 1
-    unless sel lists it.  T_t's jets stop at level 2, so level k of the
-    product is a sum of matmuls over t in the output's layout: T0 f_k, the
-    symmetrized T1 f_(k-1) and T2 f_(k-2)."""
+    sel and const is a constant tensor or None.  T_t's jets stop at level
+    2, so level k of the sum is a sum of matmuls over t in the output's
+    layout: T0 f_k, the symmetrized T1 f_(k-1) and T2 f_(k-2), the last
+    where sel has tensors of degree 2."""
     f = _pullback(F, x).levels
     order = len(f) - 1
     t, k1, k2 = _tensor_jets(x, sel, min(order, 2))
+    quadratic = k2 < len(sel)
     out = [J.contract("ijt,t->ij", t[0], f[0])]
-    if 0 not in sel:
-        out[0] += _FLAT[x.shape[-1]]
+    if const is not None:
+        out[0] += const
     if order >= 1:
         out.append(J.contract("ijt,tx->ijx", t[0], f[1])
                    + J.contract("ijxt,t->ijx", t[1], f[0][..., k1:]))
@@ -343,34 +372,191 @@ def _closed_form(x, F, sel):
         cross = J.contract("ijxt,ty->ijxy", t[1], f[1][..., k1:, :])
         cross = cross + np.swapaxes(cross, -1, -2)
         cross += J.contract("ijt,txy->ijxy", t[0], f[2])
-        cross += J.contract("ijxyt,t->ijxy", t[2], f[0][..., k2:])
+        if quadratic:
+            cross += J.contract("ijxyt,t->ijxy", t[2], f[0][..., k2:])
         out.append(cross)
     if order >= 3:
         cross = J.contract("ijxt,tyz->ijxyz", t[1], f[2][..., k1:, :, :])
-        cross += J.contract("ijyzt,tx->ijxyz", t[2], f[1][..., k2:, :])
+        if quadratic:
+            cross += J.contract("ijyzt,tx->ijxyz", t[2], f[1][..., k2:, :])
         cross = J._sym3(cross)
         cross += J.contract("ijt,txyz->ijxyz", t[0], f[3])
         out.append(cross)
     return J.Jet(*out)
 
 
-class _InvariantJets(RadialJets):
-    """RadialJets at the points x (..., 5) as jets in the two invariants
-    (x0, rho = r^2) alone: x0 and rho are the seeds, so every field is a
-    jet in two variables, and the side is decided from the points."""
+# ------------------------------------------- the closed forms' coefficients
+# Each takes the RadialJets of a batch at a = 1 and returns the list of its
+# coefficient jets with the tensors they multiply, or ([], ()) where the
+# form is its constant alone.
 
-    def __init__(self, x, order):
-        rho = sum_squares(list(np.moveaxis(x[..., 1:], -1, 0)))
-        x0, self.r2 = J.seed(np.stack([x[..., 0], rho], axis=-1), order)
-        super().__init__([x0])
-        self.points = x
-
-    @cached_property
-    def side(self):
-        return _side_off_the_cone(self.points)
+_GA = ("c0 c0", "c0 x + x c0", "x x", "k3 k3")
 
 
-# Bytes the largest metric jet level of one block may take.  _over_blocks
+def _metric_ga(rad):
+    """g_1 on the exterior side, flat (eta alone) on L: g_1 = eta +
+    4 c x0^2 r^2 e0 e0^T - 2 c w x0 (e0 xh^T + xh e0^T) + (c w^2 / r^2)
+    xh xh^T - (u / r^2) K3 K3^T, with u = r_o^4 and c = r_o^2 / (r^2 bsq),
+    bsq = 1 - u; that is eta + c alpha alpha^T - u r^2 sigma3 sigma3^T with
+    alpha = (-2 x0 r, (w/r) xh) and sigma3 = K3/r^2.  r^2 is the seed
+    itself, with no square root at all, and bsq is formed from r_o^2 before
+    any square root of it: squaring the bundle's r and beta instead moves
+    the suite's residuals by up to 5x."""
+    if rad.side < 0:
+        return [], ()
+    r2, w, x0, ro2 = rad.r2, rad.w, rad.x0, rad.ro2
+    ir2 = r2.reciprocal()
+    c = ro2 * (r2 * rad.bsq).reciprocal()
+    cw = c * w
+    return [4.0 * c * x0 * x0 * r2, (-2.0) * cw * x0, cw * w * ir2,
+            (-1.0) * (ro2 * ro2) * ir2], _GA
+
+
+def _metric_gatilde(rad):
+    """g_1 / d^2, the 1/d^2 folded into every coefficient, eta's too."""
+    coef, sel = _metric_ga(rad)
+    id2 = (rad.d * rad.d).reciprocal()
+    return [id2] + [f * id2 for f in coef], ("eta",) + sel
+
+
+def _instanton_u(rad, inner):
+    """u = R^4 for ha, on R < 1 (inner), or R^-4 for eh and its frame, on
+    R > 1; DomainError off that domain."""
+    rv = rad.r2.val
+    if not np.all(rv < 1.0 if inner else rv > 1.0):
+        raise DomainError("ha needs r < 1/a" if inner else "eh needs R > a")
+    return rad.r2.pow_int(2 if inner else -2)
+
+
+def _metric_instanton(rad, inner):
+    """ha (inner) or eh: delta + u/((1 - u) R^2) xh xh^T - (u/R^2) K3 K3^T."""
+    u = _instanton_u(rad, inner)
+    irad2 = rad.r2.reciprocal()
+    w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
+    return [w, (-1.0) * u * irad2], ("x x", "k3 k3")
+
+
+# frames e, f and etilde: the columns 0 and 1 in the (x0, xh) plane, then
+# the sphere directions K1, K2, K3 as columns 2, 3 and 4
+_E = ("c0 c0", "c0 c1", "x c0", "x c1", "k1 c2", "k2 c3", "k3 c4")
+
+
+def _e_scalars(rad):
+    """Frame e's scalars 4 x0^2 c + 1, 2 x0 w c / r, 1 - w^2 c / r^2 and
+    1 / r, with c = r_o^2 / (1 + beta); frame htilde reuses them."""
+    c = rad.ro2 * (rad.beta + 1.0).reciprocal()
+    ir = rad.r.reciprocal()
+    x0, w = rad.x0, rad.w
+    return (4.0 * x0 * x0 * c + 1.0, 2.0 * x0 * w * c * ir,
+            1.0 + (-1.0) * w * w * c * ir * ir, ir)
+
+
+def _frame_e_coefficients(rad):
+    """e = (4 x0^2 c + 1) c0 c0^T - (2 x0 w c / r) c0 c1^T + (2 x0 w c / r^2)
+    xh c0^T + ((1 - w^2 c / r^2) / r) xh c1^T + K1 c2^T / r + K2 c3^T / r +
+    K3 c4^T / (r beta) with c = r_o^2 / (1 + beta), on both sides of the
+    cone (c = 0 and beta = 1 on L)."""
+    e00, xwc, s, ir = _e_scalars(rad)
+    return [e00, (-1.0) * xwc, xwc * ir, s * ir, ir, ir,
+            ir * rad.beta.reciprocal()], _E
+
+
+def _frame_f_coefficients(rad):
+    """f = w c0 c0^T + 2 r x0 beta c0 c1^T + 2 x0 xh c0^T + (w beta / r)
+    xh c1^T + r_o (K1 c2^T + K2 c3^T + K3 c4^T / beta), off the cone."""
+    rad.exterior("frame f")
+    r, ro, beta, w, x0 = rad.r, rad.ro, rad.beta, rad.w, rad.x0
+    return [w, 2.0 * r * x0 * beta, 2.0 * x0, w * beta * r.reciprocal(),
+            ro, ro, ro * beta.reciprocal()], _E
+
+
+def _frame_etilde_coefficients(rad):
+    """etilde = ((w^2 - 4 x0^2 r^2 beta) c0 c0^T + 2 x0 r w (beta - 1)
+    c0 c1^T + 2 x0 w (1 - beta) xh c0^T + ((w^2 beta - 4 x0^2 r^2) / r)
+    xh c1^T) / d + r_o (K1 c2^T + K2 c3^T + K3 c4^T / beta), off the cone."""
+    rad.exterior("frame etilde")
+    r, ro, beta, w, x0 = rad.r, rad.ro, rad.beta, rad.w, rad.x0
+    idet = rad.d.reciprocal()
+    return [(w * w + (-4.0) * x0 * x0 * r * r * beta) * idet,
+            2.0 * x0 * r * w * (beta + (-1.0)) * idet,
+            2.0 * x0 * w * (1.0 + (-1.0) * beta) * idet,
+            (w * w * beta + (-4.0) * x0 * x0 * r * r) * idet * r.reciprocal(),
+            ro, ro, ro * beta.reciprocal()], _E
+
+
+def _frame_htilde_coefficients(rad):
+    """The non-singular C^1 frame htilde = e.(QG) on C_1: exactly I on L
+    (cone and axis included).  On the B_1 side the product is expanded and
+    the 1/r factors cancelled algebraically, so the evaluation stays finite
+    near the origin: with e's scalars E = 4 x0^2 c + 1, X = 2 x0 w c / r and
+    S = 1 - w^2 c / r^2 (_e_scalars) and (k, q) of Q,
+
+        htilde = I + (k E - q X - 1) c0 c0^T + ((k X + q S) / r) xh c0^T
+                 + ((q E - k X) / r) c0 xh^T + ((q X + k S - 1) / r^2) xh xh^T
+                 + ((1/beta - 1) / r^2) K3 K3^T
+
+    whose column 0 is k e_0 + q e_1."""
+    if _side_of(rad.gap) < 0:
+        return [], ()
+    k, q, _ = _k_q_rho(rad)
+    e00, xwc, s, ir = _e_scalars(rad)
+    ir2 = ir * ir
+    return [k * e00 + (-1.0) * q * xwc + (-1.0), (k * xwc + q * s) * ir,
+            (q * e00 + (-1.0) * k * xwc) * ir,
+            (q * xwc + k * s + (-1.0)) * ir2,
+            (rad.beta.reciprocal() + (-1.0)) * ir2], (
+        "c0 c0", "x c0", "c0 x", "x x", "k3 k3")
+
+
+def _eh_frame_coefficients(rad):
+    """The instanton frame: the inward unit radial vector -beta xh / R,
+    then K1 / R, K2 / R and K3 / (R beta), with beta = sqrt(1 - R^-4)."""
+    beta = ((-1.0) * _instanton_u(rad, False) + 1.0).sqrt()
+    ir = rad.r.reciprocal()
+    return [(-1.0) * beta * ir, ir, ir, ir * beta.reciprocal()], (
+        "x c0", "k1 c1", "k2 c2", "k3 c3")
+
+
+def _k_q_rho(rad):
+    """The boost entries k, q of Q and rho = beta^-2 r_o^2 at a = 1 on the
+    exterior side (frames.k_q_rho); CaViolationError outside C_1."""
+    beta, x0 = rad.beta, rad.x0
+    ib = beta.reciprocal()
+    rho = rad.ro2 * ib * ib
+    gate = 4.0 * x0 * x0 * rho
+    if np.any(gate.val >= 1.0):
+        raise CaViolationError("4 x0^2 rho >= 1: point(s) outside C_a")
+    iS = (((-1.0) * gate + 1.0).sqrt()).reciprocal()
+    ip1 = (beta + 1.0).reciprocal()
+    k = (1.0 + (-1.0) * gate * beta * ip1) * iS
+    q = (-2.0) * x0 * rad.w * beta * rho * rad.r.reciprocal() * ip1 * iS
+    if np.any(k.val <= 0.0):
+        raise CaViolationError("k <= 0: point(s) outside C_a")
+    return k, q, rho
+
+
+# Every closed form by name, a metric family or a frame id: its dimension
+# n, the dilation (p, q) by which its a-member at x is a^q times its a = 1
+# member at a^p x (level k scaled by a^(q + p k), README), its constant
+# term, and the builder of its coefficients (None: the constant alone).
+_I5 = np.eye(5)
+_I5.setflags(write=False)
+_FORMS = {
+    "g0": (5, 1, 0, ETA, None),
+    "ga": (5, 1, 0, ETA, _metric_ga),
+    "gatilde": (5, 1, 4, None, _metric_gatilde),
+    "ha": (4, 1, 0, _FLAT[4], lambda rad: _metric_instanton(rad, True)),
+    "eh": (4, -1, 0, _FLAT[4], lambda rad: _metric_instanton(rad, False)),
+    "u": (5, 1, 0, _I5, None),
+    "e": (5, 1, 0, None, _frame_e_coefficients),
+    "htilde": (5, 1, 0, _I5, _frame_htilde_coefficients),
+    "f": (5, 1, -2, None, _frame_f_coefficients),
+    "etilde": (5, 1, -2, None, _frame_etilde_coefficients),
+    "eh_frame": (4, -1, 0, None, _eh_frame_coefficients),
+}
+
+
+# Bytes the largest jet level of one block may take.  _over_blocks
 # runs a larger batch block by block, so a call's intermediates stay near
 # this size instead of growing with the batch.  On a 2-core Xeon with 2 MiB
 # of L2 cache a core, budgets of 1 to 8 MiB ran 1200-point batches equally
@@ -380,7 +566,7 @@ class _InvariantJets(RadialJets):
 BLOCK_BYTES = 2 << 20
 
 
-def metric_jets(spec: MetricSpec, x, order=3):
+def metric_jets(spec: MetricSpec, x, order):
     """Metric components as a (dim, dim) tensor jet.
 
     For family 'ga'/'gatilde' the batch must lie entirely on one side of the
@@ -389,40 +575,40 @@ def metric_jets(spec: MetricSpec, x, order=3):
     built once for the whole batch; a large batch then runs block by block
     (_over_blocks), with the same result.
     """
-    return _over_blocks(spec, x, order, lambda g: g)
+    return _over_blocks(spec.family, spec.a, x, order, lambda g: g)
 
 
-def _over_blocks(spec: MetricSpec, x, order, read):
-    """read(g) for the metric jet g of the given order over the batch x,
-    block by block: the package's one block loop.  read maps a jet to a
-    Jet or an ndarray with one leading axis per batch axis.
+def _over_blocks(name, a, x, order, read):
+    """read(g) for the jet g of the given order of the closed form named
+    (_FORMS) at parameter a over the batch x, block by block: the
+    package's one block loop.  read maps a jet to a Jet or an ndarray with
+    one leading axis per batch axis.
 
-    The points are checked (spec.dim-dimensional) and dilated by a, and
-    the closed form's coefficient jets built in their invariants, once for
-    the whole batch, so its cone side and domain are decided before any
-    block runs.  Each block pulls its share of them back, forms the closed
-    form (or the flat metric), dilates it and reads it.  A batch whose top
-    metric level fits in BLOCK_BYTES is one block as it is; a larger one is
-    flattened to (N, n) and cut into the fewest blocks that fit, their
-    sizes differing by at most one, and each block's result is written
-    into outputs allocated once before the batch shape is restored."""
-    a, n, eh = spec.a, spec.dim, spec.family == "eh"
+    The points are checked (n-dimensional) and dilated, and the closed
+    form's coefficient jets built in their invariants, once for the whole
+    batch, so its cone side and domain are decided before any block runs.
+    Each block pulls its share of them back, forms the closed form (or the
+    constant), dilates it and reads it.  A batch whose top level fits in
+    BLOCK_BYTES is one block as it is; a larger one is flattened to (N, n)
+    and cut into the fewest blocks that fit, their sizes differing by at
+    most one, and each block's result is written into outputs allocated
+    once before the batch shape is restored."""
+    n, p, q, const, build = _FORMS[name]
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
-        raise DimensionError("family %r needs %dd points, got %dd"
-                             % (spec.family, n, x.shape[-1]))
-    y = x / a if eh else a * x
-    F, sel = _coefficients(spec.family, y, order)
-    # the weight a^4 is formed only once the domain tests have passed
-    s, weight = (1.0 / a if eh else a,
-                 a ** 4 if spec.family == "gatilde" else 1.0)
+        raise DimensionError("%r needs %dd points, got %dd"
+                             % (name, n, x.shape[-1]))
+    y = a * x if p > 0 else x / a
+    coef, sel = ([], ()) if build is None else build(RadialJets(y, order))
+    # a weight a^q is formed only once the domain tests have passed
+    s, weight = (a if p > 0 else 1.0 / a), (a ** q if q else 1.0)
 
-    def block(p, *f):
-        g = (_closed_form(p, J.Jet(*f), sel) if f
-             else J.constant(_FLAT[n], n, order, p.shape[:-1]))
+    def block(pts, *f):
+        g = (_closed_form(pts, J.Jet(*f), sel, const) if f
+             else J.constant(const, n, order, pts.shape[:-1]))
         return read(g.dilate(s, weight))
 
-    f = () if F is None else F.levels
+    f = J.stack(coef).levels if coef else ()
     size = max(BLOCK_BYTES // (8 * n ** (order + 2)), 1)     # top level, float64
     base = y.shape[:-1]
     count = int(np.prod(base))
@@ -444,55 +630,3 @@ def _over_blocks(spec: MetricSpec, x, order, read):
         del part, levels, v     # copied: not kept alive while the next block runs
     outs = [out.reshape(base + out.shape[1:]) for out in outs]
     return J.Jet(*outs) if is_jet else outs[0]
-
-
-def _coefficients(family, x, order):
-    """The a = 1 closed form's coefficient jets at the points x, as one
-    (..., m) tensor jet in the invariants, with the table indices (sel) of
-    the tensors they multiply, or (None, ()) for the flat metric.  ga and
-    gatilde are jets in (x0, rho) (_InvariantJets), gatilde's 1/d^2 folded
-    into every coefficient, eta's included; ha and eh in R^2 alone, with
-    u = R^4 (ha) or R^-4 (eh)."""
-    if family == "g0":
-        return None, ()
-    if family in ("ha", "eh"):
-        ha = family == "ha"
-        rv = np.sqrt(np.sum(x * x, axis=-1))
-        if not np.all(rv < 1.0 if ha else rv > 1.0):
-            raise DomainError("ha needs r < 1/a" if ha else "eh needs R > a")
-        (rad2,) = J.seed(sum_squares(list(np.moveaxis(x, -1, 0)))[..., None],
-                         order)
-        u = rad2.pow_int(2 if ha else -2)
-        irad2 = rad2.reciprocal()
-        w = u * ((-1.0) * u + 1.0).reciprocal() * irad2
-        return J.stack([w, (-1.0) * u * irad2]), (1, 2)
-    rad = _InvariantJets(x, order)
-    coef, sel = ([], ()) if rad.side < 0 else (_metric_ga(rad), (1, 2, 3, 4))
-    if family == "gatilde":               # eta's coefficient too: 1/d^2
-        id2 = J.stack([(rad.d * rad.d).reciprocal()])
-        return (J.stack([1.0] + coef) * id2 if coef else id2), (0,) + sel
-    return (J.stack(coef) if coef else None), sel
-
-
-def _metric_ga(rad):
-    """The coefficients of g_1 on the exterior side, from the invariant
-    radial jets: g_1 = eta + 4 c x0^2 r^2 e0 e0^T - 2 c w x0 (e0 xh^T +
-    xh e0^T) + (c w^2 / r^2) xh xh^T - (u / r^2) K3 K3^T, with u = r_o^4
-    and c = r_o^2 / (r^2 (1 - u)); that is eta + c alpha alpha^T -
-    u r^2 sigma3 sigma3^T with alpha = (-2 x0 r, (w/r) xh) and sigma3 =
-    K3/r^2.  On the seeds (x0, rho), r^2 is the seed rho itself, with no
-    square root at all, and beta^2 = 1 - u is formed from r_o = d/r before
-    any square root of it: squaring the bundle's r and beta instead moves
-    the suite's residuals by up to 5x.  Raises DomainError unless 1 - u > 0,
-    inside the closure of B_1."""
-    r2, w, x0 = rad.r2, rad.w, rad.xj[0]
-    ro2 = rad.ro * rad.ro
-    u = ro2 * ro2
-    bsq = (-1.0) * u + 1.0
-    if not np.all(bsq.val > 0.0):        # NaN included
-        raise DomainError("point(s) outside the closure of B_a (r_o >= 1/a)")
-    ir2 = r2.reciprocal()
-    c = ro2 * (r2 * bsq).reciprocal()
-    cw = c * w
-    return [4.0 * c * x0 * x0 * r2, (-2.0) * cw * x0, cw * w * ir2,
-            (-1.0) * u * ir2]

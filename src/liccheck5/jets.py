@@ -329,10 +329,12 @@ def contract(spec, a, b):
     """np.einsum of two arrays as one batched matmul: ``spec`` names their
     trailing axes (e.g. "kl,lij->kij"), leading batch axes broadcast, and a
     letter of both operands is summed.  Each point's product runs on its
-    own, so its result does not depend on the batch it shares."""
+    own, so its result does not depend on the batch it shares, and on
+    C-contiguous operands, as np.matmul picks its kernel by their memory
+    layout: a strided view gives the bits of its contiguous copy."""
     a, b = np.asarray(a), np.asarray(b)
     ta, tb, la, lb, k, perm = _plan(spec, a.ndim, b.ndim)
-    a, b = a.transpose(ta), b.transpose(tb)
+    a, b = map(np.ascontiguousarray, (a.transpose(ta), b.transpose(tb)))
     rows, ks, cols = a.shape[la:a.ndim - k], a.shape[a.ndim - k:], b.shape[lb + k:]
     if b.shape[lb:lb + k] != ks:
         raise ValueError("contract %r: the summed axes differ" % spec)

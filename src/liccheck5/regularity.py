@@ -92,14 +92,14 @@ class CrossingCurve:
 
 
 def _monomial_jets(spec, x, order):
-    x = np.asarray(x, dtype=float)
     if geo.cone_gap(x) < 0:
         return J.constant(0.0, dim=5, order=order)
-    xj = J.seed(x, order=order)
-    rad = geo.RadialJets(xj)
-    out = rad.ro.pow_int(spec.m)
+    rad = geo.RadialJets(x, order)
+    f = rad.ro.pow_int(spec.m)
     if spec.l[0]:
-        out = out * rad.r.reciprocal().pow_int(spec.l[0])
+        f = f * rad.r.reciprocal().pow_int(spec.l[0])
+    (out,) = rad.pullback(f)
+    xj = J.seed(x, order=order)
     for i, p in enumerate(spec.l[1:]):
         if p:
             out = out * xj[i].pow_int(p)

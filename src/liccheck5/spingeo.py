@@ -75,13 +75,14 @@ def psi_bc(b, c, frame="e"):
     frame 'e' (exterior side) or 'u' (flat side, polynomial, global)."""
     b, c = complex(b), complex(c)
     if frame == "e":
-        def comps(x, order=3):
+        def comps(x, order):
             xj = J.seed(x, order=order)
-            r = geo.RadialJets(xj).r
+            rad = geo.RadialJets(x, order)
+            (r,) = rad.pullback(rad.r)
             return J.stack([(-b) * xj[0], c * xj[0], b * r, c * r])
         return SpinorField("e", comps)
     if frame == "u":
-        def comps(x, order=3):
+        def comps(x, order):
             xj = J.seed(x, order=order)
             return J.stack([
                 (-b) * xj[0],
@@ -96,7 +97,7 @@ def nu_bc(b, c):
     """The parallel spinor of the rescaled exterior metric, frame f."""
     b, c = complex(b), complex(c)
 
-    def comps(x, order=3):
+    def comps(x, order):
         return J.constant([0j, 0j, b, c], N, order, np.shape(x)[:-1])
     return SpinorField("f", comps)
 
@@ -154,7 +155,7 @@ def _lift(ids, x, a):
     order."""
     m = None
     for tid, inv in ids:
-        v = F.transform_eval(tid, x, a=a)
+        v = F.transform_eval(tid, x, a=a, order=0)
         v = np.linalg.inv(v) if inv else v
         m = v if m is None else np.einsum('...ab,...bc->...ac', v, m)
     return m
@@ -220,9 +221,10 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     """Both sides (-u . Ric0, 3 Hess(u)0) of the rescaling identity for the
     spinor length square u under the deformed metric (trace-free parts,
     single-side batches)."""
-    d = geo.RadialJets(J.seed(x, order=2)).d
-    if np.any(d.val == 0.0):
+    rad = geo.RadialJets(x, 2)
+    if np.any(rad.d.val == 0.0):
         raise SingularError("residual is not defined on the cone r = |x0|")
+    (d,) = rad.pullback(rad.d)
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
     u = d * s
     P = C._CurvaturePieces(geo.metric_jets(geo.MetricSpec("ga", a), x,

@@ -159,6 +159,7 @@ A_READERS = (
     "frames.transform_eval",
     "geometry.MetricSpec.__post_init__",
     "geometry._over_blocks",
+    "geometry.metric_jets",
     "geometry.classify",
 )
 
@@ -196,10 +197,11 @@ def _calls(fn, name):
 
 def test_curvature_builds_each_piece_in_one_place():
     """Christoffel symbols are formed only by the per-metric bundle, the
-    curvature entries read their pieces inside the metric's one block loop
-    (geometry._over_blocks, called only by _piece and metric_jets) instead
-    of building a metric jet a block, and the structure equations read
-    their metric from the forms they check instead of building one."""
+    curvature entries read their pieces inside the one block loop of the
+    closed forms (geometry._over_blocks, called only by _piece, metric_jets
+    and the two frame builders) instead of building a metric jet a block,
+    and the structure equations read their metric from the forms they check
+    instead of building one."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     fns = dict(_functions(trees["curvature"], ""))
@@ -211,7 +213,8 @@ def test_curvature_builds_each_piece_in_one_place():
                   for stem, tree in trees.items()
                   for name, fn in _functions(tree, "")
                   if _calls(fn, "_over_blocks")) == [
-        "curvature._piece", "geometry.metric_jets"]
+        "curvature._piece", "frames.eh_frame", "frames.frame_eval",
+        "geometry.metric_jets"]
     assert not _calls(fns["_piece"], "metric_jets")
     assert not any(_calls(fns["structure_residuals"], name)
                    for name in ("metric_jets", "_CurvaturePieces"))

@@ -303,8 +303,8 @@ def test_blocked_curvature_equals_unblocked(entry, spec, region, route,
 
 def _count_metric_work(monkeypatch):
     """Counts, updated in place, of the blocks the metric's block loop reads
-    (geometry._over_blocks), of the coefficient jet builds and of the
-    cone side decisions."""
+    (geometry._over_blocks), of the RadialJets bundles the coefficient jets
+    are built on and of the cone side decisions."""
     counts = dict(blocks=0, builds=0, sides=0)
 
     def counted(fn, key):
@@ -314,12 +314,10 @@ def _count_metric_work(monkeypatch):
         return wrapper
 
     loop = geo._over_blocks
-    monkeypatch.setattr(geo, "_over_blocks", lambda spec, x, order, read: loop(
-        spec, x, order, counted(read, "blocks")))
-    monkeypatch.setattr(geo, "_coefficients", counted(geo._coefficients,
-                                                       "builds"))
-    monkeypatch.setattr(geo, "_side_off_the_cone",
-                        counted(geo._side_off_the_cone, "sides"))
+    monkeypatch.setattr(geo, "_over_blocks", lambda name, a, x, order, read:
+                        loop(name, a, x, order, counted(read, "blocks")))
+    monkeypatch.setattr(geo, "RadialJets", counted(geo.RadialJets, "builds"))
+    monkeypatch.setattr(geo, "_side_of", counted(geo._side_of, "sides"))
     return counts
 
 
@@ -347,19 +345,40 @@ def _square(frame):
     return lambda x: S.spinor_square(S.psi_bc(1.0, 0.5, frame=frame), GA, x)
 
 
+def _frame2(fid):
+    """The order-2 jet's levels of a frame, one row per point."""
+    def levels(x):
+        if fid == "eh":
+            fr = F.eh_frame(x, 1.0)
+        else:
+            fr = F.frame_eval(fid, x, order=2)
+        return np.hstack([lv.reshape(len(x), -1) for lv in fr.levels])
+    return levels
+
+
 def test_a_point_has_the_same_bits_alone_and_in_any_batch():
     """Every pairwise contraction runs each point's product on its own
     (jets.contract), so one 40-point call, 40 one-point calls and four
     10-point calls agree bit for bit: the order-3 metric jets, the
-    curvature, the forms, the twistor residual and the spinor square."""
+    order-2 frame jets, the curvature, the forms, the twistor residual and
+    the spinor square."""
     xb = V.sample("B_a", 1.0, 40, 7)
     xl = V.sample("L", 1.0, 40, 8)
+    xc = V.sample("B_a", 1.0, 400, 9)
+    ro = geo.radial_values(xc)[2]
+    xc = xc[4.0 * xc[:, 0] ** 2 * ro ** 2 / (1.0 - ro ** 4) < 0.95][:40]
+    assert len(xc) == 40                   # htilde's C_1 points
     on_b = [lambda x, fn=fn, spec=spec: fn(spec, x) for spec in (GA, GAT)
             for fn in (C.christoffel, C.riemann, C.ricci, C.weyl)]
     on_b += [_metric3(GA), _metric3(GAT), _forms_e,
              lambda x: _twistor(x, "e"), _square("e")]
-    on_l = [lambda x: _twistor(x, "u"), _square("u")]
-    for x, fn in [(xb, fn) for fn in on_b] + [(xl, fn) for fn in on_l]:
+    on_b += [_frame2(fid) for fid in ("e", "f", "etilde")]
+    on_l = [lambda x: _twistor(x, "u"), _square("u"), _frame2("e"),
+            _frame2("htilde")]
+    cases = ([(xb, fn) for fn in on_b] + [(xl, fn) for fn in on_l]
+             + [(xc, _frame2("htilde")),
+                (V._eh_points(1.0, 10, 40), _frame2("eh"))])
+    for x, fn in cases:
         whole = fn(x)
         for size in (1, 10):
             parts = np.concatenate([fn(x[i:i + size])
@@ -729,10 +748,11 @@ def test_conformal_ricci_identity_inside():
 def test_conformal_ricci_flat_variant(sampler):
     # the same law for exp(2 mu) eta against the flat background
     x = sampler()
-    rad = geo.RadialJets(J.seed(x, order=2))
+    rad = geo.RadialJets(x, 2)
+    d, mu = rad.pullback(rad.d, rad.mu)
     eta = J.constant(geo.ETA, 5, 1, x.shape[:-1])
-    lhs = C._CurvaturePieces(J.jeinsum(",ij->ij", rad.d * rad.d, geo.ETA)).ric
-    rhs = C._conformal_rhs(rad.mu, eta)
+    lhs = C._CurvaturePieces(J.jeinsum(",ij->ij", d * d, geo.ETA)).ric
+    rhs = C._conformal_rhs(mu, eta)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 

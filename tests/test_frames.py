@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_kappa_is_boost_exponential():
 
 def test_kappatilde_covers_kappa():
     x = V.sample("B_a", 1.0, 100, 47, exclusion=0.05 / np.sqrt(2))
-    kt = F.transform_eval("kappatilde", x)
+    kt = F.transform_eval("kappatilde", x, order=0)
     kap = F.transform_eval("kappa", x, order=0).val
     assert np.abs(cl.lambda_of(kt) - kap).max() < 1e-9
 
@@ -137,13 +138,13 @@ def test_q_outside_ca_raises():
     # large x0 with r_o close to 1/a puts 4 x0^2 rho far above 1
     p = np.array([[1.897, 2.4, 0.0, 0.0, 0.0]])
     with pytest.raises(CaViolationError):
-        F.k_q_rho(p, a=1.0)
+        F.k_q_rho(p, a=1.0, order=0)
 
 
 def test_qtilde_covers_q():
     x = in_ca(V.sample("B_a", 1.0, 10 * 100, 50, exclusion=0.05 / np.sqrt(2)),
               1.0, 100)
-    Qt = F.transform_eval("Qtilde", x, a=1.0)
+    Qt = F.transform_eval("Qtilde", x, a=1.0, order=0)
     Q = F.transform_eval("Q", x, a=1.0, order=0).val
     assert np.abs(cl.lambda_of(Qt) - Q).max() < 1e-9
 
@@ -159,7 +160,7 @@ def test_qtilde_identity_plus_ro_squared():
         r_target = (t + np.sqrt(t * t + 4 * 0.6 ** 2)) / 2.0
         scale = np.sqrt(r_target ** 2 - rad ** 2)
         b[1] = scale
-        Qt = F.transform_eval("Qtilde", b[None], a=1.0)[0]
+        Qt = F.transform_eval("Qtilde", b[None], a=1.0, order=0)[0]
         ratios.append(np.abs(Qt - np.eye(4)).max() / t ** 2)
     ratios = np.array(ratios)
     assert np.all(ratios < 10.0 * ratios[-1] + 1e-6)
@@ -168,7 +169,7 @@ def test_qtilde_identity_plus_ro_squared():
 
 def test_gtilde_covers_g_and_is_special_unitary():
     x = V.sample("B_a", 1.0, 100, 51, exclusion=0.05 / np.sqrt(2))
-    Gt = F.transform_eval("Gtilde", x)
+    Gt = F.transform_eval("Gtilde", x, order=0)
     G = F.transform_eval("G", x, order=0).val
     assert np.abs(cl.lambda_of(Gt) - G).max() < 1e-9
     ident = np.einsum("...ij,...kj->...ik", Gt, Gt.conj())
@@ -244,31 +245,37 @@ def test_frame_domain_errors():
     with pytest.raises(DomainError):
         F.frame_eval("e", axis, a=1.0)
     with pytest.raises(DomainError):
-        F.transform_eval("G", axis)
+        F.transform_eval("G", axis, order=0)
     with pytest.raises(DomainError):
-        F.transform_eval("Gtilde", axis)
+        F.transform_eval("Gtilde", axis, order=0)
     inside = np.array([[0.9, 0.2, 0.1, 0.0, 0.0]])
     for fid in ("f", "etilde"):
         with pytest.raises(DomainError):
             F.frame_eval(fid, inside, a=1.0)
     with pytest.raises(DomainError):
-        F.transform_eval("kappa", inside)
+        F.transform_eval("kappa", inside, order=0)
     mixed = np.array([[0.9, 0.2, 0.1, 0.0, 0.0], [0.1, 0.9, 0.0, 0.0, 0.0]])
     with pytest.raises(AmbiguousError):
         F.frame_eval("e", mixed, a=1.0)
     with pytest.raises(ValueError):
         F.frame_eval("nope", axis)
     with pytest.raises(ValueError):
-        F.transform_eval("nope", axis)
+        F.transform_eval("nope", axis, order=0)
 
 
-RADIAL_FIELDS = ("r2", "r", "d", "w", "side", "ro", "beta", "mu")
+RADIAL_FIELDS = ("r", "d", "w", "gap", "side", "ro", "ro2", "bsq", "beta",
+                 "mu")
 
 
 def _count_radial_builds(monkeypatch):
-    """Wrap the builder of each geometry.RadialJets field; return their
-    counters."""
-    counts = dict.fromkeys(RADIAL_FIELDS, 0)
+    """Wrap the builder of each geometry.RadialJets field, and the bundle's
+    constructor; return their counters."""
+    counts = dict.fromkeys(RADIAL_FIELDS + ("bundles",), 0)
+
+    def counted_init(rad, *args, _init=geo.RadialJets.__init__):
+        counts["bundles"] += 1
+        _init(rad, *args)
+    monkeypatch.setattr(geo.RadialJets, "__init__", counted_init)
     for name in RADIAL_FIELDS:
         def counted(rad, _fn=vars(geo.RadialJets)[name].func, _name=name):
             counts[_name] += 1
@@ -280,27 +287,28 @@ def _count_radial_builds(monkeypatch):
 
 
 def _builds(*names):
-    return {name: int(name in names) for name in RADIAL_FIELDS}
+    return dict({name: int(name in names) for name in RADIAL_FIELDS},
+                bundles=1)
 
 
-# each call with the fields it builds: every field it reads, once, and
-# the fields those are built from; the metric builds no beta, and no r2 or
-# side either (its invariant seeds are x0 and r^2, and the side is decided
-# from its points), kappa no side, r_o or beta, and the monomial probe no
-# w or beta
-FRAME_FIELDS = _builds("r2", "r", "d", "w", "side", "ro", "beta")
+# each call with the fields of its one bundle it builds: every field it
+# reads, once, and the fields those are built from (the seeds x0 and r^2
+# are no fields); the metric builds no beta, kappa no side, r_o or beta,
+# and the monomial probe no w, r_o^2 or beta
+FRAME_FIELDS = _builds("r", "d", "w", "gap", "side", "ro", "ro2", "bsq",
+                       "beta")
 RADIAL_CALLS = {
     "frame_e": (lambda x: F.frame_eval("e", x, 1.0), FRAME_FIELDS),
     "frame_f": (lambda x: F.frame_eval("f", x, 1.0), FRAME_FIELDS),
     "frame_etilde": (lambda x: F.frame_eval("etilde", x, 1.0), FRAME_FIELDS),
     "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0), FRAME_FIELDS),
-    "k_q_rho": (lambda x: F.k_q_rho(x, 1.0), FRAME_FIELDS),
-    "metric_ga": (lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x),
-                  _builds("r", "d", "w", "ro")),
-    "kappa": (lambda x: F.transform_eval("kappa", x),
-              _builds("r2", "r", "d", "w")),
+    "k_q_rho": (lambda x: F.k_q_rho(x, 1.0, order=3), FRAME_FIELDS),
+    "metric_ga": (lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x, 3),
+                  _builds("r", "d", "w", "gap", "side", "ro", "ro2", "bsq")),
+    "kappa": (lambda x: F.transform_eval("kappa", x, order=3),
+              _builds("r", "d", "w", "gap")),
     "monomial": (lambda x: R._monomial_jets(R.MonomialSpec(2, (0,) * 6), x, 3),
-                 _builds("r2", "r", "d", "side", "ro")),
+                 _builds("r", "d", "gap", "side", "ro")),
 }
 
 
@@ -310,3 +318,65 @@ def test_one_call_builds_each_radial_jet_once(call, monkeypatch):
     fn, want = RADIAL_CALLS[call]
     fn(np.array([[0.1, 0.5, 0.2, 0.1, 0.3]]))
     assert counts == want
+
+
+# ------------------------------------------------ finite-difference oracle
+
+FD_STEP = {1: 1e-5, 2: 1e-4, 3: 1e-3}
+FD_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-4}
+
+
+def _fd_points(region, a, n=6):
+    """n points of a region at parameter a, and their length scale: B_a
+    draws (their C_a part for htilde) and instanton points scale with the
+    family, L draws do not."""
+    if region == "R>a":
+        return V._eh_points(a, 95, n), a
+    if region == "L":
+        return V.sample("L", a, n, 94, exclusion=0.05), 1.0
+    x = V.sample("B_a", a, 10 * n, 93, exclusion=0.05 / a)
+    return (in_ca(x, a, n) if region == "C_a" else x[:n]), 1.0 / a
+
+
+# each frame on the points where it is defined; eh_frame is only built to
+# order 2
+FD_FRAMES = [(fid, region, a)
+             for fid, regions in [("e", ("B_a", "L")), ("f", ("B_a",)),
+                                  ("etilde", ("B_a",)), ("u", ("B_a", "L")),
+                                  ("htilde", ("C_a", "L")), ("eh", ("R>a",))]
+             for region in regions for a in (0.1, 1.0, 7.0)]
+
+
+@pytest.mark.parametrize("fid,region,a", FD_FRAMES,
+                         ids=["%s-%s-a%g" % c for c in FD_FRAMES])
+def test_frame_jets_match_central_differences(fid, region, a):
+    """Every level of a frame jet against central differences of the
+    frame's values, with one Richardson step at order 3 as in test_jets;
+    the residual of each order is normalized by the scale of both sides.
+    The points and the steps scale with the family, so a wrong level
+    scaling of the dilation shows too."""
+    x, scale = _fd_points(region, a)
+    if fid == "eh":
+        jet, orders = F.eh_frame(x, a), (1, 2)
+
+        def frame(pts):
+            return F.eh_frame(pts, a).val
+    else:
+        jet, orders = F.frame_eval(fid, x, a, order=3), (1, 2, 3)
+
+        def frame(pts):
+            return F.frame_eval(fid, pts, a, order=0).val
+    n = x.shape[-1]
+    for order in orders:
+        h = scale * FD_STEP[order]
+        diff = scale_a = scale_b = 0.0
+        for idx in itertools.combinations_with_replacement(range(n), order):
+            alpha = np.bincount(idx, minlength=n)
+            fd = J.central_diff(frame, x, alpha, h)
+            if order == 3:
+                fd = (4.0 * J.central_diff(frame, x, alpha, h / 2) - fd) / 3.0
+            got = J.extract(jet, alpha)
+            diff = max(diff, float(np.max(np.abs(got - fd))))
+            scale_a = max(scale_a, float(np.max(np.abs(got))))
+            scale_b = max(scale_b, float(np.max(np.abs(fd))))
+        assert diff / (1.0 + scale_a + scale_b) < FD_TOL[order], (order, diff)

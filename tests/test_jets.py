@@ -364,6 +364,21 @@ def test_contract_broadcasts_a_constant_operand():
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_contract_bits_do_not_depend_on_the_operands_layout():
+    """np.matmul picks its kernel by its operands' memory layout, so
+    contract runs it on C-contiguous operands: a strided view (here the
+    batch axis innermost in memory, as advanced indexing returns a gather)
+    and its contiguous copy give the same bits."""
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for n, m in ((5, 4), (5, 7), (4, 2)):
+        view = np.moveaxis(rng.normal(size=(n, n, m, 40)), -1, 0)
+        f = rng.normal(size=(40, m))
+        assert not view.flags.c_contiguous
+        assert np.array_equal(jets.contract("ijt,t->ij", view, f),
+                              jets.contract("ijt,t->ij",
+                                            np.ascontiguousarray(view), f))
+
+
 @pytest.mark.parametrize("spec, shapes", [
     ("ii,i->", ((3, 3), (3,))),          # a letter twice in one operand
     ("ij,k->ik", ((3, 3), (3,))),        # j summed over one operand only
@@ -390,7 +405,8 @@ def test_blocks_are_equal_and_fill_one_output(count, cap, monkeypatch):
     whole = geometry.metric_jets(spec, y, order=1)
     monkeypatch.setattr(geometry, "BLOCK_BYTES", cap * 8 * 4 ** 3)
     seen = []
-    got = geometry._over_blocks(spec, y, 1, lambda g: seen.append(g) or g)
+    got = geometry._over_blocks("eh", 1.0, y, 1,
+                                lambda g: seen.append(g) or g)
     sizes = [len(g.val) for g in seen]
     assert len(sizes) == -(-count // cap) and sum(sizes) == count
     assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
@@ -398,7 +414,7 @@ def test_blocks_are_equal_and_fill_one_output(count, cap, monkeypatch):
         assert got is seen[0]
     assert np.array_equal(got.val, whole.val)
     assert np.array_equal(got.grad, whole.grad)
-    vals = geometry._over_blocks(spec, y, 1, lambda g: g.grad)
+    vals = geometry._over_blocks("eh", 1.0, y, 1, lambda g: g.grad)
     assert isinstance(vals, np.ndarray) and np.array_equal(vals, got.grad)
 
 

@@ -162,7 +162,7 @@ def _affine_spinor(seed):
     c0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     lin = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
 
-    def comps(x, order=3):
+    def comps(x, order):
         xj = J.seed(x, order=order)
         return J.stack([c0[s] + sum(lin[s, i] * xj[i] for i in range(5))
                         for s in range(4)])
@@ -172,8 +172,9 @@ def _affine_spinor(seed):
 def _rescaled(phi, weight):
     """weight(d) phi, d = r^2 - x0^2, in frame etilde = d e, whose spin
     lift is that of e."""
-    def comps(x, order=3):
-        d = geo.RadialJets(J.seed(x, order=order)).d
+    def comps(x, order):
+        rad = geo.RadialJets(x, order)
+        (d,) = rad.pullback(rad.d)
         return J.jeinsum(",s->s", weight(d), phi.components(x, order))
     return S.SpinorField("etilde", comps)
 
