@@ -471,17 +471,12 @@ def _frame_f_coefficients(rad):
 
 
 def _frame_etilde_coefficients(rad):
-    """etilde = ((w^2 - 4 x0^2 r^2 beta) c0 c0^T + 2 x0 r w (beta - 1)
-    c0 c1^T + 2 x0 w (1 - beta) xh c0^T + ((w^2 beta - 4 x0^2 r^2) / r)
-    xh c1^T) / d + r_o (K1 c2^T + K2 c3^T + K3 c4^T / beta), off the cone."""
+    """etilde = d e with d = r^2 - x0^2: frame e's coefficients times d, off
+    the cone.  Written out, its (x0, xh) block divides numerators of order
+    d^2 by d, which loses digits near the cone; the product does not."""
     rad.exterior("frame etilde")
-    r, ro, beta, w, x0 = rad.r, rad.ro, rad.beta, rad.w, rad.x0
-    idet = rad.d.reciprocal()
-    return [(w * w + (-4.0) * x0 * x0 * r * r * beta) * idet,
-            2.0 * x0 * r * w * (beta + (-1.0)) * idet,
-            2.0 * x0 * w * (1.0 + (-1.0) * beta) * idet,
-            (w * w * beta + (-4.0) * x0 * x0 * r * r) * idet * r.reciprocal(),
-            ro, ro, ro * beta.reciprocal()], _E
+    coef, sel = _frame_e_coefficients(rad)
+    return [rad.d * c for c in coef], sel
 
 
 def _frame_htilde_coefficients(rad):

@@ -10,9 +10,11 @@ C^(k-1) but not C^k with k = min(m, m + s_l), where m is the power of r_o:
 the order-m defect lives on the cone away from the vertex, the order-(m+s_l)
 defect (which only bites when s_l < 0) lives at the vertex.
 
-The probe walks a transversal curve with geometrically shrinking parameters
+The probe walks transversal curves with geometrically shrinking parameters
 t_j = t0 / 2**j, evaluates all jet partials up to the requested order on both
-sides, and classifies each derivative order by its one-sided gap sequence:
+sides -- at each spacing, the points of all the curves of a call as one batch
+per cone side -- and classifies each derivative order by its one-sided gap
+sequence:
 
     continuous   gaps -> 0       (below floor, or last ratios <= 0.75)
     jump         gaps -> const   (last three ratios within 5% of 1)
@@ -87,13 +89,17 @@ class CrossingCurve:
         return self.t0 * 0.5 ** np.arange(N_SPACINGS)
 
     def point(self, t):
-        leg = self.direction if t >= 0 else self.inward
-        return self.base + abs(t) * leg
+        """The point at parameter t, or a (..., 5) array of them for an
+        array of t: base + |t| * leg, on `direction` for t >= 0, else on
+        `inward`."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return self.base + np.abs(t) * np.where(t >= 0, self.direction,
+                                                self.inward)
 
 
 def _monomial_jets(spec, x, order):
-    if geo.cone_gap(x) < 0:
-        return J.constant(0.0, dim=5, order=order)
+    if np.all(geo.cone_gap(x) < 0):
+        return J.constant(0.0, dim=5, order=order, shape=x.shape[:-1])
     rad = geo.RadialJets(x, order)
     f = rad.ro.pow_int(spec.m)
     if spec.l[0]:
@@ -116,10 +122,6 @@ def _field_jets(field_tag, x, order, a):
                             order=order)
         return g[i, j]
     raise ValueError("unknown field tag %r" % (tag,))
-
-
-def _partial_arrays(jet, max_order):
-    return [np.ravel(np.asarray(t, dtype=float)) for t in jet.levels[:max_order + 1]]
 
 
 def _classify(gaps, scale):
@@ -156,30 +158,42 @@ class ProbeReport:
 
 
 def smoothness_probe(field_tag, curve, max_order=3, a=1.0):
+    return _probe_curves(field_tag, [curve], max_order, a)[0]
+
+
+def _probe_curves(field_tag, curves, max_order, a):
+    """One ProbeReport per curve, in order.  At each spacing the points of
+    both legs of every curve are one batch per cone side, one _field_jets
+    call each; a point's jets do not depend on its batch."""
     if not 0 <= max_order <= 3:
         raise OrderError("max_order must be in 0..3, got %r" % (max_order,))
-    ts = curve.spacings()
-    plus = np.array([curve.point(t) for t in ts])
-    minus = np.array([curve.point(-t) for t in ts])
-    sp = set(np.sign(geo.cone_gap(plus)))
-    sm = set(np.sign(geo.cone_gap(minus)))
-    if len(sp) != 1 or len(sm) != 1 or 0 in (sp | sm) or sp == sm:
-        raise NonTransversalError(
-            "curve samples do not separate cleanly across the cone")
-    gaps = np.zeros((max_order + 1, len(ts)))
-    scales = np.zeros(max_order + 1)
-    for j in range(len(ts)):
-        A = _partial_arrays(_field_jets(field_tag, plus[j], max_order, a),
-                            max_order)
-        B = _partial_arrays(_field_jets(field_tag, minus[j], max_order, a),
-                            max_order)
-        for p in range(max_order + 1):
-            gaps[p, j] = np.max(np.abs(A[p] - B[p]))
-            scales[p] = max(scales[p], np.max(np.abs(A[p])),
-                            np.max(np.abs(B[p])))
-    verdicts = tuple(_classify(gaps[p], scales[p])
-                     for p in range(max_order + 1))
-    return ProbeReport(verdicts, gaps, ts, scales)
+    legs = []
+    for c in curves:
+        ts = c.spacings()
+        pm = np.stack([c.point(ts), c.point(-ts)])        # (2, spacing, 5)
+        sp, sm = (set(np.sign(geo.cone_gap(leg))) for leg in pm)
+        if len(sp) != 1 or len(sm) != 1 or 0 in (sp | sm) or sp == sm:
+            raise NonTransversalError(
+                "curve samples do not separate cleanly across the cone")
+        legs.append(pm)
+    n = len(curves)
+    legs = np.stack(legs, axis=2)                   # (2, spacing, curve, 5)
+    out = [np.empty((N_SPACINGS, 2 * n, 5 ** p)) for p in range(max_order + 1)]
+    for j in range(N_SPACINGS):
+        x = legs[:, j].reshape(2 * n, 5)             # plus legs, then minus
+        gap = geo.cone_gap(x)
+        for side in (gap > 0, gap < 0):
+            if np.any(side):
+                levels = _field_jets(field_tag, x[side], max_order, a).levels
+                for o, t in zip(out, levels):
+                    o[j, side] = np.real(t).reshape(len(t), -1)
+    # per curve: sup gap per order and spacing, sup |partial| per order
+    gaps = np.stack([np.max(np.abs(o[:, :n] - o[:, n:]), axis=2).T
+                     for o in out], axis=1)
+    scales = np.stack([np.max(np.abs(o), axis=(0, 2)).reshape(2, n).max(0)
+                       for o in out], axis=1)
+    return [ProbeReport(tuple(map(_classify, g, s)), g, c.spacings(), s)
+            for c, g, s in zip(curves, gaps, scales)]
 
 
 # ------------------------------------------------------------ curve families
@@ -219,8 +233,7 @@ def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3):
     rng = np.random.default_rng(seed)
     curves = [random_crossing_curve(rng, a) for _ in range(n_curves)]
     curves.append(vertex_curve(rng, a))
-    reports = [smoothness_probe(field_tag, c, max_order=max_order, a=a)
-               for c in curves]
+    reports = _probe_curves(field_tag, curves, max_order, a)
     classes = [r.smoothness_class for r in reports]
     if all(k is None for k in classes):
         overall = None
@@ -236,7 +249,7 @@ def weyl_decay_exponent(curve, a=1.0):
     vanishes toward the cone, along the exterior side of a crossing curve."""
     ts = curve.spacings()
     sgn = 1.0 if geo.cone_gap(curve.point(ts[0])) > 0 else -1.0
-    pts = np.array([curve.point(sgn * t) for t in ts])
+    pts = curve.point(sgn * ts)
     if np.any(geo.cone_gap(pts) <= 0):
         raise NonTransversalError("curve has no clean exterior side")
     W = C.weyl(geo.MetricSpec("ga", a), pts)

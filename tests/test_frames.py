@@ -88,6 +88,25 @@ def test_etilde_is_conformal_stretch_of_e():
     assert d.min() > 0  # sanity: B_a is on the exterior side
 
 
+def test_etilde_is_d_times_e_near_the_cone():
+    # 0.01 from the cone, where d = r^2 - x0^2 is small: etilde's jets stay
+    # within round-off of the Leibniz product d e, levels 0 to 3
+    rng = np.random.default_rng(48)
+    w = rng.normal(size=(40, 4))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    r = rng.uniform(0.3, 0.8, 40)
+    x = np.column_stack([(r - 0.01) * rng.choice([-1.0, 1.0], 40),
+                         r[:, None] * w])
+    e = F.frame_eval("e", x, a=1.0, order=3)
+    et = F.frame_eval("etilde", x, a=1.0, order=3)
+    xj = J.seed(x, order=3)
+    djet = xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3] + xj[4] * xj[4] \
+        - xj[0] * xj[0]
+    de = J.stack([[djet * e[m, i] for i in range(5)] for m in range(5)])
+    for k, (want, got) in enumerate(zip(de.levels, et.levels)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), k
+
+
 def test_etilde_equals_f_kappa():
     x = V.sample("B_a", 1.0, 200, 45, exclusion=0.05 / np.sqrt(2))
     f = F.frame_eval("f", x, a=1.0, order=0)

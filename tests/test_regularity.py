@@ -121,6 +121,59 @@ def test_probe_guards():
         R.CrossingCurve(np.zeros(5), np.ones(5), t0=-1.0)
 
 
+def test_point_takes_an_array_of_parameters():
+    for curve in (crossing(), vertex()):
+        ts = np.concatenate([curve.spacings(), -curve.spacings()])
+        assert curve.point(ts[0]).shape == (5,)
+        assert np.array_equal(curve.point(ts),
+                              np.array([curve.point(t) for t in ts]))
+
+
+@pytest.mark.parametrize("field", [("ga", 0, 0), R.RO2,
+                                   R.MonomialSpec(2, (1, 0, 0, 0, 0, 0))],
+                         ids=["ga", "ro2", "negative-order"])
+def test_family_batch_does_not_change_a_curve_report(field):
+    rng = np.random.default_rng(21)
+    curves = [R.random_crossing_curve(rng) for _ in range(3)]
+    curves.append(R.vertex_curve(rng))
+    reports, _ = R.probe_family(field, n_curves=3, seed=21)
+    assert len(reports) == 4
+    for curve, rep in zip(curves, reports):
+        alone = R.smoothness_probe(field, curve)
+        assert rep.verdicts == alone.verdicts
+        for name in ("gaps", "scales", "spacings"):
+            assert np.array_equal(getattr(rep, name), getattr(alone, name))
+
+
+def test_family_with_a_tangent_curve_raises():
+    tangent = R.CrossingCurve([1.0, 1, 0, 0, 0], [1.0, 1, 0, 0, 0])
+    with pytest.raises(NonTransversalError):
+        R._probe_curves(R.RO2, [crossing(), tangent, vertex()], 3, 1.0)
+
+
+def test_monomial_jets_vanish_on_an_interior_batch():
+    x = np.array([[1.0, 0.2, 0.1, 0.0, 0.3], [-0.5, 0.1, 0.0, 0.2, 0.0],
+                  [0.3, 0.0, 0.0, 0.0, 0.0]])
+    jet = R._monomial_jets(R.MonomialSpec(1, (1, 0, 2, 0, 0, 0)), x, 3)
+    for k, level in enumerate(jet.levels):
+        assert level.shape == (3,) + (5,) * k
+        assert not np.any(level)
+
+
+def test_family_probe_makes_two_field_calls_per_spacing(monkeypatch):
+    calls = []
+    field_jets = R._field_jets
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return field_jets(*args)
+
+    monkeypatch.setattr(R, "_field_jets", counted)
+    R.probe_family(R.RO2, n_curves=3)
+    assert len(calls) <= 2 * R.N_SPACINGS
+    assert sum(calls) == 2 * 4 * R.N_SPACINGS      # both legs of 4 curves
+
+
 def test_dro_coefficients_bounded():
     # exterior points with radii spread over several decades; the
     # coefficients of dr_o are bounded by 2
