@@ -368,11 +368,9 @@ def _chk_einstein_rescale(cfg, seed):
 
 def _chk_regularity(cfg, seed):
     rng = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(10):
-        rep = R.smoothness_probe(("ga", 0, 0),
-                                 R.random_crossing_curve(rng, cfg.a), a=cfg.a)
-        bad += int(rep.smoothness_class != 1)
+    curves = [R.random_crossing_curve(rng, cfg.a) for _ in range(10)]
+    bad = sum(int(rep.smoothness_class != 1)
+              for rep in R._probe_curves(("ga", 0, 0), curves, 3, cfg.a))
     _, cls = R.probe_family(R.RO2, a=cfg.a, n_curves=3, seed=seed)
     bad += int(cls != 1)
     for trial in range(10):

@@ -25,14 +25,16 @@ SRC = pathlib.Path(liccheck5.__file__).parent
 # public functions only tests call, kept as references the tests check the
 # package against: the region classifier, the covector alpha of the g_a
 # formula (its cylindrical rewrite is compared with the closed-form metric),
-# the jet engine's coefficient and finite-difference oracles, and the
-# vector representation of a spin lift
+# the jet engine's coefficient and finite-difference oracles, the vector
+# representation of a spin lift, and the one-curve smoothness probe (each
+# report of a batched probe is compared with it, bit for bit)
 ORACLES = (
     "clifford.lambda_of",
     "geometry.alpha_form",
     "geometry.classify",
     "jets.central_diff",
     "jets.extract",
+    "regularity.smoothness_probe",
 )
 
 # public functions only tests call, kept because each is a guarantee planned

@@ -3,6 +3,7 @@ import pytest
 
 from liccheck5 import geometry as geo
 from liccheck5 import regularity as R
+from liccheck5 import verify as V
 from liccheck5.errors import NonTransversalError, OrderError
 
 
@@ -160,7 +161,9 @@ def test_monomial_jets_vanish_on_an_interior_batch():
         assert not np.any(level)
 
 
-def test_family_probe_makes_two_field_calls_per_spacing(monkeypatch):
+@pytest.fixture
+def field_calls(monkeypatch):
+    """The batch size of every _field_jets call, in call order."""
     calls = []
     field_jets = R._field_jets
 
@@ -169,9 +172,22 @@ def test_family_probe_makes_two_field_calls_per_spacing(monkeypatch):
         return field_jets(*args)
 
     monkeypatch.setattr(R, "_field_jets", counted)
+    return calls
+
+
+def test_family_probe_makes_two_field_calls_per_spacing(field_calls):
     R.probe_family(R.RO2, n_curves=3)
-    assert len(calls) <= 2 * R.N_SPACINGS
-    assert sum(calls) == 2 * 4 * R.N_SPACINGS      # both legs of 4 curves
+    assert len(field_calls) <= 2 * R.N_SPACINGS
+    assert sum(field_calls) == 2 * 4 * R.N_SPACINGS    # both legs of 4 curves
+
+
+def test_regularity_check_probes_each_field_in_one_batch(field_calls):
+    # 12 fields: g_a's entry on 10 curves, r_o**2 and 10 monomials on
+    # families of 3 curves plus the vertex
+    res = V.run_suite(V.SuiteConfig(), only=["regularity-classes"])
+    assert res.overall == "pass"
+    assert len(field_calls) <= 12 * 2 * R.N_SPACINGS
+    assert sum(field_calls) == (10 + 11 * 4) * 2 * R.N_SPACINGS
 
 
 def test_dro_coefficients_bounded():
