@@ -24,7 +24,7 @@ broadcast like numpy arrays.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 import numpy as np
@@ -157,22 +157,37 @@ class Jet:
         return self.compose(iv, -i2, 2.0 * i2 * iv, -6.0 * i2 * i2)
 
     def pow_int(self, p):
-        if not isinstance(p, (int, np.integer)):
-            raise DomainError("pow_int exponent must be an integer")
-        p = int(p)
-        if p < 0:
-            return self.reciprocal().pow_int(-p)
+        """self**p for an integer p, or per point for an array p of
+        nonnegative integers broadcasting with the value."""
         v = self.val
+        if isinstance(p, np.ndarray):
+            if p.dtype.kind not in "iu" or np.any(p < 0):
+                raise DomainError("pow_int exponent array must hold "
+                                  "nonnegative integers")
+            p = p.astype(np.int64)
+
+            def power(e):
+                # numpy squares for a scalar exponent 2; so do the points here
+                e = np.maximum(e, 0)
+                return np.where(e == 2, v * v, np.power(v, e))
+        elif isinstance(p, (int, np.integer)):
+            p = int(p)
+            if p < 0:
+                return self.reciprocal().pow_int(-p)
+            power = partial(np.power, v)
+        else:
+            raise DomainError("pow_int exponent must be an integer")
         zero = np.zeros_like(v)
 
         def term(k):
             c = 1
             for t in range(k):
                 c *= p - t
-            # nonzero falling factorial implies p - k >= 0, so no 0**negative
-            return c * np.power(v, p - k) if c else zero
+            # the term vanishes with the falling factorial c; where c is
+            # nonzero, p - k >= 0, so no 0**negative
+            return c * power(p - k) if np.any(c) else zero
 
-        return self.compose(np.power(v, p), term(1), term(2), term(3))
+        return self.compose(power(p), term(1), term(2), term(3))
 
     # -- tensor axes and differentiation -----------------------------------
 

@@ -13,8 +13,8 @@ defect (which only bites when s_l < 0) lives at the vertex.
 The probe walks transversal curves with geometrically shrinking parameters
 t_j = t0 / 2**j, evaluates all jet partials up to the requested order on both
 sides -- at each spacing, the points of all the curves of a call as one batch
-per cone side -- and classifies each derivative order by its one-sided gap
-sequence:
+per cone side and field (every monomial field counting as one) -- and
+classifies each derivative order by its one-sided gap sequence:
 
     continuous   gaps -> 0       (below floor, or last ratios <= 0.75)
     jump         gaps -> const   (last three ratios within 5% of 1)
@@ -29,6 +29,7 @@ an open neighbourhood.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,31 +98,45 @@ class CrossingCurve:
                                                 self.inward)
 
 
-def _monomial_jets(spec, x, order):
+def _monomial_jets(m, l, x, order):
+    """Jets of r_o**m * f_l at the points x (k, 5) for per-point integer
+    exponents m (k,) and l (k, 6).  D[:, i, e] is the e-th derivative of
+    x_i**l_(i+1), so a partial of x**l[:, 1:] whose indices hold each i E_i
+    times is the product over i of D[:, i, E_i] (_index_counts)."""
     if np.all(geo.cone_gap(x) < 0):
         return J.constant(0.0, dim=5, order=order, shape=x.shape[:-1])
     rad = geo.RadialJets(x, order)
-    f = rad.ro.pow_int(spec.m)
-    if spec.l[0]:
-        f = f * rad.r.reciprocal().pow_int(spec.l[0])
+    f = rad.ro.pow_int(m)
+    if np.any(l[:, 0]):                 # factors that are 1 cost a product
+        f = f * rad.r.reciprocal().pow_int(l[:, 0])
     (out,) = rad.pullback(f)
-    xj = J.seed(x, order=order)
-    for i, p in enumerate(spec.l[1:]):
-        if p:
-            out = out * xj[i].pow_int(p)
-    return out
+    if not np.any(l[:, 1:]):
+        return out
+    lp, e = l[:, 1:, None], np.arange(order + 1)
+    D = np.power(x[..., None], np.maximum(lp - e, 0))        # (k, 5, e)
+    for t in range(order):
+        D *= np.where(e > t, lp - t, 1)         # the falling factorial
+    return out * J.Jet(*[np.prod(D[:, np.arange(5), _index_counts(k)], -1)
+                         for k in range(order + 1)])
+
+
+@lru_cache(maxsize=None)
+def _index_counts(k):
+    """E[i1, ..., ik, i]: how often i occurs among the k indices."""
+    return np.eye(5, dtype=int)[np.indices((5,) * k)].sum(0)
 
 
 def _field_jets(field_tag, x, order, a):
-    if isinstance(field_tag, MonomialSpec):
-        return _monomial_jets(field_tag, x, order)
-    tag = field_tag[0]
-    if tag == "ga":
+    """Jets at the points x of g_a's entry ("ga", i, j), or of the monomial
+    fields ("monomial", m, l) with per-point exponents."""
+    if field_tag[0] == "monomial":
+        return _monomial_jets(field_tag[1], field_tag[2], x, order)
+    if field_tag[0] == "ga":
         i, j = field_tag[1], field_tag[2]
         g = geo.metric_jets(geo.MetricSpec("ga", a), np.asarray(x, float),
                             order=order)
         return g[i, j]
-    raise ValueError("unknown field tag %r" % (tag,))
+    raise ValueError("unknown field tag %r" % (field_tag[0],))
 
 
 def _classify(gaps, scale):
@@ -158,16 +173,16 @@ class ProbeReport:
 
 
 def smoothness_probe(field_tag, curve, max_order=3, a=1.0):
-    return _probe_curves(field_tag, [curve], max_order, a)[0]
+    return _probe_curves([field_tag], [curve], max_order, a)[0]
 
 
-def _probe_curves(field_tag, curves, max_order, a):
-    """One ProbeReport per curve, in order.  At each spacing the points of
-    both legs of every curve are one batch per cone side, one _field_jets
-    call each; a point's jets do not depend on its batch."""
+def _probe_curves(fields, curves, max_order, a):
+    """One ProbeReport per curve, in order, for one field tag per curve.
+    The legs are grouped once into field calls; at each spacing each group
+    is one _field_jets call.  A point's jets do not depend on its batch."""
     if not 0 <= max_order <= 3:
         raise OrderError("max_order must be in 0..3, got %r" % (max_order,))
-    legs = []
+    legs, sides = [], []
     for c in curves:
         ts = c.spacings()
         pm = np.stack([c.point(ts), c.point(-ts)])        # (2, spacing, 5)
@@ -176,17 +191,28 @@ def _probe_curves(field_tag, curves, max_order, a):
             raise NonTransversalError(
                 "curve samples do not separate cleanly across the cone")
         legs.append(pm)
+        sides.append(sp.pop())
     n = len(curves)
     legs = np.stack(legs, axis=2)                   # (2, spacing, curve, 5)
+    # per cone side, one call per metric entry tag and one for all the
+    # monomials, with per-leg exponents; in order of first use
+    tags, groups, calls = list(fields) * 2, {}, []
+    sides = np.concatenate([sides, np.negative(sides)])
+    for col, (tag, side) in enumerate(zip(tags, sides)):
+        key = "monomial" if isinstance(tag, MonomialSpec) else tag
+        groups.setdefault((key, side), []).append(col)
+    for (key, _), cols in groups.items():
+        if key == "monomial":
+            key = ("monomial", np.array([tags[c].m for c in cols]),
+                   np.array([tags[c].l for c in cols]))
+        calls.append((key, cols))
     out = [np.empty((N_SPACINGS, 2 * n, 5 ** p)) for p in range(max_order + 1)]
     for j in range(N_SPACINGS):
         x = legs[:, j].reshape(2 * n, 5)             # plus legs, then minus
-        gap = geo.cone_gap(x)
-        for side in (gap > 0, gap < 0):
-            if np.any(side):
-                levels = _field_jets(field_tag, x[side], max_order, a).levels
-                for o, t in zip(out, levels):
-                    o[j, side] = np.real(t).reshape(len(t), -1)
+        for tag, cols in calls:
+            levels = _field_jets(tag, x[cols], max_order, a).levels
+            for o, t in zip(out, levels):
+                o[j, cols] = np.real(t).reshape(len(t), -1)
     # per curve: sup gap per order and spacing, sup |partial| per order
     gaps = np.stack([np.max(np.abs(o[:, :n] - o[:, n:]), axis=2).T
                      for o in out], axis=1)
@@ -226,20 +252,27 @@ def vertex_curve(rng, a=1.0):
     return CrossingCurve(np.zeros(5), d, t0=0.1 / a)
 
 
-def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3):
-    """Probe a field along a family of random transversal curves plus one
-    vertex curve; the field's class is the min over curves (None = every
-    probed order continuous on every curve)."""
+def family_curves(a, n_curves, seed):
+    """n_curves random transversal curves and one vertex curve, drawn from
+    one generator seeded with seed."""
     rng = np.random.default_rng(seed)
     curves = [random_crossing_curve(rng, a) for _ in range(n_curves)]
-    curves.append(vertex_curve(rng, a))
-    reports = _probe_curves(field_tag, curves, max_order, a)
+    return curves + [vertex_curve(rng, a)]
+
+
+def family_class(reports):
+    """A field's class over a family: the min over its curves (None =
+    every probed order continuous on every curve)."""
     classes = [r.smoothness_class for r in reports]
-    if all(k is None for k in classes):
-        overall = None
-    else:
-        overall = min(k for k in classes if k is not None)
-    return reports, overall
+    return min((k for k in classes if k is not None), default=None)
+
+
+def probe_family(field_tag, a=1.0, n_curves=10, seed=0, max_order=3):
+    """Probe a field along a family of random transversal curves plus one
+    vertex curve (family_curves); its reports and class (family_class)."""
+    curves = family_curves(a, n_curves, seed)
+    reports = _probe_curves([field_tag] * len(curves), curves, max_order, a)
+    return reports, family_class(reports)
 
 
 # ------------------------------------------------------------------ decay

@@ -247,9 +247,11 @@ def _div_grad_of_square(b, c, spec, x):
     return 2.5 * s * np.einsum('...ij,...j->...i', gi, div.grad)
 
 
-def essentiality_probe(b, c, a=1.0, radius=1e-2, n=16, seed=0):
-    """Compare the square of D psi_bc with (5/2) grad(div V_psi) on a sphere
-    of the given radius about the zero, sampling both metric branches."""
+def essentiality_probe(b, c, a=1.0, radii=(1e-2,), n=16, seed=0):
+    """Compare the square of D psi_bc with (5/2) grad(div V_psi) on spheres
+    of the given radii about the zero, sampling both metric branches; one
+    EssentialityProbe per radius.  Every sphere has the same directions,
+    and the points of all radii are one batch per branch."""
     rng = np.random.default_rng(seed)
     th_in = rng.uniform(0.05, 0.55, size=n)        # r/|x0| = tan < 0.62
     th_out = rng.uniform(1.05, 1.45, size=n)       # r/|x0| = tan > 1.74
@@ -257,19 +259,21 @@ def essentiality_probe(b, c, a=1.0, radius=1e-2, n=16, seed=0):
     dirs = rng.normal(size=(2 * n, 4))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     th = np.concatenate([th_in, th_out])
-    pts = np.empty((2 * n, 5))
-    pts[:, 0] = sgn * radius * np.cos(th)
-    pts[:, 1:] = radius * np.sin(th)[:, None] * dirs
+    rad = np.asarray(radii, dtype=float)[:, None]
+    pts = np.empty((len(rad), 2 * n, 5))
+    pts[..., 0] = sgn * rad * np.cos(th)
+    pts[..., 1:] = (rad * np.sin(th))[..., None] * dirs
     spec = geo.MetricSpec("ga", a)
-    lhs = np.empty((2 * n, 5))
-    rhs = np.empty((2 * n, 5))
+    lhs = np.empty_like(pts)
+    rhs = np.empty_like(pts)
     for sl, frame in ((slice(0, n), "u"), (slice(n, 2 * n), "e")):
-        phi = psi_bc(b, c, frame=frame)
-        dphi = dirac(phi, spec, pts[sl])
-        lhs[sl] = spinor_square(dphi, spec, pts[sl])
-        rhs[sl] = _div_grad_of_square(b, c, spec, pts[sl])
-    diff = float(np.max(np.abs(lhs - ESSENTIAL_SIGN * rhs)))
-    return EssentialityProbe(lhs=lhs, rhs=rhs, diff=diff)
+        x = pts[:, sl].reshape(-1, 5)
+        dphi = dirac(psi_bc(b, c, frame=frame), spec, x)
+        lhs[:, sl] = spinor_square(dphi, spec, x).reshape(len(rad), n, 5)
+        rhs[:, sl] = _div_grad_of_square(b, c, spec, x).reshape(len(rad), n, 5)
+    diffs = np.max(np.abs(lhs - ESSENTIAL_SIGN * rhs), axis=(1, 2))
+    return [EssentialityProbe(lhs=l, rhs=r, diff=float(d))
+            for l, r, d in zip(lhs, rhs, diffs)]
 
 
 # ------------------------------------------- extension across the interface

@@ -367,12 +367,12 @@ def _chk_einstein_rescale(cfg, seed):
 
 
 def _chk_regularity(cfg, seed):
+    # g_a's entry on 10 curves, r_o**2 and 10 random monomials on families
+    # of 3 curves plus the vertex: 54 curves, probed in one call
     rng = np.random.default_rng(seed)
     curves = [R.random_crossing_curve(rng, cfg.a) for _ in range(10)]
-    bad = sum(int(rep.smoothness_class != 1)
-              for rep in R._probe_curves(("ga", 0, 0), curves, 3, cfg.a))
-    _, cls = R.probe_family(R.RO2, a=cfg.a, n_curves=3, seed=seed)
-    bad += int(cls != 1)
+    fields = [("ga", 0, 0)] * 10
+    specs = [(R.RO2, seed)]
     for trial in range(10):
         m = int(rng.integers(1, 4))
         s_l = int(rng.integers(-1, 3))
@@ -380,7 +380,14 @@ def _chk_regularity(cfg, seed):
         draws = rng.integers(0, 5, q)
         ms = R.MonomialSpec(m, tuple([q - s_l] +
                                      [int(np.sum(draws == i)) for i in range(5)]))
-        _, cls = R.probe_family(ms, a=cfg.a, n_curves=3, seed=seed + trial)
+        specs.append((ms, seed + trial))
+    for ms, family_seed in specs:
+        curves += R.family_curves(cfg.a, 3, family_seed)
+        fields += [ms] * 4
+    reports = R._probe_curves(fields, curves, 3, cfg.a)
+    bad = sum(int(rep.smoothness_class != 1) for rep in reports[:10])
+    for i, (ms, _) in enumerate(specs):
+        cls = R.family_class(reports[10 + 4 * i:14 + 4 * i])
         want = ms.predicted_class - 1 if ms.predicted_class <= 3 else None
         bad += int(cls != want)
     return [Part(np.array([float(bad)]), n=21)]
@@ -418,11 +425,10 @@ def _chk_conformal_ricci(cfg, seed):
 
 def _chk_essentiality(cfg, seed):
     radii = (0.3, 0.1, 0.03, 0.01, 0.003)
-    diffs, pr = [], None
-    for rad in radii:
-        pr = S.essentiality_probe(cfg.b, cfg.c, a=cfg.a, radius=rad / cfg.a,
+    probes = S.essentiality_probe(cfg.b, cfg.c, a=cfg.a,
+                                  radii=[rad / cfg.a for rad in radii],
                                   n=12, seed=seed)
-        diffs.append(pr.diff)
+    diffs, pr = [p.diff for p in probes], probes[-1]
     scale = 1.0 + float(np.max(np.abs(pr.lhs))) + float(np.max(np.abs(pr.rhs)))
     res = [diffs[-1] / scale]
     if not all(b < a for a, b in zip(diffs, diffs[1:])):

@@ -170,11 +170,10 @@ def test_conformal_ricci_identity():
 
 
 def test_dirac_square_converges_at_the_zero():
-    radii = (0.3, 0.1, 0.03, 0.01, 0.003)
-    diffs = []
-    for rad in radii:
-        pr = S.essentiality_probe(1.0, 0.0, a=1.0, radius=rad, n=12, seed=5)
-        diffs.append(pr.diff)
+    probes = S.essentiality_probe(1.0, 0.0, a=1.0,
+                                  radii=(0.3, 0.1, 0.03, 0.01, 0.003),
+                                  n=12, seed=5)
+    diffs, pr = [p.diff for p in probes], probes[-1]
     assert all(b < a for a, b in zip(diffs, diffs[1:])), diffs
     assert diffs[-1] < 1e-6 * (1.0 + np.max(np.abs(pr.rhs)))
     assert np.min(np.max(np.abs(pr.lhs), axis=1)) > 0.1   # limit is nonzero

@@ -326,7 +326,8 @@ RADIAL_CALLS = {
                   _builds("r", "d", "w", "gap", "side", "ro", "ro2", "bsq")),
     "kappa": (lambda x: F.transform_eval("kappa", x, order=3),
               _builds("r", "d", "w", "gap")),
-    "monomial": (lambda x: R._monomial_jets(R.MonomialSpec(2, (0,) * 6), x, 3),
+    "monomial": (lambda x: R._monomial_jets(np.array([2]),
+                                            np.zeros((1, 6), int), x, 3),
                  _builds("r", "d", "gap", "side", "ro")),
 }
 

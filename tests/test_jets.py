@@ -178,6 +178,22 @@ def test_domain_errors():
         xs[2].reciprocal()
     with pytest.raises(DomainError):
         xs[0].pow_int(1.5)
+    with pytest.raises(DomainError):
+        xs[0].pow_int(np.array([-1]))
+    with pytest.raises(DomainError):
+        xs[0].pow_int(np.array([2.0]))
+
+
+def test_pow_int_takes_an_exponent_per_point():
+    rng = np.random.default_rng(8)
+    xs = jets.seed(rng.uniform(-2.0, 2.0, size=(60, 5)))
+    f = xs[0] * xs[1] + (xs[2] * xs[2] + 0.5).sqrt()
+    p = rng.integers(0, 6, 60)
+    batch = f.pow_int(p)
+    for i in range(60):
+        alone = jets.Jet(*[lv[i:i + 1] for lv in f.levels]).pow_int(int(p[i]))
+        for k in range(4):
+            assert np.array_equal(batch.levels[k][i], alone.levels[k][0])
 
 
 def test_extract_validates_order_and_index():

@@ -130,17 +130,26 @@ def test_point_takes_an_array_of_parameters():
                               np.array([curve.point(t) for t in ts]))
 
 
-@pytest.mark.parametrize("field", [("ga", 0, 0), R.RO2,
-                                   R.MonomialSpec(2, (1, 0, 0, 0, 0, 0))],
-                         ids=["ga", "ro2", "negative-order"])
+NEGATIVE_ORDER = R.MonomialSpec(2, (1, 0, 0, 0, 0, 0))
+MIXED = (("ga", 0, 0), R.RO2, NEGATIVE_ORDER,
+         R.MonomialSpec(1, (0, 1, 2, 0, 1, 0)))
+
+
+@pytest.mark.parametrize("field", [("ga", 0, 0), R.RO2, NEGATIVE_ORDER, MIXED],
+                         ids=["ga", "ro2", "negative-order", "mixed"])
 def test_family_batch_does_not_change_a_curve_report(field):
     rng = np.random.default_rng(21)
     curves = [R.random_crossing_curve(rng) for _ in range(3)]
     curves.append(R.vertex_curve(rng))
-    reports, _ = R.probe_family(field, n_curves=3, seed=21)
+    if field is MIXED:                  # one field per curve, in one call
+        fields = MIXED
+        reports = R._probe_curves(fields, curves, 3, 1.0)
+    else:
+        fields = [field] * len(curves)
+        reports, _ = R.probe_family(field, n_curves=3, seed=21)
     assert len(reports) == 4
-    for curve, rep in zip(curves, reports):
-        alone = R.smoothness_probe(field, curve)
+    for tag, curve, rep in zip(fields, curves, reports):
+        alone = R.smoothness_probe(tag, curve)
         assert rep.verdicts == alone.verdicts
         for name in ("gaps", "scales", "spacings"):
             assert np.array_equal(getattr(rep, name), getattr(alone, name))
@@ -149,13 +158,14 @@ def test_family_batch_does_not_change_a_curve_report(field):
 def test_family_with_a_tangent_curve_raises():
     tangent = R.CrossingCurve([1.0, 1, 0, 0, 0], [1.0, 1, 0, 0, 0])
     with pytest.raises(NonTransversalError):
-        R._probe_curves(R.RO2, [crossing(), tangent, vertex()], 3, 1.0)
+        R._probe_curves([R.RO2] * 3, [crossing(), tangent, vertex()], 3, 1.0)
 
 
 def test_monomial_jets_vanish_on_an_interior_batch():
     x = np.array([[1.0, 0.2, 0.1, 0.0, 0.3], [-0.5, 0.1, 0.0, 0.2, 0.0],
                   [0.3, 0.0, 0.0, 0.0, 0.0]])
-    jet = R._monomial_jets(R.MonomialSpec(1, (1, 0, 2, 0, 0, 0)), x, 3)
+    jet = R._monomial_jets(np.array([1, 2, 3]),
+                           np.array([[1, 0, 2, 0, 0, 0]] * 3), x, 3)
     for k, level in enumerate(jet.levels):
         assert level.shape == (3,) + (5,) * k
         assert not np.any(level)
@@ -183,10 +193,11 @@ def test_family_probe_makes_two_field_calls_per_spacing(field_calls):
 
 def test_regularity_check_probes_each_field_in_one_batch(field_calls):
     # 12 fields: g_a's entry on 10 curves, r_o**2 and 10 monomials on
-    # families of 3 curves plus the vertex
+    # families of 3 curves plus the vertex; per spacing, one call per cone
+    # side for the metric entry and one for the monomials
     res = V.run_suite(V.SuiteConfig(), only=["regularity-classes"])
     assert res.overall == "pass"
-    assert len(field_calls) <= 12 * 2 * R.N_SPACINGS
+    assert len(field_calls) <= 4 * R.N_SPACINGS
     assert sum(field_calls) == (10 + 11 * 4) * 2 * R.N_SPACINGS
 
 

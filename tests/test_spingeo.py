@@ -319,17 +319,29 @@ def test_einstein_rescale_singular_on_cone():
 
 def test_essentiality_identity_at_zero():
     s = 1.0 + 0.5 ** 2
-    diffs = []
-    for rad in (0.3, 0.1, 0.03, 0.01):
-        pr = S.essentiality_probe(1.0, 0.5, radius=rad, n=12, seed=7)
-        diffs.append(pr.diff)
+    probes = S.essentiality_probe(1.0, 0.5, radii=(0.3, 0.1, 0.03, 0.01),
+                                  n=12, seed=7)
+    for pr in probes:
         # the left side is bounded away from zero near the origin
         assert np.min(np.max(np.abs(pr.lhs), axis=1)) > 0.1
+    diffs = [pr.diff for pr in probes]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     assert diffs[-1] < 1e-6
     # frozen closed-form values at the zero
     assert np.max(np.abs(pr.lhs - np.array([-25.0 * s, 0, 0, 0, 0]))) < 1e-3
     assert np.max(np.abs(pr.rhs - np.array([25.0 * s, 0, 0, 0, 0]))) < 1e-3
+
+
+def test_essentiality_radii_batch_does_not_change_a_radius():
+    radii = (0.3, 0.1, 0.03, 0.01, 0.003)
+    probes = S.essentiality_probe(1.0, 0.5, a=2.0, radii=radii, n=6, seed=3)
+    assert len(probes) == len(radii)
+    for rad, pr in zip(radii, probes):
+        (alone,) = S.essentiality_probe(1.0, 0.5, a=2.0, radii=(rad,), n=6,
+                                        seed=3)
+        assert np.array_equal(pr.lhs, alone.lhs)
+        assert np.array_equal(pr.rhs, alone.rhs)
+        assert pr.diff == alone.diff
 
 
 # -------------------------------------------------------- frame changes

@@ -339,21 +339,37 @@ def test_negative_control_hits_only_the_twistor_check(baseline):
 
 # ----------------------------------------------------------------- reports
 
-def test_blas_thread_count_does_not_change_the_report(tmp_path):
-    """Large jet contractions run as batched matmul; the report is the same
-    byte for byte with one BLAS thread and with two."""
+def _report_in_fresh_interpreter(path, env, *args):
+    """The report bytes of `verify run *args` in a new interpreter."""
     src = str(pathlib.Path(liccheck5.__file__).parents[1])
     code = ("import sys; sys.path.insert(0, %r); "
             "from liccheck5.cli import main; main()" % src)
-    reports = []
-    for n in ("1", "2"):
-        path = tmp_path / ("report-%s.json" % n)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
-        subprocess.run([sys.executable, "-c", code, "run",
-                        "--only", "twistor-equation", "--only", "weyl-covariance",
-                        "--samples", "60", "--report", str(path)],
-                       env=env, capture_output=True, timeout=300, check=True)
-        reports.append(path.read_bytes())
+    subprocess.run([sys.executable, "-c", code, "run", *args,
+                    "--report", str(path)],
+                   env=dict(os.environ, **env), capture_output=True,
+                   timeout=300, check=True)
+    return path.read_bytes()
+
+
+def test_blas_thread_count_does_not_change_the_report(tmp_path):
+    """Large jet contractions run as batched matmul; the report is the same
+    byte for byte with one BLAS thread and with two."""
+    reports = [_report_in_fresh_interpreter(
+        tmp_path / ("report-%s.json" % n),
+        {"OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n},
+        "--only", "twistor-equation", "--only", "weyl-covariance",
+        "--samples", "60") for n in ("1", "2")]
+    assert reports[0] == reports[1]
+
+
+def test_hash_seed_does_not_change_the_report(tmp_path):
+    """The probes group their points by field tag and the essentiality
+    radii by branch; the report is the same byte for byte under two string
+    hash seeds."""
+    reports = [_report_in_fresh_interpreter(
+        tmp_path / ("report-%s.json" % h), {"PYTHONHASHSEED": h},
+        "--only", "regularity-classes", "--only", "essentiality",
+        "--samples", "60") for h in ("0", "1")]
     assert reports[0] == reports[1]
 
 
