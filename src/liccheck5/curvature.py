@@ -19,6 +19,10 @@ Everything is computed per batch from jet evaluations of the metric at the
 requested points, each carried only to the order its reader needs.  One
 _CurvaturePieces bundle per metric jet builds what the jet gives, each
 piece on first read; connection forms keep the bundle omega was built from.
+Riemann is one kernel on values, the metric's value, gradient and Hessian
+with its inverse and Christoffel values; Christoffel jets are formed only
+for the readers of their derivatives, and Riemann by differentiating them
+(riemann_from_christoffel) is the oracle the tests hold the kernel to.
 """
 
 from dataclasses import dataclass
@@ -65,15 +69,21 @@ class ConnectionForms:
 def christoffel_from_jets(g):
     """Levi-Civita symbols, [k, i, j] = Gamma^k_ij, from a metric jet; the
     result is one order below the metric."""
-    ginv = J.jmat_inv(g.truncate(g.order - 1))
-    dg = g.d()                                  # dg[i, j, l] = d_l g_ij
+    return _christoffel(J.jmat_inv(g.truncate(g.order - 1)), g.d())
+
+
+def _christoffel(ginv, dg):
+    """Gamma^k_ij = g^kl t_ijl / 2 from the inverse metric's jets (or
+    values) and the jets of the metric's first partials dg[i, j, l] =
+    d_l g_ij."""
     t = J.jeinsum("jli->ijl", dg) + J.jeinsum("ilj->ijl", dg) - dg
     # t[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     return 0.5 * J.jeinsum("kl,ijl->kij", ginv, t)
 
 
 def riemann_from_christoffel(gam):
-    """R^l_kij values from Christoffel jets of order >= 1."""
+    """R^l_kij values from Christoffel jets of order >= 1: the Christoffel
+    route, kept as the oracle the bundle's riemann is compared with."""
     dgam = gam.truncate(1).d()                  # dgam[l, j, k, i] = d_i Gamma^l_jk
     g0 = gam.truncate(0)
     half = (J.jeinsum("ljki->lkij", dgam)
@@ -83,8 +93,11 @@ def riemann_from_christoffel(gam):
 
 class _CurvaturePieces:
     """What one metric jet g gives, each piece formed on first read and
-    kept: reading ric forms the Christoffel jets (one order below g),
-    Riemann and its trace, not the lowered tensor or the Weyl tensor."""
+    kept.  Riemann is built from values only: g's value, gradient and
+    Hessian, its inverse ginv and the Christoffel values gamv; reading
+    ric forms those, Riemann and its trace, not the Christoffel jets gam,
+    the lowered tensor or the Weyl tensor.  gam, one order below g, is
+    formed only for the connection forms, which read its derivatives."""
 
     def __init__(self, g):
         self.g = g
@@ -94,12 +107,20 @@ class _CurvaturePieces:
         return christoffel_from_jets(self.g)
 
     @cached_property
+    def gamv(self):
+        return _christoffel(self.ginv, J.Jet(self.g.grad)).val
+
+    @cached_property
     def gv(self):
         return self.g.val
 
     @cached_property
+    def ginv(self):
+        return J.jmat_inv(self.g.truncate(0)).val
+
+    @cached_property
     def riemann(self):
-        return riemann_from_christoffel(self.gam)
+        return _riemann_from_values(self.g, self.ginv, self.gamv)
 
     @cached_property
     def ric(self):
@@ -107,11 +128,11 @@ class _CurvaturePieces:
 
     @cached_property
     def scalar(self):
-        return np.einsum('...kj,...kj->...', np.linalg.inv(self.gv), self.ric)
+        return np.einsum('...kj,...kj->...', self.ginv, self.ric)
 
     @cached_property
     def lowered(self):
-        return np.einsum('...lm,...mkij->...ijkl', self.gv, self.riemann)
+        return J.contract("lm,mkij->ijkl", self.gv, self.riemann)
 
     @cached_property
     def weyl(self):
@@ -119,6 +140,32 @@ class _CurvaturePieces:
         P = ((self.ric - self.scalar[..., None, None] * gv / (2.0 * (n - 1)))
              / (n - 2))
         return self.lowered + _kulkarni_nomizu(P, gv)
+
+
+def _riemann_from_values(g, ginv, gam):
+    """R^l_kij values from the value, gradient and Hessian of the metric jet
+    g (order >= 2), its inverse and its Christoffel values gam[m, j, k].
+
+    Gamma = g^-1 t / 2, with t[j, k, n] = d_j g_kn + d_k g_jn - d_n g_jk,
+    and d_i g^-1 = -g^-1 (d_i g) g^-1 give d_i Gamma^l_jk = g^ln (D/2 - E)
+    up to a part symmetric in i, j, where D[n, k, i, j] = d_k d_i g_nj -
+    d_n d_i g_jk and E[n, k, i, j] = d_i g_nm Gamma^m_jk.  R is W = that
+    + Gamma^l_im Gamma^m_jk less W with i, j swapped, every product through
+    jets.contract."""
+    hg = g.hess                                 # hg[a, b, c, d] = d_c d_d g_ab
+    nd = hg.ndim
+    lead = tuple(range(nd - 4))
+    cycle = lead + (nd - 4, nd - 1, nd - 3, nd - 2)   # [a,b,c,d] -> [a,d,b,c]
+    # A[n, i, j, k] = D[n, k, i, j] / 2 - E[n, k, i, j], in the layout in
+    # which each contraction below reads and writes C-contiguous arrays
+    A = np.subtract(hg.transpose(cycle),
+                    hg.transpose(lead + (nd - 2, nd - 1, nd - 4, nd - 3)))
+    A *= 0.5
+    A -= J.contract("nmi,mjk->nijk", g.grad, gam)
+    W = J.contract("ln,nijk->lijk", ginv, A)
+    W += J.contract("lim,mjk->lijk", gam, gam)
+    R = W - np.swapaxes(W, -3, -2)              # R[l, i, j, k] = R^l_kij
+    return R.transpose(cycle)
 
 
 def _kulkarni_nomizu(P, g):
@@ -143,13 +190,13 @@ def _piece(spec, x, key):
     """One entry of _CurvaturePieces at a point batch, read inside the
     metric's own blocks (geometry._over_blocks) from each block's metric
     jet: of order 1 for the Christoffel symbols, 2 for the rest."""
-    return geo._over_blocks(spec.family, spec.a, x, 1 if key == "gam" else 2,
+    return geo._over_blocks(spec.family, spec.a, x, 1 if key == "gamv" else 2,
                             lambda g: getattr(_CurvaturePieces(g), key))
 
 
 def christoffel(spec, x):
     """Gamma^k_ij values, [k, i, j], for a metric family at a point batch."""
-    return _piece(spec, x, "gam").val
+    return _piece(spec, x, "gamv")
 
 
 def riemann(spec, x):
@@ -351,21 +398,22 @@ def divergence(gam, V):
 # --------------------------------------------------- scalars and traces
 
 
-def hessian_scalar(u, gam):
+def hessian_scalar(u, P):
     """Covariant Hessian values of a scalar jet, d_i d_j u - Gamma^k_ij d_k u,
-    from the Christoffel jets gam of the metric at the same points."""
+    from the Christoffel values of the bundle P of the metric at the same
+    points."""
     if u.order < 2:
         raise OrderError("hessian needs a scalar jet of order >= 2")
-    return u.hess - np.einsum('...kij,...k->...ij', gam.val, u.grad)
+    return u.hess - np.einsum('...kij,...k->...ij', P.gamv, u.grad)
 
 
-def trace_free(T, g):
-    """Remove the trace under the metric jet g: T - (tr_g T / n) g, for
-    (..., n, n) values."""
-    gv = g.val
+def trace_free(T, P):
+    """Remove the trace under the metric of the bundle P: T - (tr_g T / n) g,
+    for (..., n, n) values."""
+    gv = P.gv
     n = gv.shape[-1]
     T = np.asarray(T)
-    tr = np.einsum('...ij,...ij->...', np.linalg.inv(gv), T)
+    tr = np.einsum('...ij,...ij->...', P.ginv, T)
     return T - tr[..., None, None] * gv / float(n)
 
 
@@ -392,9 +440,9 @@ def _conformal_rhs(mu, gt):
     (order >= 1) and a scalar jet mu (order >= 2) at the same points:
     -3 (Hess(mu) - dmu dmu) - (Lap(mu) + 3 |dmu|^2) gt, every piece taken
     with respect to gt."""
-    H = hessian_scalar(mu, _CurvaturePieces(gt).gam)
-    gtv = gt.val
-    gti = np.linalg.inv(gtv)
+    P = _CurvaturePieces(gt)
+    H = hessian_scalar(mu, P)
+    gtv, gti = P.gv, P.ginv
     lap = np.einsum('...ij,...ij->...', gti, H)
     grad2 = np.einsum('...ij,...i,...j->...', gti, mu.grad, mu.grad,
                       optimize=True)

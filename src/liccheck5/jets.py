@@ -83,7 +83,9 @@ class Jet:
         return Jet(*[-a for a in self.levels])
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, Jet):
+            return Jet(*[a - b for a, b in zip(self.levels, other.levels)])
+        return Jet(self.levels[0] - other, *self.levels[1:])
 
     def __rsub__(self, other):
         return (-self) + other

@@ -229,8 +229,8 @@ def einstein_rescale_residual(b, c, x, a=1.0):
     u = d * s
     P = C._CurvaturePieces(geo.metric_jets(geo.MetricSpec("ga", a), x,
                                            order=2))
-    ric0 = C.trace_free(P.ric, P.g)
-    hess0 = C.trace_free(C.hessian_scalar(u, P.gam), P.g)
+    ric0 = C.trace_free(P.ric, P)
+    hess0 = C.trace_free(C.hessian_scalar(u, P), P)
     uv = np.asarray(u.val)
     return -uv[..., None, None] * ric0, 3.0 * hess0
 

@@ -302,7 +302,7 @@ def _chk_conformal_killing(cfg, seed):
     spec = geo.MetricSpec("ga", cfg.a)
 
     def residuals(region, x):
-        g = geo.metric_jets(spec, x, order=2)
+        g = geo.metric_jets(spec, x, order=1)
         V = C.vector_field_jets(x, order=1)
         LV = C.lie_derivative_metric(g, V)
         div = C.divergence(C.christoffel_from_jets(g), V).val

@@ -25,11 +25,14 @@ SRC = pathlib.Path(liccheck5.__file__).parent
 # public functions only tests call, kept as references the tests check the
 # package against: the region classifier, the covector alpha of the g_a
 # formula (its cylindrical rewrite is compared with the closed-form metric),
-# the jet engine's coefficient and finite-difference oracles, the vector
-# representation of a spin lift, and the one-curve smoothness probe (each
-# report of a batched probe is compared with it, bit for bit)
+# Riemann by differentiating the Christoffel jets (the curvature bundle's
+# value kernel is compared with it), the jet engine's coefficient and
+# finite-difference oracles, the vector representation of a spin lift, and
+# the one-curve smoothness probe (each report of a batched probe is compared
+# with it, bit for bit)
 ORACLES = (
     "clifford.lambda_of",
+    "curvature.riemann_from_christoffel",
     "geometry.alpha_form",
     "geometry.classify",
     "jets.central_diff",
@@ -198,7 +201,8 @@ def _calls(fn, name):
 
 
 def test_curvature_builds_each_piece_in_one_place():
-    """Christoffel symbols are formed only by the per-metric bundle, the
+    """Christoffel symbols are formed only by the per-metric bundle (its
+    jets and its values), Riemann only by the bundle's value kernel, the
     curvature entries read their pieces inside the one block loop of the
     closed forms (geometry._over_blocks, called only by _piece, metric_jets
     and the two frame builders) instead of building a metric jet a block,
@@ -211,6 +215,10 @@ def test_curvature_builds_each_piece_in_one_place():
     def callers(name):
         return sorted(q for q, fn in fns.items() if _calls(fn, name))
     assert callers("christoffel_from_jets") == ["_CurvaturePieces.gam"]
+    assert callers("_christoffel") == ["_CurvaturePieces.gamv",
+                                       "christoffel_from_jets"]
+    assert callers("_riemann_from_values") == ["_CurvaturePieces.riemann"]
+    assert callers("riemann_from_christoffel") == []
     assert sorted("%s.%s" % (stem, name)
                   for stem, tree in trees.items()
                   for name, fn in _functions(tree, "")

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -82,16 +83,22 @@ def test_metric_compatibility_ga():
     assert np.max(np.abs(nabla_g)) < 1e-10
 
 
-def test_round_sphere_fixes_sign_convention():
-    # stereographic round 4-sphere g = 4 delta/(1+|y|^2)^2: the first/third
-    # Ricci contraction must come out positive, Ric = 3 g and scal = 12.
+def _round_sphere():
+    """Metric jet of the stereographic round 4-sphere, 4 delta/(1+|y|^2)^2,
+    at 40 seeded points."""
     y = np.random.default_rng(7).uniform(-1.5, 1.5, size=(40, 4))
     yj = J.seed(y, order=3)
     c = (yj[0] * yj[0] + yj[1] * yj[1] + yj[2] * yj[2] + yj[3] * yj[3]
          + 1.0).reciprocal() * 2.0
     zero = J.constant(np.zeros(y.shape[:-1]), dim=4, order=3)
-    g = J.stack([[c * c if i == j else zero for j in range(4)] for i in range(4)])
-    p = C._CurvaturePieces(g)
+    return J.stack([[c * c if i == j else zero for j in range(4)]
+                    for i in range(4)])
+
+
+def test_round_sphere_fixes_sign_convention():
+    # the first/third Ricci contraction must come out positive on the round
+    # 4-sphere, Ric = 3 g and scal = 12
+    p = C._CurvaturePieces(_round_sphere())
     assert np.max(np.abs(p.ric - 3.0 * p.gv)) < 1e-12
     assert np.max(np.abs(p.scalar - 12.0)) < 1e-12
     assert np.max(np.abs(p.weyl)) < 1e-12
@@ -102,13 +109,65 @@ def test_curvature_pieces_form_only_what_is_read():
     g = geo.metric_jets(GAT, x, order=2)
     p = C._CurvaturePieces(g)
     ric = p.ric
-    assert set(vars(p)) == {"g", "gam", "riemann", "ric"}
+    # Riemann reads values only: no Christoffel jet is formed
+    assert set(vars(p)) == {"g", "ginv", "gamv", "riemann", "ric"}
     low = p.lowered
-    assert set(vars(p)) == {"g", "gam", "riemann", "ric", "gv", "lowered"}
+    assert set(vars(p)) == {"g", "ginv", "gamv", "riemann", "ric", "gv",
+                            "lowered"}
     # read in any order, each piece is the same array bit for bit
     q = C._CurvaturePieces(g)
     assert np.array_equal(q.weyl, p.weyl)
     assert np.array_equal(q.ric, ric) and np.array_equal(q.lowered, low)
+
+
+class _ChristoffelRoute(C._CurvaturePieces):
+    """The bundle with Riemann from the derivatives of the Christoffel
+    jets (the oracle riemann_from_christoffel); every later piece follows
+    it."""
+
+    @cached_property
+    def riemann(self):
+        return C.riemann_from_christoffel(self.gam)
+
+
+# (metric jet, bound on the kernel's distance to the Christoffel route
+# relative to the route's largest Riemann component in each layout): on
+# these draws the cone metrics measure 6e-12 (Riemann, Ricci) and 1.2e-10
+# (lowered, Weyl), as their lowered entries cancel terms ~100 times larger,
+# and the 4d metrics agree to a few ulps, 1.3e-15
+ORACLE_METRICS = {
+    "ga": (lambda: geo.metric_jets(
+        GA, V.sample("B_a", 1.0, 100, 3, exclusion=0.02), order=2), 5e-10),
+    "gatilde": (lambda: geo.metric_jets(
+        GAT, V.sample("B_a", 1.0, 100, 3, exclusion=0.02), order=2), 5e-10),
+    "eh": (lambda: geo.metric_jets(EH, V._eh_points(1.0, 5, 60), order=2),
+           5e-15),
+    "ha": (lambda: geo.metric_jets(HA, np.random.default_rng(33).uniform(
+        -0.4, 0.4, size=(40, 4)), order=2), 5e-15),
+    "sphere": (_round_sphere, 5e-15),
+}
+
+
+@pytest.mark.parametrize("metric", list(ORACLE_METRICS))
+def test_riemann_kernel_matches_the_christoffel_route(metric):
+    """The bundle's Riemann, read from the metric's value, gradient and
+    Hessian, agrees with differentiating the Christoffel jets, and so do
+    Ricci, the lowered tensor and Weyl built on it; a point alone gives
+    the same bits as inside its batch."""
+    build, bound = ORACLE_METRICS[metric]
+    g = build()
+    got, want = C._CurvaturePieces(g), _ChristoffelRoute(g)
+    scale = {"riemann": np.max(np.abs(want.riemann)),
+             "lowered": np.max(np.abs(want.lowered))}
+    for key, layout in (("riemann", "riemann"), ("ric", "riemann"),
+                        ("lowered", "lowered"), ("weyl", "lowered")):
+        diff = np.max(np.abs(getattr(got, key) - getattr(want, key)))
+        assert diff <= bound * scale[layout], key
+    for i in (0, 17, len(g.val) - 1):
+        alone = C._CurvaturePieces(J.Jet(*[lv[i:i + 1] for lv in g.levels]))
+        for key in ("riemann", "ric", "lowered", "weyl"):
+            assert np.array_equal(getattr(alone, key),
+                                  getattr(got, key)[i:i + 1]), key
 
 
 def test_metric_frame_and_curvature_jets_are_real():
@@ -138,6 +197,8 @@ def test_degenerate_metric_raises():
     bad = J.stack([[o, z], [z, z]])
     with pytest.raises(SingularMetricError):
         C.christoffel_from_jets(bad)
+    with pytest.raises(SingularMetricError):
+        C._CurvaturePieces(bad).ric
 
 
 # ------------------------------------------------- Riemann / Ricci / Weyl
@@ -569,13 +630,13 @@ def test_curvature_forms_are_built_on_first_read(family, monkeypatch):
         gams.append(g.order)
         return _fn(g)
 
-    def riemann_from_christoffel(gam, _fn=C.riemann_from_christoffel):
-        riems.append(gam.order)
-        return _fn(gam)
+    def riemann_from_values(g, ginv, gam, _fn=C._riemann_from_values):
+        riems.append(g.order)
+        return _fn(g, ginv, gam)
 
     monkeypatch.setattr(geo, "metric_jets", metric_jets)
     monkeypatch.setattr(C, "christoffel_from_jets", christoffel_from_jets)
-    monkeypatch.setattr(C, "riemann_from_christoffel", riemann_from_christoffel)
+    monkeypatch.setattr(C, "_riemann_from_values", riemann_from_values)
     forms = C.connection_forms(fr, spec, x)
     # the eh frame is seeded to order 2, so omega's Christoffel symbols come
     # from an order-2 metric; the default-order ga frame needs only order 1
@@ -583,9 +644,12 @@ def test_curvature_forms_are_built_on_first_read(family, monkeypatch):
     assert riems == []
     cf = forms.curvature_frame
     # eh reads its curvature from the bundle omega was built from, without
-    # a second metric or Christoffel build; ga builds the order-2 bundle now
-    assert orders == gams == ([2] if family == "eh" else [1, 2])
-    assert riems == [1]
+    # a second metric build; ga builds the order-2 bundle now.  Either way
+    # one Riemann kernel runs on the order-2 metric's values, and no
+    # Christoffel jet is built for it
+    assert orders == ([2] if family == "eh" else [1, 2])
+    assert gams == ([2] if family == "eh" else [1])
+    assert riems == [2]
     assert forms.curvature_frame is cf
     # the eager formula, summed in the same order: plain einsum's order
     # moves ga's entries by ~4e-13 relative, as terms of ~1e5 cancel to ~20
@@ -701,7 +765,7 @@ def test_divergence_v_gatilde(sampler):
 def test_hessian_of_x0_squared_flat():
     x = np.random.default_rng(5).uniform(-1, 1, size=(10, 5))
     u = J.seed(x, order=2)[0]
-    H = C.hessian_scalar(u * u, C.christoffel_from_jets(
+    H = C.hessian_scalar(u * u, C._CurvaturePieces(
         geo.metric_jets(G0, x, order=1)))
     target = np.zeros((10, 5, 5))
     target[:, 0, 0] = 2.0
@@ -712,7 +776,7 @@ def test_trace_free_kills_trace():
     x = V.sample("B_a", 1.0, 10, 6, exclusion=0.2 / np.sqrt(2), outer=0.8)
     T = np.random.default_rng(8).normal(size=(10, 5, 5))
     g = geo.metric_jets(GA, x, order=0)
-    tf = C.trace_free(T, g)
+    tf = C.trace_free(T, C._CurvaturePieces(g))
     gi = np.linalg.inv(g.val)
     assert np.max(np.abs(np.einsum('...ij,...ij->...', gi, tf))) < 1e-12
 
@@ -721,7 +785,7 @@ def test_hessian_order_guard():
     x = np.zeros((1, 5))
     u = J.seed(x, order=1)[0]
     with pytest.raises(OrderError):
-        C.hessian_scalar(u, C.christoffel_from_jets(
+        C.hessian_scalar(u, C._CurvaturePieces(
             geo.metric_jets(G0, x, order=1)))
 
 

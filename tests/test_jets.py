@@ -220,6 +220,22 @@ def test_constant_and_scalar_mixing():
     assert np.allclose(g.grad[:, 1], -0.5)
 
 
+def test_difference_is_the_sum_with_the_negation():
+    """A - B, A - array and array - A subtract level by level, bit for bit
+    the sum with the negated operand, keeping the lower order of two jets."""
+    rng = np.random.default_rng(RNG_SEED + 3)
+    xs = jets.seed(rng.uniform(-0.5, 0.5, size=(6, 5)), order=3)
+    A = _random_tensor_jet(rng, xs, (3, 2))
+    B = _random_tensor_jet(rng, xs, (3, 2))
+    c = rng.normal(size=(6, 3, 2))
+    cases = [(A - B, A + (-B)), (A - B.truncate(1), A + (-B.truncate(1))),
+             (A - c, A + (-c)), (A - 2.5, A + (-2.5)), (c - A, (-A) + c)]
+    for got, want in cases:
+        assert got.order == want.order
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.levels, want.levels))
+
+
 def test_complex_jets_conjugation():
     x = np.random.default_rng(7).uniform(-1, 1, size=(4, 5))
     xs = jets.seed(x)

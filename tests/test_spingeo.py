@@ -305,7 +305,8 @@ def test_einstein_rescale_identity():
         lhs, rhs = S.einstein_rescale_residual(1.0, 0.5, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-7
     # nontrivial: the two sides of the identity are individually large
-    ric0 = C.trace_free(C.ricci(GA, xb), geo.metric_jets(GA, xb, order=0))
+    ric0 = C.trace_free(C.ricci(GA, xb), C._CurvaturePieces(
+        geo.metric_jets(GA, xb, order=0)))
     assert np.max(np.abs(ric0)) > 1.0
 
 
