@@ -19,17 +19,18 @@ table _FORMS: ga_a(x) = ga_1(a x), gatilde_a(x) = a^4 gatilde_1(a x),
 ha_a(y) = ha_1(a y) and eh_a(y) = eh_1(y / a), component for component,
 and the frames likewise.
 
-Every metric and every frame is a sum of coefficients times polynomial
-tensors: eta (delta in 4d) and outer products u v^T of the fields c_i
-(constant unit vectors), xh (the spatial part of x) and K1, K2, K3.  Its
-coefficients depend on the U(2) invariants alone: x0 and rho = r^2 in 5d
-(gatilde's 1/d^2 folded into each of them), R^2 in 4d.  They are built
-once a batch as jets in those one or two variables (RadialJets), which
-decides the batch's cone side and domain; then, block by block, they are
-pulled back to x through the invariants' exact jets and multiplied with
-the tensors' exact jets as batched matmuls.  That loop, _over_blocks, is
-the package's one cut of a batch into blocks: metric_jets and the frames
-return its jets, and the curvature entries read their pieces inside it.
+Every metric, every frame and every vector-frame transition (G, Q, kappa)
+is a sum of coefficients times polynomial tensors: eta (delta in 4d) and
+outer products u v^T of the fields c_i (constant unit vectors), xh (the
+spatial part of x) and K1, K2, K3.  Its coefficients depend on the U(2)
+invariants alone: x0 and rho = r^2 in 5d (gatilde's 1/d^2 folded into
+each of them), R^2 in 4d.  They are built once a batch as jets in those
+one or two variables (RadialJets), which decides the batch's cone side
+and domain; then, block by block, they are pulled back to x through the
+invariants' exact jets and multiplied with the tensors' exact jets as
+batched matmuls.  That loop, _over_blocks, is the package's one cut of a
+batch into blocks: metric_jets, the frames and the transitions return its
+jets, and the curvature entries read their pieces inside it.
 Every other reader of a radial function pulls it back from a RadialJets
 bundle the same way.
 """
@@ -493,7 +494,7 @@ def _frame_htilde_coefficients(rad):
     whose column 0 is k e_0 + q e_1."""
     if _side_of(rad.gap) < 0:
         return [], ()
-    k, q, _ = _k_q_rho(rad)
+    k, q = _k_q(rad)
     e00, xwc, s, ir = _e_scalars(rad)
     ir2 = ir * ir
     return [k * e00 + (-1.0) * q * xwc + (-1.0), (k * xwc + q * s) * ir,
@@ -512,9 +513,17 @@ def _eh_frame_coefficients(rad):
         "x c0", "k1 c1", "k2 c2", "k3 c3")
 
 
-def _k_q_rho(rad):
-    """The boost entries k, q of Q and rho = beta^-2 r_o^2 at a = 1 on the
-    exterior side (frames.k_q_rho); CaViolationError outside C_1."""
+def _k_q(rad):
+    """The boost entries (k, q) of Q at a = 1 on the exterior side;
+    CaViolationError outside C_1.  They are derived, not copied: h_0 :=
+    k e_0 + q e_1 must be the unit-normalized d/dx_0, which forces
+    k = -ga(h_0, e_0) and q = +ga(h_0, e_1).  In closed form, with
+    rho = beta^-2 r_o^2,
+
+        k = (1 - 4 x0^2 rho beta/(1+beta)) / sqrt(1 - 4 x0^2 rho)
+        q = -2 x0 w beta rho / (r (1+beta) sqrt(1 - 4 x0^2 rho))
+
+    which satisfies k^2 - q^2 = 1 identically on C_1."""
     beta, x0 = rad.beta, rad.x0
     ib = beta.reciprocal()
     rho = rad.ro2 * ib * ib
@@ -527,15 +536,50 @@ def _k_q_rho(rad):
     q = (-2.0) * x0 * rad.w * beta * rho * rad.r.reciprocal() * ip1 * iS
     if np.any(k.val <= 0.0):
         raise CaViolationError("k <= 0: point(s) outside C_a")
-    return k, q, rho
+    return k, q
 
 
-# Every closed form by name, a metric family or a frame id: its dimension
-# n, the dilation (p, q) by which its a-member at x is a^q times its a = 1
-# member at a^p x (level k scaled by a^(q + p k), README), its constant
-# term, and the builder of its coefficients (None: the constant alone).
-_I5 = np.eye(5)
+# the vector-frame transitions: G turns frame e's columns 1 to 4, the
+# directions (xh, K1, K2, K3) / r on L, into the coordinate axes; Q and
+# kappa are boosts of the (0, 1) plane
+def _transition_g(rad):
+    """G = c0 c0^T + (c1 xh^T + c2 K1^T + c3 K2^T + c4 K3^T) / r, its
+    constant c0 c0^T; DomainError on the axis."""
+    if np.any(rad.r2.val == 0.0):
+        raise DomainError("G is singular on the axis r = 0")
+    ir = rad.r.reciprocal()
+    return [ir, ir, ir, ir], ("c1 x", "c2 k1", "c3 k2", "c4 k3")
+
+
+def _boost(ch, sh):
+    """The boost I + (ch - 1)(c0 c0^T + c1 c1^T) + sh (c0 c1^T + c1 c0^T)
+    of the (0, 1) plane, its constant I."""
+    return [ch + (-1.0), sh], ("c0 c0 + c1 c1", "c0 c1 + c1 c0")
+
+
+def _transition_q(rad):
+    """Q, the boost by (k, q) (_k_q) on the exterior side, exactly I on L
+    (cone and axis included), like htilde."""
+    if _side_of(rad.gap) < 0:
+        return [], ()
+    return _boost(*_k_q(rad))
+
+
+def _transition_kappa(rad):
+    """The cone boost kappa, by (w / d, -2 x0 r / d), off the cone."""
+    rad.exterior("kappa")
+    idet = rad.d.reciprocal()
+    return _boost(rad.w * idet, (-2.0) * rad.x0 * rad.r * idet)
+
+
+# Every closed form by name, a metric family, a frame id or a transition
+# id: its dimension n, the dilation (p, q) by which its a-member at x is
+# a^q times its a = 1 member at a^p x (level k scaled by a^(q + p k),
+# README), its constant term, and the builder of its coefficients (None:
+# the constant alone).
+_I5, _E00 = np.eye(5), np.diag([1.0, 0.0, 0.0, 0.0, 0.0])
 _I5.setflags(write=False)
+_E00.setflags(write=False)
 _FORMS = {
     "g0": (5, 1, 0, ETA, None),
     "ga": (5, 1, 0, ETA, _metric_ga),
@@ -548,6 +592,9 @@ _FORMS = {
     "f": (5, 1, -2, None, _frame_f_coefficients),
     "etilde": (5, 1, -2, None, _frame_etilde_coefficients),
     "eh_frame": (4, -1, 0, None, _eh_frame_coefficients),
+    "G": (5, 1, 0, _E00, _transition_g),
+    "Q": (5, 1, 0, _I5, _transition_q),
+    "kappa": (5, 1, 0, _I5, _transition_kappa),
 }
 
 

@@ -7,7 +7,9 @@ Anything else unreferenced fails here, so an orphan cannot slip in unseen.
 A module-level private helper has no such excuse: it must have a caller,
 and neither has a public method or property of the jet class.
 References are names and attributes in the package's own source (strings
-and comments do not count); bench/ and tests/ do not count either.
+and comments do not count); bench/ and tests/ do not count either.  The
+closed forms of geometry's table are ids, not functions: each has one
+public entry that takes it.
 """
 
 import ast
@@ -18,7 +20,7 @@ import pathlib
 import numpy as np
 
 import liccheck5
-from liccheck5 import jets
+from liccheck5 import frames, geometry, jets
 
 SRC = pathlib.Path(liccheck5.__file__).parent
 
@@ -154,13 +156,50 @@ def test_every_public_jet_member_is_used():
     assert not shadowed, "Jet members read like array methods: %s" % shadowed
 
 
+# a point of C_1, the neighbourhood of the cone where every frame and
+# transition is defined
+X5 = np.array([0.1, 0.5, 0.2, 0.1, 0.3])
+
+
+def _accepts(entry, key):
+    try:
+        entry(key)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_closed_form_has_one_public_entry():
+    """Every row of geometry._FORMS (a metric family, a frame or a
+    transition, by its id) is read through exactly one public entry, and
+    every id transform_eval takes is a row of the table or the spin lift of
+    one.  The function counts above do not see ids."""
+    entries = {
+        "metric_jets": geometry.MetricSpec,
+        "frame_eval": lambda key: frames.frame_eval(key, X5),
+        "transform_eval": lambda key: frames.transform_eval(key, X5, order=0),
+    }
+    for key in geometry._FORMS:
+        owners = [name for name, entry in entries.items()
+                  if _accepts(entry, key)]
+        if key == "eh_frame":           # the row eh_frame alone reads
+            owners.append("eh_frame")
+        assert len(owners) == 1, (key, owners)
+    rows = [key for key in geometry._FORMS
+            if _accepts(entries["transform_eval"], key)]
+    assert sorted(rows) == sorted(frames._TRANSITIONS)
+    for lift, covered in frames._LIFTS.items():
+        assert covered in rows
+        assert frames.transform_eval(lift, X5, order=0).shape == (4, 4)
+    assert not _accepts(entries["transform_eval"], "nope")
+
+
 # the family parameter's boundary: the only functions of geometry and frames
 # that take a parameter `a` or read an attribute `.a`.  Everything they call
 # works at a = 1 on dilated points, and Jet.dilate restores a.
 A_READERS = (
     "frames.eh_frame",
     "frames.frame_eval",
-    "frames.k_q_rho",
     "frames.transform_eval",
     "geometry.MetricSpec.__post_init__",
     "geometry._over_blocks",
@@ -204,10 +243,10 @@ def test_curvature_builds_each_piece_in_one_place():
     """Christoffel symbols are formed only by the per-metric bundle (its
     jets and its values), Riemann only by the bundle's value kernel, the
     curvature entries read their pieces inside the one block loop of the
-    closed forms (geometry._over_blocks, called only by _piece, metric_jets
-    and the two frame builders) instead of building a metric jet a block,
-    and the structure equations read their metric from the forms they check
-    instead of building one."""
+    closed forms (geometry._over_blocks, called only by _piece, metric_jets,
+    the two frame builders and transform_eval) instead of building a metric
+    jet a block, and the structure equations read their metric from the
+    forms they check instead of building one."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     fns = dict(_functions(trees["curvature"], ""))
@@ -224,7 +263,7 @@ def test_curvature_builds_each_piece_in_one_place():
                   for name, fn in _functions(tree, "")
                   if _calls(fn, "_over_blocks")) == [
         "curvature._piece", "frames.eh_frame", "frames.frame_eval",
-        "geometry.metric_jets"]
+        "frames.transform_eval", "geometry.metric_jets"]
     assert not _calls(fns["_piece"], "metric_jets")
     assert not any(_calls(fns["structure_residuals"], name)
                    for name in ("metric_jets", "_CurvaturePieces"))

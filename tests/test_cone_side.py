@@ -5,8 +5,9 @@ each layer must say which side a batch is on.  The policy pinned here:
 
   * metric and r_o jets take the flat branch strictly inside L and raise
     AmbiguousError on the boundary, where their derivatives jump;
-  * frames, Q entries and spinor components take the flat branch on the
-    whole closed cone, boundary included; frame f lives off the cone only;
+  * frames, the transition Q and spinor components take the flat branch on
+    the whole closed cone, boundary included; frame f and the cone boost
+    kappa live off the cone only;
   * a batch that mixes the two sides is refused;
   * the smoothness probe needs a curve whose legs separate cleanly across
     the cone.
@@ -57,8 +58,8 @@ def _cylindrical_frame(x):
     return np.stack(cols, axis=-1)
 
 
-def _kqr(x):
-    return np.stack([j.val for j in F.k_q_rho(x, 1.0, order=1)], axis=-1)
+def _identity(x):
+    return np.broadcast_to(np.eye(5), x.shape[:1] + (5, 5))
 
 
 # name -> (evaluation, value of the flat branch or None where there is none)
@@ -72,9 +73,10 @@ LAYERS = {
     "frame_f": (lambda x: F.frame_eval("f", x, 1.0, order=1).val,
                 None),
     "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0, order=1).val,
-                     lambda x: np.broadcast_to(np.eye(5), x.shape[:1] + (5, 5))),
-    "k_q_rho": (_kqr, lambda x: np.broadcast_to([1.0, 0.0, 0.0],
-                                                x.shape[:1] + (3,))),
+                     _identity),
+    "Q": (lambda x: F.transform_eval("Q", x, 1.0, order=1).val, _identity),
+    "kappa": (lambda x: F.transform_eval("kappa", x, 1.0, order=1).val,
+              _identity),
     "psi_components_htilde": (
         lambda x: S.psi_components_htilde(1.0, 0.5, x),
         lambda x: S.psi_bc(1.0, 0.5, frame="u").values(x)),
@@ -89,7 +91,8 @@ POLICY = {
     "frame_e": ("deformed", "flat", AmbiguousError, AmbiguousError),
     "frame_f": ("deformed", DomainError, DomainError, DomainError),
     "frame_htilde": ("deformed", "flat", "flat", AmbiguousError),
-    "k_q_rho": ("deformed", "flat", "flat", AmbiguousError),
+    "Q": ("deformed", "flat", "flat", AmbiguousError),
+    "kappa": ("deformed", DomainError, DomainError, DomainError),
     "psi_components_htilde": ("deformed", "flat", "flat", AmbiguousError),
     "smoothness_probe": (NonTransversalError, NonTransversalError,
                          NonTransversalError, "report"),

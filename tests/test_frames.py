@@ -23,12 +23,17 @@ def gram(fr, family, x, a=1.0):
     return F.gram_matrix(fr.val, gv)
 
 
+def ca_rho(x, a=1.0):
+    """rho = a^4 r_o^2 / (1 - (a r_o)^4) of B_a points, from their radial
+    values: C_a is 4 x0^2 rho < 1."""
+    ro = geo.radial_values(x)[2]
+    return a ** 4 * ro ** 2 / (1.0 - (a * ro) ** 4)
+
+
 def in_ca(x, a, n):
     """The first n points of a B_a draw that lie in the C_a neighbourhood
-    of the cone, 4 x0^2 rho < 0.95 with rho = a^4 r_o^2 / (1 - (a r_o)^4)."""
-    ro = geo.radial_values(x)[2]
-    rho = a ** 4 * ro ** 2 / (1.0 - (a * ro) ** 4)
-    x = x[4.0 * x[:, 0] ** 2 * rho < 0.95]
+    of the cone, 4 x0^2 rho < 0.95 (ca_rho)."""
+    x = x[4.0 * x[:, 0] ** 2 * ca_rho(x, a) < 0.95]
     assert len(x) >= n
     return x[:n]
 
@@ -139,12 +144,22 @@ def test_kappatilde_covers_kappa():
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_q_entries_hyperbolic(a):
+    # Q is the boost [[k, q], [q, k]] of the (0, 1) plane, k = cosh and
+    # q = sinh of one rapidity, with k the closed form in rho
     x = in_ca(V.sample("B_a", a, 10 * 200, 48, exclusion=0.05 / np.sqrt(2),
                        outer=1 - 0.05 * a), a, 200)
-    k, q, rho = F.k_q_rho(x, a, order=0)
-    assert np.abs(k.val ** 2 - q.val ** 2 - 1.0).max() < 1e-12
-    assert k.val.min() > 0
-    assert (4.0 * x[:, 0] ** 2 * rho.val).max() < 1.0
+    Q = F.transform_eval("Q", x, a, order=0).val
+    k, q = Q[:, 0, 0], Q[:, 0, 1]
+    assert np.array_equal(Q[:, 1, 1], k) and np.array_equal(Q[:, 1, 0], q)
+    rest = Q.copy()
+    rest[:, :2, :2] = np.eye(2)
+    assert np.array_equal(rest, np.broadcast_to(np.eye(5), Q.shape))
+    assert np.abs(k ** 2 - q ** 2 - 1.0).max() < 1e-12
+    assert k.min() > 0
+    gate = 4.0 * x[:, 0] ** 2 * ca_rho(x, a)
+    beta = np.sqrt(1.0 - (a * geo.radial_values(x)[2]) ** 4)
+    want = (1.0 - gate * beta / (1.0 + beta)) / np.sqrt(1.0 - gate)
+    assert np.abs(k - want).max() < 1e-12 * k.max()
 
 
 def test_q_identity_on_l():
@@ -157,7 +172,7 @@ def test_q_outside_ca_raises():
     # large x0 with r_o close to 1/a puts 4 x0^2 rho far above 1
     p = np.array([[1.897, 2.4, 0.0, 0.0, 0.0]])
     with pytest.raises(CaViolationError):
-        F.k_q_rho(p, a=1.0, order=0)
+        F.transform_eval("Q", p, a=1.0, order=0)
 
 
 def test_qtilde_covers_q():
@@ -211,8 +226,7 @@ def test_htilde_first_column_is_normalized_d0():
     x = in_ca(V.sample("B_a", 1.0, 10 * 120, 53, exclusion=0.05 / np.sqrt(2)),
               1.0, 120)
     ht = F.frame_eval("htilde", x, a=1.0, order=0)
-    _, _, rho = F.k_q_rho(x, a=1.0, order=0)
-    expect = 1.0 / np.sqrt(1.0 - 4.0 * x[:, 0] ** 2 * rho.val)
+    expect = 1.0 / np.sqrt(1.0 - 4.0 * x[:, 0] ** 2 * ca_rho(x))
     assert np.abs(ht[0, 0].val - expect).max() < 1e-12
     for m in range(1, 5):
         assert np.abs(ht[m, 0].val).max() < 1e-12
@@ -313,7 +327,7 @@ def _builds(*names):
 # each call with the fields of its one bundle it builds: every field it
 # reads, once, and the fields those are built from (the seeds x0 and r^2
 # are no fields); the metric builds no beta, kappa no side, r_o or beta,
-# and the monomial probe no w, r_o^2 or beta
+# G its 1/r alone, and the monomial probe no w, r_o^2 or beta
 FRAME_FIELDS = _builds("r", "d", "w", "gap", "side", "ro", "ro2", "bsq",
                        "beta")
 RADIAL_CALLS = {
@@ -321,7 +335,8 @@ RADIAL_CALLS = {
     "frame_f": (lambda x: F.frame_eval("f", x, 1.0), FRAME_FIELDS),
     "frame_etilde": (lambda x: F.frame_eval("etilde", x, 1.0), FRAME_FIELDS),
     "frame_htilde": (lambda x: F.frame_eval("htilde", x, 1.0), FRAME_FIELDS),
-    "k_q_rho": (lambda x: F.k_q_rho(x, 1.0, order=3), FRAME_FIELDS),
+    "G": (lambda x: F.transform_eval("G", x, 1.0, order=3), _builds("r")),
+    "Q": (lambda x: F.transform_eval("Q", x, 1.0, order=3), FRAME_FIELDS),
     "metric_ga": (lambda x: geo.metric_jets(geo.MetricSpec("ga", 1.0), x, 3),
                   _builds("r", "d", "w", "gap", "side", "ro", "ro2", "bsq")),
     "kappa": (lambda x: F.transform_eval("kappa", x, order=3),
@@ -358,20 +373,22 @@ def _fd_points(region, a, n=6):
     return (in_ca(x, a, n) if region == "C_a" else x[:n]), 1.0 / a
 
 
-# each frame on the points where it is defined; eh_frame is only built to
-# order 2
+# each frame, and each vector transition, on the points where it is
+# defined; eh_frame is only built to order 2
 FD_FRAMES = [(fid, region, a)
              for fid, regions in [("e", ("B_a", "L")), ("f", ("B_a",)),
                                   ("etilde", ("B_a",)), ("u", ("B_a", "L")),
-                                  ("htilde", ("C_a", "L")), ("eh", ("R>a",))]
+                                  ("htilde", ("C_a", "L")), ("eh", ("R>a",)),
+                                  ("G", ("B_a", "L")), ("Q", ("C_a", "L")),
+                                  ("kappa", ("B_a",))]
              for region in regions for a in (0.1, 1.0, 7.0)]
 
 
 @pytest.mark.parametrize("fid,region,a", FD_FRAMES,
                          ids=["%s-%s-a%g" % c for c in FD_FRAMES])
 def test_frame_jets_match_central_differences(fid, region, a):
-    """Every level of a frame jet against central differences of the
-    frame's values, with one Richardson step at order 3 as in test_jets;
+    """Every level of a frame or transition jet against central differences
+    of its values, with one Richardson step at order 3 as in test_jets;
     the residual of each order is normalized by the scale of both sides.
     The points and the steps scale with the family, so a wrong level
     scaling of the dilation shows too."""
@@ -382,10 +399,11 @@ def test_frame_jets_match_central_differences(fid, region, a):
         def frame(pts):
             return F.eh_frame(pts, a).val
     else:
-        jet, orders = F.frame_eval(fid, x, a, order=3), (1, 2, 3)
+        build = F.transform_eval if fid in F._TRANSITIONS else F.frame_eval
+        jet, orders = build(fid, x, a, order=3), (1, 2, 3)
 
         def frame(pts):
-            return F.frame_eval(fid, pts, a, order=0).val
+            return build(fid, pts, a, order=0).val
     n = x.shape[-1]
     for order in orders:
         h = scale * FD_STEP[order]
