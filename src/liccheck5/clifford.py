@@ -70,6 +70,13 @@ def spinor_inner(phi: SpinorValue, psi: SpinorValue):
     return np.einsum("...a,...a->...", np.conj(g0phi), psi.w)
 
 
+def spin_inverse(S):
+    """S^-1 = gamma_0 S^dagger gamma_0 for S (..., 4, 4) in the spin group,
+    whose elements keep the pairing of spinor_inner: S^dagger gamma_0 S =
+    gamma_0."""
+    return np.einsum("ab,...cb,cd->...ad", GAMMA[0], np.conj(S), GAMMA[0])
+
+
 def spinor_square_components(phi: SpinorValue):
     """p_i = <phi, e_i . phi> for the frame basis vectors; imaginary parts must
     vanish (the pairing with a vector insertion is real)."""

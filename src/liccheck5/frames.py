@@ -1,4 +1,4 @@
-"""Orthonormal frames for the metric family and the transitions between them.
+"""Orthonormal frames for the metric family, their transitions and lifts.
 
 A frame is its (n, n) tensor jet in column convention: ``F[mu, i]`` is
 Cartesian component mu of the i-th frame vector, so a right matrix action
@@ -11,38 +11,39 @@ reads a and the form's dilation weights (frames f and etilde carry a^-2)
 from geometry's table of closed forms.
 
 The vector transitions are G, which turns frame e's sphere directions into
-the coordinate axes, and the boosts of the (0, 1) plane Q (by (k, q), on
-C_a, so that htilde = e.(QG)) and kappa (the cone boost, with
-etilde = f.kappa).  Their spinor lifts (Gtilde, Qtilde, kappatilde) are
-plain complex value arrays, batched as (..., 4, 4); Qtilde and kappatilde
-are the one boost lift of the values of Q and kappa.
+the coordinate axes, and the boosts Q (by (k, q), on C_a) and kappa (the
+cone boost) of the (0, 1) plane.  EDGES, the construction's frame graph,
+gives each edge (from, to) the transitions whose product T makes
+F_to = F_from . T: u = e.G on L, htilde = e.(QG) and etilde = f.kappa.
+Each spin lift (Gtilde, Qtilde, kappatilde) is read off its transition's
+values, as complex (..., 4, 4) arrays; clifford.spin_inverse inverts it.
 """
 
 import numpy as np
 
 from . import geometry as geo
-from .errors import DimensionError, DomainError
 
 _FRAMES = ("e", "f", "etilde", "u", "htilde")
-# the vector transitions, rows of geometry._FORMS, and each spin lift with
-# the transition it covers
+# the vector transitions, rows of geometry._FORMS
 _TRANSITIONS = ("G", "Q", "kappa")
-_LIFTS = {"Gtilde": "G", "Qtilde": "Q", "kappatilde": "kappa"}
+# the frame graph: F_to = F_from . T, T the product of the listed transitions
+EDGES = {("e", "u"): ("G",), ("e", "htilde"): ("Q", "G"),
+         ("f", "etilde"): ("kappa",)}
 
 
 # ------------------------------------------------------------ transforms
 
-def _gtilde_matrix(x):
-    r = geo.radial_values(x)[0]
-    if np.any(r == 0.0):
-        raise DomainError("Gtilde is singular on the axis r = 0")
-    s = x[..., 1:]
-    m = np.zeros(r.shape + (4, 4), dtype=complex)
+def _rotation_lift(G):
+    """The spin lift of the rotation values G (..., 5, 5), read from G's
+    row 1, (n1, n2, n3, n4) = xh / r: the identity on slots 0 and 1, and
+    [[n1 + i n2, n3 + i n4], [-n3 + i n4, n1 - i n2]] on slots 2 and 3."""
+    n = G[..., 1, 1:]
+    m = np.zeros(n.shape[:-1] + (4, 4), dtype=complex)
     m[..., 0, 0] = m[..., 1, 1] = 1.0
-    m[..., 2, 2] = (s[..., 0] + 1j * s[..., 1]) / r
-    m[..., 2, 3] = (s[..., 2] + 1j * s[..., 3]) / r
-    m[..., 3, 2] = (-s[..., 2] + 1j * s[..., 3]) / r
-    m[..., 3, 3] = (s[..., 0] - 1j * s[..., 1]) / r
+    m[..., 2, 2] = n[..., 0] + 1j * n[..., 1]
+    m[..., 2, 3] = n[..., 2] + 1j * n[..., 3]
+    m[..., 3, 2] = -n[..., 2] + 1j * n[..., 3]
+    m[..., 3, 3] = n[..., 0] - 1j * n[..., 1]
     return m
 
 
@@ -62,18 +63,20 @@ def _boost_lift(B):
     return m
 
 
+# each spin lift: the transition it covers and how it is read off its values
+_LIFTS = {"Gtilde": ("G", _rotation_lift), "Qtilde": ("Q", _boost_lift),
+          "kappatilde": ("kappa", _boost_lift)}
+
+
 def transform_eval(id, x, a=1.0, *, order):
     """One of the transition matrices {G, Gtilde, Q, Qtilde, kappa,
     kappatilde} evaluated at x: a tensor jet of the given order for the
     vector transitions G, Q and kappa, complex values for the lifts Gtilde,
-    Qtilde and kappatilde, which read no order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 5:
-        raise DimensionError("expected points with 5 components")
-    if id == "Gtilde":
-        return _gtilde_matrix(x)
+    Qtilde and kappatilde, which read no order and raise the errors of the
+    transition they cover."""
     if id in _LIFTS:
-        return _boost_lift(transform_eval(_LIFTS[id], x, a, order=0).val)
+        covered, lift = _LIFTS[id]
+        return lift(transform_eval(covered, x, a, order=0).val)
     if id not in _TRANSITIONS:
         raise ValueError(f"unknown transform id {id!r}")
     return geo._over_blocks(id, a, x, order, lambda m: m)

@@ -24,6 +24,7 @@ Conventions, all pinned by the flat oracles in the test suite:
 Everything here is values-in/values-out per point batch and stateless.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,40 +151,30 @@ def twistor_residual(phi, spec, x, forms=None):
 
 # -------------------------------------------------------- frame transitions
 
-def _lift(ids, x, a):
-    """Product of lift matrices, listed in application (rightmost-first)
-    order."""
-    m = None
-    for tid, inv in ids:
-        v = F.transform_eval(tid, x, a=a, order=0)
-        v = np.linalg.inv(v) if inv else v
-        m = v if m is None else np.einsum('...ab,...bc->...ac', v, m)
-    return m
+# the lift id of each vector transition
+_LIFT_OF = {covered: lift for lift, (covered, _) in F._LIFTS.items()}
 
 
 def change_spinor_frame(phi, from_frame, to_frame, x, a=1.0):
     """Re-express the SpinorValue phi, in frame from_frame, in another
-    frame's spin lift.  Known transitions: e <-> u (rotation lift),
-    e <-> htilde (boost-rotation lift) and f <-> etilde (cone boost lift)."""
+    frame's spin lift, along an edge of the frame graph frames.EDGES in
+    either direction.  With S the product of the lifts of the edge's
+    transitions, forward components are multiplied by S^-1
+    (clifford.spin_inverse), backward ones by S."""
     if phi.frame != from_frame:
         raise UnknownTransitionError("value is in frame %r, not %r"
                                      % (phi.frame, from_frame))
-    x = np.asarray(x, dtype=float)
-    key = (from_frame, to_frame)
     if from_frame == to_frame:
         return SpinorValue(phi.w.copy(), to_frame)
-    table = {
-        ("e", "u"): [("Gtilde", True)],
-        ("u", "e"): [("Gtilde", False)],
-        ("e", "htilde"): [("Qtilde", True), ("Gtilde", True)],
-        ("htilde", "e"): [("Gtilde", False), ("Qtilde", False)],
-        ("etilde", "f"): [("kappatilde", False)],
-        ("f", "etilde"): [("kappatilde", True)],
-    }
-    if key not in table:
+    forward = (from_frame, to_frame) in F.EDGES
+    edge = (from_frame, to_frame) if forward else (to_frame, from_frame)
+    if edge not in F.EDGES:
         raise UnknownTransitionError("no spin lift registered for %s -> %s"
                                      % (from_frame, to_frame))
-    m = _lift(table[key], x, a)
+    m = functools.reduce(lambda m, v: np.einsum('...ab,...bc->...ac', m, v),
+                         [F.transform_eval(_LIFT_OF[t], x, a=a, order=0)
+                          for t in F.EDGES[edge]])
+    m = CL.spin_inverse(m) if forward else m
     return SpinorValue(np.einsum('...ab,...b->...a', m, phi.w), to_frame)
 
 
@@ -240,11 +231,9 @@ def einstein_rescale_residual(b, c, x, a=1.0):
 def _div_grad_of_square(b, c, spec, x):
     """(5/2) grad(div V_psi) under spec, Cartesian components."""
     s = float(np.real(complex(b)) ** 2 + np.real(complex(c)) ** 2)
-    g = geo.metric_jets(spec, x, order=2)
-    div = C.divergence(C.christoffel_from_jets(g),
-                       C.vector_field_jets(x, order=2))
-    gi = np.linalg.inv(g.val)
-    return 2.5 * s * np.einsum('...ij,...j->...i', gi, div.grad)
+    P = C._CurvaturePieces(geo.metric_jets(spec, x, order=2))
+    div = C.divergence(P.gam, C.vector_field_jets(x, order=2))
+    return 2.5 * s * np.einsum('...ij,...j->...i', P.ginv, div.grad)
 
 
 def essentiality_probe(b, c, a=1.0, radii=(1e-2,), n=16, seed=0):

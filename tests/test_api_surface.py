@@ -173,7 +173,8 @@ def test_every_closed_form_has_one_public_entry():
     """Every row of geometry._FORMS (a metric family, a frame or a
     transition, by its id) is read through exactly one public entry, and
     every id transform_eval takes is a row of the table or the spin lift of
-    one.  The function counts above do not see ids."""
+    one.  Every edge of the frame graph joins two frames by transitions
+    that each have a lift.  The function counts above do not see ids."""
     entries = {
         "metric_jets": geometry.MetricSpec,
         "frame_eval": lambda key: frames.frame_eval(key, X5),
@@ -188,10 +189,14 @@ def test_every_closed_form_has_one_public_entry():
     rows = [key for key in geometry._FORMS
             if _accepts(entries["transform_eval"], key)]
     assert sorted(rows) == sorted(frames._TRANSITIONS)
-    for lift, covered in frames._LIFTS.items():
+    for lift, (covered, _) in frames._LIFTS.items():
         assert covered in rows
         assert frames.transform_eval(lift, X5, order=0).shape == (4, 4)
     assert not _accepts(entries["transform_eval"], "nope")
+    lifted = {covered for covered, _ in frames._LIFTS.values()}
+    for edge, ts in frames.EDGES.items():
+        assert set(edge) <= set(frames._FRAMES), edge
+        assert set(ts) <= lifted, edge
 
 
 # the family parameter's boundary: the only functions of geometry and frames
@@ -284,3 +289,16 @@ def test_every_pairwise_contraction_takes_one_path():
                    if isinstance(node, ast.Call) for kw in node.keywords)
     spin = dict(_functions(trees["spingeo"], ""))
     assert _calls(spin["_dirac_w"], "contract")
+
+
+def test_matrices_are_inverted_in_two_places():
+    """np.linalg.inv is called only by jets.jmat_inv, the inverse of every
+    metric, and by the oracle clifford.lambda_of; a spin lift is inverted
+    by the spin pairing (clifford.spin_inverse)."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    inverters = sorted("%s.%s" % (stem, name)
+                       for stem, tree in trees.items()
+                       for name, fn in _functions(tree, "")
+                       if _calls(fn, "inv"))
+    assert inverters == ["clifford.lambda_of", "jets.jmat_inv"]

@@ -3,7 +3,8 @@
 The deformed metric g_a and its rescaling g~_a are rebuilt in sympy straight
 from their closed forms (geometry module docstring).  Their values, and the
 Christoffel symbols formed from symbolic derivatives, are evaluated at
-rational exterior points in 30-digit arithmetic.  Nothing here goes through
+rational exterior points in 30-digit arithmetic, the derivatives through
+one mpmath lambdification per metric.  Nothing here goes through
 the jet code, so the comparison checks the metric formula and the engine's
 derivative propagation end to end.
 """
@@ -15,6 +16,7 @@ from liccheck5 import curvature as C
 from liccheck5 import geometry as geo
 
 sp = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 A = sp.Integer(1)
 POINTS = (
@@ -49,24 +51,25 @@ def _symbolic_metric(family):
     return X, g
 
 
-def _symbolic_christoffel(X, g, point, digits=30):
-    """Gamma^k_ij at one point, layout [k, i, j], as float64."""
-    subs = dict(zip(X, point))
-    gv = sp.Matrix(5, 5, lambda i, j: g[i, j].evalf(digits, subs=subs))
-    dg = [[[None] * 5 for _ in range(5)] for _ in range(5)]  # dg[l][i][j]
-    for i in range(5):
-        for j in range(i, 5):
-            for l in range(5):
-                v = sp.diff(g[i, j], X[l]).evalf(digits, subs=subs)
-                dg[l][i][j] = dg[l][j][i] = v
-    gi = gv.inv()
-    out = np.empty((5, 5, 5))
-    for k in range(5):
-        for i in range(5):
-            for j in range(5):
-                s = sum(gi[k, l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                        for l in range(5))
-                out[k, i, j] = float(s / 2)
+def _symbolic_christoffel(X, g, points, digits=30):
+    """Gamma^k_ij at each point, layout [k, i, j], as float64: g and its
+    first partials are lambdified once to mpmath and evaluated in
+    digits-digit arithmetic."""
+    f = sp.lambdify(X, [g] + [sp.diff(g, xl) for xl in X], "mpmath",
+                    cse=True)
+    out = []
+    with mpmath.workdps(digits):
+        for point in points:
+            gv, *dg = f(*(mpmath.mpf(v.p) / v.q for v in point))  # dg[l][i, j]
+            gi = gv ** -1
+            gam = np.empty((5, 5, 5))
+            for k in range(5):
+                for i in range(5):
+                    for j in range(5):
+                        s = sum(gi[k, l] * (dg[i][j, l] + dg[j][i, l]
+                                            - dg[l][i, j]) for l in range(5))
+                        gam[k, i, j] = float(s / 2)
+            out.append(gam)
     return out
 
 
@@ -91,10 +94,9 @@ def test_metric_values_match_symbolic(family):
 def test_christoffel_matches_symbolic_derivatives(family):
     X, g = _symbolic_metric(family)
     spec = geo.MetricSpec(family, float(A))
-    for point in POINTS:
+    for point, want in zip(POINTS, _symbolic_christoffel(X, g, POINTS)):
         x = np.array([[float(v) for v in point]])
         assert geo.classify(x[0], float(A)).tag == "B_a"
-        want = _symbolic_christoffel(X, g, point)
         got = C.christoffel(spec, x)[0]
         res = _rel_res(got, want)
         assert res < 1e-12, (family, point, res)

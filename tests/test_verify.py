@@ -199,6 +199,15 @@ def test_whole_suite_passes_away_from_a_one(a):
                                    for c in rep.checks if c.verdict != "pass"]
 
 
+def test_whole_suite_passes_for_a_spinor_with_c():
+    # at the default (b, c) = (1, 0), component 3 of psi and nu is zero,
+    # so only a c != 0 run checks the c terms of every spinor formula
+    rep = V.run_suite(V.SuiteConfig(b=0.6, c=0.8, samples=60))
+    assert len(rep.checks) == len(V.REGISTRY)
+    assert rep.overall == "pass", [(c.name, c.residual_max, c.error)
+                                   for c in rep.checks if c.verdict != "pass"]
+
+
 @pytest.mark.parametrize("a", [8.0, 10.0])
 def test_product_ricci_flat_is_dilation_invariant(a):
     # Ric(gatilde_a) grows like a^2; the check divides it out, so the
