@@ -106,6 +106,15 @@ def test_etilde_is_d_times_e_near_the_cone():
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), k
 
 
+def test_etilde_equals_f_kappa():
+    x = V.sample("B_a", 1.0, 200, 45, exclusion=0.05 / np.sqrt(2))
+    f = F.frame_eval("f", x, a=1.0, order=0)
+    kap = F.transform_eval("kappa", x, order=0)
+    et = F.frame_eval("etilde", x, a=1.0, order=0)
+    prod = J.jeinsum("ij,jk->ik", f, kap).val
+    assert np.abs(prod - et.val).max() < 1e-10
+
+
 def test_kappa_is_boost_exponential():
     x = V.sample("B_a", 1.0, 150, 46, exclusion=0.05 / np.sqrt(2))
     # the chart pair (s, R) = (-x0, r) / (r^2 - x0^2)
@@ -118,6 +127,13 @@ def test_kappa_is_boost_exponential():
     expected[..., 0, 0] = expected[..., 1, 1] = np.cosh(t)
     expected[..., 0, 1] = expected[..., 1, 0] = -np.sinh(t)
     assert np.abs(kap - expected).max() < 1e-10
+
+
+def test_kappatilde_covers_kappa():
+    x = V.sample("B_a", 1.0, 100, 47, exclusion=0.05 / np.sqrt(2))
+    kt = F.transform_eval("kappatilde", x, order=0)
+    kap = F.transform_eval("kappa", x, order=0).val
+    assert np.abs(cl.lambda_of(kt) - kap).max() < 1e-9
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -153,6 +169,14 @@ def test_q_outside_ca_raises():
         F.transform_eval("Q", p, a=1.0, order=0)
 
 
+def test_qtilde_covers_q():
+    x = in_ca(V.sample("B_a", 1.0, 10 * 100, 50, exclusion=0.05 / np.sqrt(2)),
+              1.0, 100)
+    Qt = F.transform_eval("Qtilde", x, a=1.0, order=0)
+    Q = F.transform_eval("Q", x, a=1.0, order=0).val
+    assert np.abs(cl.lambda_of(Qt) - Q).max() < 1e-9
+
+
 def test_qtilde_identity_plus_ro_squared():
     # Qtilde - Id must vanish quadratically in r_o along a curve into the cone
     base = np.array([0.6, np.nan, 0.1, -0.2, 0.05])
@@ -177,6 +201,17 @@ def test_gtilde_is_special_unitary():
     ident = np.einsum("...ij,...kj->...ik", Gt, Gt.conj())
     assert np.abs(ident - np.eye(4)).max() < 1e-12
     assert np.abs(np.linalg.det(Gt) - 1.0).max() < 1e-12
+
+
+def test_htilde_matches_product_off_axis():
+    x = in_ca(V.sample("B_a", 1.0, 10 * 80, 52, exclusion=0.05 / np.sqrt(2)),
+              1.0, 80)
+    ht = F.frame_eval("htilde", x, a=1.0, order=1)
+    e = F.frame_eval("e", x, a=1.0, order=1)
+    Q = F.transform_eval("Q", x, a=1.0, order=1)
+    G = F.transform_eval("G", x, a=1.0, order=1)
+    naive = J.jeinsum("ij,jk->ik", e, J.jeinsum("ij,jk->ik", Q, G))
+    assert jet_close(ht, naive) < 1e-10
 
 
 def test_htilde_first_column_is_normalized_d0():
